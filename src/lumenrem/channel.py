@@ -22,15 +22,9 @@ from .scene import Receiver, Room, Scene, Transmitter
 
 __all__ = [
     "DEFAULT_PATCH_EDGE_M",
-    "LinkGeometry",
-    "WallPatch",
     "PowerBreakdown",
     "lambertian_order",
     "concentrator_gain",
-    "link_geometry",
-    "los_gain",
-    "discretize_walls",
-    "nlos_gain",
     "received_power",
     "received_power_many",
     "rss_dbm",
@@ -47,16 +41,21 @@ _THREADS_ENV = "LUMEN_REM_THREADS"
 
 
 def _max_workers() -> int:
+    """Worker cap from LUMEN_REM_THREADS: a positive count, or 0/unset for one per CPU."""
     raw = os.environ.get(_THREADS_ENV, "").strip()
-    if raw:
-        n = int(raw)
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
+    try:
+        n = int(raw) if raw else 0
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(
+            f"{_THREADS_ENV} must be a non-negative integer (0 = automatic), got {raw!r}"
+        )
+    return n or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
-# Scalar channel quantities
+# Closed-form channel quantities
 # ---------------------------------------------------------------------------
 
 def lambertian_order(hpa_deg: float) -> float:
@@ -75,76 +74,22 @@ def concentrator_gain(cos_psi, fov_deg: float, n: float):
         raise ValueError(f"refractive index must be >= 1, got {n}")
     if not 0 < fov_deg <= 90:
         raise ValueError(f"FOV semi-angle must be in (0, 90] degrees, got {fov_deg}")
-    fov_rad = math.radians(fov_deg)
-    g_inside = n * n / math.sin(fov_rad) ** 2
-    cos_fov = math.cos(fov_rad)
+    g_inside, cos_fov = _concentrator(fov_deg, n)
     if np.isscalar(cos_psi):
         return g_inside if cos_psi >= cos_fov else 0.0
     cos_psi = np.asarray(cos_psi, dtype=float)
     return np.where(cos_psi >= cos_fov, g_inside, 0.0)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Distance and angle cosines of one Tx -> Rx link."""
-
-    d: float
-    cos_phi: float
-    cos_psi: float
-
-
-def link_geometry(tx: Transmitter, rx_pos) -> LinkGeometry:
-    """Geometry between a down-facing LED and an up-facing PD at rx_pos."""
-    tx_pos = tx.position
-    dx = rx_pos[0] - tx_pos[0]
-    dy = rx_pos[1] - tx_pos[1]
-    dz = rx_pos[2] - tx_pos[2]
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d == 0.0:
-        raise ValueError("receiver position coincides with the transmitter")
-    # Tx normal is (0,0,-1) and Rx normal (0,0,+1); both cosines reduce to dz/d.
-    cos_phi = -dz / d
-    return LinkGeometry(d=d, cos_phi=cos_phi, cos_psi=cos_phi)
-
-
-def los_gain(tx: Transmitter, rx: Receiver, rx_pos) -> float:
-    """DC gain of the direct path; 0 outside the receiver FOV."""
-    geo = link_geometry(tx, rx_pos)
-    if geo.cos_phi <= 0:
-        return 0.0
-    fov_rad = math.radians(rx.fov_deg)
-    if geo.cos_psi < math.cos(fov_rad):
-        return 0.0
-    m = lambertian_order(tx.hpa_deg)
-    g = rx.refractive_index ** 2 / math.sin(fov_rad) ** 2
-    return (
-        (m + 1.0) * rx.area_m2 / (2.0 * math.pi * geo.d ** 2)
-        * geo.cos_phi ** m * rx.filter_gain * g * geo.cos_psi
-    )
+def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
+    """In-FOV concentrator gain n^2 / sin^2(fov) and the FOV acceptance cosine."""
+    fov_rad = math.radians(fov_deg)
+    return n ** 2 / math.sin(fov_rad) ** 2, math.cos(fov_rad)
 
 
 # ---------------------------------------------------------------------------
 # Wall discretization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WallPatch:
-    """One reflective wall element: center, inward unit normal, extents.
-
-    `edge_u` is the in-plane horizontal extent (along y for x-walls, along x
-    for y-walls) and `edge_v` the vertical extent; `area_m2 == edge_u * edge_v`.
-    """
-
-    center: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    area_m2: float
-    edge_u: float
-    edge_v: float
-
-    def __post_init__(self):
-        if self.area_m2 <= 0 or self.edge_u <= 0 or self.edge_v <= 0:
-            raise ValueError("patch area and edges must be positive")
-
 
 class _PatchArrays:
     """Struct-of-arrays view of the wall tiling, shared by the vector kernels."""
@@ -201,29 +146,8 @@ class _PatchArrays:
             edges_v=np.concatenate(edges_v),
         )
 
-    @classmethod
-    def from_patches(cls, patches) -> "_PatchArrays":
-        return cls(
-            centers=np.asarray([p.center for p in patches], dtype=float),
-            normals=np.asarray([p.normal for p in patches], dtype=float),
-            areas=np.asarray([p.area_m2 for p in patches], dtype=float),
-            edges_u=np.asarray([p.edge_u for p in patches], dtype=float),
-            edges_v=np.asarray([p.edge_v for p in patches], dtype=float),
-        )
-
     def __len__(self) -> int:
         return len(self.areas)
-
-
-def discretize_walls(room: Room, patch_edge_m: float) -> list[WallPatch]:
-    """Tile the four walls with rectangular midpoint-rule patches."""
-    pa = _PatchArrays.from_room(room, patch_edge_m)
-    return [
-        WallPatch(center=tuple(c), normal=tuple(n), area_m2=float(a),
-                  edge_u=float(eu), edge_v=float(ev))
-        for c, n, a, eu, ev in zip(pa.centers, pa.normals, pa.areas,
-                                   pa.edges_u, pa.edges_v)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +164,9 @@ def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray) -> np.ndarra
     d = np.sqrt(d_sq)
     cos_phi = (tx_pos[2] - pos[:, 2]) / d
     m = lambertian_order(tx.hpa_deg)
-    fov_rad = math.radians(rx.fov_deg)
-    g = rx.refractive_index ** 2 / math.sin(fov_rad) ** 2
+    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
     visible = cos_phi > 0
-    in_fov = cos_phi >= math.cos(fov_rad)
+    in_fov = cos_phi >= cos_fov
     cos_clip = np.where(visible, cos_phi, 0.0)
     gain = (
         (m + 1.0) * rx.area_m2 / (2.0 * math.pi * d_sq)
@@ -258,9 +181,7 @@ def _nlos_gain_block(
     """Single-bounce reflected DC gain for a (n, 3) block of positions."""
     tx_pos = np.asarray(tx.position)
     m = lambertian_order(tx.hpa_deg)
-    fov_rad = math.radians(rx.fov_deg)
-    g = rx.refractive_index ** 2 / math.sin(fov_rad) ** 2
-    cos_fov = math.cos(fov_rad)
+    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
 
     # Tx -> patch leg depends only on the tiling; computed once per block.
     v1 = pa.centers - tx_pos
@@ -355,13 +276,6 @@ def _patch_term(tx3, m, cos_fov, rx3, make, normal, u, v, eu, ev, depth) -> floa
     return cos_phi ** m * cos_alpha * (eu * ev) / d1_sq * cos_beta * cos_psi / (d2 * d2)
 
 
-def nlos_gain(tx: Transmitter, rx: Receiver, rx_pos, patches, rho: float) -> float:
-    """Reflected-path DC gain at one position, summed over the wall tiling."""
-    pa = patches if isinstance(patches, _PatchArrays) else _PatchArrays.from_patches(patches)
-    pos = np.asarray(rx_pos, dtype=float).reshape(1, 3)
-    return float(_nlos_gain_block(tx, rx, pos, pa, rho)[0])
-
-
 # ---------------------------------------------------------------------------
 # Received power
 # ---------------------------------------------------------------------------
@@ -379,7 +293,8 @@ class PowerBreakdown:
         return self.p_los_mw + self.p_nlos_mw
 
 
-def _check_inside(scene: Scene, pos: np.ndarray) -> None:
+def _room_tiling(scene: Scene, pos: np.ndarray, patch_edge_m: float) -> _PatchArrays:
+    """Wall tiling of the scene's room, once every (n, 3) position is checked inside it."""
     room = scene.room
     ok = (
         (pos[:, 0] >= 0) & (pos[:, 0] <= room.lx)
@@ -389,22 +304,29 @@ def _check_inside(scene: Scene, pos: np.ndarray) -> None:
     if not np.all(ok):
         bad = pos[~ok][0]
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
+    return _PatchArrays.from_room(room, patch_edge_m)
+
+
+def _tx_powers(scene: Scene, pos: np.ndarray, pa: _PatchArrays):
+    """(LOS, NLOS) received power arrays in mW at (n, 3) positions, one pair
+    per transmitter in scene order; callers sum them in that order."""
+    rx, rho = scene.receiver, scene.wall_reflectance
+    return [
+        (tx.power_mw * _los_gain_block(tx, rx, pos),
+         tx.power_mw * _nlos_gain_block(tx, rx, pos, pa, rho))
+        for tx in scene.transmitters
+    ]
 
 
 def received_power(scene: Scene, rx_pos, patch_edge_m: float = DEFAULT_PATCH_EDGE_M) -> PowerBreakdown:
     """Deterministic received power at one position, LOS/NLOS per transmitter."""
     pos = np.asarray(rx_pos, dtype=float).reshape(1, 3)
-    _check_inside(scene, pos)
-    pa = _PatchArrays.from_room(scene.room, patch_edge_m)
-    per_tx = []
-    for tx in scene.transmitters:
-        h_los = _los_gain_block(tx, scene.receiver, pos)[0]
-        h_ref = _nlos_gain_block(tx, scene.receiver, pos, pa, scene.wall_reflectance)[0]
-        per_tx.append((tx.power_mw * float(h_los), tx.power_mw * float(h_ref)))
+    pa = _room_tiling(scene, pos, patch_edge_m)
+    per_tx = tuple((float(los[0]), float(nlos[0])) for los, nlos in _tx_powers(scene, pos, pa))
     return PowerBreakdown(
         p_los_mw=sum(p for p, _ in per_tx),
         p_nlos_mw=sum(p for _, p in per_tx),
-        per_tx=tuple(per_tx),
+        per_tx=per_tx,
     )
 
 
@@ -418,19 +340,15 @@ def received_power_many(
     by LUMEN_REM_THREADS.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    _check_inside(scene, pos)
-    pa = _PatchArrays.from_room(scene.room, patch_edge_m)
+    pa = _room_tiling(scene, pos, patch_edge_m)
     n = len(pos)
     p_los = np.zeros(n)
     p_nlos = np.zeros(n)
 
     def work(lo: int, hi: int) -> None:
-        block = pos[lo:hi]
-        for tx in scene.transmitters:
-            p_los[lo:hi] += tx.power_mw * _los_gain_block(tx, scene.receiver, block)
-            p_nlos[lo:hi] += tx.power_mw * _nlos_gain_block(
-                tx, scene.receiver, block, pa, scene.wall_reflectance
-            )
+        for los, nlos in _tx_powers(scene, pos[lo:hi], pa):
+            p_los[lo:hi] += los
+            p_nlos[lo:hi] += nlos
 
     spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(_max_workers(), len(spans))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evalmap, forest, mlp
-from .channel import DEFAULT_PATCH_EDGE_M
+from .channel import _THREADS_ENV, DEFAULT_PATCH_EDGE_M
 from .dataset import (
     Dataset,
     add_noise,
@@ -32,8 +32,6 @@ from .dataset import (
     subsample,
 )
 from .scene import PRESET_ROOMS, Scene, preset_scene
-
-THREADS_ENV = "LUMEN_REM_THREADS"
 
 
 class UsageError(ValueError):
@@ -48,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumenrem",
         description="Indoor visible-light RSS simulation, surrogate models, and radio maps.",
-        epilog=f"Set {THREADS_ENV} to cap worker threads (0 or unset = automatic).",
+        epilog=f"Set {_THREADS_ENV} to cap worker threads (0 or unset = automatic).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -50,7 +50,11 @@ VARIABLE_FEATURES = ("x", "y", "z", "lx", "ly")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, key); the same key always replays."""
+    """Independent generator for (seed, key); the same key always replays.
+
+    This is the one place a keyed seed sequence is built: `mlp`, `forest` and
+    `evalmap` draw their sub-streams and derived integer seeds from it too.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 

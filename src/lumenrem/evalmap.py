@@ -9,7 +9,6 @@ derived seeds.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
@@ -21,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, forest, mlp
-from .dataset import Dataset, SplitSets, add_noise, generate_fixed, generate_reference, split, subsample
+from .dataset import (
+    Dataset, SplitSets, _stream, add_noise, generate_fixed, generate_reference, split, subsample,
+)
 from .scene import Scene, preset_scene
 
 __all__ = [
@@ -53,7 +54,8 @@ MODEL_KINDS = ("mlp32x128", "mlp64x256", "dt", "xt", "adaboost")
 
 
 def _seed_int(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+    """Integer seed derived from the keyed stream: the first 32-bit word of its seed sequence."""
+    return int(_stream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +247,7 @@ def simulate_map(
 def predict_map(model, scene: Scene, z_plane: float, spacing: float) -> RadioMap:
     """Model-inferred RSS grid over the same cell centers as simulate_map."""
     (sx, sy), gx, gy = _grid(scene, spacing)
-    n = gx.size
-    feats = np.column_stack([gx.ravel(), gy.ravel(), np.full(n, float(z_plane))])
-    arity = model_arity(model)
-    if arity == 5:
-        feats = np.column_stack(
-            [feats, np.full(n, scene.room.lx), np.full(n, scene.room.ly)]
-        )
-    elif arity != 3:
-        raise ValueError(f"cannot build a map for a {arity}-feature model")
+    feats = _scene_features(model, scene, gx.ravel(), gy.ravel(), z_plane)
     values = predict_any(model, feats).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
                     values=values, source=f"predicted:{model_label(model)}")
@@ -280,13 +274,21 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     elif isinstance(source, RadioMap):
         vals = np.array([source.value_at(x, y) for x, y in zip(xs, ys)])
     else:
-        feats = np.column_stack([xs, ys, np.full(n_points, float(z_plane))])
-        if model_arity(source) == 5:
-            feats = np.column_stack(
-                [feats, np.full(n_points, room.lx), np.full(n_points, room.ly)]
-            )
-        vals = predict_any(source, feats)
+        vals = predict_any(source, _scene_features(source, scene, xs, ys, z_plane))
     return [(float(x), float(v)) for x, v in zip(xs, vals)]
+
+
+def _scene_features(model, scene: Scene, xs, ys, z_plane: float) -> np.ndarray:
+    """Model input rows at floor points (xs, ys) and height z_plane: (x, y, z)
+    for a fixed-room model, (x, y, z, lx, ly) for a variable-room one."""
+    n = len(xs)
+    cols = [xs, ys, np.full(n, float(z_plane))]
+    arity = model_arity(model)
+    if arity == 5:
+        cols += [np.full(n, scene.room.lx), np.full(n, scene.room.ly)]
+    elif arity != 3:
+        raise ValueError(f"cannot build scene features for a {arity}-feature model")
+    return np.column_stack(cols)
 
 
 def map_to_csv(radio_map: RadioMap, path) -> None:
@@ -346,19 +348,9 @@ def predict_any(model, features):
 
 def load_any_model(path):
     """Open a model file regardless of family (dispatches on its kind tag)."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            head = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise mlp.ModelFormatError(f"{path} is not a valid model file: {e}") from e
-    if not isinstance(head, dict):
-        raise mlp.ModelFormatError(f"{path} is not a model document")
-    kind = head.get("kind")
-    if kind == "mlp":
-        return mlp.load_model(path)
-    if kind == "forest":
-        return forest.load_forest(path)
-    raise mlp.ModelFormatError(f"{path} has unknown model kind {kind!r}")
+    return mlp._load_model_file(
+        path, {"mlp": mlp._mlp_from_doc, "forest": forest._forest_from_doc}
+    )
 
 
 def fit_model(

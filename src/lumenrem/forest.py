@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError
+from .dataset import _stream
+from .mlp import MODEL_FORMAT_VERSION, _load_model_file
 
 __all__ = [
     "TreeParams",
@@ -32,10 +33,6 @@ __all__ = [
     "save_forest",
     "load_forest",
 ]
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 @dataclass(frozen=True)
@@ -272,6 +269,8 @@ class Forest:
         self.trees = tuple(self.trees)
         if not self.trees:
             raise ValueError("forest holds no trees")
+        if self.trees_per_member < 1:
+            raise ValueError(f"trees_per_member must be >= 1, got {self.trees_per_member}")
         if len(self.trees) % self.trees_per_member:
             raise ValueError("tree count is not a multiple of trees_per_member")
         if self.mode == "adaboost_r2":
@@ -279,6 +278,8 @@ class Forest:
             if self.tree_weights is None or len(self.tree_weights) != n_members:
                 raise ValueError("adaboost_r2 needs one weight per member")
             self.tree_weights = np.asarray(self.tree_weights, dtype=np.float64)
+            if not np.all(np.isfinite(self.tree_weights)):
+                raise ValueError("adaboost_r2 member weights must be finite")
 
     @property
     def n_members(self) -> int:
@@ -310,7 +311,7 @@ def fit_extra_trees(
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     trees = tuple(
-        _grow(X, y, params, _extra_splitter(params, _rng(seed, t))) for t in range(n_trees)
+        _grow(X, y, params, _extra_splitter(params, _stream(seed, t))) for t in range(n_trees)
     )
     return Forest(
         mode="extra_trees",
@@ -349,8 +350,8 @@ def fit_adaboost_r2(
     member_trees: list[Tree] = []
     member_weights: list[float] = []
     for r in range(n_estimators):
-        rows = _rng(seed, r, 0).choice(n, size=n, replace=True, p=w)
-        base_seed = int(_rng(seed, r, 1).integers(0, 2**63 - 1))
+        rows = _stream(seed, r, 0).choice(n, size=n, replace=True, p=w)
+        base_seed = int(_stream(seed, r, 1).integers(0, 2**63 - 1))
         base = fit_extra_trees(X[rows], y[rows], n_trees=base_n_trees, params=params, seed=base_seed)
         pred = predict_forest(base, X)
         err = np.abs(pred - y)
@@ -387,18 +388,25 @@ def fit_adaboost_r2(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def weighted_median(values, weights) -> float:
-    """Smallest value whose cumulative weight reaches half the total."""
+def weighted_median(values, weights):
+    """Smallest value whose cumulative weight reaches half the total.
+
+    `values` is 1-D (one value per weight; a float comes back) or a
+    (len(weights), n) matrix, whose n columns get one median each.
+    """
     v = np.asarray(values, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if v.shape != w.shape or v.size == 0:
+    if w.ndim != 1 or v.ndim not in (1, 2) or len(v) != len(w) or v.size == 0:
         raise ValueError("values and weights must be equal-length and non-empty")
     if np.any(w < 0) or w.sum() == 0:
         raise ValueError("weights must be non-negative with positive sum")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    k = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(v[order[min(k, len(v) - 1)]])
+    cols = v.reshape(len(w), -1)
+    order = np.argsort(cols, axis=0, kind="stable")
+    cum = np.cumsum(w[order], axis=0)
+    ranks = np.argmax(cum >= 0.5 * cum[-1], axis=0)
+    col = np.arange(cols.shape[1])
+    out = cols[order[ranks, col], col]
+    return float(out[0]) if v.ndim == 1 else out
 
 
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -430,12 +438,7 @@ def predict_forest(forest: Forest, raw_features):
     if forest.mode in ("single", "extra_trees"):
         out = preds.mean(axis=0)
     else:
-        w = forest.tree_weights
-        order = np.argsort(preds, axis=0, kind="stable")
-        cum = np.cumsum(w[order], axis=0)
-        ranks = np.argmax(cum >= 0.5 * cum[-1], axis=0)
-        cols = np.arange(X.shape[0])
-        out = preds[order[ranks, cols], cols]
+        out = weighted_median(preds, forest.tree_weights)
     return float(out[0]) if scalar else out
 
 
@@ -461,32 +464,41 @@ def save_forest(forest: Forest, path) -> None:
         f.write("\n")
 
 
+def _checked_tree(d: dict, n_features: int) -> Tree:
+    """A tree from its document, once its arrays describe a finite tree whose
+    every internal node routes to higher-numbered nodes (so routing ends)."""
+    t = Tree.from_dict(d)
+    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
+    n = t.n_nodes
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
+    leaf = t.feature == -1
+    if np.any((t.left[leaf] != -1) | (t.right[leaf] != -1)):
+        raise ValueError("a leaf has children")
+    inner = np.nonzero(~leaf)[0]
+    f, lo, hi = t.feature[inner], t.left[inner], t.right[inner]
+    if np.any((f < 0) | (f >= n_features)):
+        raise ValueError(f"a split feature lies outside [0, {n_features})")
+    if np.any((lo <= inner) | (lo >= n) | (hi <= inner) | (hi >= n)):
+        raise ValueError("a child index is not above its parent's and below the node count")
+    if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
+        raise ValueError("a threshold or value is not finite")
+    return t
+
+
+def _forest_from_doc(doc: dict) -> Forest:
+    n_features = int(doc["n_features"])
+    return Forest(
+        mode=doc["mode"],
+        trees=tuple(_checked_tree(t, n_features) for t in doc["trees"]),
+        n_features=n_features,
+        params=TreeParams.from_dict(doc["params"]),
+        seed=int(doc["seed"]),
+        trees_per_member=int(doc["trees_per_member"]),
+        tree_weights=None if doc["tree_weights"] is None else np.asarray(doc["tree_weights"]),
+        meta=dict(doc.get("meta", {})),
+    )
+
+
 def load_forest(path) -> Forest:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ModelFormatError(f"{path} is not a valid model file: {e}") from e
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise ModelFormatError(f"{path} is missing the format header")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path} has format version {doc['format_version']}, expected {MODEL_FORMAT_VERSION}"
-        )
-    if doc.get("kind") != "forest":
-        raise ModelFormatError(f"{path} holds a {doc.get('kind')!r} model, not a forest")
-    try:
-        return Forest(
-            mode=doc["mode"],
-            trees=tuple(Tree.from_dict(t) for t in doc["trees"]),
-            n_features=int(doc["n_features"]),
-            params=TreeParams.from_dict(doc["params"]),
-            seed=int(doc["seed"]),
-            trees_per_member=int(doc["trees_per_member"]),
-            tree_weights=None if doc["tree_weights"] is None else np.asarray(doc["tree_weights"]),
-            meta=dict(doc.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, (ModelFormatError, ModelVersionError)):
-            raise
-        raise ModelFormatError(f"{path} is malformed: {e}") from e
+    return _load_model_file(path, {"forest": _forest_from_doc})

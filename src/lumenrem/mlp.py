@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import NormStats, SplitSets, apply_norm, fit_norm
+from .dataset import NormStats, SplitSets, _stream, apply_norm, fit_norm
 
 __all__ = [
     "MLP_PRESETS",
@@ -49,10 +49,6 @@ class ModelFormatError(ValueError):
 
 class ModelVersionError(ValueError):
     """The file's format version is not supported."""
-
-
-def _rng(seed: int, key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ class MlpModel:
 
 def init(config: MlpConfig) -> MlpModel:
     """He-normal weights (std sqrt(2/fan_in)), zero biases, seeded."""
-    rng = _rng(config.seed, 0)
+    rng = _stream(config.seed, 0)
     dims = config.layer_dims
     weights = [
         rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
@@ -269,7 +265,7 @@ def train(config: MlpConfig, splits: SplitSets) -> MlpModel:
     model = init(config)
     model.norm = stats
     state = AdamState.for_params(model.params)
-    shuffle = _rng(config.seed, 1)
+    shuffle = _stream(config.seed, 1)
     n = len(x_tr)
     bs = config.batch_size
     for epoch in range(config.epochs):
@@ -315,7 +311,10 @@ def save_model(model: MlpModel, path) -> None:
         f.write("\n")
 
 
-def load_model(path) -> MlpModel:
+def _load_model_file(path, builders: dict):
+    """Parse a model file once, check its header, version and kind, and build
+    the model with `builders[kind]`; every malformed document raises
+    ModelFormatError (ModelVersionError for a foreign version)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -327,16 +326,26 @@ def load_model(path) -> MlpModel:
         raise ModelVersionError(
             f"{path} has format version {doc['format_version']}, expected {MODEL_FORMAT_VERSION}"
         )
-    if doc.get("kind") != "mlp":
-        raise ModelFormatError(f"{path} holds a {doc.get('kind')!r} model, not an MLP")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in builders:
+        raise ModelFormatError(
+            f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, builders))}"
+        )
     try:
-        config = MlpConfig.from_dict(doc["config"])
-        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        norm = NormStats.from_dict(doc["norm"]) if doc["norm"] is not None else None
-        log = list(doc.get("training_log", []))
-        return MlpModel(config=config, weights=weights, biases=biases, norm=norm, training_log=log)
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, (ModelFormatError, ModelVersionError)):
-            raise
+        return builders[kind](doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{path} is malformed: {e}") from e
+
+
+def _mlp_from_doc(doc: dict) -> MlpModel:
+    return MlpModel(
+        config=MlpConfig.from_dict(doc["config"]),
+        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
+        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
+        norm=NormStats.from_dict(doc["norm"]) if doc["norm"] is not None else None,
+        training_log=list(doc.get("training_log", [])),
+    )
+
+
+def load_model(path) -> MlpModel:
+    return _load_model_file(path, {"mlp": _mlp_from_doc})

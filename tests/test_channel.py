@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -48,12 +49,17 @@ def test_concentrator_gain_domain():
         ch.concentrator_gain(1.0, 95.0, 1.5)
 
 
+def _los_mw(scene, pos, **kw):
+    """Direct-path power of the first transmitter, read from the per-tx breakdown."""
+    return ch.received_power(scene, pos, **kw).per_tx[0][0]
+
+
 def test_los_gain_mid_room_center():
     """5x5x3 room, LED at ceiling center, PD directly below at z=1: d=2, angles=0."""
     sc = preset_scene("mid")
-    h = ch.los_gain(sc.transmitters[0], sc.receiver, (2.5, 2.5, 1.0))
+    p = _los_mw(sc, (2.5, 2.5, 1.0))
+    h = p / sc.transmitters[0].power_mw
     assert math.isclose(h, 1.8041980207569349e-05, rel_tol=1e-12)
-    p = sc.transmitters[0].power_mw * h
     assert math.isclose(ch.rss_dbm(p), -17.437157979457319, rel_tol=1e-12)
     assert math.isclose(ch.path_loss_db(h), 47.437157979457319, rel_tol=1e-12)
 
@@ -61,37 +67,44 @@ def test_los_gain_mid_room_center():
 def test_los_gain_off_axis_matches_closed_form():
     """Hand-expanded formula at an off-axis point (m = 1 for a 60 deg HPA)."""
     sc = preset_scene("mid")
-    tx, rx = sc.transmitters[0], sc.receiver
     pos = (1.0, 3.5, 0.8)
     dx, dy, dz = 1.0 - 2.5, 3.5 - 2.5, 0.8 - 3.0
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
     cos_t = -dz / d
     g = 1.5 ** 2 / math.sin(math.radians(85.0)) ** 2
     expected = 2.0 * 1e-4 / (2.0 * math.pi * d * d) * cos_t * g * cos_t
-    assert math.isclose(ch.los_gain(tx, rx, pos), expected, rel_tol=1e-12)
+    assert math.isclose(_los_mw(sc, pos), sc.transmitters[0].power_mw * expected, rel_tol=1e-12)
 
 
 def test_los_gain_fov_cutoff():
     # narrow-FOV receiver far off-axis: incidence angle exceeds the cutoff
     sc = preset_scene("mid")
-    rx = Receiver(fov_deg=30.0)
-    assert ch.los_gain(sc.transmitters[0], rx, (0.1, 0.1, 0.1)) == 0.0
+    narrow = Scene(room=sc.room, transmitters=sc.transmitters, receiver=Receiver(fov_deg=30.0))
+    assert _los_mw(narrow, (0.1, 0.1, 0.1)) == 0.0
     # the same geometry passes with the default wide FOV
-    assert ch.los_gain(sc.transmitters[0], sc.receiver, (0.1, 0.1, 0.1)) > 0.0
+    assert _los_mw(sc, (0.1, 0.1, 0.1)) > 0.0
 
 
 def test_los_gain_coincident_raises():
     sc = preset_scene("mid")
+    tx = sc.transmitters[0]
+    # the public entry point refuses the ceiling plane the LED sits on ...
     with pytest.raises(ValueError):
-        ch.los_gain(sc.transmitters[0], sc.receiver, sc.transmitters[0].position)
+        ch.received_power(sc, tx.position)
+    # ... and the LOS kernel itself refuses a zero-length link
+    with pytest.raises(ValueError, match="coincides"):
+        ch._los_gain_block(tx, sc.receiver, np.array([tx.position]))
 
 
 def test_link_geometry_cosines():
-    tx = Transmitter(position=(0.0, 0.0, 3.0))
-    geo = ch.link_geometry(tx, (3.0, 0.0, 0.0))
-    assert math.isclose(geo.d, math.sqrt(18.0), rel_tol=1e-15)
-    assert math.isclose(geo.cos_phi, 3.0 / math.sqrt(18.0), rel_tol=1e-15)
-    assert geo.cos_phi == geo.cos_psi
+    """LED in a ceiling corner, PD on the floor 3 m away: both the emission and
+    the incidence cosine are dz/d, so the gain carries (3/sqrt(18))^(m+1)."""
+    sc = Scene(room=Room(5.0, 5.0, 3.0), transmitters=(Transmitter(position=(0.0, 0.0, 3.0)),))
+    d_sq = 18.0
+    cos_t = 3.0 / math.sqrt(d_sq)
+    g = 1.5 ** 2 / math.sin(math.radians(85.0)) ** 2
+    expected = 2.0 * 1e-4 / (2.0 * math.pi * d_sq) * cos_t * g * cos_t
+    assert math.isclose(_los_mw(sc, (3.0, 0.0, 0.0)), 1000.0 * expected, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +113,40 @@ def test_link_geometry_cosines():
 
 def test_discretize_walls_counts_and_area():
     room = Room(5.0, 5.0, 3.0)
-    patches = ch.discretize_walls(room, 0.2)
-    assert len(patches) == 4 * 25 * 15
-    total = sum(p.area_m2 for p in patches)
-    assert math.isclose(total, 2 * 5.0 * 3.0 + 2 * 5.0 * 3.0, rel_tol=1e-9)
+    pa = ch._PatchArrays.from_room(room, 0.2)
+    assert len(pa) == 4 * 25 * 15
+    assert math.isclose(pa.areas.sum(), 2 * 5.0 * 3.0 + 2 * 5.0 * 3.0, rel_tol=1e-9)
+    np.testing.assert_array_equal(pa.areas, pa.edges_u * pa.edges_v)
 
 
 def test_discretize_walls_non_divisible_edge():
     """Edge 0.3 on a 5 m extent rounds the count up and shrinks patches to fit."""
     room = Room(5.0, 5.0, 3.0)
-    patches = ch.discretize_walls(room, 0.3)
+    pa = ch._PatchArrays.from_room(room, 0.3)
     nu, nv = math.ceil(5.0 / 0.3), math.ceil(3.0 / 0.3)
-    assert len(patches) == 4 * nu * nv
-    assert math.isclose(sum(p.area_m2 for p in patches), 60.0, rel_tol=1e-9)
+    assert len(pa) == 4 * nu * nv
+    assert math.isclose(pa.areas.sum(), 60.0, rel_tol=1e-9)
     # every patch is strictly inside its wall plane and normals point inward
-    for p in patches:
-        x, y, z = p.center
+    for (x, y, z), normal in zip(pa.centers, pa.normals):
+        normal = tuple(normal)
         assert 0.0 < z < room.lz
-        if p.normal == (1.0, 0.0, 0.0):
+        if normal == (1.0, 0.0, 0.0):
             assert x == 0.0
-        elif p.normal == (-1.0, 0.0, 0.0):
+        elif normal == (-1.0, 0.0, 0.0):
             assert x == room.lx
-        elif p.normal == (0.0, 1.0, 0.0):
+        elif normal == (0.0, 1.0, 0.0):
             assert y == 0.0
         else:
-            assert p.normal == (0.0, -1.0, 0.0)
+            assert normal == (0.0, -1.0, 0.0)
             assert y == room.ly
 
 
 def test_discretize_walls_bad_edge():
     room = Room(5.0, 5.0, 3.0)
     with pytest.raises(ValueError):
-        ch.discretize_walls(room, 0.0)
+        ch._PatchArrays.from_room(room, 0.0)
     with pytest.raises(ValueError):
-        ch.discretize_walls(room, 10.0)
+        ch._PatchArrays.from_room(room, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,43 +182,42 @@ def _naive_term(tx, rx_pos, center, normal, eu, ev, m, cos_fov, depth):
         / (d1 * d1 * d2 * d2)
 
 
-def _nlos_naive(tx, rx, rx_pos, patches, rho):
+def _nlos_naive(tx, rx, rx_pos, pa, rho):
     """Straightforward per-patch loop, written independently of the kernel."""
     m = ch.lambertian_order(tx.hpa_deg)
     fov = math.radians(rx.fov_deg)
     g = rx.refractive_index ** 2 / math.sin(fov) ** 2
     total = 0.0
-    for p in patches:
-        total += _naive_term(tx, rx_pos, p.center, p.normal,
-                             p.edge_u, p.edge_v, m, math.cos(fov), 0)
+    for center, normal, eu, ev in zip(pa.centers.tolist(), pa.normals.tolist(),
+                                      pa.edges_u.tolist(), pa.edges_v.tolist()):
+        total += _naive_term(tx, rx_pos, center, normal, eu, ev, m, math.cos(fov), 0)
     return total * (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
 
 
 def test_nlos_gain_matches_naive_loop():
     sc = preset_scene("mid")
     tx, rx = sc.transmitters[0], sc.receiver
-    patches = ch.discretize_walls(sc.room, 0.5)  # coarse keeps the loop fast
+    pa = ch._PatchArrays.from_room(sc.room, 0.5)  # coarse keeps the loop fast
     for pos in [(2.5, 2.5, 1.0), (0.4, 4.2, 0.3), (4.9, 0.2, 1.7)]:
-        want = _nlos_naive(tx, rx, pos, patches, sc.wall_reflectance)
-        got = ch.nlos_gain(tx, rx, pos, patches, sc.wall_reflectance)
+        want = tx.power_mw * _nlos_naive(tx, rx, pos, pa, sc.wall_reflectance)
+        got = ch.received_power(sc, pos, patch_edge_m=0.5).per_tx[0][1]
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_nlos_gain_zero_reflectance():
     sc = preset_scene("small")
-    patches = ch.discretize_walls(sc.room, 0.5)
-    assert ch.nlos_gain(sc.transmitters[0], sc.receiver, (1.0, 1.0, 1.0), patches, 0.0) == 0.0
+    dark = Scene(room=sc.room, transmitters=sc.transmitters, wall_reflectance=0.0)
+    bd = ch.received_power(dark, (1.0, 1.0, 1.0), patch_edge_m=0.5)
+    assert bd.p_nlos_mw == 0.0
+    assert bd.p_los_mw > 0.0
 
 
 def test_nlos_refinement_converges():
     """Halving the patch edge changes the reflected gain less and less."""
     sc = preset_scene("mid")
-    tx, rx = sc.transmitters[0], sc.receiver
     pos = (1.0, 1.0, 0.85)
-    vals = {}
-    for edge in (0.4, 0.2, 0.1):
-        patches = ch._PatchArrays.from_room(sc.room, edge)
-        vals[edge] = ch.nlos_gain(tx, rx, pos, patches, sc.wall_reflectance)
+    vals = {edge: ch.received_power(sc, pos, patch_edge_m=edge).p_nlos_mw
+            for edge in (0.4, 0.2, 0.1)}
     d1 = abs(vals[0.2] - vals[0.4])
     d2 = abs(vals[0.1] - vals[0.2])
     assert d2 < d1
@@ -274,8 +286,7 @@ def test_mirror_symmetry_of_total_power():
 def test_los_decreases_away_from_axis():
     """At fixed height the direct gain drops monotonically with radial offset."""
     sc = preset_scene("mid")
-    tx, rx = sc.transmitters[0], sc.receiver
-    gains = [ch.los_gain(tx, rx, (2.5 + r, 2.5, 1.0)) for r in np.linspace(0.0, 2.4, 13)]
+    gains = [_los_mw(sc, (2.5 + r, 2.5, 1.0)) for r in np.linspace(0.0, 2.4, 13)]
     assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
@@ -302,10 +313,18 @@ def test_received_power_many_thread_count_invariant(monkeypatch):
     )
     monkeypatch.setenv("LUMEN_REM_THREADS", "1")
     serial = ch.received_power_many(sc, pts)
-    monkeypatch.setenv("LUMEN_REM_THREADS", "4")
-    threaded = ch.received_power_many(sc, pts)
-    np.testing.assert_array_equal(serial[0], threaded[0])
-    np.testing.assert_array_equal(serial[1], threaded[1])
+    for raw in ("4", "0"):  # 0 = one worker per CPU
+        monkeypatch.setenv("LUMEN_REM_THREADS", raw)
+        threaded = ch.received_power_many(sc, pts)
+        np.testing.assert_array_equal(serial[0], threaded[0])
+        np.testing.assert_array_equal(serial[1], threaded[1])
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "1.5"])
+def test_received_power_many_rejects_bad_thread_env(monkeypatch, raw):
+    monkeypatch.setenv("LUMEN_REM_THREADS", raw)
+    with pytest.raises(ValueError, match=f"LUMEN_REM_THREADS .*'{re.escape(raw)}'"):
+        ch.received_power_many(preset_scene("small"), [(1.0, 1.0, 1.0)])
 
 
 def test_rss_and_path_loss_edges():

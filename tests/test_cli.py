@@ -187,6 +187,28 @@ def test_map_from_model(workdir, trained, capsys):
     assert "predicted:mlp32x128" in capsys.readouterr().out
 
 
+def test_map_from_malformed_forest_file_is_runtime_error(workdir, capsys):
+    # the root splits on feature 3 of a 3-feature model
+    nan = float("nan")
+    doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
+           "params": forest.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
+           "tree_weights": None, "meta": {},
+           "trees": [{"feature": [3, -1, -1], "threshold": [0.5, nan, nan], "left": [1, -1, -1],
+                      "right": [2, -1, -1], "value": [0.0, 0.0, 0.0]}]}
+    Path("bad.json").write_text(json.dumps(doc))
+    assert cli.main(["map", "--model", "bad.json", "--out", "m.csv"]) == 2
+    assert "bad.json is malformed" in capsys.readouterr().err
+    assert not Path("m.csv").exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_thread_env_is_runtime_error(workdir, monkeypatch, capsys, raw):
+    monkeypatch.setenv("LUMEN_REM_THREADS", raw)
+    assert cli.main(["generate", "--per-axis", "2", "--out", "t.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "LUMEN_REM_THREADS" in err and repr(raw) in err
+
+
 def test_map_requires_exactly_one_source(workdir, trained):
     assert cli.main(["map", "--scene", "small", "--out", "m.csv"]) == 1
     assert cli.main(["map", "--simulate", "--model", str(trained / "m.json"),

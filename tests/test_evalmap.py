@@ -137,8 +137,10 @@ def test_predicted_map_rejects_odd_arity(small_scene, small_pool):
     tree = forest.fit_cart(x, small_pool.rss_dbm, forest.TreeParams(max_depth=1), seed=0)
     f4 = forest.Forest(mode="single", trees=(tree,), n_features=4,
                        params=forest.TreeParams(), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4-feature"):
         evalmap.predict_map(f4, small_scene, 1.0, 0.7)
+    with pytest.raises(ValueError, match="4-feature"):
+        evalmap.half_diagonal_profile(f4, small_scene, 1.0, 5)
 
 
 def test_predicted_map_five_feature_model(small_scene, small_pool):
@@ -269,9 +271,10 @@ def test_load_any_model_rejects_garbage(tmp_path):
     p.write_text("{not json")
     with pytest.raises(mlp.ModelFormatError):
         evalmap.load_any_model(p)
-    p.write_text(json.dumps({"format_version": 1, "kind": "nonsense"}))
-    with pytest.raises(mlp.ModelFormatError):
-        evalmap.load_any_model(p)
+    for kind in ("nonsense", ["mlp"]):
+        p.write_text(json.dumps({"format_version": 1, "kind": kind}))
+        with pytest.raises(mlp.ModelFormatError):
+            evalmap.load_any_model(p)
 
 
 def test_evaluate_model_exact(small_pool, constant_model):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lumenrem import evalmap
 from lumenrem import forest as fr
 from lumenrem.mlp import ModelFormatError, ModelVersionError
 
@@ -218,6 +219,21 @@ def test_weighted_median_examples():
         fr.weighted_median([1.0, 2.0], [-1.0, 2.0])
 
 
+def test_weighted_median_columns():
+    """A (members, rows) matrix gets one median per column, each equal to the
+    1-D median of that column."""
+    v = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0]])
+    w = [1.0, 1.0, 3.0]
+    np.testing.assert_array_equal(fr.weighted_median(v, w), [2.0, 3.0])
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(7, 30))
+    w = rng.uniform(0.1, 2.0, 7)
+    cols = fr.weighted_median(v, w)
+    assert cols.tolist() == [fr.weighted_median(v[:, j], w) for j in range(30)]
+    with pytest.raises(ValueError):
+        fr.weighted_median(v, w[:3])
+
+
 def test_adaboost_perfect_first_round():
     """A round with zero loss on the original rows stops boosting immediately.
 
@@ -359,3 +375,57 @@ def test_forest_load_errors(tmp_path):
     p.write_text(json.dumps({"format_version": 1, "kind": "mlp"}))
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
+
+
+def _forest_doc(trees, **fields):
+    doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
+           "params": fr.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
+           "tree_weights": None, "meta": {}, "trees": trees}
+    doc.update(fields)
+    return doc
+
+
+def _tree(feature, threshold, left, right, value):
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "value": value}
+
+
+_NAN = float("nan")
+_STUMP = _tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
+
+
+def test_hand_built_forest_file_loads(tmp_path):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(_forest_doc([_STUMP])))
+    f = fr.load_forest(p)
+    np.testing.assert_array_equal(fr.predict_forest(f, [[0.1, 0, 0], [0.9, 0, 0]]), [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("doc", [
+    # root whose children are itself: routing would never reach a leaf
+    _forest_doc([_tree([0], [0.5], [0], [0], [1.0])]),
+    # child pointing back above its parent
+    _forest_doc([_tree([0, 0, -1], [0.5, 0.5, _NAN], [1, 0, -1], [2, 2, -1], [0.0, 0.0, 1.0])]),
+    # child index past the end
+    _forest_doc([_tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [3, -1, -1], [0.0] * 3)]),
+    _forest_doc([_STUMP], trees_per_member=0),
+    _forest_doc([_STUMP], mode="adaboost_r2", tree_weights=[_NAN]),
+    # split on feature 3 of a 3-feature model
+    _forest_doc([_tree([3, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
+    _forest_doc([_tree([-1], [_NAN], [1], [-1], [0.0])]),  # leaf with a child
+    _forest_doc([_tree([0, -1, -1], [_NAN] * 3, [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
+    _forest_doc([_tree([-1], [_NAN], [-1], [-1], [float("inf")])]),
+    _forest_doc([_tree([0, -1, -1], [0.5, _NAN], [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
+    _forest_doc([_tree([], [], [], [], [])]),
+    _forest_doc([_tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2**40, -1, -1], [0.0] * 3)]),
+], ids=["cyclic-root", "back-edge", "child-past-end", "zero-trees-per-member", "nan-member-weight",
+        "feature-out-of-range", "leaf-with-child", "nan-threshold", "inf-value",
+        "ragged-arrays", "empty-tree", "int32-overflow"])
+def test_load_rejects_hostile_forest_files(tmp_path, doc):
+    """Each file fails at load time; none is ever handed to predict."""
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="is malformed"):
+        fr.load_forest(p)
+    with pytest.raises(ModelFormatError, match="is malformed"):
+        evalmap.load_any_model(p)
