@@ -197,6 +197,23 @@ def _nlos_gain_block(
         0.0,
     )
 
+    k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
+    total, (rows, cols) = _midpoint_sums(tx_leg, cos_fov, pos, pa)
+    # row by row, patch after patch, as a loop over the pairs would add them;
+    # in batches, because a receiver on a wall refines its pairs to full depth
+    for lo in range(0, len(rows), _REFINE_BATCH):
+        r, c = rows[lo : lo + _REFINE_BATCH], cols[lo : lo + _REFINE_BATCH]
+        np.add.at(total, r, _refined_terms(tx_pos, m, cos_fov, pos[r], pa, c))
+    return k * total
+
+
+def _midpoint_sums(tx_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _PatchArrays):
+    """Per-row midpoint-rule sum over the patches (without the constant k) and
+    the (rows, cols) of the pairs left out of it for refinement.
+
+    The (n, N) temporaries live only in here, so they are freed before the
+    refinement builds its own arrays.
+    """
     # Patch -> Rx leg, (n, N) per component to avoid an (n, N, 3) temporary.
     dx = pos[:, 0, None] - pa.centers[None, :, 0]
     dy = pos[:, 1, None] - pa.centers[None, :, 1]
@@ -213,67 +230,95 @@ def _nlos_gain_block(
     cos_psi = -dz / d2  # patch is at -dz above the receiver plane
     accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
     contrib = np.where(accept, tx_leg[None, :] / d2_sq * cos_beta * cos_psi, 0.0)
-    k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
 
     # The midpoint rule degrades when the receiver sits close to a patch
     # (the 1/d2^2 factor varies too much across it). Such patches are
-    # re-evaluated by recursive subdivision until every sub-patch satisfies
+    # re-evaluated by subdivision until every sub-patch satisfies
     # edge <= d2/4, keeping the discretization error small everywhere.
     needs = d2 < 4.0 * np.maximum(pa.edges_u, pa.edges_v)[None, :]
     if needs.any():
         contrib = np.where(needs, 0.0, contrib)
-        total = contrib.sum(axis=1)
-        tx3 = (float(tx_pos[0]), float(tx_pos[1]), float(tx_pos[2]))
-        for i, j in zip(*np.nonzero(needs)):
-            rx3 = (float(pos[i, 0]), float(pos[i, 1]), float(pos[i, 2]))
-            total[i] += _adaptive_patch_term(tx3, m, cos_fov, rx3, pa, int(j))
-    else:
-        total = contrib.sum(axis=1)
-    return k * total
+    return contrib.sum(axis=1), np.nonzero(needs)
 
 
 _REFINE_MAX_DEPTH = 12
+# (row, patch) pairs refined together; bounds the breadth-first arrays
+_REFINE_BATCH = 1024
 
 
-def _adaptive_patch_term(tx3, m, cos_fov, rx3, pa: _PatchArrays, j: int) -> float:
-    cx, cy, cz = (float(v) for v in pa.centers[j])
-    normal = tuple(float(v) for v in pa.normals[j])
-    if normal[0] != 0.0:
-        make, u, v = (lambda a, b: (cx, a, b)), cy, cz
-    else:
-        make, u, v = (lambda a, b: (a, cy, b)), cx, cz
-    return _patch_term(tx3, m, cos_fov, rx3, make, normal,
-                       u, v, float(pa.edges_u[j]), float(pa.edges_v[j]), 0)
+def _refined_terms(tx_pos, m: float, cos_fov: float, rx: np.ndarray, pa: _PatchArrays,
+                   cols: np.ndarray) -> np.ndarray:
+    """Midpoint terms (without the leading constant k) of patches `cols` seen
+    from the receivers `rx`, one per pair, each patch split 2x2 while a
+    (sub-)patch is closer to its receiver than four times its edge, at most
+    _REFINE_MAX_DEPTH times.
 
-
-def _patch_term(tx3, m, cos_fov, rx3, make, normal, u, v, eu, ev, depth) -> float:
-    """Midpoint term for one (sub-)patch, splitting 2x2 while it is too close
-    to the receiver for its size. Without the leading constant k."""
-    c = make(u, v)
-    wx, wy, wz = rx3[0] - c[0], rx3[1] - c[1], rx3[2] - c[2]
-    d2 = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if 4.0 * (eu if eu > ev else ev) > d2 and depth < _REFINE_MAX_DEPTH:
-        qu, qv = 0.25 * eu, 0.25 * ev
-        hu, hv = 0.5 * eu, 0.5 * ev
-        return (
-            _patch_term(tx3, m, cos_fov, rx3, make, normal, u - qu, v - qv, hu, hv, depth + 1)
-            + _patch_term(tx3, m, cos_fov, rx3, make, normal, u - qu, v + qv, hu, hv, depth + 1)
-            + _patch_term(tx3, m, cos_fov, rx3, make, normal, u + qu, v - qv, hu, hv, depth + 1)
-            + _patch_term(tx3, m, cos_fov, rx3, make, normal, u + qu, v + qv, hu, hv, depth + 1)
-        )
-    cos_beta = (wx * normal[0] + wy * normal[1] + wz * normal[2]) / d2
-    cos_psi = -wz / d2
-    if cos_beta <= 0.0 or cos_psi <= 0.0 or cos_psi < cos_fov:
-        return 0.0
-    tx_x, tx_y, tx_z = tx3
-    v1x, v1y, v1z = c[0] - tx_x, c[1] - tx_y, c[2] - tx_z
-    d1_sq = v1x * v1x + v1y * v1y + v1z * v1z
-    d1 = math.sqrt(d1_sq)
-    cos_phi = -v1z / d1
-    cos_alpha = -(v1x * normal[0] + v1y * normal[1] + v1z * normal[2]) / d1
-    if cos_phi <= 0.0 or cos_alpha <= 0.0:
-        return 0.0
-    return cos_phi ** m * cos_alpha * (eu * ev) / d1_sq * cos_beta * cos_psi / (d2 * d2)
+    The subdivision runs breadth-first over every pair at once. Each term and
+    each four-way sum is formed with the same float operations, in the same
+    order, as a depth-first recursion over one pair would use, so a pair's
+    value does not depend on which other pairs share the batch. The Lambertian
+    power goes through Python's `**` term by term, because NumPy's vectorized
+    power may round differently on some CPUs.
+    """
+    tx_x, tx_y, tx_z = (float(c) for c in tx_pos)
+    centers = pa.centers[cols]
+    x_wall = pa.normals[cols, 0] != 0.0
+    # a sub-patch centre is (wall, u, v) on x walls and (u, wall, v) on y walls
+    wall = np.where(x_wall, centers[:, 0], centers[:, 1])
+    u = np.where(x_wall, centers[:, 1], centers[:, 0])
+    v = centers[:, 2]
+    eu, ev = pa.edges_u[cols], pa.edges_v[cols]
+    node = np.arange(len(cols))  # pair each sub-patch of this depth belongs to
+    levels = []  # per depth: (split mask, node values)
+    for depth in range(_REFINE_MAX_DEPTH + 1):
+        xw = x_wall[node]
+        cx = np.where(xw, wall[node], u)
+        cy = np.where(xw, u, wall[node])
+        wx, wy, wz = rx[node, 0] - cx, rx[node, 1] - cy, rx[node, 2] - v
+        d2 = np.sqrt(wx * wx + wy * wy + wz * wz)
+        split = 4.0 * np.where(eu > ev, eu, ev) > d2
+        if depth == _REFINE_MAX_DEPTH:
+            split[:] = False
+        value = np.zeros(len(node))
+        leaf = np.nonzero(~split)[0]
+        if len(leaf):
+            if np.any(d2[leaf] == 0.0):
+                raise ZeroDivisionError("float division by zero")
+            nrm = pa.normals[cols[node[leaf]]]
+            d2l, wzl = d2[leaf], wz[leaf]
+            cos_beta = (wx[leaf] * nrm[:, 0] + wy[leaf] * nrm[:, 1] + wzl * nrm[:, 2]) / d2l
+            cos_psi = -wzl / d2l
+            seen = ~((cos_beta <= 0.0) | (cos_psi <= 0.0) | (cos_psi < cos_fov))
+            v1x, v1y, v1z = cx[leaf] - tx_x, cy[leaf] - tx_y, v[leaf] - tx_z
+            d1_sq = v1x * v1x + v1y * v1y + v1z * v1z
+            if np.any(seen & (d1_sq == 0.0)):
+                raise ZeroDivisionError("float division by zero")
+            d1 = np.sqrt(np.where(seen, d1_sq, 1.0))
+            cos_phi = -v1z / d1
+            cos_alpha = -(v1x * nrm[:, 0] + v1y * nrm[:, 1] + v1z * nrm[:, 2]) / d1
+            lit = np.nonzero(seen & ~((cos_phi <= 0.0) | (cos_alpha <= 0.0)))[0]
+            power = np.array([c ** m for c in cos_phi[lit].tolist()])
+            i = leaf[lit]
+            value[i] = (
+                power * cos_alpha[lit] * (eu[i] * ev[i]) / d1_sq[lit]
+                * cos_beta[lit] * cos_psi[lit] / (d2l[lit] * d2l[lit])
+            )
+        levels.append((split, value))
+        s = np.nonzero(split)[0]
+        if len(s) == 0:
+            break
+        # children in the recursion's order: (-,-), (-,+), (+,-), (+,+)
+        qu, qv = 0.25 * eu[s], 0.25 * ev[s]
+        lo_u, hi_u, lo_v, hi_v = u[s] - qu, u[s] + qu, v[s] - qv, v[s] + qv
+        u = np.column_stack([lo_u, lo_u, hi_u, hi_u]).ravel()
+        v = np.column_stack([lo_v, hi_v, lo_v, hi_v]).ravel()
+        eu, ev = np.repeat(0.5 * eu[s], 4), np.repeat(0.5 * ev[s], 4)
+        node = np.repeat(node[s], 4)
+    # fold each split node's four sub-terms back up, deepest level first
+    for (split, value), (_, below) in zip(levels[-2::-1], levels[:0:-1]):
+        four = below.reshape(-1, 4)
+        value[split] = four[:, 0] + four[:, 1] + four[:, 2] + four[:, 3]
+    return levels[0][1]
 
 
 # ---------------------------------------------------------------------------

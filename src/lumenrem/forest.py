@@ -121,8 +121,17 @@ class Tree:
 # ---------------------------------------------------------------------------
 
 def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
-    """Iterative depth-first growth; `splitter` proposes the best split or None."""
+    """Iterative depth-first growth; `splitter(X, idx, yy, sum_y)` proposes the
+    best split of rows `idx` (targets `yy`, summing to `sum_y`) or None.
+
+    Growth is overhead-bound (one small NumPy call costs more than the
+    arithmetic it does), so each node makes as few calls as it can: the target
+    sum is taken once for the node mean and the splitter, and a one-row node
+    makes no reduction at all. Every node value equals `y[idx].mean()` bit for bit.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
+    max_depth = math.inf if params.max_depth is None else params.max_depth
+    min_split = params.min_samples_split
 
     def new_node() -> int:
         feature.append(-1)
@@ -136,12 +145,17 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
     stack = [(root, np.arange(len(y), dtype=np.intp), 0)]
     while stack:
         nid, idx, depth = stack.pop()
-        yy = y[idx]
-        value[nid] = float(yy.mean())
-        at_depth = params.max_depth is not None and depth >= params.max_depth
-        if at_depth or len(idx) < params.min_samples_split or np.all(yy == yy[0]):
+        n = len(idx)
+        if n == 1:
+            # NumPy's sum starts from 0.0, which also turns -0.0 into 0.0
+            value[nid] = 0.0 + float(y[idx[0]])
             continue
-        best = splitter(X, y, idx)
+        yy = y[idx]
+        sum_y = np.add.reduce(yy)
+        value[nid] = float(sum_y / n)
+        if depth >= max_depth or n < min_split or np.minimum.reduce(yy) == np.maximum.reduce(yy):
+            continue
+        best = splitter(X, idx, yy, sum_y)
         if best is None:
             continue
         f, thr, idx_l, idx_r = best
@@ -159,10 +173,8 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
 def _cart_splitter(params: TreeParams):
     msl = params.min_samples_leaf
 
-    def splitter(X, y, idx):
-        yv = y[idx]
+    def splitter(X, idx, yv, sum_y):
         n = len(idx)
-        sum_y = yv.sum()
         sum_y2 = float(yv @ yv)
         sse_parent = sum_y2 - sum_y * sum_y / n
         best = None
@@ -201,39 +213,50 @@ def _cart_splitter(params: TreeParams):
     return splitter
 
 
-def _extra_splitter(params: TreeParams, rng: np.random.Generator):
+def _extra_splitter(params: TreeParams, rng: np.random.Generator, check_range: bool):
+    """`check_range` may be False only when no node's feature range can be
+    infinite, i.e. when the full sample's ranges are all finite."""
     msl = params.min_samples_leaf
 
-    def splitter(X, y, idx):
+    def splitter(X, idx, yv, sum_y):
         Xv = X[idx]
-        yv = y[idx]
         n = len(idx)
-        lo = Xv.min(axis=0)
-        hi = Xv.max(axis=0)
-        # one draw per feature, in feature order; constant features burn a
-        # draw and simply produce no usable candidate
-        cuts = rng.uniform(lo, hi)
+        # one uniform draw per feature, in feature order; constant features
+        # burn a draw and simply produce no usable candidate. This is
+        # rng.uniform(lo, hi) draw for draw and bit for bit, including its
+        # refusal of an infinite range, without its per-call overhead.
+        lo = np.minimum.reduce(Xv)
+        span = np.maximum.reduce(Xv) - lo
+        if check_range and not np.logical_and.reduce(np.isfinite(span)):
+            raise OverflowError("Range exceeds valid bounds")
+        cuts = lo + span * rng.random(len(span))
         go_l = Xv < cuts
-        nl = go_l.sum(axis=0)
-        nr = n - nl
-        valid = (nl >= max(msl, 1)) & (nr >= max(msl, 1))
-        if not np.any(valid):
+        nl = np.add.reduce(go_l, axis=0, dtype=np.intp).tolist()
+        lim = max(msl, 1)
+        valid = [f for f, k in enumerate(nl) if k >= lim and n - k >= lim]
+        if not valid:
             return None
-        sum_y = yv.sum()
+        # The sums go through the same NumPy/BLAS reductions whatever the node
+        # size; the few per-feature scores are plain float arithmetic, in the
+        # order the vectorized formula used.
+        sum_y = float(sum_y)
         sum_y2 = float(yv @ yv)
         sse_parent = sum_y2 - sum_y * sum_y / n
-        syl = yv @ go_l
-        syl2 = (yv * yv) @ go_l
-        nl_safe = np.maximum(nl, 1)
-        nr_safe = np.maximum(nr, 1)
-        red = (
-            sse_parent
-            - (syl2 - syl * syl / nl_safe)
-            - ((sum_y2 - syl2) - (sum_y - syl) ** 2 / nr_safe)
-        )
-        red = np.where(valid, red, -np.inf)
-        f = int(np.argmax(red))  # ties -> lowest feature index
-        if not red[f] > 0.0:
+        syl = (yv @ go_l).tolist()
+        syl2 = ((yv * yv) @ go_l).tolist()
+        f, best = -1, -math.inf
+        for j in valid:
+            rest = sum_y - syl[j]
+            red = (
+                sse_parent
+                - (syl2[j] - syl[j] * syl[j] / nl[j])
+                - ((sum_y2 - syl2[j]) - rest * rest / (n - nl[j]))
+            )
+            if red != red:  # NaN outranks every score and then fails the > 0 test
+                return None
+            if red > best:  # ties -> lowest feature index
+                f, best = j, red
+        if not best > 0.0:
             return None
         mask = go_l[:, f]
         return f, float(cuts[f]), idx[mask], idx[~mask]
@@ -310,8 +333,11 @@ def fit_extra_trees(
         raise ValueError("need a non-empty (n, k) feature matrix with matching targets")
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    # every node's ranges lie within the full sample's
+    check_range = not np.all(np.isfinite(X.max(axis=0) - X.min(axis=0)))
     trees = tuple(
-        _grow(X, y, params, _extra_splitter(params, _stream(seed, t))) for t in range(n_trees)
+        _grow(X, y, params, _extra_splitter(params, _stream(seed, t), check_range))
+        for t in range(n_trees)
     )
     return Forest(
         mode="extra_trees",

@@ -155,17 +155,21 @@ def init(config: MlpConfig) -> MlpModel:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    """Returns per-layer pre-activations and activations for backprop."""
-    zs, acts = [], [x]
-    a = x
+def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer for backprop, the input first.
+
+    Bias and ReLU are applied in place on each product, which gives the same
+    bits as `np.maximum(a @ w + b, 0)` without two extra temporaries per layer.
+    """
+    acts = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        acts.append(a)
-    return zs, acts
+        z = acts[-1] @ w
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 def forward(model: MlpModel, features):
@@ -178,8 +182,7 @@ def forward(model: MlpModel, features):
         raise ValueError(
             f"expected {model.config.input_dim} features, got shape {x.shape}"
         )
-    _, acts = _forward_cached(model, x)
-    out = acts[-1][:, 0]
+    out = _forward_cached(model, x)[-1][:, 0]
     return float(out[0]) if scalar else out
 
 
@@ -190,19 +193,29 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray, targets: np.ndarra
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     n = x.shape[0]
-    zs, acts = _forward_cached(model, x)
+    acts = _forward_cached(model, x)
     resid = acts[-1] - y
     loss = float(np.mean(resid ** 2))
 
-    grads_w = [np.empty_like(w) for w in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
     delta = 2.0 * resid / n
     for i in range(len(model.weights) - 1, -1, -1):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            # ReLU subgradient: strictly positive pre-activations pass, 0 at 0
-            delta = (delta @ model.weights[i].T) * (zs[i - 1] > 0.0)
+            w = model.weights[i]
+            if w.shape[1] == 1:
+                # an outer product: delta @ w.T is 0.0 + each product, which
+                # broadcasting gives bit for bit at a fraction of the cost
+                back = delta * w[:, 0]
+                back += 0.0
+            else:
+                back = delta @ w.T
+            # ReLU subgradient: strictly positive pre-activations pass, 0 at 0;
+            # the ReLU output is positive exactly where its input is
+            back *= acts[i] > 0.0
+            delta = back
     return loss, grads_w, grads_b
 
 
@@ -212,31 +225,41 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray, targets: np.ndarra
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators of every parameter, back to back in
+    one flat array each (parameter order, each raveled), so a step is a few
+    whole-vector operations instead of a few per parameter array."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+        size = sum(p.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], config: MlpConfig) -> None:
     """One bias-corrected Adam update, applied to the parameters in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state lengths differ")
+    if len(params) != len(grads) or any(p.shape != np.shape(g) for p, g in zip(params, grads)):
+        raise ValueError("parameter/gradient shapes differ")
+    g = np.concatenate([np.ravel(x) for x in grads]) if grads else np.zeros(0)
+    if g.size != state.m.size:
+        raise ValueError("parameter/state sizes differ")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.epsilon)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.epsilon)
+    lo = 0
+    for p in params:
+        p -= step[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
 
 
 # ---------------------------------------------------------------------------
