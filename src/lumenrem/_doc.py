@@ -1,0 +1,68 @@
+"""Records as JSON documents, and the one JSON writer.
+
+A record is a dataclass; its document is an object with exactly one key per
+field. Tuples and arrays become lists, nested records become nested objects.
+Reading is strict: a document with a missing or an unknown key is refused
+with every such key named. Each record's own `__post_init__` converts and
+checks the values it is given.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import typing
+
+import numpy as np
+
+
+def to_doc(record):
+    """The JSON-ready document of a record (or of any value inside one)."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: to_doc(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    if isinstance(record, np.ndarray):
+        return record.tolist()
+    if isinstance(record, (tuple, list)):
+        return [to_doc(v) for v in record]
+    if isinstance(record, dict):
+        return {k: to_doc(v) for k, v in record.items()}
+    return record
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _build(hint, value):
+    """`value` with every record the type hint names built from its document."""
+    if dataclasses.is_dataclass(hint):
+        return from_doc(hint, value)
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _build(args[0], value)
+    if typing.get_origin(hint) is tuple and dataclasses.is_dataclass(args[0]):
+        return tuple(from_doc(args[0], v) for v in value)
+    return value
+
+
+def from_doc(cls, d):
+    """The record of type `cls` whose document is `d`; ValueError names the
+    record and every missing or unknown key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {cls.__name__} document must be an object, got {type(d).__name__}")
+    types = _field_types(cls)
+    missing, unknown = sorted(set(types) - set(d)), sorted(set(d) - set(types))
+    if missing or unknown:
+        problems = [f"{what} keys {keys}" for what, keys in
+                    (("missing", missing), ("unknown", unknown)) if keys]
+        raise ValueError(f"{cls.__name__} document has {' and '.join(problems)}")
+    return cls(**{name: _build(hint, d[name]) for name, hint in types.items()})
+
+
+def write_json(path, doc, indent=None) -> None:
+    """Write `doc` with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")

@@ -33,9 +33,10 @@ __all__ = [
 
 DEFAULT_PATCH_EDGE_M = 0.2
 
-# Positions are processed in chunks this size so the (chunk x patches) work
-# arrays stay small regardless of dataset size.
-_CHUNK = 512
+# Positions are processed in chunks of at most this many (position, patch)
+# pairs, so the (chunk x patches) work arrays stay small whatever the dataset
+# size and the patch count.
+_CHUNK_PAIRS = 1 << 18
 
 _THREADS_ENV = "LUMEN_REM_THREADS"
 
@@ -219,17 +220,18 @@ def _midpoint_sums(tx_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _Pat
     dy = pos[:, 1, None] - pa.centers[None, :, 1]
     dz = pos[:, 2, None] - pa.centers[None, :, 2]
     d2_sq = dx * dx + dy * dy + dz * dz
-    if np.any(d2_sq == 0.0):
-        raise ValueError("receiver position coincides with a wall patch")
     d2 = np.sqrt(d2_sq)
-    cos_beta = (
-        dx * pa.normals[None, :, 0]
-        + dy * pa.normals[None, :, 1]
-        + dz * pa.normals[None, :, 2]
-    ) / d2
-    cos_psi = -dz / d2  # patch is at -dz above the receiver plane
-    accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
-    contrib = np.where(accept, tx_leg[None, :] / d2_sq * cos_beta * cos_psi, 0.0)
+    # a receiver on a patch centre (d2 = 0) divides by zero here; that pair
+    # is always refined below, so its midpoint term is never used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_beta = (
+            dx * pa.normals[None, :, 0]
+            + dy * pa.normals[None, :, 1]
+            + dz * pa.normals[None, :, 2]
+        ) / d2
+        cos_psi = -dz / d2  # patch is at -dz above the receiver plane
+        accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
+        contrib = np.where(accept, tx_leg[None, :] / d2_sq * cos_beta * cos_psi, 0.0)
 
     # The midpoint rule degrades when the receiver sits close to a patch
     # (the 1/d2^2 factor varies too much across it). Such patches are
@@ -380,13 +382,15 @@ def received_power_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total LOS and NLOS received power (mW) for an (n, 3) array of positions.
 
-    Positions are evaluated in fixed-size chunks; chunks are independent, so the
-    result is identical whether they run serially or on the worker pool capped
+    Positions are evaluated in chunks of at most _CHUNK_PAIRS (position,
+    patch) pairs; chunks are independent, so the result is identical whatever
+    the chunk size and whether they run serially or on the worker pool capped
     by LUMEN_REM_THREADS.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     pa = _room_tiling(scene, pos, patch_edge_m)
     n = len(pos)
+    chunk = max(1, _CHUNK_PAIRS // len(pa))
     p_los = np.zeros(n)
     p_nlos = np.zeros(n)
 
@@ -395,7 +399,7 @@ def received_power_many(
             p_los[lo:hi] += los
             p_nlos[lo:hi] += nlos
 
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     workers = min(_max_workers(), len(spans))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

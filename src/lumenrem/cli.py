@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evalmap, forest, mlp
+from ._doc import write_json
 from .channel import _THREADS_ENV, DEFAULT_PATCH_EDGE_M
 from .dataset import (
     Dataset,
@@ -136,26 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 # run.meta.json
 # ---------------------------------------------------------------------------
 
-_FLAG_TABLES = {
-    "generate": ("scene", "leds", "per_axis", "variable", "per_xy", "per_z",
-                 "per_dim", "reference", "noise_factor", "patch_edge", "seed", "out"),
-    "train": ("model", "data", "train_size", "epochs", "batch_size", "noise_factor",
-              "xt_trees", "adaboost_estimators", "adaboost_base_trees", "max_depth",
-              "min_samples_split", "min_samples_leaf", "seed", "out"),
-    "evaluate": ("model", "reference", "out"),
-    "predict": ("model", "at", "out"),
-    "map": ("model", "simulate", "scene", "leds", "z", "spacing", "patch_edge", "out", "pgm"),
-    "bench": ("model_kind", "data", "reps", "epochs", "batch_size", "n_predict", "seed", "out"),
-    "campaign": ("spec", "out"),
-}
-
-_STORE_TRUE = {"variable", "simulate"}
-
-
-def _resolved_config(args: argparse.Namespace) -> dict:
-    return {key: getattr(args, key) for key in _FLAG_TABLES[args.command]}
-
-
 def argv_from_meta(meta: dict, **overrides) -> list[str]:
     """Rebuild the canonical argv of a recorded run.
 
@@ -166,12 +147,13 @@ def argv_from_meta(meta: dict, **overrides) -> list[str]:
     command = meta["subcommand"]
     cfg = {**meta["resolved"], **overrides}
     argv = [command]
-    for key in _FLAG_TABLES[command]:
-        value = cfg.get(key)
-        flag = "--" + key.replace("_", "-")
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    for action in subparsers.choices[command]._actions:
+        value = cfg.get(action.dest)
         if value is None or value is False:
             continue
-        if key in _STORE_TRUE:
+        flag = action.option_strings[-1]
+        if action.nargs == 0:  # a store_true switch
             argv.append(flag)
             continue
         values = value if isinstance(value, list) else [value]
@@ -183,21 +165,10 @@ def argv_from_meta(meta: dict, **overrides) -> list[str]:
 def _write_meta(args: argparse.Namespace, outputs: list[str]) -> None:
     primary = Path(getattr(args, "out"))
     meta_path = primary / "run.meta.json" if primary.is_dir() else Path(f"{primary}.run.meta.json")
-    doc = {
-        "subcommand": args.command,
-        "package_version": __version__,
-        "resolved": _resolved_config(args),
-        "outputs": outputs,
-    }
-    with open(meta_path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    resolved = {key: value for key, value in vars(args).items() if key != "command"}
+    doc = {"subcommand": args.command, "package_version": __version__,
+           "resolved": resolved, "outputs": outputs}
+    write_json(meta_path, doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +242,7 @@ def _cmd_evaluate(args) -> int:
     model = evalmap.load_any_model(args.model)
     ref = Dataset.load(args.reference)
     report = evalmap.evaluate_model(model, ref, mean_osnr_db=ref.meta.get("mean_osnr_db"))
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict(), indent=2)
     _write_meta(args, [args.out])
     mape = "n/a" if report.mape_percent is None else f"{report.mape_percent:.3f}%"
     print(f"MAE {report.mae_dbm:.4f} dBm, MAPE {mape} over {report.n_points} points")
@@ -328,7 +299,7 @@ def _cmd_bench(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, n_predict=args.n_predict,
     )
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict(), indent=2)
     _write_meta(args, [args.out])
     print(f"{args.model_kind}: train {report.train_seconds:.3f} s, "
           f"predict {report.predict_us_per_sample:.1f} us/sample "

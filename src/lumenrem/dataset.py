@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
+from ._doc import from_doc, to_doc, write_json
 from .scene import Scene, variable_scene
 
 __all__ = [
@@ -146,9 +147,7 @@ class Dataset:
                 cells += [repr(float(v)) for v in self.features[i]]
                 f.write(",".join(cells) + "\n")
         sidecar = {"feature_names": list(self.feature_names), "n_rows": len(self), **self.meta}
-        with open(path.with_suffix(".meta.json"), "w", encoding="utf-8") as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path.with_suffix(".meta.json"), sidecar, indent=2)
 
     @classmethod
     def load(cls, path) -> "Dataset":
@@ -192,22 +191,18 @@ class NormStats:
     target_mean: float
     target_std: float
 
+    def __post_init__(self):
+        for name in ("feature_mean", "feature_std"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "target_mean", float(self.target_mean))
+        object.__setattr__(self, "target_std", float(self.target_std))
+
     def to_dict(self) -> dict:
-        return {
-            "feature_mean": [float(v) for v in self.feature_mean],
-            "feature_std": [float(v) for v in self.feature_std],
-            "target_mean": self.target_mean,
-            "target_std": self.target_std,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            feature_mean=np.asarray(d["feature_mean"], dtype=np.float64),
-            feature_std=np.asarray(d["feature_std"], dtype=np.float64),
-            target_mean=float(d["target_mean"]),
-            target_std=float(d["target_std"]),
-        )
+        return from_doc(cls, d)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +210,7 @@ class NormStats:
 # ---------------------------------------------------------------------------
 
 def _rss_for(scene: Scene, positions: np.ndarray, patch_edge_m: float) -> np.ndarray:
+    """RSS in dBm at (n, 3) positions."""
     p_los, p_nlos = channel.received_power_many(scene, positions, patch_edge_m)
     return channel.rss_dbm(p_los + p_nlos)
 
@@ -342,11 +338,12 @@ def generate_reference_variable(
     x = _stream(seed, 3, 0).uniform(0.0, 1.0, n) * lx
     y = _stream(seed, 3, 1).uniform(0.0, 1.0, n) * ly
     z = _stream(seed, 3, 2).uniform(0.0, RX_Z_MAX, n)
-    rss = np.empty(n)
-    for i in range(n):
-        scene = variable_scene(float(lx[i]), float(ly[i]), led_count)
-        bd = channel.received_power(scene, (x[i], y[i], z[i]), patch_edge_m)
-        rss[i] = channel.rss_dbm(bd.total_mw)
+    pos = np.column_stack([x, y, z])
+    # every row has a room of its own, so there is nothing to batch per room
+    rss = np.concatenate([
+        _rss_for(variable_scene(float(a), float(b), led_count), pos[i : i + 1], patch_edge_m)
+        for i, (a, b) in enumerate(zip(lx, ly))
+    ])
     meta = {
         "generator": "reference_variable",
         "led_count": led_count,
@@ -356,7 +353,7 @@ def generate_reference_variable(
     }
     return Dataset(
         feature_names=VARIABLE_FEATURES,
-        features=np.column_stack([x, y, z, lx, ly]),
+        features=np.column_stack([pos, lx, ly]),
         rss_dbm=rss,
         meta=meta,
     )

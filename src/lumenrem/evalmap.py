@@ -20,8 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, forest, mlp
+from ._doc import from_doc, to_doc
 from .dataset import (
-    Dataset, SplitSets, _stream, add_noise, generate_fixed, generate_reference, split, subsample,
+    Dataset, SplitSets, _rss_for, _stream, add_noise, generate_fixed, generate_reference,
+    split, subsample,
 )
 from .scene import Scene, preset_scene
 
@@ -115,15 +117,9 @@ class DistributionSummary:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "min": self.vmin,
-            "max": self.vmax,
-            "sem": self.sem,
-            "n": self.n,
-        }
+        d = to_doc(self)
+        d["min"], d["max"] = d.pop("vmin"), d.pop("vmax")
+        return d
 
 
 @dataclass(frozen=True)
@@ -154,15 +150,10 @@ class EvalReport:
         return DistributionSummary.from_values(self.abs_errors)
 
     def to_dict(self, include_errors: bool = False) -> dict:
-        d = {
-            "mae_dbm": self.mae_dbm,
-            "mape_percent": self.mape_percent,
-            "n_points": self.n_points,
-            "mean_osnr_db": self.mean_osnr_db,
-            "abs_error_summary": self.error_summary().to_dict(),
-        }
-        if include_errors:
-            d["abs_errors"] = self.abs_errors.tolist()
+        d = to_doc(self)
+        d["abs_error_summary"] = self.error_summary().to_dict()
+        if not include_errors:
+            del d["abs_errors"]
         return d
 
 
@@ -238,8 +229,7 @@ def simulate_map(
     """Ground-truth RSS grid straight from the propagation model."""
     (sx, sy), gx, gy = _grid(scene, spacing)
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z_plane))])
-    p_los, p_nlos = channel.received_power_many(scene, pos, patch_edge_m)
-    values = channel.rss_dbm(p_los + p_nlos).reshape(gx.shape)
+    values = _rss_for(scene, pos, patch_edge_m).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
                     values=values, source="simulated")
 
@@ -269,8 +259,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     ys = (1.0 - t) * (room.ly / 2.0)
     if source is None:
         pos = np.column_stack([xs, ys, np.full(n_points, float(z_plane))])
-        p_los, p_nlos = channel.received_power_many(scene, pos)
-        vals = channel.rss_dbm(p_los + p_nlos)
+        vals = _rss_for(scene, pos, channel.DEFAULT_PATCH_EDGE_M)
     elif isinstance(source, RadioMap):
         vals = np.array([source.value_at(x, y) for x, y in zip(xs, ys)])
     else:
@@ -424,15 +413,7 @@ class TimingReport:
             raise ValueError("hardware note is mandatory")
 
     def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "train_seconds": self.train_seconds,
-            "predict_us_per_sample": self.predict_us_per_sample,
-            "repetitions": self.repetitions,
-            "n_train_rows": self.n_train_rows,
-            "n_predict": self.n_predict,
-            "hardware_note": self.hardware_note,
-        }
+        return to_doc(self)
 
 
 def hardware_note() -> str:
@@ -529,28 +510,12 @@ class CampaignSpec:
             raise ValueError("noise factors must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "led_count": self.led_count,
-            "models": list(self.models),
-            "train_sizes": list(self.train_sizes),
-            "epochs": list(self.epochs),
-            "batch_sizes": list(self.batch_sizes),
-            "noise_factors": list(self.noise_factors),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "pool_per_axis": self.pool_per_axis,
-            "reference_n": self.reference_n,
-            "patch_edge_m": self.patch_edge_m,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown campaign spec fields: {sorted(extra)}")
-        return cls(**d)
+        """A spec from a hand-written document: absent fields take their defaults."""
+        return from_doc(cls, {**to_doc(cls()), **d} if isinstance(d, dict) else d)
 
 
 @dataclass
@@ -561,14 +526,9 @@ class CampaignResult:
     rows: list[dict]
     summaries: list[dict]
 
-    _ROW_COLS = (
-        "model", "train_size", "epochs", "batch_size", "noise_factor",
-        "rep", "seed", "mae_dbm", "mape_percent", "mean_osnr_db",
-    )
-    _SUMMARY_COLS = (
-        "model", "train_size", "epochs", "batch_size", "noise_factor",
-        "mean_mae_dbm", "median", "q1", "q3", "min", "max", "sem", "n",
-    )
+    _CELL_COLS = ("model", "train_size", "epochs", "batch_size", "noise_factor")
+    _ROW_COLS = _CELL_COLS + ("rep", "seed", "mae_dbm", "mape_percent", "mean_osnr_db")
+    _SUMMARY_COLS = _CELL_COLS + ("mean_mae_dbm", "median", "q1", "q3", "min", "max", "sem", "n")
 
     def write_csv(self, out_dir) -> tuple[Path, Path]:
         out_dir = Path(out_dir)
@@ -615,7 +575,9 @@ def campaign(spec: CampaignSpec, pool: Dataset | None = None, reference: Dataset
     cells = list(product(spec.models, spec.train_sizes, spec.epochs, spec.batch_sizes, spec.noise_factors))
     rows: list[dict] = []
     summaries: list[dict] = []
-    for ci, (kind, size, n_epochs, bs, nf) in enumerate(cells):
+    for ci, cell in enumerate(cells):
+        kind, size, n_epochs, bs, nf = cell
+        keys = dict(zip(CampaignResult._CELL_COLS, cell))
         cell_maes = []
         for rep in range(spec.repetitions):
             rep_seed = _seed_int(spec.seed, 3, ci, rep)
@@ -626,30 +588,9 @@ def campaign(spec: CampaignSpec, pool: Dataset | None = None, reference: Dataset
                               seed=_seed_int(rep_seed, 3))
             report = evaluate_model(model, reference, mean_osnr_db=osnr)
             cell_maes.append(report.mae_dbm)
-            rows.append(
-                {
-                    "model": kind,
-                    "train_size": size,
-                    "epochs": n_epochs,
-                    "batch_size": bs,
-                    "noise_factor": nf,
-                    "rep": rep,
-                    "seed": rep_seed,
-                    "mae_dbm": report.mae_dbm,
-                    "mape_percent": report.mape_percent,
-                    "mean_osnr_db": None if math.isinf(osnr) else osnr,
-                }
-            )
-        summary = DistributionSummary.from_values(cell_maes)
-        summaries.append(
-            {
-                "model": kind,
-                "train_size": size,
-                "epochs": n_epochs,
-                "batch_size": bs,
-                "noise_factor": nf,
-                "mean_mae_dbm": float(np.mean(cell_maes)),
-                **summary.to_dict(),
-            }
-        )
+            rows.append({**keys, "rep": rep, "seed": rep_seed, "mae_dbm": report.mae_dbm,
+                         "mape_percent": report.mape_percent,
+                         "mean_osnr_db": None if math.isinf(osnr) else osnr})
+        summary = DistributionSummary.from_values(cell_maes).to_dict()
+        summaries.append({**keys, "mean_mae_dbm": float(np.mean(cell_maes)), **summary})
     return CampaignResult(spec=spec, rows=rows, summaries=summaries)

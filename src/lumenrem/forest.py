@@ -12,14 +12,14 @@ normalization the MLP needs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._doc import from_doc, to_doc
 from .dataset import _stream
-from .mlp import MODEL_FORMAT_VERSION, _load_model_file
+from .mlp import _load_model_file, _save_model_file
 
 __all__ = [
     "TreeParams",
@@ -52,17 +52,14 @@ class TreeParams:
             raise ValueError("min_samples_leaf must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(**d)
+        return from_doc(cls, d)
 
 
+@dataclass(eq=False, slots=True)
 class Tree:
     """One binary regression tree in flat-array form.
 
@@ -70,14 +67,18 @@ class Tree:
     their routed-target mean in value[i]. Node 0 is the root.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.float64)
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int32)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int32)
+        self.right = np.asarray(self.right, dtype=np.int32)
+        self.value = np.asarray(self.value, dtype=np.float64)
 
     @property
     def n_nodes(self) -> int:
@@ -101,19 +102,6 @@ class Tree:
         while self.feature[i] >= 0:
             i = self.left[i] if x[self.feature[i]] < self.threshold[i] else self.right[i]
         return float(self.value[i])
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
 # ---------------------------------------------------------------------------
@@ -435,34 +423,39 @@ def weighted_median(values, weights):
     return float(out[0]) if v.ndim == 1 else out
 
 
+def _sequential_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the first axis, summed in order. NumPy's own mean sums a
+    contiguous axis pairwise, so one row alone would round differently from
+    the same row inside a batch."""
+    return np.cumsum(a, axis=0)[-1] / len(a)
+
+
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n_members, n_rows) matrix; a member's output averages its trees."""
-    per_tree = np.stack([t.predict(X) for t in forest.trees])
+    if len(X) == 1:
+        # walk each tree in Python instead of paying the vectorized router's
+        # per-level array overhead
+        per_tree = np.array([[t.predict_row(X[0])] for t in forest.trees], dtype=np.float64)
+    else:
+        per_tree = np.stack([t.predict(X) for t in forest.trees])
     if forest.trees_per_member == 1:
         return per_tree
-    m = forest.n_members
-    return per_tree.reshape(m, forest.trees_per_member, -1).mean(axis=1)
+    members = per_tree.reshape(forest.n_members, forest.trees_per_member, -1)
+    return _sequential_mean(members.swapaxes(0, 1))
 
 
 def predict_forest(forest: Forest, raw_features):
-    """Prediction in the target's raw units; scalar in, scalar out."""
+    """Prediction in the target's raw units; scalar in, scalar out. A row gets
+    the same bits alone and inside any batch."""
     X = np.asarray(raw_features, dtype=np.float64)
     scalar = X.ndim == 1
     if scalar:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got shape {X.shape}")
-    if scalar:
-        # One-row fast path: walk each tree in Python instead of paying the
-        # vectorized router's per-level array overhead. The aggregation keeps
-        # the batch path's array shapes so the reductions are bit-identical.
-        row = X[0]
-        vals = np.array([t.predict_row(row) for t in forest.trees], dtype=np.float64)
-        preds = vals.reshape(-1, forest.trees_per_member, 1).mean(axis=1)
-    else:
-        preds = _member_predictions(forest, X)
+    preds = _member_predictions(forest, X)
     if forest.mode in ("single", "extra_trees"):
-        out = preds.mean(axis=0)
+        out = _sequential_mean(preds)
     else:
         out = weighted_median(preds, forest.tree_weights)
     return float(out[0]) if scalar else out
@@ -473,27 +466,12 @@ def predict_forest(forest: Forest, raw_features):
 # ---------------------------------------------------------------------------
 
 def save_forest(forest: Forest, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "forest",
-        "mode": forest.mode,
-        "n_features": forest.n_features,
-        "params": forest.params.to_dict(),
-        "seed": forest.seed,
-        "trees_per_member": forest.trees_per_member,
-        "tree_weights": None if forest.tree_weights is None else forest.tree_weights.tolist(),
-        "meta": forest.meta,
-        "trees": [t.to_dict() for t in forest.trees],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    _save_model_file(path, "forest", forest)
 
 
-def _checked_tree(d: dict, n_features: int) -> Tree:
-    """A tree from its document, once its arrays describe a finite tree whose
-    every internal node routes to higher-numbered nodes (so routing ends)."""
-    t = Tree.from_dict(d)
+def _check_tree(t: Tree, n_features: int) -> None:
+    """Refuse a tree unless its arrays describe a finite tree whose every
+    internal node routes to higher-numbered nodes (so routing ends)."""
     arrays = (t.feature, t.threshold, t.left, t.right, t.value)
     n = t.n_nodes
     if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
@@ -509,21 +487,13 @@ def _checked_tree(d: dict, n_features: int) -> Tree:
         raise ValueError("a child index is not above its parent's and below the node count")
     if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
         raise ValueError("a threshold or value is not finite")
-    return t
 
 
 def _forest_from_doc(doc: dict) -> Forest:
-    n_features = int(doc["n_features"])
-    return Forest(
-        mode=doc["mode"],
-        trees=tuple(_checked_tree(t, n_features) for t in doc["trees"]),
-        n_features=n_features,
-        params=TreeParams.from_dict(doc["params"]),
-        seed=int(doc["seed"]),
-        trees_per_member=int(doc["trees_per_member"]),
-        tree_weights=None if doc["tree_weights"] is None else np.asarray(doc["tree_weights"]),
-        meta=dict(doc.get("meta", {})),
-    )
+    forest = from_doc(Forest, doc)
+    for t in forest.trees:
+        _check_tree(t, forest.n_features)
+    return forest
 
 
 def load_forest(path) -> Forest:

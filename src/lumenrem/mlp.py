@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._doc import from_doc, to_doc, write_json
 from .dataset import NormStats, SplitSets, _stream, apply_norm, fit_norm
 
 __all__ = [
@@ -87,31 +88,11 @@ class MlpConfig:
         return (self.input_dim, *self.hidden, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpConfig":
-        return cls(
-            input_dim=d["input_dim"],
-            hidden=tuple(d["hidden"]),
-            learning_rate=d["learning_rate"],
-            beta1=d["beta1"],
-            beta2=d["beta2"],
-            epsilon=d["epsilon"],
-            epochs=d["epochs"],
-            batch_size=d["batch_size"],
-            seed=d["seed"],
-        )
+        return from_doc(cls, d)
 
 
 @dataclass
@@ -125,6 +106,8 @@ class MlpModel:
     training_log: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
+        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         dims = self.config.layer_dims
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("layer count does not match the config")
@@ -320,24 +303,18 @@ def predict(model: MlpModel, features):
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "mlp",
-        "config": model.config.to_dict(),
-        "norm": model.norm.to_dict() if model.norm is not None else None,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "training_log": model.training_log,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    _save_model_file(path, "mlp", model)
+
+
+def _save_model_file(path, kind: str, model) -> None:
+    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind, **to_doc(model)})
 
 
 def _load_model_file(path, builders: dict):
     """Parse a model file once, check its header, version and kind, and build
-    the model with `builders[kind]`; every malformed document raises
-    ModelFormatError (ModelVersionError for a foreign version)."""
+    the model from the rest of the document with `builders[kind]`; every
+    malformed document raises ModelFormatError (ModelVersionError for a
+    foreign version)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -345,11 +322,12 @@ def _load_model_file(path, builders: dict):
         raise ModelFormatError(f"{path} is not a valid model file: {e}") from e
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"{path} is missing the format header")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
+    version = doc.pop("format_version")
+    if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
-            f"{path} has format version {doc['format_version']}, expected {MODEL_FORMAT_VERSION}"
+            f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
         )
-    kind = doc.get("kind")
+    kind = doc.pop("kind", None)
     if not isinstance(kind, str) or kind not in builders:
         raise ModelFormatError(
             f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, builders))}"
@@ -361,13 +339,7 @@ def _load_model_file(path, builders: dict):
 
 
 def _mlp_from_doc(doc: dict) -> MlpModel:
-    return MlpModel(
-        config=MlpConfig.from_dict(doc["config"]),
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        norm=NormStats.from_dict(doc["norm"]) if doc["norm"] is not None else None,
-        training_log=list(doc.get("training_log", [])),
-    )
+    return from_doc(MlpModel, doc)
 
 
 def load_model(path) -> MlpModel:

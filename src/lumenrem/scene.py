@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._doc import from_doc, to_doc, write_json
+
 __all__ = [
     "Room",
     "Transmitter",
@@ -117,36 +119,14 @@ class Scene:
                 raise ValueError(f"transmitter z={z} must sit on the ceiling plane z={self.room.lz}")
 
     def to_dict(self) -> dict:
-        return {
-            "room": {"lx": self.room.lx, "ly": self.room.ly, "lz": self.room.lz},
-            "transmitters": [
-                {"position": list(tx.position), "power_mw": tx.power_mw, "hpa_deg": tx.hpa_deg}
-                for tx in self.transmitters
-            ],
-            "receiver": {
-                "area_m2": self.receiver.area_m2,
-                "fov_deg": self.receiver.fov_deg,
-                "filter_gain": self.receiver.filter_gain,
-                "refractive_index": self.receiver.refractive_index,
-                "responsivity": self.receiver.responsivity,
-            },
-            "wall_reflectance": self.wall_reflectance,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
-        room = Room(**d["room"])
-        txs = tuple(
-            Transmitter(position=tuple(t["position"]), power_mw=t["power_mw"], hpa_deg=t["hpa_deg"])
-            for t in d["transmitters"]
-        )
-        rx = Receiver(**d["receiver"])
-        return cls(room=room, transmitters=txs, receiver=rx, wall_reflectance=d["wall_reflectance"])
+        return from_doc(cls, d)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path) -> "Scene":

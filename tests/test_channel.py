@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,38 @@ def test_received_power_many_thread_count_invariant(monkeypatch):
         threaded = ch.received_power_many(sc, pts)
         np.testing.assert_array_equal(serial[0], threaded[0])
         np.testing.assert_array_equal(serial[1], threaded[1])
+
+
+def test_received_power_many_chunk_size_invariant(monkeypatch):
+    """Same bits whatever the number of positions per chunk."""
+    sc = preset_scene("small")
+    rng = np.random.default_rng(6)
+    pts = np.column_stack(
+        [rng.uniform(0, 3, 200), rng.uniform(0, 3, 200), rng.uniform(0, 1.7, 200)]
+    )
+    pts[:20, 0] = 0.0  # on the x = 0 wall: refined to full depth
+    default = ch.received_power_many(sc, pts)
+    monkeypatch.setattr(ch, "_CHUNK_PAIRS", 1)  # one position per chunk
+    single = ch.received_power_many(sc, pts)
+    np.testing.assert_array_equal(default[0], single[0])
+    np.testing.assert_array_equal(default[1], single[1])
+
+
+@pytest.mark.parametrize("on_patch, beside", [
+    ((0.0, 0.1, 0.1), (0.0, 0.1000001, 0.1)),  # x = 0 wall
+    ((0.1, 0.0, 0.1), (0.1000001, 0.0, 0.1)),  # y = 0 wall
+])
+def test_receiver_on_a_wall_patch_centre(on_patch, beside):
+    """A receiver exactly on a patch centre is refined like any close pair,
+    without a division warning, and agrees with a point 0.1 um away."""
+    sc = preset_scene("mid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = ch.received_power(sc, on_patch).total_mw
+        p_los, p_nlos = ch.received_power_many(sc, [on_patch, beside])
+    assert math.isfinite(at)
+    assert math.isclose(at, ch.received_power(sc, beside).total_mw, rel_tol=1e-6)
+    assert math.isclose(p_los[0] + p_nlos[0], at, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", "1.5"])

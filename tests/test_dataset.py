@@ -274,6 +274,7 @@ def test_save_load_round_trip(tmp_path, small_ds):
     np.testing.assert_array_equal(back.rss_dbm, small_ds.rss_dbm)
     assert back.meta["generator"] == "fixed"
     assert back.meta["seed"] == 11
+    assert back.meta == small_ds.meta  # the scene's tuples were stored as lists
 
 
 def test_csv_header_variable(tmp_path):

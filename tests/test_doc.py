@@ -1,0 +1,213 @@
+"""Records as JSON documents: round trips, strict keys, the one writer, and
+forest predictions that do not depend on the batch a row sits in."""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lumenrem import cli, evalmap, forest, mlp
+from lumenrem._doc import from_doc, to_doc, write_json
+from lumenrem.dataset import NormStats
+from lumenrem.scene import Receiver, Scene, variable_scene
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-6, 1e3)
+
+mlp_configs = st.builds(
+    mlp.MlpConfig,
+    input_dim=st.integers(1, 8),
+    hidden=st.lists(st.integers(1, 256), min_size=1, max_size=3).map(tuple),
+    learning_rate=positive,
+    beta1=st.floats(0.0, 0.999),
+    beta2=st.floats(0.0, 0.999),
+    epsilon=positive,
+    epochs=st.integers(0, 5000),
+    batch_size=st.integers(1, 1024),
+    seed=st.integers(0, 2**63 - 1),
+)
+
+tree_params = st.builds(
+    forest.TreeParams,
+    max_depth=st.none() | st.integers(1, 64),
+    min_samples_split=st.integers(2, 100),
+    min_samples_leaf=st.integers(1, 100),
+)
+
+
+@st.composite
+def norm_stats(draw):
+    k = draw(st.integers(1, 5))
+    vec = st.lists(finite, min_size=k, max_size=k)
+    return NormStats(feature_mean=np.array(draw(vec)), feature_std=np.array(draw(vec)),
+                     target_mean=draw(finite), target_std=draw(finite))
+
+
+@st.composite
+def scenes(draw):
+    sc = variable_scene(draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0)),
+                        draw(st.sampled_from((1, 4))))
+    rx = Receiver(area_m2=draw(positive), fov_deg=draw(st.floats(1.0, 90.0)),
+                  refractive_index=draw(st.floats(1.0, 3.0)))
+    return replace(sc, receiver=rx, wall_reflectance=draw(st.floats(0.0, 1.0)))
+
+
+records = st.one_of(mlp_configs, tree_params, norm_stats(), scenes())
+
+
+def _same(a, b) -> bool:
+    """Record equality; NormStats holds arrays, which `==` cannot compare."""
+    if not isinstance(a, NormStats):
+        return a == b
+    arrays = [(getattr(a, f), getattr(b, f)) for f in ("feature_mean", "feature_std")]
+    return (type(b) is NormStats
+            and all(np.array_equal(x, y) and y.dtype == np.float64 for x, y in arrays)
+            and (a.target_mean, a.target_std) == (b.target_mean, b.target_std))
+
+
+@given(records)
+def test_round_trip_through_json(record):
+    doc = to_doc(record)
+    back = from_doc(type(record), json.loads(json.dumps(doc)))
+    assert _same(back, record)
+    assert to_doc(back) == doc
+
+
+def _key_paths(doc, prefix=()):
+    """Every (path to a dict, key) in a document, nested records included."""
+    for key, value in doc.items():
+        yield prefix, key
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from _key_paths(value[0], prefix + (key, 0))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@given(records, st.data())
+def test_missing_key_is_named(record, data):
+    doc = json.loads(json.dumps(to_doc(record)))
+    path, key = data.draw(st.sampled_from(list(_key_paths(doc))))
+    del _at(doc, path)[key]
+    with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
+        from_doc(type(record), doc)
+
+
+@given(records, st.data())
+def test_unknown_key_is_named(record, data):
+    doc = json.loads(json.dumps(to_doc(record)))
+    path, _ = data.draw(st.sampled_from(list(_key_paths(doc))))
+    _at(doc, path)["surplus"] = 1
+    with pytest.raises(ValueError, match="unknown keys \\['surplus'\\]"):
+        from_doc(type(record), doc)
+
+
+def test_defaults_are_not_filled_in():
+    """A Receiver or TreeParams field left out is an error, not a default."""
+    doc = to_doc(variable_scene(4.0, 5.0))
+    del doc["receiver"]["responsivity"]
+    with pytest.raises(ValueError, match=r"Receiver document has missing keys \['responsivity'\]"):
+        Scene.from_dict(doc)
+    with pytest.raises(ValueError, match=r"TreeParams document has missing keys \['max_depth'\]"):
+        forest.TreeParams.from_dict({"min_samples_split": 2, "min_samples_leaf": 1})
+
+
+def test_not_an_object_is_rejected():
+    with pytest.raises(ValueError, match="a Room document must be an object"):
+        Scene.from_dict({**to_doc(variable_scene(4.0, 5.0)), "room": [4.0, 5.0, 3.0]})
+    with pytest.raises(ValueError, match="a CampaignSpec document must be an object"):
+        evalmap.CampaignSpec.from_dict(["dt"])
+
+
+def test_campaign_spec_keeps_its_defaults():
+    """Spec files are written by hand: absent keys take the defaults."""
+    spec = evalmap.CampaignSpec.from_dict({"models": ["dt"]})
+    assert spec == evalmap.CampaignSpec(models=("dt",))
+    with pytest.raises(ValueError, match=r"unknown keys \['mystery'\]"):
+        evalmap.CampaignSpec.from_dict({"mystery": 1})
+
+
+def test_write_json_format(tmp_path):
+    p = tmp_path / "d.json"
+    write_json(p, {"b": (1, 2.5), "a": None})
+    assert p.read_text() == '{"a": null, "b": [1, 2.5]}\n'
+    write_json(p, {"b": 1, "a": [2]}, indent=2)
+    assert p.read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+# ---------------------------------------------------------------------------
+# Through the CLI
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    d = tmp_path_factory.mktemp("doc")
+    assert cli.main(["generate", "--scene", "small", "--per-axis", "4", "--seed", "1",
+                     "--out", str(d / "d.csv")]) == 0
+    assert cli.main(["train", "--model", "dt", "--data", str(d / "d.csv"),
+                     "--train-size", "40", "--out", str(d / "m.json")]) == 0
+    return d / "m.json"
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.update(surplus=1), "unknown keys ['surplus']"),
+    (lambda doc: doc["params"].pop("max_depth"), "missing keys ['max_depth']"),
+    (lambda doc: doc["trees"][0].update(extra=[]), "unknown keys ['extra']"),
+])
+def test_cli_map_rejects_a_model_file_with_bad_keys(monkeypatch, tmp_path, capsys, model_file,
+                                                     edit, named):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(model_file.read_text())
+    edit(doc)
+    Path("bad.json").write_text(json.dumps(doc))
+    assert cli.main(["map", "--model", "bad.json", "--scene", "small", "--out", "m.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json is malformed" in err and named in err
+    assert not Path("m.csv").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["receiver"].pop("fov_deg"), "missing keys ['fov_deg']"),
+    (lambda doc: doc["transmitters"][0].update(colour="warm"), "unknown keys ['colour']"),
+    (lambda doc: doc.pop("wall_reflectance"), "missing keys ['wall_reflectance']"),
+])
+def test_cli_generate_rejects_a_scene_file_with_bad_keys(monkeypatch, tmp_path, capsys,
+                                                          edit, named):
+    monkeypatch.chdir(tmp_path)
+    doc = to_doc(variable_scene(4.0, 5.0))
+    edit(doc)
+    Path("scene.json").write_text(json.dumps(doc))
+    assert cli.main(["generate", "--scene", "scene.json", "--per-axis", "2",
+                     "--out", "d.csv"]) == 2
+    assert named in capsys.readouterr().err
+    assert not Path("d.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Forests: a row alone and inside a batch
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("xt", "adaboost")), trees=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 12), data=st.data())
+def test_forest_single_row_equals_its_row_in_a_batch(kind, trees, seed, batch, data):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 4.0, (60, 3))
+    y = X[:, 0] ** 2 - 2.0 * X[:, 1] + rng.normal(size=60)
+    if kind == "xt":
+        f = forest.fit_extra_trees(X, y, n_trees=trees, seed=seed)
+    else:
+        f = forest.fit_adaboost_r2(X, y, n_estimators=3, base_n_trees=trees, seed=seed)
+    rows = rng.uniform(0.0, 4.0, (batch, 3))
+    i = data.draw(st.integers(0, batch - 1))
+    alone = np.float64(forest.predict_forest(f, rows[i]))
+    assert alone.tobytes() == forest.predict_forest(f, rows)[i].tobytes()
