@@ -1,4 +1,4 @@
-"""Records as JSON documents, and the one JSON writer.
+"""Records as JSON documents, and the one JSON reader, JSON writer and CSV writer.
 
 A record is a dataclass; its document is an object with exactly one key per
 field. Tuples and arrays become lists, nested records become nested objects.
@@ -66,3 +66,34 @@ def write_json(path, doc, indent=None) -> None:
     """Write `doc` with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+
+
+def read_json(path) -> dict:
+    """The object a JSON file holds (NaN and Infinity accepted, as written);
+    ValueError names the file when it is not UTF-8 JSON or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValueError(f"{path} is not a JSON file: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} holds a {type(doc).__name__}, not a JSON object")
+    return doc
+
+
+def _cell(v) -> str:
+    if type(v) is float:  # most cells, as rows usually come from `tolist()`
+        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return "" if v is None else str(v)
+
+
+def write_csv(path, columns, rows, comment=None) -> None:
+    """Write an optional `# comment` line, the header line, then one line per
+    row: None is an empty cell, a float its `repr`, anything else its `str`."""
+    with open(path, "w", encoding="utf-8") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write(",".join(columns) + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

@@ -13,16 +13,16 @@ success, 1 on a usage error, 2 on a runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, evalmap, forest, mlp
-from ._doc import write_json
+from ._doc import read_json, write_csv, write_json
 from .channel import _THREADS_ENV, DEFAULT_PATCH_EDGE_M
 from .dataset import (
+    FEATURE_LAYOUTS,
     Dataset,
     add_noise,
     generate_fixed,
@@ -203,8 +203,8 @@ def _cmd_generate(args) -> int:
         scene = _load_scene(args.scene, args.leds)
         ds = generate_fixed(scene, args.per_axis, args.patch_edge, seed=args.seed)
     ds, osnr = add_noise(ds, args.noise_factor, seed=args.seed)
-    ds.save(args.out)
-    _write_meta(args, [args.out, str(Path(args.out).with_suffix(".meta.json"))])
+    _, sidecar = ds.save(args.out)
+    _write_meta(args, [args.out, str(sidecar)])
     note = "" if osnr == float("inf") else f", mean OSNR {osnr:.2f} dB"
     print(f"wrote {args.out} ({len(ds)} rows{note})")
     return 0
@@ -252,6 +252,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model = evalmap.load_any_model(args.model)
     arity = evalmap.model_arity(model)
+    if arity not in FEATURE_LAYOUTS:
+        raise ValueError(f"{args.model} holds a {arity}-feature model; rows have 3 or 5 features")
     rows = []
     for spec in args.at:
         parts = spec.split(",")
@@ -264,11 +266,8 @@ def _cmd_predict(args) -> int:
     preds = np.atleast_1d(evalmap.predict_any(model, np.array(rows, dtype=np.float64)))
     for v in preds:
         print(repr(float(v)))
-    names = ("x", "y", "z", "lx", "ly")[:arity]
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(",".join(names) + ",prediction_dbm\n")
-        for row, v in zip(rows, preds):
-            f.write(",".join(repr(c) for c in row) + f",{float(v)!r}\n")
+    write_csv(args.out, FEATURE_LAYOUTS[arity] + ("prediction_dbm",),
+              (row + [v] for row, v in zip(rows, preds)))
     _write_meta(args, [args.out])
     return 0
 
@@ -308,8 +307,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        spec = evalmap.CampaignSpec.from_dict(json.load(f))
+    spec = evalmap.CampaignSpec.from_dict(read_json(args.spec))
     result = evalmap.campaign(spec)
     rows_path, summary_path = result.write_csv(args.out)
     _write_meta(args, [str(rows_path), str(summary_path)])

@@ -11,7 +11,6 @@ or worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from ._doc import from_doc, to_doc, write_json
+from ._doc import from_doc, read_json, to_doc, write_csv, write_json
 from .scene import Scene, variable_scene
 
 __all__ = [
     "RX_Z_MAX",
+    "FEATURE_LAYOUTS",
     "ChannelSample",
     "Dataset",
     "SplitSets",
@@ -46,8 +46,8 @@ RX_Z_MAX = 1.7
 # Floor for noisy linear powers so the dBm transform stays defined.
 _POWER_FLOOR_MW = 1e-12
 
-FIXED_FEATURES = ("x", "y", "z")
-VARIABLE_FEATURES = ("x", "y", "z", "lx", "ly")
+# Row layouts by feature count: the receiver position, plus the footprint of a varying room.
+FEATURE_LAYOUTS = {3: ("x", "y", "z"), 5: ("x", "y", "z", "lx", "ly")}
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -79,9 +79,10 @@ class ChannelSample:
 class Dataset:
     """Immutable column store of samples.
 
-    `features` is (n, k) float64 ordered as `feature_names`; `rss_dbm` is the
-    (n,) target column. `meta` records how the rows were produced (generator,
-    seeds, scene) so a dataset can be regenerated bit-for-bit.
+    `features` is (n, k) float64 in the order of `feature_names`, a layout of
+    `FEATURE_LAYOUTS`; `rss_dbm` is the (n,) target column. `meta` records how
+    the rows were produced (generator, seeds, scene) so a dataset can be
+    regenerated bit-for-bit.
     """
 
     feature_names: tuple[str, ...]
@@ -90,6 +91,9 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        names = tuple(self.feature_names)
+        if names not in FEATURE_LAYOUTS.values():
+            raise ValueError(f"feature_names {names} are not a layout of {FEATURE_LAYOUTS}")
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         rss = np.ascontiguousarray(self.rss_dbm, dtype=np.float64)
         if feats.ndim != 2 or rss.ndim != 1 or feats.shape[0] != rss.shape[0]:
@@ -100,7 +104,7 @@ class Dataset:
             raise ValueError("rss_dbm contains non-finite values")
         feats.setflags(write=False)
         rss.setflags(write=False)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "rss_dbm", rss)
 
@@ -112,15 +116,8 @@ class Dataset:
         return self.features.shape[1]
 
     def sample(self, i: int) -> ChannelSample:
-        row = dict(zip(self.feature_names, self.features[i]))
-        return ChannelSample(
-            rss_dbm=float(self.rss_dbm[i]),
-            x=float(row["x"]),
-            y=float(row["y"]),
-            z=float(row["z"]),
-            lx=float(row["lx"]) if "lx" in row else None,
-            ly=float(row["ly"]) if "ly" in row else None,
-        )
+        # ChannelSample's fields after rss_dbm follow the layouts' column order
+        return ChannelSample(float(self.rss_dbm[i]), *map(float, self.features[i]))
 
     def take(self, indices, extra_meta: dict | None = None) -> "Dataset":
         """New dataset holding the given rows, in the given order."""
@@ -137,40 +134,39 @@ class Dataset:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Write `<path>` as CSV plus a `<stem>.meta.json` sidecar."""
+    def save(self, path) -> tuple[Path, Path]:
+        """Write `<path>` as CSV and a `<stem>.meta.json` sidecar; return both paths."""
         path = Path(path)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(("rss_dbm",) + self.feature_names) + "\n")
-            for i in range(len(self)):
-                cells = [repr(float(self.rss_dbm[i]))]
-                cells += [repr(float(v)) for v in self.features[i]]
-                f.write(",".join(cells) + "\n")
-        sidecar = {"feature_names": list(self.feature_names), "n_rows": len(self), **self.meta}
-        write_json(path.with_suffix(".meta.json"), sidecar, indent=2)
+        rows = np.column_stack([self.rss_dbm, self.features]).tolist()
+        write_csv(path, ("rss_dbm",) + self.feature_names, rows)
+        sidecar = path.with_suffix(".meta.json")
+        write_json(sidecar, {"feature_names": list(self.feature_names), "n_rows": len(self),
+                             **self.meta}, indent=2)
+        return path, sidecar
 
     @classmethod
     def load(cls, path) -> "Dataset":
+        """Read a CSV written by `save`, and its sidecar if any; ValueError names the
+        file when the header is not a layout's or the sidecar disagrees with it."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().strip().split(",")
-            if header[0] != "rss_dbm":
-                raise ValueError(f"{path} is not a dataset CSV (header {header[:1]!r})")
-            body = np.loadtxt(f, delimiter=",", ndmin=2) if path.stat().st_size else None
-        if body is None or body.size == 0:
+            header = f.readline().strip()
+            names = tuple(header.split(",")[1:])
+            if not header.startswith("rss_dbm,") or names not in FEATURE_LAYOUTS.values():
+                expected = " or ".join(",".join(("rss_dbm",) + n) for n in FEATURE_LAYOUTS.values())
+                raise ValueError(f"{path} has header {header!r}, expected {expected}")
+            body = np.loadtxt(f, delimiter=",", ndmin=2)
+        if body.size == 0:
             raise ValueError(f"{path} holds no rows")
         meta = {}
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-            meta.pop("feature_names", None)
-            meta.pop("n_rows", None)
-        return cls(
-            feature_names=tuple(header[1:]),
-            features=body[:, 1:],
-            rss_dbm=body[:, 0],
-            meta=meta,
-        )
+            meta = read_json(sidecar)
+            said = (meta.pop("feature_names", None), meta.pop("n_rows", None))
+            if said != (list(names), len(body)):
+                raise ValueError(f"{sidecar} gives feature_names {said[0]!r} and n_rows "
+                                 f"{said[1]!r}, but {path} has {list(names)} and {len(body)} rows")
+        return cls(feature_names=names, features=body[:, 1:], rss_dbm=body[:, 0], meta=meta)
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def generate_fixed(
         "patch_edge_m": patch_edge_m,
         "seed": seed,
     }
-    return Dataset(feature_names=FIXED_FEATURES, features=pos, rss_dbm=rss, meta=meta)
+    return Dataset(feature_names=FEATURE_LAYOUTS[3], features=pos, rss_dbm=rss, meta=meta)
 
 
 def generate_variable(
@@ -289,7 +285,7 @@ def generate_variable(
         "seed": seed,
     }
     return Dataset(
-        feature_names=VARIABLE_FEATURES,
+        feature_names=FEATURE_LAYOUTS[5],
         features=np.concatenate(blocks_x),
         rss_dbm=np.concatenate(blocks_y),
         meta=meta,
@@ -321,7 +317,7 @@ def generate_reference(
         "patch_edge_m": patch_edge_m,
         "seed": seed,
     }
-    return Dataset(feature_names=FIXED_FEATURES, features=pos, rss_dbm=rss, meta=meta)
+    return Dataset(feature_names=FEATURE_LAYOUTS[3], features=pos, rss_dbm=rss, meta=meta)
 
 
 def generate_reference_variable(
@@ -352,7 +348,7 @@ def generate_reference_variable(
         "seed": seed,
     }
     return Dataset(
-        feature_names=VARIABLE_FEATURES,
+        feature_names=FEATURE_LAYOUTS[5],
         features=np.column_stack([pos, lx, ly]),
         rss_dbm=rss,
         meta=meta,

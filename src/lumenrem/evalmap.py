@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, forest, mlp
-from ._doc import from_doc, to_doc
+from ._doc import from_doc, to_doc, write_csv
 from .dataset import (
-    Dataset, SplitSets, _rss_for, _stream, add_noise, generate_fixed, generate_reference,
-    split, subsample,
+    FEATURE_LAYOUTS, Dataset, SplitSets, _rss_for, _stream, add_noise, generate_fixed,
+    generate_reference, split, subsample,
 )
 from .scene import Scene, preset_scene
 
@@ -268,28 +268,23 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
 
 
 def _scene_features(model, scene: Scene, xs, ys, z_plane: float) -> np.ndarray:
-    """Model input rows at floor points (xs, ys) and height z_plane: (x, y, z)
-    for a fixed-room model, (x, y, z, lx, ly) for a variable-room one."""
-    n = len(xs)
-    cols = [xs, ys, np.full(n, float(z_plane))]
+    """Model input rows at floor points (xs, ys) and height z_plane, in the
+    model's `FEATURE_LAYOUTS` order (the room footprint fills lx, ly)."""
     arity = model_arity(model)
-    if arity == 5:
-        cols += [np.full(n, scene.room.lx), np.full(n, scene.room.ly)]
-    elif arity != 3:
+    if arity not in FEATURE_LAYOUTS:
         raise ValueError(f"cannot build scene features for a {arity}-feature model")
-    return np.column_stack(cols)
+    at = {"x": xs, "y": ys, "z": z_plane, "lx": scene.room.lx, "ly": scene.room.ly}
+    return np.column_stack([np.broadcast_to(np.asarray(at[name], dtype=np.float64), len(xs))
+                            for name in FEATURE_LAYOUTS[arity]])
 
 
 def map_to_csv(radio_map: RadioMap, path) -> None:
     """Long-form x,y,rss rows, y-major then x, both ascending."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# source={radio_map.source} z={radio_map.z_plane!r}\n")
-        f.write("x,y,rss_dbm\n")
-        xc = [float(v) for v in radio_map.x_centers()]
-        yc = [float(v) for v in radio_map.y_centers()]
-        for iy in range(radio_map.ny):
-            for ix in range(radio_map.nx):
-                f.write(f"{xc[ix]!r},{yc[iy]!r},{float(radio_map.values[iy, ix])!r}\n")
+    rows = np.column_stack([np.tile(radio_map.x_centers(), radio_map.ny),
+                            np.repeat(radio_map.y_centers(), radio_map.nx),
+                            radio_map.values.ravel()])
+    write_csv(path, ("x", "y", "rss_dbm"), rows.tolist(),
+              comment=f"source={radio_map.source} z={radio_map.z_plane!r}")
 
 
 def map_to_pgm(radio_map: RadioMap, path) -> None:
@@ -465,7 +460,7 @@ def benchmark(
         train_seconds=float(np.mean(train_times)),
         predict_us_per_sample=float(np.mean(predict_times)),
         repetitions=repetitions,
-        n_train_rows=len(split(data, seed=_seed_int(seed, 0)).train),
+        n_train_rows=len(splits.train),  # the same count in every repetition's split
         n_predict=n_predict,
         hardware_note=hardware_note(),
     )
@@ -533,25 +528,11 @@ class CampaignResult:
     def write_csv(self, out_dir) -> tuple[Path, Path]:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows_path = out_dir / "results.csv"
-        with open(rows_path, "w", encoding="utf-8") as f:
-            f.write(",".join(self._ROW_COLS) + "\n")
-            for r in self.rows:
-                f.write(",".join(_csv_cell(r[c]) for c in self._ROW_COLS) + "\n")
-        summary_path = out_dir / "summary.csv"
-        with open(summary_path, "w", encoding="utf-8") as f:
-            f.write(",".join(self._SUMMARY_COLS) + "\n")
-            for s in self.summaries:
-                f.write(",".join(_csv_cell(s[c]) for c in self._SUMMARY_COLS) + "\n")
-        return rows_path, summary_path
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        paths = out_dir / "results.csv", out_dir / "summary.csv"
+        for path, cols, dicts in zip(paths, (self._ROW_COLS, self._SUMMARY_COLS),
+                                     (self.rows, self.summaries)):
+            write_csv(path, cols, ([d[c] for c in cols] for d in dicts))
+        return paths
 
 
 def campaign(spec: CampaignSpec, pool: Dataset | None = None, reference: Dataset | None = None) -> CampaignResult:

@@ -9,12 +9,11 @@ dBm out).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._doc import from_doc, to_doc, write_json
+from ._doc import from_doc, read_json, to_doc, write_json
 from .dataset import NormStats, SplitSets, _stream, apply_norm, fit_norm
 
 __all__ = [
@@ -254,7 +253,9 @@ def train(config: MlpConfig, splits: SplitSets) -> MlpModel:
 
     Normalization is fit on the training split only. Every epoch reshuffles
     with the seeded generator and walks all minibatches including the final
-    short one; there is no early stopping.
+    short one; there is no early stopping. Each epoch logs `train_mse`, the
+    row-weighted mean of its minibatch losses (each taken before its update),
+    and `val_mse`, the validation MSE after the epoch (NaN with no rows).
     """
     if len(splits.train) == 0:
         raise ValueError("training set is empty")
@@ -276,13 +277,14 @@ def train(config: MlpConfig, splits: SplitSets) -> MlpModel:
     bs = config.batch_size
     for epoch in range(config.epochs):
         perm = shuffle.permutation(n)
+        sse = 0.0
         for lo in range(0, n, bs):
             idx = perm[lo : lo + bs]
-            _, gw, gb = loss_and_gradients(model, x_tr[idx], y_tr[idx])
+            loss, gw, gb = loss_and_gradients(model, x_tr[idx], y_tr[idx])
             adam_step(state, model.params, gw + gb, config)
-        train_mse = float(np.mean((forward(model, x_tr) - y_tr) ** 2))
+            sse += loss * len(idx)
         val_mse = float(np.mean((forward(model, x_va) - y_va) ** 2)) if have_val else float("nan")
-        model.training_log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
+        model.training_log.append({"epoch": epoch, "train_mse": sse / n, "val_mse": val_mse})
     return model
 
 
@@ -316,11 +318,10 @@ def _load_model_file(path, builders: dict):
     malformed document raises ModelFormatError (ModelVersionError for a
     foreign version)."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ModelFormatError(f"{path} is not a valid model file: {e}") from e
-    if not isinstance(doc, dict) or "format_version" not in doc:
+        doc = read_json(path)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from e
+    if "format_version" not in doc:
         raise ModelFormatError(f"{path} is missing the format header")
     version = doc.pop("format_version")
     if version != MODEL_FORMAT_VERSION:

@@ -7,10 +7,9 @@ the photodetector faces straight up. Orientations are fixed and not configurable
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from ._doc import from_doc, to_doc, write_json
+from ._doc import from_doc, read_json, to_doc, write_json
 
 __all__ = [
     "Room",
@@ -130,8 +129,7 @@ class Scene:
 
     @classmethod
     def load(cls, path) -> "Scene":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path))
 
 
 def _led_positions(room: Room, led_count: int) -> list[tuple[float, float, float]]:

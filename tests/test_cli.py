@@ -250,6 +250,57 @@ def test_campaign_rejects_unknown_field(workdir):
 
 
 # ---------------------------------------------------------------------------
+# hostile input files: exit 2 with the file named
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("header", ["rss_dbm,a,b,c", "rss_dbm,x,y", "rss_dbm,x,y,z,lx",
+                                    "rss_dbm,y,x,z", "x,y,z,rss_dbm"])
+def test_train_rejects_a_foreign_dataset_header(workdir, capsys, header):
+    rows = "\n".join(",".join(str(-20.0 + i + j) for j in range(header.count(",") + 1))
+                     for i in range(30))
+    Path("bad.csv").write_text(f"{header}\n{rows}\n")
+    assert cli.main(["train", "--model", "dt", "--data", "bad.csv", "--train-size", "20",
+                     "--out", "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and repr(header) in err
+    assert not Path("m.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: [meta],
+    lambda meta: {**meta, "feature_names": ["x", "y", "z", "lx", "ly"]},
+    lambda meta: {**meta, "n_rows": meta["n_rows"] + 1},
+    lambda meta: {k: v for k, v in meta.items() if k != "n_rows"},
+])
+def test_train_rejects_a_sidecar_that_disagrees(workdir, capsys, edit):
+    assert cli.main(["generate", "--scene", "small", "--per-axis", "3", "--out", "d.csv"]) == 0
+    meta = json.loads(Path("d.meta.json").read_text())
+    Path("d.meta.json").write_text(json.dumps(edit(meta)))
+    assert cli.main(["train", "--model", "dt", "--data", "d.csv", "--train-size", "20",
+                     "--out", "m.json"]) == 2
+    assert "d.meta.json" in capsys.readouterr().err
+    assert not Path("m.json").exists()
+
+
+@pytest.mark.parametrize("raw", ["{not json", "[1, 2]", '"mid"'])
+def test_scene_file_and_campaign_spec_must_be_json_objects(workdir, capsys, raw):
+    Path("bad.json").write_text(raw)
+    assert cli.main(["generate", "--scene", "bad.json", "--per-axis", "2", "--out", "d.csv"]) == 2
+    assert cli.main(["campaign", "--spec", "bad.json", "--out", "camp"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("bad.json" in line for line in err)
+    assert not Path("d.csv").exists() and not Path("camp").exists()
+
+
+def test_predict_rejects_a_model_without_a_row_layout(workdir, capsys):
+    x = np.random.default_rng(0).uniform(size=(20, 4))
+    forest.save_forest(forest.fit_extra_trees(x, x.sum(axis=1), n_trees=2), "four.json")
+    assert cli.main(["predict", "--model", "four.json", "--at", "1,2,3,4", "--out", "p.csv"]) == 2
+    assert "four.json holds a 4-feature model" in capsys.readouterr().err
+    assert not Path("p.csv").exists()
+
+
+# ---------------------------------------------------------------------------
 # replay and plumbing
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lumenrem import dataset as dt
 from lumenrem.channel import received_power, rss_dbm
@@ -206,6 +208,29 @@ def test_split_deterministic(small_ds):
     assert not np.array_equal(a.train.features, c.train.features)
 
 
+def _numbered(n: int) -> dt.Dataset:
+    """n rows whose x is the row number."""
+    feats = np.column_stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)])
+    return dt.Dataset(feature_names=("x", "y", "z"), features=feats, rss_dbm=np.zeros(n))
+
+
+@given(n=st.integers(5, 400), seed=st.integers(0, 2**63 - 1))
+def test_split_partitions_any_dataset(n, seed):
+    parts = dt.split(_numbered(n), seed=seed)
+    ids = [p.features[:, 0] for p in (parts.train, parts.validation, parts.test)]
+    assert [len(i) for i in ids] == [math.floor(0.6 * n), math.floor(0.2 * n),
+                                     n - math.floor(0.6 * n) - math.floor(0.2 * n)]
+    assert np.array_equal(np.sort(np.concatenate(ids)), np.arange(n))
+
+
+@given(data=st.data(), n=st.integers(1, 400), seed=st.integers(0, 2**63 - 1))
+def test_subsample_draws_distinct_rows(data, n, seed):
+    size = data.draw(st.integers(1, n))
+    ids = dt.subsample(_numbered(n), size, seed=seed).features[:, 0]
+    assert len(np.unique(ids)) == size
+    assert np.all((ids >= 0) & (ids < n))
+
+
 def test_subsample(small_ds):
     sub = dt.subsample(small_ds, 50, seed=3)
     assert len(sub) == 50
@@ -290,6 +315,13 @@ def test_dataset_arrays_immutable(small_ds):
         small_ds.features[0, 0] = 99.0
     with pytest.raises(ValueError):
         small_ds.rss_dbm[0] = 0.0
+
+
+def test_only_the_two_layouts_are_datasets():
+    for names in (("a", "b", "c"), ("x", "y"), ("y", "x", "z"), ("x", "y", "z", "lx")):
+        with pytest.raises(ValueError, match="not a layout"):
+            dt.Dataset(feature_names=names, features=np.zeros((2, len(names))), rss_dbm=[0.0, 0.0])
+    assert dt.FEATURE_LAYOUTS == {3: ("x", "y", "z"), 5: ("x", "y", "z", "lx", "ly")}
 
 
 def test_load_rejects_foreign_csv(tmp_path):

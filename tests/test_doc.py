@@ -1,5 +1,6 @@
-"""Records as JSON documents: round trips, strict keys, the one writer, and
-forest predictions that do not depend on the batch a row sits in."""
+"""Records as JSON documents: round trips, strict keys, the one JSON reader
+and writer, the one CSV writer and the files written through them, and forest
+predictions that do not depend on the batch a row sits in."""
 
 import json
 from dataclasses import replace
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumenrem import cli, evalmap, forest, mlp
-from lumenrem._doc import from_doc, to_doc, write_json
-from lumenrem.dataset import NormStats
+from lumenrem._doc import from_doc, read_json, to_doc, write_csv, write_json
+from lumenrem.dataset import Dataset, NormStats
 from lumenrem.scene import Receiver, Scene, variable_scene
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -142,6 +143,59 @@ def test_write_json_format(tmp_path):
     assert p.read_text() == '{"a": null, "b": [1, 2.5]}\n'
     write_json(p, {"b": 1, "a": [2]}, indent=2)
     assert p.read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def test_read_json_names_the_file(tmp_path):
+    p = tmp_path / "d.json"
+    p.write_text('{"threshold": NaN, "x": [1]}')
+    doc = read_json(p)
+    assert np.isnan(doc["threshold"]) and doc["x"] == [1]
+    for raw in (b"{not json", b"[1, 2]", b"null", b'"text"', b"\xff\xfe{}"):
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match="d.json"):
+            read_json(p)
+
+
+def test_write_csv_cell_rule(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ("a", "b", "c", "d", "e"),
+              [[None, 0.1, np.float64(-1e-05), np.float32(0.1), 3],
+               ("name", 2.0, np.int64(7), float("inf"), True)], comment="source=test z=1.0")
+    assert p.read_text() == ("# source=test z=1.0\n"
+                             "a,b,c,d,e\n"
+                             ",0.1,-1e-05,0.10000000149011612,3\n"
+                             "name,2.0,7,inf,True\n")
+    write_csv(p, ("x",), [])
+    assert p.read_text() == "x\n"
+
+
+def test_dataset_save_exact_bytes(tmp_path):
+    ds = Dataset(feature_names=("x", "y", "z"),
+                 features=[[0.1, 2.0, 1.7], [3.0, 0.0, 1.0 / 3.0]],
+                 rss_dbm=[-20.5, -1e-05], meta={"seed": 7, "generator": "fixed"})
+    paths = ds.save(tmp_path / "ds.csv")
+    assert paths == (tmp_path / "ds.csv", tmp_path / "ds.meta.json")
+    assert paths[0].read_bytes() == (b"rss_dbm,x,y,z\n"
+                                     b"-20.5,0.1,2.0,1.7\n"
+                                     b"-1e-05,3.0,0.0,0.3333333333333333\n")
+    assert paths[1].read_bytes() == (b'{\n  "feature_names": [\n    "x",\n    "y",\n    "z"\n  ],\n'
+                                     b'  "generator": "fixed",\n  "n_rows": 2,\n  "seed": 7\n}\n')
+
+
+def test_campaign_results_exact_bytes(tmp_path):
+    cells = {"model": "xt", "train_size": 60, "epochs": 250, "batch_size": 128}
+    rows = [{**cells, "noise_factor": 0, "rep": 0, "seed": 2691845202, "mae_dbm": 0.5,
+             "mape_percent": 4.125, "mean_osnr_db": None},
+            {**cells, "noise_factor": 0.1, "rep": 1, "seed": 17, "mae_dbm": 0.75,
+             "mape_percent": None, "mean_osnr_db": 21.5}]
+    result = evalmap.CampaignResult(spec=evalmap.CampaignSpec(), rows=rows, summaries=[])
+    rows_path, summary_path = result.write_csv(tmp_path / "camp")
+    assert rows_path.read_bytes() == (
+        b"model,train_size,epochs,batch_size,noise_factor,rep,seed,mae_dbm,mape_percent,"
+        b"mean_osnr_db\n"
+        b"xt,60,250,128,0,0,2691845202,0.5,4.125,\n"
+        b"xt,60,250,128,0.1,1,17,0.75,,21.5\n")
+    assert summary_path.read_text().splitlines() == [",".join(result._SUMMARY_COLS)]
 
 
 # ---------------------------------------------------------------------------

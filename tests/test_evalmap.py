@@ -268,9 +268,10 @@ def test_load_any_model_dispatch(tmp_path, small_pool, constant_model):
 
 def test_load_any_model_rejects_garbage(tmp_path):
     p = tmp_path / "junk.json"
-    p.write_text("{not json")
-    with pytest.raises(mlp.ModelFormatError):
-        evalmap.load_any_model(p)
+    for raw in (b"{not json", b"[1, 2]", b"\xff\xfe{}"):
+        p.write_bytes(raw)
+        with pytest.raises(mlp.ModelFormatError, match="junk.json"):
+            evalmap.load_any_model(p)
     for kind in ("nonsense", ["mlp"]):
         p.write_text(json.dumps({"format_version": 1, "kind": kind}))
         with pytest.raises(mlp.ModelFormatError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumenrem import evalmap
 from lumenrem import forest as fr
@@ -130,6 +132,43 @@ def test_cart_leaf_means_consistent():
     X, y = _toy(n=150, seed=5)
     tree = fr.fit_cart(X, y, fr.TreeParams(max_depth=5))
     _leaf_consistency(tree, X, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(("cart", "xt")), n=st.integers(1, 40), k=st.integers(1, 3),
+       levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       max_depth=st.none() | st.integers(1, 5), min_leaf=st.integers(1, 3))
+def test_rows_reach_exactly_one_leaf_holding_their_mean(kind, n, k, levels, seed, max_depth,
+                                                        min_leaf):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, (n, k)).astype(float)  # few levels: ties and repeated rows
+    y = np.round(rng.normal(-20.0, 5.0, n), int(rng.integers(0, 3)))  # and repeated targets
+    params = fr.TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf)
+    if kind == "cart":
+        tree = fr.fit_cart(X, y, params)
+    else:
+        tree = fr.fit_extra_trees(X, y, n_trees=1, params=params, seed=seed).trees[0]
+    # each node's rows, from the split conditions on its path from the root
+    rows = {0: np.ones(n, dtype=bool)}
+    order = [0]
+    for node in order:
+        f = tree.feature[node]
+        if f >= 0:
+            below = X[:, f] < tree.threshold[node]
+            for child, mask in ((tree.left[node], below), (tree.right[node], ~below)):
+                assert child not in rows, "a node with two parents"
+                rows[child] = rows[node] & mask
+                order.append(child)
+    assert sorted(rows) == list(range(tree.n_nodes)), "a node the root does not reach"
+    leaves = [i for i in rows if tree.feature[i] < 0]
+    assert np.all(sum(rows[i].astype(int) for i in leaves) == 1)
+    fully_grown = max_depth is None and min_leaf == 1
+    for i in leaves:
+        xs, ys = X[rows[i]], y[rows[i]]
+        assert len(ys) >= (min_leaf if i else 1)  # the root alone may hold fewer
+        assert math.isclose(tree.value[i], float(ys.mean()), rel_tol=1e-12, abs_tol=1e-12)
+        if fully_grown:  # a leaf is split until its rows share a target or a position
+            assert np.all(ys == ys[0]) or np.all(xs == xs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,26 @@ def test_train_logs_every_epoch():
     assert all(math.isfinite(e["train_mse"]) and math.isfinite(e["val_mse"]) for e in model.training_log)
 
 
+def test_train_mse_is_the_row_weighted_mean_of_minibatch_losses(monkeypatch):
+    splits = _linear_splits(n=50, seed=2)
+    losses = []
+    real = mlp.loss_and_gradients
+
+    def spy(model, x, y):
+        out = real(model, x, y)
+        losses.append((out[0], len(x)))
+        return out
+
+    monkeypatch.setattr(mlp, "loss_and_gradients", spy)
+    model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(8,), epochs=2, batch_size=7, seed=2),
+                      splits)
+    n = len(splits.train)  # 30 rows: batches of 7, 7, 7, 7 and 2
+    assert [rows for _, rows in losses] == [7, 7, 7, 7, 2] * 2
+    for epoch, entry in enumerate(model.training_log):
+        batches = losses[5 * epoch : 5 * epoch + 5]
+        assert entry["train_mse"] == sum(loss * rows for loss, rows in batches) / n
+
+
 def test_train_converges_on_linear_target():
     """Noiseless linear map: normalized training MSE < 1e-3 within 500 epochs."""
     splits = _linear_splits(n=1000, seed=7)
