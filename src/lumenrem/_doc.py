@@ -1,4 +1,5 @@
-"""Records as JSON documents, and the one JSON reader, JSON writer and CSV writer.
+"""Records as JSON documents, and the one JSON reader, JSON writer, model-file
+layer and CSV writer.
 
 A record is a dataclass; its document is an object with exactly one key per
 field. Tuples and arrays become lists, nested records become nested objects.
@@ -15,6 +16,16 @@ import json
 import typing
 
 import numpy as np
+
+MODEL_FORMAT_VERSION = 1
+
+
+class ModelFormatError(ValueError):
+    """The file is not a well-formed model document."""
+
+
+class ModelVersionError(ValueError):
+    """The file's format version is not supported."""
 
 
 def to_doc(record):
@@ -79,6 +90,38 @@ def read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path} holds a {type(doc).__name__}, not a JSON object")
     return doc
+
+
+def write_model(path, kind: str, record) -> None:
+    """Write a model file: the format header, the `kind` tag and the record's document."""
+    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind, **to_doc(record)})
+
+
+def read_model(path, kinds: dict):
+    """Parse a model file once, check its header, version and kind, and build
+    the record of class `kinds[kind]` from the rest of the document; every
+    malformed document raises ModelFormatError (ModelVersionError for a
+    foreign version)."""
+    try:
+        doc = read_json(path)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from e
+    if "format_version" not in doc:
+        raise ModelFormatError(f"{path} is missing the format header")
+    version = doc.pop("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelVersionError(
+            f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
+        )
+    kind = doc.pop("kind", None)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ModelFormatError(
+            f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, kinds))}"
+        )
+    try:
+        return from_doc(kinds[kind], doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ModelFormatError(f"{path} is malformed: {e}") from e
 
 
 def _cell(v) -> str:

@@ -251,7 +251,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = evalmap.load_any_model(args.model)
-    arity = evalmap.model_arity(model)
+    arity = model.n_features
     if arity not in FEATURE_LAYOUTS:
         raise ValueError(f"{args.model} holds a {arity}-feature model; rows have 3 or 5 features")
     rows = []

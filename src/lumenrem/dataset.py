@@ -12,13 +12,14 @@ or worker count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import channel
-from ._doc import from_doc, read_json, to_doc, write_csv, write_json
+from ._doc import read_json, write_csv, write_json
 from .scene import Scene, variable_scene
 
 __all__ = [
@@ -100,8 +101,9 @@ class Dataset:
             raise ValueError("features must be (n, k) and rss_dbm (n,) with matching n")
         if feats.shape[1] != len(self.feature_names):
             raise ValueError("feature_names length does not match feature columns")
-        if not np.all(np.isfinite(rss)):
-            raise ValueError("rss_dbm contains non-finite values")
+        for name, values in (("rss_dbm", rss), ("features", feats)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} holds a non-finite value")
         feats.setflags(write=False)
         rss.setflags(write=False)
         object.__setattr__(self, "feature_names", names)
@@ -147,7 +149,9 @@ class Dataset:
     @classmethod
     def load(cls, path) -> "Dataset":
         """Read a CSV written by `save`, and its sidecar if any; ValueError names the
-        file when the header is not a layout's or the sidecar disagrees with it."""
+        file when the header is not a layout's, a row does not parse or is longer
+        than the header, a value is not finite, no row follows the header, or the
+        sidecar disagrees with it."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
@@ -155,7 +159,12 @@ class Dataset:
             if not header.startswith("rss_dbm,") or names not in FEATURE_LAYOUTS.values():
                 expected = " or ".join(",".join(("rss_dbm",) + n) for n in FEATURE_LAYOUTS.values())
                 raise ValueError(f"{path} has header {header!r}, expected {expected}")
-            body = np.loadtxt(f, delimiter=",", ndmin=2)
+            try:
+                with warnings.catch_warnings():  # an empty body is refused below, by name
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(f, delimiter=",", ndmin=2)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
         if body.size == 0:
             raise ValueError(f"{path} holds no rows")
         meta = {}
@@ -166,7 +175,10 @@ class Dataset:
             if said != (list(names), len(body)):
                 raise ValueError(f"{sidecar} gives feature_names {said[0]!r} and n_rows "
                                  f"{said[1]!r}, but {path} has {list(names)} and {len(body)} rows")
-        return cls(feature_names=names, features=body[:, 1:], rss_dbm=body[:, 0], meta=meta)
+        try:
+            return cls(feature_names=names, features=body[:, 1:], rss_dbm=body[:, 0], meta=meta)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -192,13 +204,11 @@ class NormStats:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "target_mean", float(self.target_mean))
         object.__setattr__(self, "target_std", float(self.target_std))
-
-    def to_dict(self) -> dict:
-        return to_doc(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return from_doc(cls, d)
+        stats = np.concatenate([self.feature_mean, self.feature_std,
+                                [self.target_mean, self.target_std]])
+        if not (np.all(np.isfinite(stats)) and np.all(self.feature_std > 0.0)
+                and self.target_std > 0.0):
+            raise ValueError("normalization statistics must be finite, standard deviations > 0")
 
 
 # ---------------------------------------------------------------------------

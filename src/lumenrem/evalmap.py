@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, forest, mlp
-from ._doc import from_doc, to_doc, write_csv
+from ._doc import from_doc, read_model, to_doc, write_csv
 from .dataset import (
     FEATURE_LAYOUTS, Dataset, SplitSets, _rss_for, _stream, add_noise, generate_fixed,
     generate_reference, split, subsample,
@@ -43,7 +43,6 @@ __all__ = [
     "map_to_csv",
     "map_to_pgm",
     "fit_model",
-    "model_arity",
     "predict_any",
     "load_any_model",
     "model_label",
@@ -270,7 +269,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
 def _scene_features(model, scene: Scene, xs, ys, z_plane: float) -> np.ndarray:
     """Model input rows at floor points (xs, ys) and height z_plane, in the
     model's `FEATURE_LAYOUTS` order (the room footprint fills lx, ly)."""
-    arity = model_arity(model)
+    arity = model.n_features
     if arity not in FEATURE_LAYOUTS:
         raise ValueError(f"cannot build scene features for a {arity}-feature model")
     at = {"x": xs, "y": ys, "z": z_plane, "lx": scene.room.lx, "ly": scene.room.ly}
@@ -305,14 +304,6 @@ def map_to_pgm(radio_map: RadioMap, path) -> None:
 # Model zoo helpers
 # ---------------------------------------------------------------------------
 
-def model_arity(model) -> int:
-    if isinstance(model, mlp.MlpModel):
-        return model.config.input_dim
-    if isinstance(model, forest.Forest):
-        return model.n_features
-    raise TypeError(f"not a known model type: {type(model).__name__}")
-
-
 def model_label(model) -> str:
     if isinstance(model, mlp.MlpModel):
         return "mlp" + "x".join(str(h) for h in model.config.hidden)
@@ -332,9 +323,7 @@ def predict_any(model, features):
 
 def load_any_model(path):
     """Open a model file regardless of family (dispatches on its kind tag)."""
-    return mlp._load_model_file(
-        path, {"mlp": mlp._mlp_from_doc, "forest": forest._forest_from_doc}
-    )
+    return read_model(path, {"mlp": mlp.MlpModel, "forest": forest.Forest})
 
 
 def fit_model(

@@ -5,7 +5,7 @@ value) with -1 marking leaves, grown iteratively with an explicit stack. CART
 searches every midpoint between consecutive sorted distinct values; Extra
 Trees draws one uniform cut per feature per node and keeps the best. Both
 maximize variance reduction with ties broken by lowest feature index, then
-lowest threshold. Rows route left when feature < threshold. Features are used
+lowest threshold, and take their best valid cut even when it gains nothing. Rows route left when feature < threshold. Features are used
 raw — axis-aligned splits don't care about scale, so trees skip the
 normalization the MLP needs.
 """
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._doc import from_doc, to_doc
+from ._doc import from_doc, read_model, to_doc, write_model
 from .dataset import _stream
-from .mlp import _load_model_file, _save_model_file
 
 __all__ = [
     "TreeParams",
@@ -110,7 +109,10 @@ class Tree:
 
 def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
     """Iterative depth-first growth; `splitter(X, idx, yy, sum_y)` proposes the
-    best split of rows `idx` (targets `yy`, summing to `sum_y`) or None.
+    best valid split of rows `idx` (targets `yy`, summing to `sum_y`) at any
+    reduction, or None when there is none. This is the one stop rule: a node
+    stays a leaf only when its targets are equal, it is at `max_depth`, it has
+    fewer than `min_samples_split` rows, or no valid cut exists.
 
     Growth is overhead-bound (one small NumPy call costs more than the
     arithmetic it does), so each node makes as few calls as it can: the target
@@ -158,15 +160,24 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
     return Tree(feature, threshold, left, right, value)
 
 
+def _sse_reduction(n, sum_y, sum_y2, nl, syl, syl2):
+    """Drop in squared error when `nl` of a node's `n` rows go left, from the
+    node's target sum and sum of squares and the left side's (`syl`, `syl2`).
+    Takes one cut as floats or many as arrays, with the same operations in the
+    same order, so both splitters score a cut to the same bits."""
+    rest = sum_y - syl
+    return ((sum_y2 - sum_y * sum_y / n) - (syl2 - syl * syl / nl)
+            - ((sum_y2 - syl2) - rest * rest / (n - nl)))
+
+
 def _cart_splitter(params: TreeParams):
     msl = params.min_samples_leaf
 
     def splitter(X, idx, yv, sum_y):
         n = len(idx)
         sum_y2 = float(yv @ yv)
-        sse_parent = sum_y2 - sum_y * sum_y / n
         best = None
-        best_red = 0.0
+        best_red = -math.inf
         for f in range(X.shape[1]):
             xv = X[idx, f]
             order = np.argsort(xv, kind="stable")
@@ -178,15 +189,8 @@ def _cart_splitter(params: TreeParams):
             pos = pos[(pos >= msl) & (n - pos >= msl)]
             if len(pos) == 0:
                 continue
-            nl = pos.astype(np.float64)
-            nr = n - nl
-            syl = cy[pos - 1]
-            syl2 = cy2[pos - 1]
-            red = (
-                sse_parent
-                - (syl2 - syl * syl / nl)
-                - ((sum_y2 - syl2) - (sum_y - syl) ** 2 / nr)
-            )
+            red = _sse_reduction(n, sum_y, sum_y2, pos.astype(np.float64), cy[pos - 1],
+                                 cy2[pos - 1])
             j = int(np.argmax(red))  # first max -> lowest threshold
             if red[j] > best_red:
                 i = int(pos[j])
@@ -225,27 +229,18 @@ def _extra_splitter(params: TreeParams, rng: np.random.Generator, check_range: b
         if not valid:
             return None
         # The sums go through the same NumPy/BLAS reductions whatever the node
-        # size; the few per-feature scores are plain float arithmetic, in the
-        # order the vectorized formula used.
+        # size; the few per-feature scores are plain float arithmetic.
         sum_y = float(sum_y)
         sum_y2 = float(yv @ yv)
-        sse_parent = sum_y2 - sum_y * sum_y / n
         syl = (yv @ go_l).tolist()
         syl2 = ((yv * yv) @ go_l).tolist()
-        f, best = -1, -math.inf
+        f, best = valid[0], -math.inf
         for j in valid:
-            rest = sum_y - syl[j]
-            red = (
-                sse_parent
-                - (syl2[j] - syl[j] * syl[j] / nl[j])
-                - ((sum_y2 - syl2[j]) - rest * rest / (n - nl[j]))
-            )
-            if red != red:  # NaN outranks every score and then fails the > 0 test
+            red = _sse_reduction(n, sum_y, sum_y2, nl[j], syl[j], syl2[j])
+            if red != red:  # a NaN score (overflowed sums): the node stays a leaf
                 return None
             if red > best:  # ties -> lowest feature index
                 f, best = j, red
-        if not best > 0.0:
-            return None
         mask = go_l[:, f]
         return f, float(cuts[f]), idx[mask], idx[~mask]
 
@@ -256,10 +251,31 @@ def _extra_splitter(params: TreeParams, rng: np.random.Generator, check_range: b
 # Forest container
 # ---------------------------------------------------------------------------
 
+def _check_tree(t: Tree, n_features: int) -> None:
+    """Refuse a tree unless its arrays describe a finite tree whose every
+    internal node routes to higher-numbered nodes (so routing ends)."""
+    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
+    n = t.n_nodes
+    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
+    leaf = t.feature == -1
+    if np.any((t.left[leaf] != -1) | (t.right[leaf] != -1)):
+        raise ValueError("a leaf has children")
+    inner = np.nonzero(~leaf)[0]
+    f, lo, hi = t.feature[inner], t.left[inner], t.right[inner]
+    if np.any((f < 0) | (f >= n_features)):
+        raise ValueError(f"a split feature lies outside [0, {n_features})")
+    if np.any((lo <= inner) | (lo >= n) | (hi <= inner) | (hi >= n)):
+        raise ValueError("a child index is not above its parent's and below the node count")
+    if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
+        raise ValueError("a threshold or value is not finite")
+
+
 @dataclass
 class Forest:
     """A fitted tree model: one CART, an Extra Trees ensemble, or AdaBoost.R2.
 
+    Every tree is checked when the forest is built, fitted or loaded alike.
     For adaboost_r2, `trees` holds members' trees back to back
     (`trees_per_member` each) and `tree_weights` carries one ln(1/beta)
     confidence per member.
@@ -291,6 +307,8 @@ class Forest:
             self.tree_weights = np.asarray(self.tree_weights, dtype=np.float64)
             if not np.all(np.isfinite(self.tree_weights)):
                 raise ValueError("adaboost_r2 member weights must be finite")
+        for t in self.trees:
+            _check_tree(t, self.n_features)
 
     @property
     def n_members(self) -> int:
@@ -466,35 +484,8 @@ def predict_forest(forest: Forest, raw_features):
 # ---------------------------------------------------------------------------
 
 def save_forest(forest: Forest, path) -> None:
-    _save_model_file(path, "forest", forest)
-
-
-def _check_tree(t: Tree, n_features: int) -> None:
-    """Refuse a tree unless its arrays describe a finite tree whose every
-    internal node routes to higher-numbered nodes (so routing ends)."""
-    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
-    n = t.n_nodes
-    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
-        raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
-    leaf = t.feature == -1
-    if np.any((t.left[leaf] != -1) | (t.right[leaf] != -1)):
-        raise ValueError("a leaf has children")
-    inner = np.nonzero(~leaf)[0]
-    f, lo, hi = t.feature[inner], t.left[inner], t.right[inner]
-    if np.any((f < 0) | (f >= n_features)):
-        raise ValueError(f"a split feature lies outside [0, {n_features})")
-    if np.any((lo <= inner) | (lo >= n) | (hi <= inner) | (hi >= n)):
-        raise ValueError("a child index is not above its parent's and below the node count")
-    if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
-        raise ValueError("a threshold or value is not finite")
-
-
-def _forest_from_doc(doc: dict) -> Forest:
-    forest = from_doc(Forest, doc)
-    for t in forest.trees:
-        _check_tree(t, forest.n_features)
-    return forest
+    write_model(path, "forest", forest)
 
 
 def load_forest(path) -> Forest:
-    return _load_model_file(path, {"forest": _forest_from_doc})
+    return read_model(path, {"forest": Forest})

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._doc import from_doc, read_json, to_doc, write_json
+from ._doc import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError  # re-exported
+from ._doc import read_model, write_model
 from .dataset import NormStats, SplitSets, _stream, apply_norm, fit_norm
 
 __all__ = [
@@ -39,17 +40,6 @@ MLP_PRESETS = {
     "mlp32x128": (32, 128),
     "mlp64x256": (64, 256),
 }
-
-MODEL_FORMAT_VERSION = 1
-
-
-class ModelFormatError(ValueError):
-    """The file is not a well-formed model document."""
-
-
-class ModelVersionError(ValueError):
-    """The file's format version is not supported."""
-
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -86,13 +76,6 @@ class MlpConfig:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, 1)
 
-    def to_dict(self) -> dict:
-        return to_doc(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        return from_doc(cls, d)
-
 
 @dataclass
 class MlpModel:
@@ -115,6 +98,12 @@ class MlpModel:
                 raise ValueError(
                     f"layer {i} shapes {w.shape}/{b.shape} do not chain {dims[i]}->{dims[i+1]}"
                 )
+        if not all(np.all(np.isfinite(p)) for p in self.params):
+            raise ValueError("a weight or bias is not finite")
+
+    @property
+    def n_features(self) -> int:
+        return self.config.input_dim
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -305,43 +294,8 @@ def predict(model: MlpModel, features):
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    _save_model_file(path, "mlp", model)
-
-
-def _save_model_file(path, kind: str, model) -> None:
-    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind, **to_doc(model)})
-
-
-def _load_model_file(path, builders: dict):
-    """Parse a model file once, check its header, version and kind, and build
-    the model from the rest of the document with `builders[kind]`; every
-    malformed document raises ModelFormatError (ModelVersionError for a
-    foreign version)."""
-    try:
-        doc = read_json(path)
-    except ValueError as e:
-        raise ModelFormatError(str(e)) from e
-    if "format_version" not in doc:
-        raise ModelFormatError(f"{path} is missing the format header")
-    version = doc.pop("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
-        )
-    kind = doc.pop("kind", None)
-    if not isinstance(kind, str) or kind not in builders:
-        raise ModelFormatError(
-            f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, builders))}"
-        )
-    try:
-        return builders[kind](doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ModelFormatError(f"{path} is malformed: {e}") from e
-
-
-def _mlp_from_doc(doc: dict) -> MlpModel:
-    return from_doc(MlpModel, doc)
+    write_model(path, "mlp", model)
 
 
 def load_model(path) -> MlpModel:
-    return _load_model_file(path, {"mlp": _mlp_from_doc})
+    return read_model(path, {"mlp": MlpModel})

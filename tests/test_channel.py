@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumenrem import channel as ch
-from lumenrem.scene import Receiver, Room, Scene, Transmitter, preset_scene
+from lumenrem.scene import Receiver, Room, Scene, Transmitter, preset_scene, variable_scene
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +284,37 @@ def test_mirror_symmetry_of_total_power():
         c = ch.received_power(sc, (x, 5.0 - y, z))
         assert math.isclose(a.total_mw, b.total_mw, rel_tol=1e-9)
         assert math.isclose(a.total_mw, c.total_mw, rel_tol=1e-9)
+
+
+def _rss(scene, x, y, z):
+    return ch.rss_dbm(ch.received_power(scene, (x, y, z)).total_mw)
+
+
+def _same_rss(a, b):
+    return abs(a - b) / abs(a) < 1e-6  # C04's tolerance
+
+
+_SIDE, _FRACTION, _HEIGHT = st.floats(3.0, 7.0), st.floats(0.0, 1.0), st.floats(0.0, 1.7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lx=_SIDE, ly=_SIDE, fx=_FRACTION, fy=_FRACTION, z=_HEIGHT)
+def test_single_led_field_is_mirror_symmetric(lx, ly, fx, fy, z):
+    """A centred LED in any footprint: RSS is unchanged under x -> lx-x and y -> ly-y."""
+    scene = variable_scene(lx, ly)
+    x, y = fx * lx, fy * ly
+    base = _rss(scene, x, y, z)
+    assert _same_rss(base, _rss(scene, lx - x, y, z))
+    assert _same_rss(base, _rss(scene, x, ly - y, z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(side=_SIDE, fx=_FRACTION, fy=_FRACTION, z=_HEIGHT)
+def test_single_led_field_is_rotation_symmetric_in_square_rooms(side, fx, fy, z):
+    """In a square room a quarter turn, (x, y) -> (y, side-x), leaves RSS unchanged."""
+    scene = variable_scene(side, side)
+    x, y = fx * side, fy * side
+    assert _same_rss(_rss(scene, x, y, z), _rss(scene, y, side - x, z))
 
 
 def test_los_decreases_away_from_axis():

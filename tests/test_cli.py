@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,24 @@ def test_train_rejects_a_sidecar_that_disagrees(workdir, capsys, edit):
     assert cli.main(["train", "--model", "dt", "--data", "d.csv", "--train-size", "20",
                      "--out", "m.json"]) == 2
     assert "d.meta.json" in capsys.readouterr().err
+    assert not Path("m.json").exists()
+
+
+@pytest.mark.parametrize("model", ["dt", "mlp32x128", "xt"])
+@pytest.mark.parametrize("bad_row", ["-20.0,1.0,abc,1.0", "-20.0,1.0,1.0,1.0,2.0",
+                                     "nan,1.0,1.0,1.0", "-20.0,1.0,nan,1.0", None],
+                         ids=["not-a-number", "too-many-values", "nan-rss", "nan-feature",
+                              "header-only"])
+def test_train_rejects_a_bad_dataset_body(workdir, capsys, model, bad_row):
+    rows = [f"{-20.0 - i},{i % 5}.0,{i % 3}.5,1.0" for i in range(30)]
+    rows = [] if bad_row is None else rows[:15] + [bad_row] + rows[15:]
+    Path("bad.csv").write_text("\n".join(["rss_dbm,x,y,z"] + rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--model", model, "--data", "bad.csv", "--train-size", "20",
+                         "--epochs", "1", "--out", "m.json"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
     assert not Path("m.json").exists()
 
 

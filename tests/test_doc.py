@@ -43,9 +43,9 @@ tree_params = st.builds(
 @st.composite
 def norm_stats(draw):
     k = draw(st.integers(1, 5))
-    vec = st.lists(finite, min_size=k, max_size=k)
-    return NormStats(feature_mean=np.array(draw(vec)), feature_std=np.array(draw(vec)),
-                     target_mean=draw(finite), target_std=draw(finite))
+    means, stds = (st.lists(s, min_size=k, max_size=k) for s in (finite, positive))
+    return NormStats(feature_mean=np.array(draw(means)), feature_std=np.array(draw(stds)),
+                     target_mean=draw(finite), target_std=draw(positive))
 
 
 @st.composite

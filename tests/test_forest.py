@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumenrem import evalmap
@@ -138,6 +138,10 @@ def test_cart_leaf_means_consistent():
 @given(kind=st.sampled_from(("cart", "xt")), n=st.integers(1, 40), k=st.integers(1, 3),
        levels=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        max_depth=st.none() | st.integers(1, 5), min_leaf=st.integers(1, 3))
+# X = [1,0,0,0,0,1], y = [-23,-22,-21,-30,-21,-24]: both sides of the only
+# cut have mean -23.5, so the root's one valid cut reduces the error by exactly 0
+@example(kind="cart", n=6, k=1, levels=2, seed=3, max_depth=None, min_leaf=1)
+@example(kind="xt", n=6, k=1, levels=2, seed=3, max_depth=None, min_leaf=1)
 def test_rows_reach_exactly_one_leaf_holding_their_mean(kind, n, k, levels, seed, max_depth,
                                                         min_leaf):
     rng = np.random.default_rng(seed)

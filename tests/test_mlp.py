@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lumenrem import dataset as dt
-from lumenrem import mlp
+from lumenrem import evalmap, mlp
 
 
 def _model(input_dim, hidden, seed=0, **kw):
@@ -359,3 +359,40 @@ def test_load_wrong_kind(tmp_path):
     p.write_text(json.dumps({"format_version": 1, "kind": "forest"}))
     with pytest.raises(mlp.ModelFormatError):
         mlp.load_model(p)
+
+
+def _set(path, value):
+    """An edit of a model document: the list or object at `path[:-1]` gets `value` at `path[-1]`."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return edit
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("weights", 0, 1, 2), _NAN),
+    _set(("weights", 1, 0, 0), -_INF),
+    _set(("biases", 0, 3), _INF),
+    _set(("norm", "feature_mean", 1), _NAN),
+    _set(("norm", "target_mean"), _INF),
+    _set(("norm", "feature_std", 0), 0.0),
+    _set(("norm", "feature_std", 2), -1.0),
+    _set(("norm", "target_std"), _NAN),
+], ids=["nan-weight", "inf-weight", "inf-bias", "nan-feature-mean", "inf-target-mean",
+        "zero-feature-std", "negative-feature-std", "nan-target-std"])
+def test_load_rejects_hostile_mlp_files(tmp_path, edit):
+    """Each file fails at load time, naming the file; none is ever handed to predict."""
+    model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), _linear_splits(n=50))
+    p = tmp_path / "m.json"
+    mlp.save_model(model, p)
+    p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+    with pytest.raises(mlp.ModelFormatError, match="m.json is malformed"):
+        mlp.load_model(p)
+    with pytest.raises(mlp.ModelFormatError, match="m.json is malformed"):
+        evalmap.load_any_model(p)
