@@ -109,9 +109,10 @@ def read_model(path, kinds: dict):
     if "format_version" not in doc:
         raise ModelFormatError(f"{path} is missing the format header")
     version = doc.pop("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    # True and 1.0 equal 1 in Python, so the type is checked too
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
-            f"{path} has format version {version}, expected {MODEL_FORMAT_VERSION}"
+            f"{path} has format version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
     kind = doc.pop("kind", None)
     if not isinstance(kind, str) or kind not in kinds:

@@ -95,12 +95,11 @@ def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
 class _PatchArrays:
     """Struct-of-arrays view of the wall tiling, shared by the vector kernels."""
 
-    __slots__ = ("centers", "normals", "areas", "edges_u", "edges_v")
+    __slots__ = ("centers", "normals", "edges_u", "edges_v")
 
-    def __init__(self, centers, normals, areas, edges_u, edges_v):
+    def __init__(self, centers, normals, edges_u, edges_v):
         self.centers = centers
         self.normals = normals
-        self.areas = areas
         self.edges_u = edges_u
         self.edges_v = edges_v
 
@@ -110,7 +109,7 @@ class _PatchArrays:
             raise ValueError(
                 f"patch edge must be in (0, min room extent], got {patch_edge_m}"
             )
-        centers, normals, areas, edges_u, edges_v = [], [], [], [], []
+        centers, normals, edges_u, edges_v = [], [], [], []
         # Four walls, fixed order: x=0, x=lx, y=0, y=ly. Each is tiled with
         # ceil(extent/edge) patches per direction and exact sizes extent/count,
         # so the tiling covers the wall exactly and is reflection-symmetric.
@@ -136,19 +135,17 @@ class _PatchArrays:
                 c = np.column_stack([uu, np.full_like(uu, offset), vv])
             centers.append(c)
             normals.append(np.tile(np.asarray(normal), (len(uu), 1)))
-            areas.append(np.full(len(uu), du * dv))
             edges_u.append(np.full(len(uu), du))
             edges_v.append(np.full(len(uu), dv))
         return cls(
             centers=np.concatenate(centers),
             normals=np.concatenate(normals),
-            areas=np.concatenate(areas),
             edges_u=np.concatenate(edges_u),
             edges_v=np.concatenate(edges_v),
         )
 
     def __len__(self) -> int:
-        return len(self.areas)
+        return len(self.centers)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +173,39 @@ def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray) -> np.ndarra
     return np.where(visible & in_fov, gain, 0.0)
 
 
+def _led_leg(tx_pos: np.ndarray, m: float, centers, normals, areas) -> np.ndarray:
+    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3) centre."""
+    v1 = centers - tx_pos
+    d1_sq = np.einsum("ij,ij->i", v1, v1)
+    if np.any(d1_sq == 0.0):
+        raise ValueError("a wall patch coincides with a transmitter")
+    d1 = np.sqrt(d1_sq)
+    cos_phi = (tx_pos[2] - centers[:, 2]) / d1
+    cos_alpha = -np.einsum("ij,ij->i", v1, normals) / d1
+    return np.where(
+        (cos_phi > 0) & (cos_alpha > 0),
+        np.where(cos_phi > 0, cos_phi, 0.0) ** m * cos_alpha * areas / d1_sq,
+        0.0,
+    )
+
+
+def _rx_leg(dx, dy, dz, normals, led_leg, cos_fov: float):
+    """Midpoint terms (without the constant k) and patch -> receiver distances d2
+    from per-component receiver - patch offsets: (rows, patches) against a
+    tiling's (patches, 3) normals, or one flat (receiver, sub-patch) list.
+
+    A receiver on a (sub-)patch centre (d2 = 0) lies in its plane: the 0/0
+    cosines fail the acceptance test, so the term is 0 as for any coplanar patch.
+    """
+    d2_sq = dx * dx + dy * dy + dz * dz
+    d2 = np.sqrt(d2_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_beta = (dx * normals[..., 0] + dy * normals[..., 1] + dz * normals[..., 2]) / d2
+        cos_psi = -dz / d2  # patch is at -dz above the receiver plane
+        accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
+        return np.where(accept, led_leg / d2_sq * cos_beta * cos_psi, 0.0), d2
+
+
 def _nlos_gain_block(
     tx: Transmitter, rx: Receiver, pos: np.ndarray, pa: _PatchArrays, rho: float
 ) -> np.ndarray:
@@ -183,23 +213,10 @@ def _nlos_gain_block(
     tx_pos = np.asarray(tx.position)
     m = lambertian_order(tx.hpa_deg)
     g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
-
-    # Tx -> patch leg depends only on the tiling; computed once per block.
-    v1 = pa.centers - tx_pos
-    d1_sq = np.einsum("ij,ij->i", v1, v1)
-    if np.any(d1_sq == 0.0):
-        raise ValueError("a wall patch coincides with a transmitter")
-    d1 = np.sqrt(d1_sq)
-    cos_phi = (tx_pos[2] - pa.centers[:, 2]) / d1
-    cos_alpha = -np.einsum("ij,ij->i", v1, pa.normals) / d1
-    tx_leg = np.where(
-        (cos_phi > 0) & (cos_alpha > 0),
-        np.where(cos_phi > 0, cos_phi, 0.0) ** m * cos_alpha * pa.areas / d1_sq,
-        0.0,
-    )
-
+    # the LED leg depends only on the tiling; computed once per block
+    led_leg = _led_leg(tx_pos, m, pa.centers, pa.normals, pa.edges_u * pa.edges_v)
     k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
-    total, (rows, cols) = _midpoint_sums(tx_leg, cos_fov, pos, pa)
+    total, (rows, cols) = _midpoint_sums(led_leg, cos_fov, pos, pa)
     # row by row, patch after patch, as a loop over the pairs would add them;
     # in batches, because a receiver on a wall refines its pairs to full depth
     for lo in range(0, len(rows), _REFINE_BATCH):
@@ -208,39 +225,22 @@ def _nlos_gain_block(
     return k * total
 
 
-def _midpoint_sums(tx_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _PatchArrays):
+def _midpoint_sums(led_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _PatchArrays):
     """Per-row midpoint-rule sum over the patches (without the constant k) and
     the (rows, cols) of the pairs left out of it for refinement.
 
     The (n, N) temporaries live only in here, so they are freed before the
     refinement builds its own arrays.
     """
-    # Patch -> Rx leg, (n, N) per component to avoid an (n, N, 3) temporary.
-    dx = pos[:, 0, None] - pa.centers[None, :, 0]
-    dy = pos[:, 1, None] - pa.centers[None, :, 1]
-    dz = pos[:, 2, None] - pa.centers[None, :, 2]
-    d2_sq = dx * dx + dy * dy + dz * dz
-    d2 = np.sqrt(d2_sq)
-    # a receiver on a patch centre (d2 = 0) divides by zero here; that pair
-    # is always refined below, so its midpoint term is never used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_beta = (
-            dx * pa.normals[None, :, 0]
-            + dy * pa.normals[None, :, 1]
-            + dz * pa.normals[None, :, 2]
-        ) / d2
-        cos_psi = -dz / d2  # patch is at -dz above the receiver plane
-        accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
-        contrib = np.where(accept, tx_leg[None, :] / d2_sq * cos_beta * cos_psi, 0.0)
-
+    # per component, to avoid an (n, N, 3) temporary
+    contrib, d2 = _rx_leg(pos[:, 0, None] - pa.centers[:, 0], pos[:, 1, None] - pa.centers[:, 1],
+                          pos[:, 2, None] - pa.centers[:, 2], pa.normals, led_leg, cos_fov)
     # The midpoint rule degrades when the receiver sits close to a patch
     # (the 1/d2^2 factor varies too much across it). Such patches are
     # re-evaluated by subdivision until every sub-patch satisfies
     # edge <= d2/4, keeping the discretization error small everywhere.
-    needs = d2 < 4.0 * np.maximum(pa.edges_u, pa.edges_v)[None, :]
-    if needs.any():
-        contrib = np.where(needs, 0.0, contrib)
-    return contrib.sum(axis=1), np.nonzero(needs)
+    needs = d2 < 4.0 * np.maximum(pa.edges_u, pa.edges_v)
+    return np.where(needs, 0.0, contrib).sum(axis=1), np.nonzero(needs)
 
 
 _REFINE_MAX_DEPTH = 12
@@ -250,77 +250,48 @@ _REFINE_BATCH = 1024
 
 def _refined_terms(tx_pos, m: float, cos_fov: float, rx: np.ndarray, pa: _PatchArrays,
                    cols: np.ndarray) -> np.ndarray:
-    """Midpoint terms (without the leading constant k) of patches `cols` seen
-    from the receivers `rx`, one per pair, each patch split 2x2 while a
-    (sub-)patch is closer to its receiver than four times its edge, at most
-    _REFINE_MAX_DEPTH times.
+    """Sums of the midpoint terms (without the constant k) over the sub-patches
+    of patches `cols` seen from the receivers `rx`, one per pair, each patch
+    split 2x2 while a (sub-)patch is closer to its receiver than four times its
+    edge, at most _REFINE_MAX_DEPTH times.
 
-    The subdivision runs breadth-first over every pair at once. Each term and
-    each four-way sum is formed with the same float operations, in the same
-    order, as a depth-first recursion over one pair would use, so a pair's
-    value does not depend on which other pairs share the batch. The Lambertian
-    power goes through Python's `**` term by term, because NumPy's vectorized
-    power may round differently on some CPUs.
+    The subdivision runs breadth-first over every pair at once. Each depth's
+    leaves are added into their pair's sum in child order, so a pair's value
+    does not depend on which other pairs share the batch.
     """
-    tx_x, tx_y, tx_z = (float(c) for c in tx_pos)
-    centers = pa.centers[cols]
     x_wall = pa.normals[cols, 0] != 0.0
     # a sub-patch centre is (wall, u, v) on x walls and (u, wall, v) on y walls
-    wall = np.where(x_wall, centers[:, 0], centers[:, 1])
-    u = np.where(x_wall, centers[:, 1], centers[:, 0])
-    v = centers[:, 2]
+    wall = np.where(x_wall, pa.centers[cols, 0], pa.centers[cols, 1])
+    u = np.where(x_wall, pa.centers[cols, 1], pa.centers[cols, 0])
+    v = pa.centers[cols, 2]
     eu, ev = pa.edges_u[cols], pa.edges_v[cols]
     node = np.arange(len(cols))  # pair each sub-patch of this depth belongs to
-    levels = []  # per depth: (split mask, node values)
+    sums = np.zeros(len(cols))
     for depth in range(_REFINE_MAX_DEPTH + 1):
         xw = x_wall[node]
-        cx = np.where(xw, wall[node], u)
-        cy = np.where(xw, u, wall[node])
-        wx, wy, wz = rx[node, 0] - cx, rx[node, 1] - cy, rx[node, 2] - v
-        d2 = np.sqrt(wx * wx + wy * wy + wz * wz)
-        split = 4.0 * np.where(eu > ev, eu, ev) > d2
+        centers = np.column_stack([np.where(xw, wall[node], u), np.where(xw, u, wall[node]), v])
+        offsets = rx[node] - centers
+        wx, wy, wz = offsets.T
+        split = 4.0 * np.maximum(eu, ev) > np.sqrt(wx * wx + wy * wy + wz * wz)
         if depth == _REFINE_MAX_DEPTH:
             split[:] = False
-        value = np.zeros(len(node))
-        leaf = np.nonzero(~split)[0]
-        if len(leaf):
-            if np.any(d2[leaf] == 0.0):
-                raise ZeroDivisionError("float division by zero")
-            nrm = pa.normals[cols[node[leaf]]]
-            d2l, wzl = d2[leaf], wz[leaf]
-            cos_beta = (wx[leaf] * nrm[:, 0] + wy[leaf] * nrm[:, 1] + wzl * nrm[:, 2]) / d2l
-            cos_psi = -wzl / d2l
-            seen = ~((cos_beta <= 0.0) | (cos_psi <= 0.0) | (cos_psi < cos_fov))
-            v1x, v1y, v1z = cx[leaf] - tx_x, cy[leaf] - tx_y, v[leaf] - tx_z
-            d1_sq = v1x * v1x + v1y * v1y + v1z * v1z
-            if np.any(seen & (d1_sq == 0.0)):
-                raise ZeroDivisionError("float division by zero")
-            d1 = np.sqrt(np.where(seen, d1_sq, 1.0))
-            cos_phi = -v1z / d1
-            cos_alpha = -(v1x * nrm[:, 0] + v1y * nrm[:, 1] + v1z * nrm[:, 2]) / d1
-            lit = np.nonzero(seen & ~((cos_phi <= 0.0) | (cos_alpha <= 0.0)))[0]
-            power = np.array([c ** m for c in cos_phi[lit].tolist()])
-            i = leaf[lit]
-            value[i] = (
-                power * cos_alpha[lit] * (eu[i] * ev[i]) / d1_sq[lit]
-                * cos_beta[lit] * cos_psi[lit] / (d2l[lit] * d2l[lit])
-            )
-        levels.append((split, value))
+        leaf = ~split
+        if leaf.any():
+            normals = pa.normals[cols[node[leaf]]]
+            led_leg = _led_leg(tx_pos, m, centers[leaf], normals, eu[leaf] * ev[leaf])
+            term, _ = _rx_leg(*offsets[leaf].T, normals, led_leg, cos_fov)
+            np.add.at(sums, node[leaf], term)
         s = np.nonzero(split)[0]
         if len(s) == 0:
             break
-        # children in the recursion's order: (-,-), (-,+), (+,-), (+,+)
+        # children in the order (-,-), (-,+), (+,-), (+,+)
         qu, qv = 0.25 * eu[s], 0.25 * ev[s]
         lo_u, hi_u, lo_v, hi_v = u[s] - qu, u[s] + qu, v[s] - qv, v[s] + qv
         u = np.column_stack([lo_u, lo_u, hi_u, hi_u]).ravel()
         v = np.column_stack([lo_v, hi_v, lo_v, hi_v]).ravel()
         eu, ev = np.repeat(0.5 * eu[s], 4), np.repeat(0.5 * ev[s], 4)
         node = np.repeat(node[s], 4)
-    # fold each split node's four sub-terms back up, deepest level first
-    for (split, value), (_, below) in zip(levels[-2::-1], levels[:0:-1]):
-        four = below.reshape(-1, 4)
-        value[split] = four[:, 0] + four[:, 1] + four[:, 2] + four[:, 3]
-    return levels[0][1]
+    return sums
 
 
 # ---------------------------------------------------------------------------

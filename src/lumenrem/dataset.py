@@ -149,8 +149,8 @@ class Dataset:
     @classmethod
     def load(cls, path) -> "Dataset":
         """Read a CSV written by `save`, and its sidecar if any; ValueError names the
-        file when the header is not a layout's, a row does not parse or is longer
-        than the header, a value is not finite, no row follows the header, or the
+        file when the header is not a layout's, a row does not parse or holds
+        another number of values than the header, a value is not finite, no row follows the header, or the
         sidecar disagrees with it."""
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
@@ -159,14 +159,17 @@ class Dataset:
             if not header.startswith("rss_dbm,") or names not in FEATURE_LAYOUTS.values():
                 expected = " or ".join(",".join(("rss_dbm",) + n) for n in FEATURE_LAYOUTS.values())
                 raise ValueError(f"{path} has header {header!r}, expected {expected}")
+            width = 1 + len(names)
             try:
                 with warnings.catch_warnings():  # an empty body is refused below, by name
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     body = np.loadtxt(f, delimiter=",", ndmin=2)
             except ValueError as e:
-                raise ValueError(f"{path}: {e}") from e
+                raise ValueError(f"{path}: {_width_problem(path, width) or e}") from e
         if body.size == 0:
             raise ValueError(f"{path} holds no rows")
+        if body.shape[1] != width:  # every row has the same wrong number of values
+            raise ValueError(f"{path}: {_width_problem(path, width)}")
         meta = {}
         sidecar = path.with_suffix(".meta.json")
         if sidecar.exists():
@@ -179,6 +182,18 @@ class Dataset:
             return cls(feature_names=names, features=body[:, 1:], rss_dbm=body[:, 0], meta=meta)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
+
+
+def _width_problem(path, width: int) -> str | None:
+    """The first line after the header that does not hold `width` values, named
+    with both counts (NumPy's own message would name the previous row's count)."""
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            values = line.split("#")[0].strip()  # loadtxt skips comments and blank lines
+            count = values.count(",") + 1
+            if line_no > 1 and values and count != width:
+                return f"line {line_no} has {count} values, but the header has {width}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumenrem import channel as ch
@@ -118,8 +118,8 @@ def test_discretize_walls_counts_and_area():
     room = Room(5.0, 5.0, 3.0)
     pa = ch._PatchArrays.from_room(room, 0.2)
     assert len(pa) == 4 * 25 * 15
-    assert math.isclose(pa.areas.sum(), 2 * 5.0 * 3.0 + 2 * 5.0 * 3.0, rel_tol=1e-9)
-    np.testing.assert_array_equal(pa.areas, pa.edges_u * pa.edges_v)
+    assert math.isclose((pa.edges_u * pa.edges_v).sum(), 2 * 5.0 * 3.0 + 2 * 5.0 * 3.0,
+                        rel_tol=1e-9)
 
 
 def test_discretize_walls_non_divisible_edge():
@@ -128,7 +128,7 @@ def test_discretize_walls_non_divisible_edge():
     pa = ch._PatchArrays.from_room(room, 0.3)
     nu, nv = math.ceil(5.0 / 0.3), math.ceil(3.0 / 0.3)
     assert len(pa) == 4 * nu * nv
-    assert math.isclose(pa.areas.sum(), 60.0, rel_tol=1e-9)
+    assert math.isclose((pa.edges_u * pa.edges_v).sum(), 60.0, rel_tol=1e-9)
     # every patch is strictly inside its wall plane and normals point inward
     for (x, y, z), normal in zip(pa.centers, pa.normals):
         normal = tuple(normal)
@@ -197,14 +197,30 @@ def _nlos_naive(tx, rx, rx_pos, pa, rho):
     return total * (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
 
 
-def test_nlos_gain_matches_naive_loop():
+def _near_wall(wall, depth, along, z):
+    """A point `depth` m in front of one of the four walls of the 5 x 5 m room."""
+    across = (depth, 5.0 - depth)[wall % 2]
+    return (across, along, z) if wall < 2 else (along, across, z)
+
+
+# up to four 0.5 m patch edges from a wall, the wall plane itself included:
+# every such receiver has pairs that are refined
+_NEAR_WALL = st.tuples(st.integers(0, 3), st.floats(0.0, 2.0), st.floats(0.0, 5.0),
+                       st.floats(0.0, 1.7)).map(lambda t: _near_wall(*t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pos=_NEAR_WALL)
+@example(pos=(2.5, 2.5, 1.0))
+@example(pos=(0.4, 4.2, 0.3))
+@example(pos=(4.9, 0.2, 1.7))
+def test_nlos_gain_matches_naive_loop(pos):
     sc = preset_scene("mid")
     tx, rx = sc.transmitters[0], sc.receiver
     pa = ch._PatchArrays.from_room(sc.room, 0.5)  # coarse keeps the loop fast
-    for pos in [(2.5, 2.5, 1.0), (0.4, 4.2, 0.3), (4.9, 0.2, 1.7)]:
-        want = tx.power_mw * _nlos_naive(tx, rx, pos, pa, sc.wall_reflectance)
-        got = ch.received_power(sc, pos, patch_edge_m=0.5).per_tx[0][1]
-        assert math.isclose(got, want, rel_tol=1e-12)
+    want = tx.power_mw * _nlos_naive(tx, rx, pos, pa, sc.wall_reflectance)
+    got = ch.received_power(sc, pos, patch_edge_m=0.5).per_tx[0][1]
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_nlos_gain_zero_reflectance():
@@ -367,15 +383,22 @@ def test_received_power_many_chunk_size_invariant(monkeypatch):
     single = ch.received_power_many(sc, pts)
     np.testing.assert_array_equal(default[0], single[0])
     np.testing.assert_array_equal(default[1], single[1])
+    for batch in (1, 7):  # refined pairs per batch, splitting a row's pairs
+        monkeypatch.setattr(ch, "_REFINE_BATCH", batch)
+        small = ch.received_power_many(sc, pts)
+        np.testing.assert_array_equal(default[0], small[0])
+        np.testing.assert_array_equal(default[1], small[1])
 
 
 @pytest.mark.parametrize("on_patch, beside", [
     ((0.0, 0.1, 0.1), (0.0, 0.1000001, 0.1)),  # x = 0 wall
     ((0.1, 0.0, 0.1), (0.1000001, 0.0, 0.1)),  # y = 0 wall
+    # the centre of a sub-patch 12 splits deep, on the x = 0 wall
+    ((0.0, 2.4000244140625, 1.4000244140625), (0.0, 2.4000245140625, 1.4000244140625)),
 ])
 def test_receiver_on_a_wall_patch_centre(on_patch, beside):
-    """A receiver exactly on a patch centre is refined like any close pair,
-    without a division warning, and agrees with a point 0.1 um away."""
+    """A receiver exactly on a (sub-)patch centre is refined like any close
+    pair, without a division warning, and agrees with a point 0.1 um away."""
     sc = preset_scene("mid")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

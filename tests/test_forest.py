@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -412,9 +413,11 @@ def test_forest_load_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
-    p.write_text(json.dumps({"format_version": 99, "kind": "forest"}))
-    with pytest.raises(ModelVersionError):
-        fr.load_forest(p)
+    # True and 1.0 equal 1 in Python, but only the integer 1 is version 1
+    for version in (99, True, 1.0, "1"):
+        p.write_text(json.dumps({"format_version": version, "kind": "forest"}))
+        with pytest.raises(ModelVersionError, match=re.escape(f"version {version!r},")):
+            fr.load_forest(p)
     p.write_text(json.dumps({"format_version": 1, "kind": "mlp"}))
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
