@@ -1,13 +1,14 @@
 """Regression-tree baselines: a CART tree, Extra Trees, and AdaBoost.R2.
 
 Trees store their nodes in flat parallel arrays (feature, threshold, children,
-value) with -1 marking leaves, grown iteratively with an explicit stack. CART
-searches every midpoint between consecutive sorted distinct values; Extra
-Trees draws one uniform cut per feature per node and keeps the best. Both
-maximize variance reduction with ties broken by lowest feature index, then
-lowest threshold, and take their best valid cut even when it gains nothing. Rows route left when feature < threshold. Features are used
-raw — axis-aligned splits don't care about scale, so trees skip the
-normalization the MLP needs.
+value) with -1 marking leaves, grown breadth-first, a whole depth per pass.
+CART searches every midpoint between consecutive sorted distinct values;
+Extra Trees draws one uniform cut per feature per node and keeps the best.
+Both maximize variance reduction with ties broken by lowest feature index,
+then lowest threshold, and take their best valid cut even when it gains
+nothing. Rows route left when feature < threshold. Features are used raw —
+axis-aligned splits don't care about scale, so trees skip the normalization
+the MLP needs.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ class TreeParams:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        # a bool or a float passes the range checks, so the type is checked too
+        for name, low in (("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1)):
+            v = getattr(self, name)
+            if (type(v) is not int or v < low) and not (name == "max_depth" and v is None):
+                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
 
     def to_dict(self) -> dict:
         return to_doc(self)
@@ -108,143 +108,152 @@ class Tree:
 # ---------------------------------------------------------------------------
 
 def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
-    """Iterative depth-first growth; `splitter(X, idx, yy, sum_y)` proposes the
-    best valid split of rows `idx` (targets `yy`, summing to `sum_y`) at any
-    reduction, or None when there is none. This is the one stop rule: a node
-    stays a leaf only when its targets are equal, it is at `max_depth`, it has
-    fewer than `min_samples_split` rows, or no valid cut exists.
+    """Grow a tree breadth-first, a whole depth per pass. The depth's rows are
+    kept grouped by node (node i owns `rows[starts[i]:starts[i] + counts[i]]`),
+    so each per-node reduction is one `reduceat` over the depth.
 
-    Growth is overhead-bound (one small NumPy call costs more than the
-    arithmetic it does), so each node makes as few calls as it can: the target
-    sum is taken once for the node mean and the splitter, and a one-row node
-    makes no reduction at all. Every node value equals `y[idx].mean()` bit for bit.
+    This is the one stop rule: a node stays a leaf only when its targets are
+    equal, it is at `max_depth`, it has fewer than `min_samples_split` rows, or
+    no valid cut exists. `splitter(X, y, rows, starts, counts, sums)` gets
+    the rows and target sums of the nodes left open. It returns each node's
+    split feature (-1 when it has no valid cut) and threshold, the rows in the
+    order the children keep them, and for each row whether it goes left. One
+    stable partition then gives every child its rows. Children are numbered
+    in their parents' order after the whole depth, so every child's index is
+    above its parent's.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
     max_depth = math.inf if params.max_depth is None else params.max_depth
-    min_split = params.min_samples_split
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(math.nan)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(len(y), dtype=np.intp), 0)]
-    while stack:
-        nid, idx, depth = stack.pop()
-        n = len(idx)
-        if n == 1:
-            # NumPy's sum starts from 0.0, which also turns -0.0 into 0.0
-            value[nid] = 0.0 + float(y[idx[0]])
-            continue
-        yy = y[idx]
-        sum_y = np.add.reduce(yy)
-        value[nid] = float(sum_y / n)
-        if depth >= max_depth or n < min_split or np.minimum.reduce(yy) == np.maximum.reduce(yy):
-            continue
-        best = splitter(X, idx, yy, sum_y)
-        if best is None:
-            continue
-        f, thr, idx_l, idx_r = best
-        lid, rid = new_node(), new_node()
-        feature[nid] = f
-        threshold[nid] = thr
-        left[nid] = lid
-        right[nid] = rid
-        # left pushed last so it is grown first (fixed order keeps RNG replayable)
-        stack.append((rid, idx_r, depth + 1))
-        stack.append((lid, idx_l, depth + 1))
-    return Tree(feature, threshold, left, right, value)
+    rows = np.arange(len(y))
+    counts = np.array([len(y)])
+    levels = []
+    n_nodes = 0
+    # Targets near the float limit overflow a node's sum of squares; its
+    # scores are then NaN, and a splitter passes them over without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(counts):
+            m = len(counts)
+            n_nodes += m
+            starts = np.cumsum(counts) - counts
+            yd = y[rows]
+            # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
+            # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
+            sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
+            level = (np.full(m, -1), np.full(m, math.nan), np.full(m, -1), np.full(m, -1),
+                     sums / counts)
+            levels.append(level)
+            is_open = ((counts >= params.min_samples_split)
+                       & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
+            if len(levels) > max_depth or not is_open.any():
+                break
+            nodes = np.flatnonzero(is_open)
+            rows = rows[np.repeat(is_open, counts)]
+            counts = counts[is_open]
+            f, thr, rows, go_left = splitter(X, y, rows, np.cumsum(counts) - counts, counts,
+                                             sums[is_open])
+            split = f >= 0
+            inner = nodes[split]
+            level[0][inner] = f[split]
+            level[1][inner] = thr[split]
+            level[2][inner] = n_nodes + 2 * np.arange(len(inner))
+            level[3][inner] = level[2][inner] + 1
+            # the k-th split node's children are the next depth's nodes 2k and 2k + 1
+            kept = np.repeat(split, counts)
+            child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
+            rows = rows[kept][np.argsort(child, kind="stable")]
+            counts = np.bincount(child, minlength=2 * len(inner))
+    return Tree(*(np.concatenate(a) for a in zip(*levels)))
 
 
 def _sse_reduction(n, sum_y, sum_y2, nl, syl, syl2):
     """Drop in squared error when `nl` of a node's `n` rows go left, from the
-    node's target sum and sum of squares and the left side's (`syl`, `syl2`).
-    Takes one cut as floats or many as arrays, with the same operations in the
-    same order, so both splitters score a cut to the same bits."""
+    node's target sum and sum of squares and the left side's (`syl`, `syl2`),
+    for whole arrays of cuts at once."""
     rest = sum_y - syl
     return ((sum_y2 - sum_y * sum_y / n) - (syl2 - syl * syl / nl)
             - ((sum_y2 - syl2) - rest * rest / (n - nl)))
 
 
 def _cart_splitter(params: TreeParams):
+    """Exact CART: every midpoint between consecutive distinct values of every
+    feature. Nodes of one size are searched together, all features at once,
+    and each gets the sums it would get alone: its rows stably sorted from
+    the order its parent left them in, sequential prefix sums and a BLAS dot
+    product for its sum of squares. Each child keeps its parent's rows in the
+    split feature's order."""
     msl = params.min_samples_leaf
 
-    def splitter(X, idx, yv, sum_y):
-        n = len(idx)
-        sum_y2 = float(yv @ yv)
-        best = None
-        best_red = -math.inf
-        for f in range(X.shape[1]):
-            xv = X[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            ys = yv[order]
-            cy = np.cumsum(ys)
-            cy2 = np.cumsum(ys * ys)
-            pos = np.nonzero(xs[1:] != xs[:-1])[0] + 1  # left-side row counts
-            pos = pos[(pos >= msl) & (n - pos >= msl)]
-            if len(pos) == 0:
-                continue
-            red = _sse_reduction(n, sum_y, sum_y2, pos.astype(np.float64), cy[pos - 1],
-                                 cy2[pos - 1])
-            j = int(np.argmax(red))  # first max -> lowest threshold
-            if red[j] > best_red:
-                i = int(pos[j])
-                a, b = xs[i - 1], xs[i]
-                thr = a + (b - a) / 2.0
-                if not a < thr:  # midpoint collapsed onto a; b routes identically
-                    thr = b
-                best_red = float(red[j])
-                best = (f, float(thr), idx[order[:i]], idx[order[i:]])
-        return best
+    def split(X, y, rows, starts, counts, sums):
+        feature = np.full(len(counts), -1)
+        threshold = np.full(len(counts), math.nan)
+        rows = rows.copy()
+        go_left = np.zeros(len(rows), dtype=bool)
+        for n in np.unique(counts).tolist():
+            nodes = np.flatnonzero(counts == n)
+            at = starts[nodes, None] + np.arange(n)  # (c, n): the nodes' places in `rows`
+            r = rows[at]
+            yv = y[r]
+            sum_y2 = (yv[:, None, :] @ yv[:, :, None])[:, :, 0]
+            col = np.arange(len(nodes))
+            # (k, c, n): every node's rows in each feature's stable order
+            rs = r[col[:, None], np.argsort(X.T[:, r], axis=2, kind="stable")]
+            xs = X.T[np.arange(X.shape[1])[:, None, None], rs]
+            ys = y[rs]
+            nl = np.arange(1, n)  # left-side row count of the cut after each position
+            red = _sse_reduction(n, sums[nodes, None], sum_y2, nl,
+                                 np.cumsum(ys, axis=2)[..., :-1],
+                                 np.cumsum(ys * ys, axis=2)[..., :-1])
+            valid = (xs[..., 1:] != xs[..., :-1]) & (nl >= msl) & (n - nl >= msl)
+            red = np.where(valid, red, -np.inf)
+            # argmax takes the first best: ties go to the lowest feature, then the
+            # lowest threshold; a feature with a NaN score (overflowed sums) is passed over
+            best = red.max(axis=2)
+            f = np.argmax(np.where(np.isnan(best), -np.inf, best), axis=0)
+            hit = np.flatnonzero(best[f, col] > -np.inf)
+            f = f[hit]
+            j = np.argmax(red[f, hit], axis=1)
+            a, b = xs[f, hit, j], xs[f, hit, j + 1]
+            thr = a + (b - a) / 2.0
+            feature[nodes[hit]] = f
+            # a midpoint that rounds onto a would send a right: b routes as intended
+            threshold[nodes[hit]] = np.where(a < thr, thr, b)
+            rows[at[hit]] = rs[f, hit]
+            go_left[at[hit]] = np.arange(n) <= j[:, None]
+        return feature, threshold, rows, go_left
 
-    return splitter
+    return split
 
 
-def _extra_splitter(params: TreeParams, rng: np.random.Generator, check_range: bool):
-    """`check_range` may be False only when no node's feature range can be
-    infinite, i.e. when the full sample's ranges are all finite."""
+def _extra_splitter(params: TreeParams, rng: np.random.Generator):
+    """Extra Trees (Geurts et al. 2006): one uniform cut per feature per node
+    between the node's minimum and maximum, the best of them kept; a whole
+    depth takes one `rng.random` draw, node by node and feature by feature.
+    A constant feature burns its draw and gives no valid cut. Rows keep
+    their order, so each child holds its rows in ascending order."""
     msl = params.min_samples_leaf
 
-    def splitter(X, idx, yv, sum_y):
-        Xv = X[idx]
-        n = len(idx)
-        # one uniform draw per feature, in feature order; constant features
-        # burn a draw and simply produce no usable candidate. This is
-        # rng.uniform(lo, hi) draw for draw and bit for bit, including its
-        # refusal of an infinite range, without its per-call overhead.
-        lo = np.minimum.reduce(Xv)
-        span = np.maximum.reduce(Xv) - lo
-        if check_range and not np.logical_and.reduce(np.isfinite(span)):
-            raise OverflowError("Range exceeds valid bounds")
-        cuts = lo + span * rng.random(len(span))
-        go_l = Xv < cuts
-        nl = np.add.reduce(go_l, axis=0, dtype=np.intp).tolist()
-        lim = max(msl, 1)
-        valid = [f for f, k in enumerate(nl) if k >= lim and n - k >= lim]
-        if not valid:
-            return None
-        # The sums go through the same NumPy/BLAS reductions whatever the node
-        # size; the few per-feature scores are plain float arithmetic.
-        sum_y = float(sum_y)
-        sum_y2 = float(yv @ yv)
-        syl = (yv @ go_l).tolist()
-        syl2 = ((yv * yv) @ go_l).tolist()
-        f, best = valid[0], -math.inf
-        for j in valid:
-            red = _sse_reduction(n, sum_y, sum_y2, nl[j], syl[j], syl2[j])
-            if red != red:  # a NaN score (overflowed sums): the node stays a leaf
-                return None
-            if red > best:  # ties -> lowest feature index
-                f, best = j, red
-        mask = go_l[:, f]
-        return f, float(cuts[f]), idx[mask], idx[~mask]
+    def split(X, y, rows, starts, counts, sums):
+        m = len(counts)
+        xd = X[rows]
+        lo = np.minimum.reduceat(xd, starts)
+        cuts = lo + (np.maximum.reduceat(xd, starts) - lo) * rng.random(lo.shape)
+        node = np.repeat(np.arange(m), counts)
+        go = xd < cuts[node]
+        n = counts[:, None]
+        nl = np.add.reduceat(go, starts, dtype=np.intp)
+        valid = (nl >= msl) & (n - nl >= msl)
+        yd = y[rows]
+        y2 = yd * yd
+        red = _sse_reduction(n, sums[:, None],
+                             np.add.reduceat(y2, starts)[:, None],
+                             np.clip(nl, 1, n - 1),  # invalid cuts are scored, then dropped
+                             np.add.reduceat(go * yd[:, None], starts),
+                             np.add.reduceat(go * y2[:, None], starts))
+        f = np.argmax(np.where(valid, red, -np.inf), axis=1)  # ties: the lowest feature
+        # no valid cut, or a NaN score among them (overflowed sums): the node stays a leaf
+        ok = valid.any(axis=1) & ~(valid & np.isnan(red)).any(axis=1)
+        return np.where(ok, f, -1), cuts[np.arange(m), f], rows, go[np.arange(len(rows)), f[node]]
 
-    return splitter
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +324,31 @@ class Forest:
         return len(self.trees) // self.trees_per_member
 
 
+def _training_arrays(features, targets, min_rows: int = 1):
+    """The float64 (n, k) feature matrix and n targets a fitter grows trees on.
+    ValueError unless there are at least `min_rows` rows and one feature, every
+    target is finite, and every feature column is finite with a finite
+    max - min, so that every cut a node draws or takes is finite too."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] == 0 or len(X) < min_rows or y.shape != (len(X),):
+        raise ValueError(f"need an (n, k) feature matrix with n >= {min_rows} and k >= 1, "
+                         "and n targets")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+    bad = np.flatnonzero(~np.isfinite(span))
+    if len(bad):
+        raise ValueError(f"feature column {bad[0]} holds a non-finite value, "
+                         "or its max - min overflows")
+    if not np.isfinite(y).all():
+        raise ValueError("a target is not finite")
+    return X, y
+
+
 def fit_cart(features, targets, params: TreeParams = TreeParams(), seed: int = 0) -> Tree:
     """Greedy exact-split regression tree (the seed is accepted for interface
     symmetry; CART is deterministic)."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
-        raise ValueError("need a non-empty (n, k) feature matrix with matching targets")
+    X, y = _training_arrays(features, targets)
     return _grow(X, y, params, _cart_splitter(params))
 
 
@@ -333,18 +360,11 @@ def fit_extra_trees(
     seed: int = 0,
 ) -> Forest:
     """Extra Trees: every tree sees the full sample; randomness is in the cuts."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0 or len(X) != len(y):
-        raise ValueError("need a non-empty (n, k) feature matrix with matching targets")
+    X, y = _training_arrays(features, targets)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    # every node's ranges lie within the full sample's
-    check_range = not np.all(np.isfinite(X.max(axis=0) - X.min(axis=0)))
-    trees = tuple(
-        _grow(X, y, params, _extra_splitter(params, _stream(seed, t), check_range))
-        for t in range(n_trees)
-    )
+    trees = tuple(_grow(X, y, params, _extra_splitter(params, _stream(seed, t)))
+                  for t in range(n_trees))
     return Forest(
         mode="extra_trees",
         trees=trees,
@@ -371,10 +391,7 @@ def fit_adaboost_r2(
     weight 1 and also stops. If the very first round is rejected it is kept
     anyway (weight 1) so the model is never empty.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or len(X) < 2 or len(X) != len(y):
-        raise ValueError("need at least 2 rows with matching targets")
+    X, y = _training_arrays(features, targets, min_rows=2)
     if n_estimators < 1 or base_n_trees < 1:
         raise ValueError("n_estimators and base_n_trees must be >= 1")
     n = len(y)
@@ -455,7 +472,7 @@ def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
         # per-level array overhead
         per_tree = np.array([[t.predict_row(X[0])] for t in forest.trees], dtype=np.float64)
     else:
-        per_tree = np.stack([t.predict(X) for t in forest.trees])
+        per_tree = np.array([t.predict(X) for t in forest.trees])
     if forest.trees_per_member == 1:
         return per_tree
     members = per_tree.reshape(forest.n_members, forest.trees_per_member, -1)

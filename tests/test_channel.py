@@ -171,6 +171,8 @@ def _naive_term(tx, rx_pos, center, normal, eu, ev, m, cos_fov, depth):
                 total += _naive_term(tx, rx_pos, child, normal,
                                      eu / 2, ev / 2, m, cos_fov, depth + 1)
         return total
+    if d2 == 0.0:  # the receiver on a sub-patch centre lies in its plane: it adds 0
+        return 0.0
     cos_beta = sum(v2[i] * normal[i] for i in range(3)) / d2
     cos_psi = -v2[2] / d2
     if cos_beta <= 0 or cos_psi <= 0 or cos_psi < cos_fov:
@@ -214,6 +216,7 @@ _NEAR_WALL = st.tuples(st.integers(0, 3), st.floats(0.0, 2.0), st.floats(0.0, 5.
 @example(pos=(2.5, 2.5, 1.0))
 @example(pos=(0.4, 4.2, 0.3))
 @example(pos=(4.9, 0.2, 1.7))
+@example(pos=(0.0, 0.5 / 2**13, 0.5 / 2**13))  # on the wall, at a depth-12 sub-patch centre
 def test_nlos_gain_matches_naive_loop(pos):
     sc = preset_scene("mid")
     tx, rx = sc.transmitters[0], sc.receiver

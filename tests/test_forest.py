@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,26 +37,46 @@ def _leaf_consistency(tree, X, y):
         assert math.isclose(tree.value[node], float(np.mean(vals)), rel_tol=1e-12, abs_tol=1e-12)
 
 
-def _exhaustive_best_root(X, y, msl=1):
-    """Brute-force the best (feature, threshold) by variance reduction."""
+def _sse(v):
+    return float(np.sum((v - v.mean()) ** 2)) if len(v) else 0.0
+
+
+def _exhaustive_best(X, y, msl=1):
+    """Brute-force the best (reduction, feature, threshold) by variance
+    reduction over the cuts between consecutive distinct values that leave
+    `msl` rows on each side, or None when there is no such cut."""
     n = len(y)
-    sse = lambda v: float(np.sum((v - v.mean()) ** 2)) if len(v) else 0.0
-    parent = sse(y)
+    parent = _sse(y)
     best = None
     for f in range(X.shape[1]):
-        for t in _midpoints(np.unique(X[:, f])):
-            m = X[:, f] < t
+        vals = np.unique(X[:, f])
+        for a, b in zip(vals, vals[1:]):
+            m = X[:, f] <= a
             nl = int(m.sum())
-            if nl < msl or n - nl < msl or nl == 0 or nl == n:
+            if nl < msl or n - nl < msl:
                 continue
-            red = parent - sse(y[m]) - sse(y[~m])
+            red = parent - _sse(y[m]) - _sse(y[~m])
             if best is None or red > best[0] + 1e-9:
-                best = (red, f, t)
+                best = (red, f, (a + b) / 2.0)
     return best
 
 
-def _midpoints(sorted_unique):
-    return [(a + b) / 2.0 for a, b in zip(sorted_unique, sorted_unique[1:])]
+def _node_rows(tree, X):
+    """Each node's rows (a mask over X) and depth, from the split conditions on
+    its path from the root; every node is checked to have exactly one parent."""
+    rows = {0: np.ones(len(X), dtype=bool)}
+    depth = {0: 0}
+    order = [0]
+    for node in order:
+        f = tree.feature[node]
+        if f >= 0:
+            below = X[:, f] < tree.threshold[node]
+            for child, mask in ((tree.left[node], below), (tree.right[node], ~below)):
+                assert child not in rows, "a node with two parents"
+                rows[child] = rows[node] & mask
+                depth[child] = depth[node] + 1
+                order.append(child)
+    return rows, depth
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +133,10 @@ def test_cart_min_samples_leaf():
 
 
 def test_cart_empty_input():
-    with pytest.raises(ValueError):
-        fr.fit_cart(np.empty((0, 3)), np.empty(0))
+    for X, y in ((np.empty((0, 3)), np.empty(0)), (np.empty((3, 0)), np.zeros(3)),
+                 (np.zeros((3, 2)), np.zeros((3, 1)))):
+        with pytest.raises(ValueError, match="need an"):
+            fr.fit_cart(X, y)
 
 
 def test_cart_root_matches_exhaustive_search():
@@ -121,7 +147,7 @@ def test_cart_root_matches_exhaustive_search():
         X = np.round(rng.uniform(0, 10, (n, k)), 2)  # duplicates likely
         y = rng.normal(size=n)
         tree = fr.fit_cart(X, y)
-        want = _exhaustive_best_root(X, y)
+        want = _exhaustive_best(X, y)
         if want is None:
             assert tree.feature[0] == -1
         else:
@@ -153,17 +179,7 @@ def test_rows_reach_exactly_one_leaf_holding_their_mean(kind, n, k, levels, seed
         tree = fr.fit_cart(X, y, params)
     else:
         tree = fr.fit_extra_trees(X, y, n_trees=1, params=params, seed=seed).trees[0]
-    # each node's rows, from the split conditions on its path from the root
-    rows = {0: np.ones(n, dtype=bool)}
-    order = [0]
-    for node in order:
-        f = tree.feature[node]
-        if f >= 0:
-            below = X[:, f] < tree.threshold[node]
-            for child, mask in ((tree.left[node], below), (tree.right[node], ~below)):
-                assert child not in rows, "a node with two parents"
-                rows[child] = rows[node] & mask
-                order.append(child)
+    rows, _ = _node_rows(tree, X)
     assert sorted(rows) == list(range(tree.n_nodes)), "a node the root does not reach"
     leaves = [i for i in rows if tree.feature[i] < 0]
     assert np.all(sum(rows[i].astype(int) for i in leaves) == 1)
@@ -174,6 +190,40 @@ def test_rows_reach_exactly_one_leaf_holding_their_mean(kind, n, k, levels, seed
         assert math.isclose(tree.value[i], float(ys.mean()), rel_tol=1e-12, abs_tol=1e-12)
         if fully_grown:  # a leaf is split until its rows share a target or a position
             assert np.all(ys == ys[0]) or np.all(xs == xs[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("cart", "xt")), n=st.integers(2, 60), k=st.integers(1, 3),
+       levels=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       max_depth=st.none() | st.integers(1, 6), min_leaf=st.integers(1, 4))
+def test_every_split_is_valid_and_cart_takes_the_best_cut(kind, n, k, levels, seed, max_depth,
+                                                          min_leaf):
+    """Node by node, not only at the root: both children keep `min_samples_leaf`
+    rows, no node is deeper than `max_depth`, an Extra Trees cut lies within
+    its rows' range, and a CART cut scores the exhaustive best over its rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, (n, k)) + rng.integers(0, 2, (n, k)) * rng.uniform(0, 1, (n, k))
+    y = np.round(rng.normal(-20.0, 5.0, n), int(rng.integers(0, 3)))
+    params = fr.TreeParams(max_depth=max_depth, min_samples_leaf=min_leaf)
+    if kind == "cart":
+        tree = fr.fit_cart(X, y, params)
+    else:
+        tree = fr.fit_extra_trees(X, y, n_trees=1, params=params, seed=seed).trees[0]
+    rows, depth = _node_rows(tree, X)
+    for node, mask in rows.items():
+        assert max_depth is None or depth[node] <= max_depth
+        f = tree.feature[node]
+        if f < 0:
+            continue
+        xs, ys = X[mask, f], y[mask]
+        below = xs < tree.threshold[node]
+        assert min_leaf <= below.sum() <= len(ys) - min_leaf
+        if kind == "xt":
+            assert xs.min() <= tree.threshold[node] <= xs.max()
+        else:
+            best = _exhaustive_best(X[mask], ys, min_leaf)[0]
+            got = _sse(ys) - _sse(ys[below]) - _sse(ys[~below])
+            assert got >= best - 1e-9 * _sse(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +390,77 @@ def test_adaboost_needs_two_rows():
 
 
 # ---------------------------------------------------------------------------
+# Inputs every fitter refuses, and growth that does not depend on the machine
+# ---------------------------------------------------------------------------
+
+_FITTERS = {
+    "cart": lambda X, y: fr.fit_cart(X, y),
+    "xt": lambda X, y: fr.fit_extra_trees(X, y, n_trees=2, seed=1),
+    "adaboost": lambda X, y: fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=1, seed=1),
+}
+
+
+@pytest.mark.parametrize("where", ["feature", "target"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(_FITTERS))
+def test_fitters_refuse_non_finite_input(kind, bad, where):
+    X, y = _toy(n=30, seed=30)
+    if where == "feature":
+        X[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(ValueError, match="feature column 1" if where == "feature" else "target"):
+        _FITTERS[kind](X, y)
+
+
+@pytest.mark.parametrize("kind", sorted(_FITTERS))
+def test_fitters_refuse_a_feature_range_that_overflows(kind):
+    """Both ends are finite, but max - min is not: no cut between them could be."""
+    X, y = _toy(n=30, seed=31)
+    X[3, 2], X[4, 2] = 1e308, -1e308
+    with pytest.raises(ValueError, match="feature column 2 .* max - min overflows"):
+        _FITTERS[kind](X, y)
+
+
+@pytest.mark.parametrize("field, value", [("max_depth", True), ("max_depth", 2.0),
+                                          ("min_samples_split", 2.5), ("min_samples_leaf", 1.5),
+                                          ("max_depth", 0), ("min_samples_split", 1),
+                                          ("min_samples_leaf", 0)])
+def test_tree_params_take_integers_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int >= ., got {value!r}"):
+        fr.TreeParams(**{field: value})
+
+
+_FIT_AND_HASH = """
+import hashlib
+import numpy as np
+from lumenrem import forest as fr
+rng = np.random.default_rng(42)
+X = np.round(rng.uniform(0.0, 5.0, (300, 3)), 2)
+y = X[:, 0] ** 2 - 2.0 * X[:, 1] + rng.normal(size=300)
+trees = [fr.fit_cart(X, y), *fr.fit_extra_trees(X, y, n_trees=5, seed=1).trees,
+         *fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=2, seed=2).trees]
+for t in trees:
+    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
+    print(hashlib.sha1(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_growth_does_not_depend_on_the_thread_count():
+    """A CART tree, 5 Extra Trees and a 2 x 2 AdaBoost, grown in a process with
+    one BLAS (and channel) thread and in one with two, hash the same."""
+    src = str(Path(fr.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "LUMEN_REM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs.append(subprocess.run([sys.executable, "-c", _FIT_AND_HASH], env=env, check=True,
+                                   capture_output=True, text=True, timeout=300).stdout.split())
+    assert len(runs[0]) >= 8
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
 # Prediction mechanics
 # ---------------------------------------------------------------------------
 
@@ -464,9 +585,13 @@ def test_hand_built_forest_file_loads(tmp_path):
     _forest_doc([_tree([0, -1, -1], [0.5, _NAN], [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
     _forest_doc([_tree([], [], [], [], [])]),
     _forest_doc([_tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2**40, -1, -1], [0.0] * 3)]),
+    *(_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value})
+      for key, value in (("max_depth", True), ("max_depth", 2.0), ("min_samples_split", 2.5),
+                         ("min_samples_leaf", 1.5))),
 ], ids=["cyclic-root", "back-edge", "child-past-end", "zero-trees-per-member", "nan-member-weight",
         "feature-out-of-range", "leaf-with-child", "nan-threshold", "inf-value",
-        "ragged-arrays", "empty-tree", "int32-overflow"])
+        "ragged-arrays", "empty-tree", "int32-overflow", "bool-max-depth", "float-max-depth",
+        "float-min-samples-split", "float-min-samples-leaf"])
 def test_load_rejects_hostile_forest_files(tmp_path, doc):
     """Each file fails at load time; none is ever handed to predict."""
     p = tmp_path / "f.json"
