@@ -13,6 +13,7 @@ success, 1 on a usage error, 2 on a runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,17 @@ class UsageError(ValueError):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: argparse names the flag and exits."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumenrem",
@@ -69,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--per-dim", type=int, help="variable mode: draws per room dimension")
     g.add_argument("--reference", type=int, metavar="N",
                    help="draw N independent uniform test points instead of a grid")
-    g.add_argument("--noise-factor", type=float, default=0.0,
+    g.add_argument("--noise-factor", type=_finite_float, default=0.0,
                    help="optical noise std as a fraction of the clean power spread (default: 0)")
-    g.add_argument("--patch-edge", type=float, default=DEFAULT_PATCH_EDGE_M,
+    g.add_argument("--patch-edge", type=_finite_float, default=DEFAULT_PATCH_EDGE_M,
                    help=f"wall discretization edge in meters (default: {DEFAULT_PATCH_EDGE_M})")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output CSV path")
@@ -83,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows subsampled from the dataset before splitting (default: 12500)")
     t.add_argument("--epochs", type=int, default=250)
     t.add_argument("--batch-size", type=int, default=128)
-    t.add_argument("--noise-factor", type=float, default=0.0,
+    t.add_argument("--noise-factor", type=_finite_float, default=0.0,
                    help="inject noise into the training subsample (default: 0)")
     t.add_argument("--xt-trees", type=int, default=100)
     t.add_argument("--adaboost-estimators", type=int, default=50)
@@ -110,9 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", help="model file to infer the map from")
     src.add_argument("--simulate", action="store_true", help="ground-truth map from the simulator")
     add_scene_args(m)
-    m.add_argument("--z", type=float, default=1.0, help="receiver plane height (default: 1.0)")
-    m.add_argument("--spacing", type=float, default=0.1, help="cell edge in meters (default: 0.1)")
-    m.add_argument("--patch-edge", type=float, default=DEFAULT_PATCH_EDGE_M)
+    m.add_argument("--z", type=_finite_float, default=1.0,
+                   help="receiver plane height (default: 1.0)")
+    m.add_argument("--spacing", type=_finite_float, default=0.1,
+                   help="cell edge in meters (default: 0.1)")
+    m.add_argument("--patch-edge", type=_finite_float, default=DEFAULT_PATCH_EDGE_M)
     m.add_argument("--out", required=True, help="map CSV path")
     m.add_argument("--pgm", default=None, help="optional grayscale PGM path")
 
@@ -263,6 +277,8 @@ def _cmd_predict(args) -> int:
             rows.append([float(v) for v in parts])
         except ValueError as exc:
             raise UsageError(f"--at {spec!r} is not numeric") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise UsageError(f"--at {spec!r} holds a value that is not finite")
     preds = np.atleast_1d(evalmap.predict_any(model, np.array(rows, dtype=np.float64)))
     for v in preds:
         print(repr(float(v)))

@@ -209,8 +209,8 @@ class RadioMap:
 
 
 def _grid(scene: Scene, spacing: float):
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
     room = scene.room
     nx = math.ceil(room.lx / spacing - 1e-12)
     ny = math.ceil(room.ly / spacing - 1e-12)
@@ -481,6 +481,16 @@ class CampaignSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"campaign {name} must be non-empty")
+        # a bool, a float or NaN would pass the range checks below or fail later unnamed
+        for name in ("led_count", "repetitions", "seed", "pool_per_axis", "reference_n",
+                     "train_sizes", "epochs", "batch_sizes"):
+            v = getattr(self, name)
+            if any(type(e) is not int for e in (v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"campaign {name} takes ints only, got {v!r}")
+        for name in ("noise_factors", "patch_edge_m"):
+            v = getattr(self, name)
+            if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"campaign {name} takes finite numbers only, got {v!r}")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if unknown:
             raise ValueError(f"unknown model kinds {unknown}; expected {MODEL_KINDS}")

@@ -4,9 +4,12 @@ Trees store their nodes in flat parallel arrays (feature, threshold, children,
 value) with -1 marking leaves, grown breadth-first, a whole depth per pass.
 CART searches every midpoint between consecutive sorted distinct values;
 Extra Trees draws one uniform cut per feature per node and keeps the best.
-Both maximize variance reduction with ties broken by lowest feature index,
-then lowest threshold, and take their best valid cut even when it gains
-nothing. Rows route left when feature < threshold. Features are used raw —
+Both maximize the drop in squared error, scored from target sums alone, and
+take their best valid cut even when it gains nothing. Cuts whose scores are
+equal in every bit go to the lowest feature, then the lowest threshold; two
+cuts that make the same or a mirrored partition may score differently in the
+last bit, and then the higher score wins. Rows route left when
+feature < threshold. Features are used raw —
 axis-aligned splits don't care about scale, so trees skip the normalization
 the MLP needs.
 """
@@ -127,59 +130,55 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
     counts = np.array([len(y)])
     levels = []
     n_nodes = 0
-    # Targets near the float limit overflow a node's sum of squares; its
-    # scores are then NaN, and a splitter passes them over without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(counts):
-            m = len(counts)
-            n_nodes += m
-            starts = np.cumsum(counts) - counts
-            yd = y[rows]
-            # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
-            # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
-            sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
-            level = (np.full(m, -1), np.full(m, math.nan), np.full(m, -1), np.full(m, -1),
-                     sums / counts)
-            levels.append(level)
-            is_open = ((counts >= params.min_samples_split)
-                       & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
-            if len(levels) > max_depth or not is_open.any():
-                break
-            nodes = np.flatnonzero(is_open)
-            rows = rows[np.repeat(is_open, counts)]
-            counts = counts[is_open]
-            f, thr, rows, go_left = splitter(X, y, rows, np.cumsum(counts) - counts, counts,
-                                             sums[is_open])
-            split = f >= 0
-            inner = nodes[split]
-            level[0][inner] = f[split]
-            level[1][inner] = thr[split]
-            level[2][inner] = n_nodes + 2 * np.arange(len(inner))
-            level[3][inner] = level[2][inner] + 1
-            # the k-th split node's children are the next depth's nodes 2k and 2k + 1
-            kept = np.repeat(split, counts)
-            child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
-            rows = rows[kept][np.argsort(child, kind="stable")]
-            counts = np.bincount(child, minlength=2 * len(inner))
+    while len(counts):
+        m = len(counts)
+        n_nodes += m
+        starts = np.cumsum(counts) - counts
+        yd = y[rows]
+        # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
+        # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
+        sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
+        level = (np.full(m, -1), np.full(m, math.nan), np.full(m, -1), np.full(m, -1),
+                 sums / counts)
+        levels.append(level)
+        is_open = ((counts >= params.min_samples_split)
+                   & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
+        if len(levels) > max_depth or not is_open.any():
+            break
+        nodes = np.flatnonzero(is_open)
+        rows = rows[np.repeat(is_open, counts)]
+        counts = counts[is_open]
+        f, thr, rows, go_left = splitter(X, y, rows, np.cumsum(counts) - counts, counts,
+                                         sums[is_open])
+        split = f >= 0
+        inner = nodes[split]
+        level[0][inner] = f[split]
+        level[1][inner] = thr[split]
+        level[2][inner] = n_nodes + 2 * np.arange(len(inner))
+        level[3][inner] = level[2][inner] + 1
+        # the k-th split node's children are the next depth's nodes 2k and 2k + 1
+        kept = np.repeat(split, counts)
+        child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
+        rows = rows[kept][np.argsort(child, kind="stable")]
+        counts = np.bincount(child, minlength=2 * len(inner))
     return Tree(*(np.concatenate(a) for a in zip(*levels)))
 
 
-def _sse_reduction(n, sum_y, sum_y2, nl, syl, syl2):
+def _sse_reduction(n, sum_y, nl, syl):
     """Drop in squared error when `nl` of a node's `n` rows go left, from the
-    node's target sum and sum of squares and the left side's (`syl`, `syl2`),
-    for whole arrays of cuts at once."""
+    node's target sum and the left side's (`syl`), for whole arrays of cuts at
+    once. The sums of squares cancel out (Breiman et al., CART, 1984)."""
     rest = sum_y - syl
-    return ((sum_y2 - sum_y * sum_y / n) - (syl2 - syl * syl / nl)
-            - ((sum_y2 - syl2) - rest * rest / (n - nl)))
+    return syl * syl / nl + rest * rest / (n - nl) - sum_y * sum_y / n
 
 
 def _cart_splitter(params: TreeParams):
     """Exact CART: every midpoint between consecutive distinct values of every
     feature. Nodes of one size are searched together, all features at once,
     and each gets the sums it would get alone: its rows stably sorted from
-    the order its parent left them in, sequential prefix sums and a BLAS dot
-    product for its sum of squares. Each child keeps its parent's rows in the
-    split feature's order."""
+    the order its parent left them in, and sequential prefix sums. No BLAS
+    call is made, so a tree does not depend on the thread count. Each child
+    keeps its parent's rows in the split feature's order."""
     msl = params.min_samples_leaf
 
     def split(X, y, rows, starts, counts, sums):
@@ -191,23 +190,19 @@ def _cart_splitter(params: TreeParams):
             nodes = np.flatnonzero(counts == n)
             at = starts[nodes, None] + np.arange(n)  # (c, n): the nodes' places in `rows`
             r = rows[at]
-            yv = y[r]
-            sum_y2 = (yv[:, None, :] @ yv[:, :, None])[:, :, 0]
             col = np.arange(len(nodes))
             # (k, c, n): every node's rows in each feature's stable order
             rs = r[col[:, None], np.argsort(X.T[:, r], axis=2, kind="stable")]
             xs = X.T[np.arange(X.shape[1])[:, None, None], rs]
             ys = y[rs]
             nl = np.arange(1, n)  # left-side row count of the cut after each position
-            red = _sse_reduction(n, sums[nodes, None], sum_y2, nl,
-                                 np.cumsum(ys, axis=2)[..., :-1],
-                                 np.cumsum(ys * ys, axis=2)[..., :-1])
+            red = _sse_reduction(n, sums[nodes, None], nl, np.cumsum(ys, axis=2)[..., :-1])
             valid = (xs[..., 1:] != xs[..., :-1]) & (nl >= msl) & (n - nl >= msl)
             red = np.where(valid, red, -np.inf)
-            # argmax takes the first best: ties go to the lowest feature, then the
-            # lowest threshold; a feature with a NaN score (overflowed sums) is passed over
+            # argmax takes the first best: equal scores go to the lowest feature,
+            # then the lowest threshold
             best = red.max(axis=2)
-            f = np.argmax(np.where(np.isnan(best), -np.inf, best), axis=0)
+            f = np.argmax(best, axis=0)
             hit = np.flatnonzero(best[f, col] > -np.inf)
             f = f[hit]
             j = np.argmax(red[f, hit], axis=1)
@@ -241,17 +236,12 @@ def _extra_splitter(params: TreeParams, rng: np.random.Generator):
         n = counts[:, None]
         nl = np.add.reduceat(go, starts, dtype=np.intp)
         valid = (nl >= msl) & (n - nl >= msl)
-        yd = y[rows]
-        y2 = yd * yd
         red = _sse_reduction(n, sums[:, None],
-                             np.add.reduceat(y2, starts)[:, None],
                              np.clip(nl, 1, n - 1),  # invalid cuts are scored, then dropped
-                             np.add.reduceat(go * yd[:, None], starts),
-                             np.add.reduceat(go * y2[:, None], starts))
-        f = np.argmax(np.where(valid, red, -np.inf), axis=1)  # ties: the lowest feature
-        # no valid cut, or a NaN score among them (overflowed sums): the node stays a leaf
-        ok = valid.any(axis=1) & ~(valid & np.isnan(red)).any(axis=1)
-        return np.where(ok, f, -1), cuts[np.arange(m), f], rows, go[np.arange(len(rows)), f[node]]
+                             np.add.reduceat(go * y[rows][:, None], starts))
+        f = np.argmax(np.where(valid, red, -np.inf), axis=1)  # equal scores: the lowest feature
+        return (np.where(valid.any(axis=1), f, -1), cuts[np.arange(m), f], rows,
+                go[np.arange(len(rows)), f[node]])
 
     return split
 
@@ -324,11 +314,18 @@ class Forest:
         return len(self.trees) // self.trees_per_member
 
 
+# n * max|y| at most this keeps every squared target sum of a split score, and
+# the sum of two of them, below the float64 maximum (about 9.5e153)
+_MAX_TARGET_MASS = math.sqrt(np.finfo(np.float64).max / 2)
+
+
 def _training_arrays(features, targets, min_rows: int = 1):
     """The float64 (n, k) feature matrix and n targets a fitter grows trees on.
     ValueError unless there are at least `min_rows` rows and one feature, every
-    target is finite, and every feature column is finite with a finite
-    max - min, so that every cut a node draws or takes is finite too."""
+    target is finite, n * max|y| is at most `_MAX_TARGET_MASS`, and every
+    feature column is finite with a finite max - min. So every cut a node draws
+    or takes, and every split score, is finite too; a resample of accepted
+    targets (AdaBoost.R2) is accepted as well."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0 or len(X) < min_rows or y.shape != (len(X),):
@@ -342,6 +339,10 @@ def _training_arrays(features, targets, min_rows: int = 1):
                          "or its max - min overflows")
     if not np.isfinite(y).all():
         raise ValueError("a target is not finite")
+    top = np.abs(y).max()
+    if top > _MAX_TARGET_MASS / len(y):
+        raise ValueError(f"targets too large to score splits: n * max|y| = {len(y)} * "
+                         f"{top:.3g} exceeds {_MAX_TARGET_MASS:.3g}")
     return X, y
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import warnings
@@ -314,6 +315,49 @@ def test_scene_file_and_campaign_spec_must_be_json_objects(workdir, capsys, raw)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("bad.json" in line for line in err)
     assert not Path("d.csv").exists() and not Path("camp").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--per-axis", "2", "--noise-factor", "nan"], "--noise-factor"),
+    (["generate", "--per-axis", "2", "--patch-edge", "inf"], "--patch-edge"),
+    (["train", "--data", "d.csv", "--noise-factor=-inf"], "--noise-factor"),
+    (["map", "--simulate", "--scene", "small", "--z", "nan"], "--z"),
+    (["map", "--simulate", "--scene", "small", "--spacing", "nan"], "--spacing"),
+    (["map", "--simulate", "--scene", "small", "--spacing", "inf"], "--spacing"),
+    (["map", "--simulate", "--scene", "small", "--patch-edge", "nan"], "--patch-edge"),
+])
+def test_float_flags_refuse_non_finite_values(workdir, capsys, argv, flag):
+    assert cli.main(argv + ["--out", "o.csv"]) == 1
+    assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["mlp32x128", "dt"])
+@pytest.mark.parametrize("at", ["nan,1,1", "1,inf,1", "1,1,-inf"])
+def test_predict_refuses_non_finite_rows(workdir, trained, capsys, kind, at):
+    model = str(trained / "m.json")
+    if kind == "dt":
+        model = "dt.json"
+        assert cli.main(["train", "--model", "dt", "--data", str(trained / "d.csv"),
+                         "--train-size", "100", "--out", model]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["predict", "--model", model, "--at", at, "--out", "p.csv"]) == 1
+    assert f"--at {at!r} holds a value that is not finite" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert not Path("p.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"repetitions": 1.5}, "campaign repetitions takes ints only, got 1.5"),
+    ({"train_sizes": [20.0]}, r"campaign train_sizes takes ints only, got \(20.0,\)"),
+    ({"noise_factors": [float("nan")]}, "campaign noise_factors takes finite numbers only"),
+])
+def test_campaign_spec_values_are_named(workdir, capsys, edit, message):
+    Path("spec.json").write_text(json.dumps({"models": ["dt"], **edit}))
+    assert cli.main(["campaign", "--spec", "spec.json", "--out", "camp"]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not Path("camp").exists()
 
 
 def test_predict_rejects_a_model_without_a_row_layout(workdir, capsys):

@@ -125,6 +125,16 @@ def test_map_rejects_bad_spacing(small_scene):
         evalmap.simulate_map(small_scene, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("spacing", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("make", ["simulate", "predict"])
+def test_map_spacing_must_be_finite_and_positive(small_scene, constant_model, make, spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        if make == "simulate":
+            evalmap.simulate_map(small_scene, 1.0, spacing)
+        else:
+            evalmap.predict_map(constant_model, small_scene, 1.0, spacing)
+
+
 def test_predicted_map_constant_model(small_scene, small_pool, constant_model):
     m = evalmap.predict_map(constant_model, small_scene, z_plane=1.0, spacing=0.7)
     assert m.source == "predicted:dt"
@@ -330,6 +340,25 @@ def test_campaign_spec_validation():
         evalmap.CampaignSpec(noise_factors=(-0.1,))
     with pytest.raises(ValueError):
         evalmap.CampaignSpec(repetitions=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("repetitions", 1.5), ("repetitions", True), ("seed", 2.0), ("seed", False),
+    ("led_count", True), ("pool_per_axis", 5.0), ("reference_n", 50.0),
+    ("train_sizes", (20.0,)), ("epochs", (True,)), ("batch_sizes", (16, 32.0)),
+])
+def test_campaign_spec_integer_fields_take_ints_only(field, value):
+    with pytest.raises(ValueError, match=f"campaign {field} takes ints only"):
+        evalmap.CampaignSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_factors", (math.nan,)), ("noise_factors", (0.1, math.inf)),
+    ("patch_edge_m", math.nan), ("patch_edge_m", math.inf),
+])
+def test_campaign_spec_float_fields_take_finite_numbers_only(field, value):
+    with pytest.raises(ValueError, match=f"campaign {field} takes finite numbers only"):
+        evalmap.CampaignSpec(**{field: value})
 
 
 def test_campaign_spec_round_trip():

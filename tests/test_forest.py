@@ -422,6 +422,28 @@ def test_fitters_refuse_a_feature_range_that_overflows(kind):
         _FITTERS[kind](X, y)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("kind", sorted(_FITTERS))
+def test_fitters_refuse_targets_whose_squared_sums_could_overflow(kind, sign):
+    """Targets of 1e200 would overflow a node's squared target sum."""
+    X, y = _toy(n=30, seed=32)
+    y[5] = sign * 1e200
+    with pytest.raises(ValueError, match=r"targets too large to score splits: n \* max\|y\|"):
+        _FITTERS[kind](X, y)
+
+
+@pytest.mark.parametrize("kind", sorted(_FITTERS))
+def test_fitters_take_targets_just_under_the_bound(kind):
+    """Targets within 1% of the largest allowed, all of one sign, so a node's
+    target sum comes close to the bound: every split score stays finite (a
+    warning would fail the test) and the tree still splits."""
+    X, y = _toy(n=30, seed=33)
+    y = (1.0 - 0.01 * (y - y.min()) / np.ptp(y)) * (fr._MAX_TARGET_MASS / len(y))
+    model = _FITTERS[kind](X, y)
+    trees = [model] if kind == "cart" else model.trees
+    assert all(t.n_nodes > 1 and np.isfinite(t.value).all() for t in trees)
+
+
 @pytest.mark.parametrize("field, value", [("max_depth", True), ("max_depth", 2.0),
                                           ("min_samples_split", 2.5), ("min_samples_leaf", 1.5),
                                           ("max_depth", 0), ("min_samples_split", 1),
