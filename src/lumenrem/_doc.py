@@ -2,7 +2,7 @@
 layer and CSV writer.
 
 A record is a dataclass; its document is an object with exactly one key per
-field. Tuples and arrays become lists, nested records become nested objects.
+constructor argument. Tuples and arrays become lists, records nested objects.
 Reading is strict: a document with a missing or an unknown key is refused
 with every such key named. Each record's own `__post_init__` converts and
 checks the values it is given.
@@ -31,7 +31,7 @@ class ModelVersionError(ValueError):
 def to_doc(record):
     """The JSON-ready document of a record (or of any value inside one)."""
     if dataclasses.is_dataclass(record):
-        return {f.name: to_doc(getattr(record, f.name)) for f in dataclasses.fields(record)}
+        return {name: to_doc(getattr(record, name)) for name in _field_types(type(record))}
     if isinstance(record, np.ndarray):
         return record.tolist()
     if isinstance(record, (tuple, list)):
@@ -44,7 +44,7 @@ def to_doc(record):
 @functools.cache
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
 def _build(hint, value):
@@ -61,16 +61,17 @@ def _build(hint, value):
 
 def from_doc(cls, d):
     """The record of type `cls` whose document is `d`; ValueError names the
-    record and every missing or unknown key."""
+    record and every missing or unknown key, a nested record's first."""
     if not isinstance(d, dict):
         raise ValueError(f"a {cls.__name__} document must be an object, got {type(d).__name__}")
     types = _field_types(cls)
+    values = {name: _build(hint, d[name]) for name, hint in types.items() if name in d}
     missing, unknown = sorted(set(types) - set(d)), sorted(set(d) - set(types))
     if missing or unknown:
         problems = [f"{what} keys {keys}" for what, keys in
                     (("missing", missing), ("unknown", unknown)) if keys]
         raise ValueError(f"{cls.__name__} document has {' and '.join(problems)}")
-    return cls(**{name: _build(hint, d[name]) for name, hint in types.items()})
+    return cls(**values)
 
 
 def write_json(path, doc, indent=None) -> None:

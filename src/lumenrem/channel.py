@@ -320,7 +320,7 @@ def _room_tiling(scene: Scene, pos: np.ndarray, patch_edge_m: float) -> _PatchAr
         & (pos[:, 2] >= 0) & (pos[:, 2] < room.lz)
     )
     if not np.all(ok):
-        bad = pos[~ok][0]
+        bad = pos[~ok][0].tolist()
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
     return _PatchArrays.from_room(room, patch_edge_m)
 

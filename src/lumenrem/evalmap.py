@@ -208,12 +208,22 @@ class RadioMap:
         return float(self.values[iy, ix])
 
 
-def _grid(scene: Scene, spacing: float):
+_MAX_MAP_CELLS = 1_000_000  # 1 cm cells in a 7 x 7 m room make 490,000
+
+
+def _grid(scene: Scene, z_plane: float, spacing: float):
+    """Cell spacings and (ny, nx) cell centers of a map inside the room at `z_plane`."""
+    room = scene.room
+    if not 0 <= z_plane < room.lz:
+        raise ValueError(f"map height z = {float(z_plane)} lies outside the "
+                         f"{room.lx} x {room.ly} x {room.lz} m room (0 <= z < {room.lz})")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
-    room = scene.room
     nx = math.ceil(room.lx / spacing - 1e-12)
     ny = math.ceil(room.ly / spacing - 1e-12)
+    if nx * ny > _MAX_MAP_CELLS:
+        raise ValueError(f"spacing {spacing} gives a {nx} x {ny} grid, more than the "
+                         f"{_MAX_MAP_CELLS:,} cells a map may hold")
     sx, sy = room.lx / nx, room.ly / ny
     xs = (np.arange(nx) + 0.5) * sx
     ys = (np.arange(ny) + 0.5) * sy
@@ -226,7 +236,7 @@ def simulate_map(
     patch_edge_m: float = channel.DEFAULT_PATCH_EDGE_M,
 ) -> RadioMap:
     """Ground-truth RSS grid straight from the propagation model."""
-    (sx, sy), gx, gy = _grid(scene, spacing)
+    (sx, sy), gx, gy = _grid(scene, z_plane, spacing)
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z_plane))])
     values = _rss_for(scene, pos, patch_edge_m).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
@@ -235,7 +245,7 @@ def simulate_map(
 
 def predict_map(model, scene: Scene, z_plane: float, spacing: float) -> RadioMap:
     """Model-inferred RSS grid over the same cell centers as simulate_map."""
-    (sx, sy), gx, gy = _grid(scene, spacing)
+    (sx, sy), gx, gy = _grid(scene, z_plane, spacing)
     feats = _scene_features(model, scene, gx.ravel(), gy.ravel(), z_plane)
     values = predict_any(model, feats).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
@@ -478,9 +488,10 @@ class CampaignSpec:
 
     def __post_init__(self):
         for name in ("models", "train_sizes", "epochs", "batch_sizes", "noise_factors"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-            if not getattr(self, name):
-                raise ValueError(f"campaign {name} must be non-empty")
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)) or not v:
+                raise ValueError(f"campaign {name} must be a non-empty list, got {v!r}")
+            object.__setattr__(self, name, tuple(v))
         # a bool, a float or NaN would pass the range checks below or fail later unnamed
         for name in ("led_count", "repetitions", "seed", "pool_per_axis", "reference_n",
                      "train_sizes", "epochs", "batch_sizes"):
@@ -489,7 +500,8 @@ class CampaignSpec:
                 raise ValueError(f"campaign {name} takes ints only, got {v!r}")
         for name in ("noise_factors", "patch_edge_m"):
             v = getattr(self, name)
-            if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+            if not all(isinstance(e, (int, float)) and type(e) is not bool and math.isfinite(e)
+                       for e in (v if isinstance(v, tuple) else (v,))):
                 raise ValueError(f"campaign {name} takes finite numbers only, got {v!r}")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if unknown:

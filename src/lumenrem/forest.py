@@ -1,7 +1,8 @@
 """Regression-tree baselines: a CART tree, Extra Trees, and AdaBoost.R2.
 
-Trees store their nodes in flat parallel arrays (feature, threshold, children,
-value) with -1 marking leaves, grown breadth-first, a whole depth per pass.
+Trees store their nodes in flat parallel arrays (feature, threshold, value)
+with -1 marking leaves, grown and numbered breadth-first, a whole depth per
+pass, so the k-th split node's children are nodes 2k + 1 and 2k + 2.
 CART searches every midpoint between consecutive sorted distinct values;
 Extra Trees draws one uniform cut per feature per node and keeps the best.
 Both maximize the drop in squared error, scored from target sums alone, and
@@ -63,24 +64,27 @@ class TreeParams:
 
 @dataclass(eq=False, slots=True)
 class Tree:
-    """One binary regression tree in flat-array form.
+    """One binary regression tree in flat-array form, numbered breadth-first.
 
     feature[i] is the split feature of node i, or -1 for a leaf; leaves keep
-    their routed-target mean in value[i]. Node 0 is the root.
+    their routed-target mean in value[i]. Node 0 is the root. The children
+    follow from the order alone: the k-th split node's are nodes 2k + 1
+    (`left`) and 2k + 2 (`right`), and a leaf's are -1.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
+    left: np.ndarray = field(init=False)
+    right: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.int32)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int32)
-        self.right = np.asarray(self.right, dtype=np.int32)
         self.value = np.asarray(self.value, dtype=np.float64)
+        split = (self.feature >= 0).ravel()
+        self.left = np.where(split, 2 * np.cumsum(split, dtype=np.int32) - 1, -1)
+        self.right = np.where(split, self.left + 1, -1)
 
     @property
     def n_nodes(self) -> int:
@@ -121,25 +125,22 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
     the rows and target sums of the nodes left open. It returns each node's
     split feature (-1 when it has no valid cut) and threshold, the rows in the
     order the children keep them, and for each row whether it goes left. One
-    stable partition then gives every child its rows. Children are numbered
-    in their parents' order after the whole depth, so every child's index is
-    above its parent's.
+    stable partition then gives every child its rows. The next depth holds
+    the children in their parents' order, which is the numbering `Tree`
+    derives its children from.
     """
     max_depth = math.inf if params.max_depth is None else params.max_depth
     rows = np.arange(len(y))
     counts = np.array([len(y)])
     levels = []
-    n_nodes = 0
     while len(counts):
         m = len(counts)
-        n_nodes += m
         starts = np.cumsum(counts) - counts
         yd = y[rows]
         # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
         # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
         sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
-        level = (np.full(m, -1), np.full(m, math.nan), np.full(m, -1), np.full(m, -1),
-                 sums / counts)
+        level = (np.full(m, -1), np.full(m, math.nan), sums / counts)
         levels.append(level)
         is_open = ((counts >= params.min_samples_split)
                    & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
@@ -154,8 +155,6 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
         inner = nodes[split]
         level[0][inner] = f[split]
         level[1][inner] = thr[split]
-        level[2][inner] = n_nodes + 2 * np.arange(len(inner))
-        level[3][inner] = level[2][inner] + 1
         # the k-th split node's children are the next depth's nodes 2k and 2k + 1
         kept = np.repeat(split, counts)
         child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
@@ -251,21 +250,21 @@ def _extra_splitter(params: TreeParams, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 def _check_tree(t: Tree, n_features: int) -> None:
-    """Refuse a tree unless its arrays describe a finite tree whose every
-    internal node routes to higher-numbered nodes (so routing ends)."""
-    arrays = (t.feature, t.threshold, t.left, t.right, t.value)
-    n = t.n_nodes
-    if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
-        raise ValueError("tree arrays must be non-empty, one-dimensional and of equal length")
-    leaf = t.feature == -1
-    if np.any((t.left[leaf] != -1) | (t.right[leaf] != -1)):
-        raise ValueError("a leaf has children")
-    inner = np.nonzero(~leaf)[0]
-    f, lo, hi = t.feature[inner], t.left[inner], t.right[inner]
-    if np.any((f < 0) | (f >= n_features)):
+    """Refuse a tree unless its arrays are 1-D and of equal length, features in
+    range, nodes one more than twice the splits, each split's left child above
+    it, and split thresholds and values finite. The node count and the child
+    order make every node reached from the root once, so routing ends."""
+    arrays = (t.feature, t.threshold, t.value)
+    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
+        raise ValueError("tree arrays must be one-dimensional and of equal length")
+    if np.any((t.feature < -1) | (t.feature >= n_features)):
         raise ValueError(f"a split feature lies outside [0, {n_features})")
-    if np.any((lo <= inner) | (lo >= n) | (hi <= inner) | (hi >= n)):
-        raise ValueError("a child index is not above its parent's and below the node count")
+    inner = np.flatnonzero(t.feature >= 0)
+    if t.n_nodes != 1 + 2 * len(inner):
+        raise ValueError(f"a tree with {len(inner)} split nodes has {t.n_nodes} nodes, "
+                         f"not {1 + 2 * len(inner)}")
+    if np.any(t.left[inner] <= inner):
+        raise ValueError("a split node's derived left child is not numbered above it")
     if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
         raise ValueError("a threshold or value is not finite")
 
@@ -287,7 +286,6 @@ class Forest:
     seed: int
     trees_per_member: int = 1
     tree_weights: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("single", "extra_trees", "adaboost_r2"):
@@ -366,14 +364,8 @@ def fit_extra_trees(
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     trees = tuple(_grow(X, y, params, _extra_splitter(params, _stream(seed, t)))
                   for t in range(n_trees))
-    return Forest(
-        mode="extra_trees",
-        trees=trees,
-        n_features=X.shape[1],
-        params=params,
-        seed=seed,
-        meta={"n_trees": n_trees},
-    )
+    return Forest(mode="extra_trees", trees=trees, n_features=X.shape[1], params=params,
+                  seed=seed)
 
 
 def fit_adaboost_r2(
@@ -422,16 +414,9 @@ def fit_adaboost_r2(
         member_weights.append(math.log(1.0 / beta))
         w = w * beta ** (1.0 - loss)
         w /= w.sum()
-    return Forest(
-        mode="adaboost_r2",
-        trees=tuple(member_trees),
-        n_features=X.shape[1],
-        params=params,
-        seed=seed,
-        trees_per_member=base_n_trees,
-        tree_weights=np.asarray(member_weights),
-        meta={"n_estimators": n_estimators, "base_n_trees": base_n_trees},
-    )
+    return Forest(mode="adaboost_r2", trees=tuple(member_trees), n_features=X.shape[1],
+                  params=params, seed=seed, trees_per_member=base_n_trees,
+                  tree_weights=np.asarray(member_weights))
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_received_power_four_led_symmetry():
 def test_received_power_outside_room_raises():
     sc = preset_scene("small")
     for bad in [(-0.1, 1.0, 1.0), (1.0, 3.1, 1.0), (1.0, 1.0, 2.8)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"receiver position {bad} outside")):
             ch.received_power(sc, bad)
 
 

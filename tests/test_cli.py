@@ -194,13 +194,29 @@ def test_map_from_malformed_forest_file_is_runtime_error(workdir, capsys):
     nan = float("nan")
     doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
            "params": forest.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
-           "tree_weights": None, "meta": {},
-           "trees": [{"feature": [3, -1, -1], "threshold": [0.5, nan, nan], "left": [1, -1, -1],
-                      "right": [2, -1, -1], "value": [0.0, 0.0, 0.0]}]}
+           "tree_weights": None,
+           "trees": [{"feature": [3, -1, -1], "threshold": [0.5, nan, nan],
+                      "value": [0.0, 0.0, 0.0]}]}
     Path("bad.json").write_text(json.dumps(doc))
     assert cli.main(["map", "--model", "bad.json", "--out", "m.csv"]) == 2
-    assert "bad.json is malformed" in capsys.readouterr().err
+    assert "bad.json is malformed: a split feature lies outside [0, 3)" in capsys.readouterr().err
     assert not Path("m.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["simulate", "model"])
+@pytest.mark.parametrize("flags, message", [
+    (["--spacing", "1e-09"], "spacing 1e-09 gives a 3000000000 x 3000000000 grid, "
+                             "more than the 1,000,000 cells a map may hold"),
+    (["--z", "50"], "map height z = 50.0 lies outside the 3.0 x 3.0 x 2.8 m room (0 <= z < 2.8)"),
+    (["--z", "-0.1"], "map height z = -0.1 lies outside the 3.0 x 3.0 x 2.8 m room"),
+])
+def test_map_refuses_a_grid_too_fine_or_a_plane_outside_the_room(workdir, trained, capsys,
+                                                                 source, flags, message):
+    """Both map kinds, refused before any cell is allocated or computed."""
+    src = ["--simulate"] if source == "simulate" else ["--model", str(trained / "m.json")]
+    assert cli.main(["map", *src, "--scene", "small", *flags, "--out", "m.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])
@@ -352,6 +368,11 @@ def test_predict_refuses_non_finite_rows(workdir, trained, capsys, kind, at):
     ({"repetitions": 1.5}, "campaign repetitions takes ints only, got 1.5"),
     ({"train_sizes": [20.0]}, r"campaign train_sizes takes ints only, got \(20.0,\)"),
     ({"noise_factors": [float("nan")]}, "campaign noise_factors takes finite numbers only"),
+    ({"noise_factors": ["a"]}, r"campaign noise_factors takes finite numbers only, got \('a',\)"),
+    ({"noise_factors": [True]}, "campaign noise_factors takes finite numbers only"),
+    ({"models": "dt"}, "campaign models must be a non-empty list, got 'dt'"),
+    ({"train_sizes": 60}, "campaign train_sizes must be a non-empty list, got 60"),
+    ({"epochs": []}, r"campaign epochs must be a non-empty list, got \[\]"),
 ])
 def test_campaign_spec_values_are_named(workdir, capsys, edit, message):
     Path("spec.json").write_text(json.dumps({"models": ["dt"], **edit}))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -487,14 +488,14 @@ def test_growth_does_not_depend_on_the_thread_count():
 # ---------------------------------------------------------------------------
 
 def test_hand_built_tree_routing():
-    # root: x0 < 1 ? leaf(5) : (x1 < 2 ? leaf(-1) : leaf(3))
+    # root: x0 < 1 ? leaf(5) : (x1 < 2 ? leaf(-1) : leaf(3)), numbered breadth-first
     tree = fr.Tree(
         feature=[0, -1, 1, -1, -1],
         threshold=[1.0, np.nan, 2.0, np.nan, np.nan],
-        left=[1, -1, 3, -1, -1],
-        right=[2, -1, 4, -1, -1],
         value=[np.nan, 5.0, np.nan, -1.0, 3.0],
     )
+    assert tree.left.tolist() == [1, -1, 3, -1, -1]
+    assert tree.right.tolist() == [2, -1, 4, -1, -1]
     pts = np.array(
         [[0.5, 9.0], [1.0, 1.9], [1.0, 2.0], [2.0, -4.0], [0.99, 2.0]]
     )
@@ -508,7 +509,7 @@ def test_threshold_scaling_invariance():
     doubled = fr.Forest(
         mode=f.mode,
         trees=tuple(
-            fr.Tree(t.feature, t.threshold * 2.0, t.left, t.right, t.value) for t in f.trees
+            fr.Tree(t.feature, t.threshold * 2.0, t.value) for t in f.trees
         ),
         n_features=f.n_features,
         params=f.params,
@@ -549,6 +550,41 @@ def test_forest_save_load_round_trip(tmp_path):
     assert back.mode == f.mode
     assert back.trees_per_member == f.trees_per_member
     np.testing.assert_array_equal(fr.predict_forest(back, X), fr.predict_forest(f, X))
+    doc = json.loads(p.read_text())
+    assert "meta" not in doc
+    assert all(sorted(t) == ["feature", "threshold", "value"] for t in doc["trees"])
+    fr.save_forest(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == p.read_bytes()
+
+
+# sha1 of each model's trees' feature, threshold, left, right and value bytes,
+# as growth wrote them when a tree stored its children: the same trees, saved
+# and loaded, derive the same children from breadth-first order
+_GROWN_TREES_SHA1 = {
+    "cart": "c37b6c4e899c41fddf079858d8c0d0c1a0ba724c",
+    "xt": "6ce6f5f26b458f60b14025de83d2bb21d19827f0",
+    "adaboost": "9bdec7819ee4a72ddcf8dca4366a2a8f7d651972",
+}
+
+
+def test_loaded_trees_derive_the_children_growth_numbered(tmp_path):
+    rng = np.random.default_rng(42)
+    X = np.round(rng.uniform(0.0, 5.0, (300, 3)), 2)
+    y = X[:, 0] ** 2 - 2.0 * X[:, 1] + rng.normal(size=300)
+    models = {
+        "cart": fr.Forest(mode="single", trees=(fr.fit_cart(X, y),), n_features=3,
+                          params=fr.TreeParams(), seed=0),
+        "xt": fr.fit_extra_trees(X, y, n_trees=5, seed=1),
+        "adaboost": fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=2, seed=2),
+    }
+    for kind, model in models.items():
+        fr.save_forest(model, tmp_path / "m.json")
+        for trees in (model.trees, fr.load_forest(tmp_path / "m.json").trees):
+            h = hashlib.sha1()
+            for t in trees:
+                for a in (t.feature, t.threshold, t.left, t.right, t.value):
+                    h.update(a.tobytes())
+            assert h.hexdigest() == _GROWN_TREES_SHA1[kind], kind
 
 
 def test_forest_load_errors(tmp_path):
@@ -569,18 +605,17 @@ def test_forest_load_errors(tmp_path):
 def _forest_doc(trees, **fields):
     doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
            "params": fr.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
-           "tree_weights": None, "meta": {}, "trees": trees}
+           "tree_weights": None, "trees": trees}
     doc.update(fields)
     return doc
 
 
-def _tree(feature, threshold, left, right, value):
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
-            "value": value}
+def _tree(feature, threshold, value):
+    return {"feature": feature, "threshold": threshold, "value": value}
 
 
 _NAN = float("nan")
-_STUMP = _tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2, -1, -1], [0.0, -1.0, 1.0])
+_STUMP = _tree([0, -1, -1], [0.5, _NAN, _NAN], [0.0, -1.0, 1.0])
 
 
 def test_hand_built_forest_file_loads(tmp_path):
@@ -590,35 +625,107 @@ def test_hand_built_forest_file_loads(tmp_path):
     np.testing.assert_array_equal(fr.predict_forest(f, [[0.1, 0, 0], [0.9, 0, 0]]), [-1.0, 1.0])
 
 
-@pytest.mark.parametrize("doc", [
-    # root whose children are itself: routing would never reach a leaf
-    _forest_doc([_tree([0], [0.5], [0], [0], [1.0])]),
-    # child pointing back above its parent
-    _forest_doc([_tree([0, 0, -1], [0.5, 0.5, _NAN], [1, 0, -1], [2, 2, -1], [0.0, 0.0, 1.0])]),
-    # child index past the end
-    _forest_doc([_tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [3, -1, -1], [0.0] * 3)]),
-    _forest_doc([_STUMP], trees_per_member=0),
-    _forest_doc([_STUMP], mode="adaboost_r2", tree_weights=[_NAN]),
+def test_a_file_with_stored_children_is_refused(tmp_path):
+    """The layout written before trees derived their children."""
+    doc = _forest_doc([{**_STUMP, "left": [1, -1, -1], "right": [2, -1, -1]}],
+                      meta={"n_trees": 1})
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match=re.escape("Tree document has unknown keys ['left', 'right']")):
+        fr.load_forest(p)
+
+
+def _breadth_first(splits):
+    """The feature array of the breadth-first tree whose nodes, in order, split
+    (feature 0) or not as `splits` says; nodes past its end are leaves."""
+    feature, waiting = [], 1
+    for split in splits:
+        if not waiting:
+            break
+        feature.append(0 if split else -1)
+        waiting += 1 if split else -1
+    return feature + [-1] * waiting
+
+
+def _walk_reaches_every_node_once(feature) -> bool:
+    """Walk from the root in pure Python, the k-th split node's children being
+    nodes 2k + 1 and 2k + 2: False on a missing node or a node met twice."""
+    children, k = {}, 0
+    for i, f in enumerate(feature):
+        if f >= 0:
+            children[i], k = (2 * k + 1, 2 * k + 2), k + 1
+    seen, todo = set(), [0]
+    while todo:
+        i = todo.pop()
+        if i >= len(feature) or i in seen:
+            return False
+        seen.add(i)
+        todo.extend(children.get(i, ()))
+    return len(seen) == len(feature)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feature=st.lists(st.integers(-1, 2), max_size=40)
+       | st.lists(st.booleans(), max_size=19).map(_breadth_first))
+@example(feature=[0, -1, 0, -1, -1])
+@example(feature=[-1, 0, -1])
+def test_check_tree_accepts_exactly_the_trees_a_walk_covers_once(feature):
+    threshold = [0.5 if f >= 0 else _NAN for f in feature]
+    tree = fr.Tree(feature, threshold, [0.0] * len(feature))
+    if _walk_reaches_every_node_once(feature):
+        fr._check_tree(tree, 3)
+    else:
+        with pytest.raises(ValueError):
+            fr._check_tree(tree, 3)
+
+
+_FEATURE_LIMIT = r"a split feature lies outside \[0, 3\)"
+_NOT_FINITE = "a threshold or value is not finite"
+_NOT_ABOVE = "a split node's derived left child is not numbered above it"
+_RAGGED = "tree arrays must be one-dimensional and of equal length"
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a split root with no children
+    (_forest_doc([_tree([0], [0.5], [1.0])]), "a tree with 1 split nodes has 1 nodes, not 3"),
+    # leaves the root never reaches
+    (_forest_doc([_tree([-1, -1, -1], [_NAN] * 3, [0.0] * 3)]),
+     "a tree with 0 split nodes has 3 nodes, not 1"),
+    # a split whose children would lie past the end
+    (_forest_doc([_tree([0, 0, -1], [0.5, 0.5, _NAN], [0.0] * 3)]),
+     "a tree with 2 split nodes has 3 nodes, not 5"),
+    # a split below a leaf root: its children would be itself and the next node
+    (_forest_doc([_tree([-1, 0, -1], [_NAN, 0.5, _NAN], [0.0] * 3)]), _NOT_ABOVE),
+    # node 3 is the second split, so its left child would be node 3 itself: a back edge
+    (_forest_doc([_tree([0, -1, -1, 0, -1], [0.5, _NAN, _NAN, 0.5, _NAN], [0.0] * 5)]),
+     _NOT_ABOVE),
+    (_forest_doc([_STUMP], trees_per_member=0), "trees_per_member must be >= 1, got 0"),
+    (_forest_doc([_STUMP], mode="adaboost_r2", tree_weights=[_NAN]),
+     "adaboost_r2 member weights must be finite"),
     # split on feature 3 of a 3-feature model
-    _forest_doc([_tree([3, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
-    _forest_doc([_tree([-1], [_NAN], [1], [-1], [0.0])]),  # leaf with a child
-    _forest_doc([_tree([0, -1, -1], [_NAN] * 3, [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
-    _forest_doc([_tree([-1], [_NAN], [-1], [-1], [float("inf")])]),
-    _forest_doc([_tree([0, -1, -1], [0.5, _NAN], [1, -1, -1], [2, -1, -1], [0.0] * 3)]),
-    _forest_doc([_tree([], [], [], [], [])]),
-    _forest_doc([_tree([0, -1, -1], [0.5, _NAN, _NAN], [1, -1, -1], [2**40, -1, -1], [0.0] * 3)]),
-    *(_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value})
-      for key, value in (("max_depth", True), ("max_depth", 2.0), ("min_samples_split", 2.5),
-                         ("min_samples_leaf", 1.5))),
-], ids=["cyclic-root", "back-edge", "child-past-end", "zero-trees-per-member", "nan-member-weight",
-        "feature-out-of-range", "leaf-with-child", "nan-threshold", "inf-value",
-        "ragged-arrays", "empty-tree", "int32-overflow", "bool-max-depth", "float-max-depth",
-        "float-min-samples-split", "float-min-samples-leaf"])
-def test_load_rejects_hostile_forest_files(tmp_path, doc):
+    (_forest_doc([_tree([3, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3)]), _FEATURE_LIMIT),
+    (_forest_doc([_tree([0, -2, -1], [0.5, _NAN, _NAN], [0.0] * 3)]), _FEATURE_LIMIT),
+    (_forest_doc([_tree([0, -1, -1], [_NAN] * 3, [0.0] * 3)]), _NOT_FINITE),
+    (_forest_doc([_tree([-1], [_NAN], [float("inf")])]), _NOT_FINITE),
+    (_forest_doc([_tree([0, -1, -1], [0.5, _NAN], [0.0] * 3)]), _RAGGED),
+    (_forest_doc([_tree([[0, -1, -1]], [[0.5, _NAN, _NAN]], [[0.0] * 3])]), _RAGGED),
+    (_forest_doc([_tree([], [], [])]), "a tree with 0 split nodes has 0 nodes, not 1"),
+    (_forest_doc([_tree([2**40, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3)]),
+     "out of bounds for int32"),
+    *((_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value}),
+       re.escape(f"{key} must be an int >= {low}, got {value!r}"))
+      for key, value, low in (("max_depth", True, 1), ("max_depth", 2.0, 1),
+                              ("min_samples_split", 2.5, 2), ("min_samples_leaf", 1.5, 1))),
+], ids=["split-root-alone", "unreached-leaves", "child-past-end", "split-below-a-leaf",
+        "back-edge", "zero-trees-per-member", "nan-member-weight", "feature-out-of-range",
+        "feature-below-leaf-mark", "nan-threshold", "inf-value", "ragged-arrays",
+        "two-dimensional-arrays", "empty-tree", "int32-overflow", "bool-max-depth",
+        "float-max-depth", "float-min-samples-split", "float-min-samples-leaf"])
+def test_load_rejects_hostile_forest_files(tmp_path, doc, message):
     """Each file fails at load time; none is ever handed to predict."""
     p = tmp_path / "f.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="is malformed"):
-        fr.load_forest(p)
-    with pytest.raises(ModelFormatError, match="is malformed"):
-        evalmap.load_any_model(p)
+    for load in (fr.load_forest, evalmap.load_any_model):
+        with pytest.raises(ModelFormatError, match="is malformed: .*" + message):
+            load(p)
