@@ -4,6 +4,10 @@ The direct path uses the generalized-Lambertian LOS gain; the reflected path
 integrates single-bounce contributions over a midpoint-rule tiling of the four
 walls. Ceiling and floor are non-reflective, rooms are empty, and all angles
 come from exact vector geometry against the fixed +/-z transceiver normals.
+A wall patch carries the axis its wall is normal to and the inward sign along
+that axis, so a wall cosine is one offset component times the sign over the
+distance; the tiling, the midpoint kernel and close-range refinement share
+this one description.
 
 Everything here is pure and deterministic; the additive noise applied to
 training data lives in `dataset`, keeping this module usable as ground truth.
@@ -92,16 +96,20 @@ def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
 # Wall discretization
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class _PatchArrays:
-    """Struct-of-arrays view of the wall tiling, shared by the vector kernels."""
+    """Struct-of-arrays view of the wall tiling, shared by the vector kernels.
 
-    __slots__ = ("centers", "normals", "edges_u", "edges_v")
+    A patch is its centre, the axis its wall is normal to (0 for the x walls,
+    1 for the y walls), the sign of the inward normal along that axis, and its
+    edges along the wall (u) and up z (v).
+    """
 
-    def __init__(self, centers, normals, edges_u, edges_v):
-        self.centers = centers
-        self.normals = normals
-        self.edges_u = edges_u
-        self.edges_v = edges_v
+    centers: np.ndarray
+    axis: np.ndarray
+    sign: np.ndarray
+    edges_u: np.ndarray
+    edges_v: np.ndarray
 
     @classmethod
     def from_room(cls, room: Room, patch_edge_m: float) -> "_PatchArrays":
@@ -109,39 +117,28 @@ class _PatchArrays:
             raise ValueError(
                 f"patch edge must be in (0, min room extent], got {patch_edge_m}"
             )
-        centers, normals, edges_u, edges_v = [], [], [], []
-        # Four walls, fixed order: x=0, x=lx, y=0, y=ly. Each is tiled with
-        # ceil(extent/edge) patches per direction and exact sizes extent/count,
-        # so the tiling covers the wall exactly and is reflection-symmetric.
-        walls = [
-            ("x", 0.0, (1.0, 0.0, 0.0), room.ly),
-            ("x", room.lx, (-1.0, 0.0, 0.0), room.ly),
-            ("y", 0.0, (0.0, 1.0, 0.0), room.lx),
-            ("y", room.ly, (0.0, -1.0, 0.0), room.lx),
-        ]
-        for axis, offset, normal, extent in walls:
-            nu = math.ceil(extent / patch_edge_m - 1e-12)
-            nv = math.ceil(room.lz / patch_edge_m - 1e-12)
-            du = extent / nu
-            dv = room.lz / nv
-            u = (np.arange(nu) + 0.5) * du
-            v = (np.arange(nv) + 0.5) * dv
-            uu, vv = np.meshgrid(u, v, indexing="ij")
-            uu = uu.ravel()
-            vv = vv.ravel()
-            if axis == "x":
-                c = np.column_stack([np.full_like(uu, offset), uu, vv])
-            else:
-                c = np.column_stack([uu, np.full_like(uu, offset), vv])
-            centers.append(c)
-            normals.append(np.tile(np.asarray(normal), (len(uu), 1)))
-            edges_u.append(np.full(len(uu), du))
-            edges_v.append(np.full(len(uu), dv))
+        # Four walls, fixed order x=0, x=lx, y=0, y=ly, as (axis, offset,
+        # inward sign, extent). Each is tiled with ceil(extent/edge) patches
+        # per direction and exact sizes extent/count, so the tiling covers the
+        # wall exactly and is reflection-symmetric.
+        walls = np.array([(0, 0.0, 1.0, room.ly), (0, room.lx, -1.0, room.ly),
+                          (1, 0.0, 1.0, room.lx), (1, room.ly, -1.0, room.lx)])
+        nu = np.ceil(walls[:, 3] / patch_edge_m - 1e-12).astype(int)
+        nv = math.ceil(room.lz / patch_edge_m - 1e-12)
+        per_wall = nu * nv
+        axis, offset, sign, extent = np.repeat(walls, per_wall, axis=0).T
+        # index of each patch on its wall, u-major: patch (iu, iv) is iu * nv + iv
+        k = np.arange(per_wall.sum()) - np.repeat(np.cumsum(per_wall) - per_wall, per_wall)
+        du = extent / np.repeat(nu, per_wall)
+        u = (k // nv + 0.5) * du
+        v = (k % nv + 0.5) * (room.lz / nv)
+        x_wall = axis == 0
         return cls(
-            centers=np.concatenate(centers),
-            normals=np.concatenate(normals),
-            edges_u=np.concatenate(edges_u),
-            edges_v=np.concatenate(edges_v),
+            centers=np.column_stack([np.where(x_wall, offset, u), np.where(x_wall, u, offset), v]),
+            axis=axis.astype(int),
+            sign=sign,
+            edges_u=du,
+            edges_v=np.full_like(v, room.lz / nv),
         )
 
     def __len__(self) -> int:
@@ -173,7 +170,7 @@ def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray) -> np.ndarra
     return np.where(visible & in_fov, gain, 0.0)
 
 
-def _led_leg(tx_pos: np.ndarray, m: float, centers, normals, areas) -> np.ndarray:
+def _led_leg(tx_pos: np.ndarray, m: float, centers, axis, sign, areas) -> np.ndarray:
     """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3) centre."""
     v1 = centers - tx_pos
     d1_sq = np.einsum("ij,ij->i", v1, v1)
@@ -181,7 +178,7 @@ def _led_leg(tx_pos: np.ndarray, m: float, centers, normals, areas) -> np.ndarra
         raise ValueError("a wall patch coincides with a transmitter")
     d1 = np.sqrt(d1_sq)
     cos_phi = (tx_pos[2] - centers[:, 2]) / d1
-    cos_alpha = -np.einsum("ij,ij->i", v1, normals) / d1
+    cos_alpha = -np.where(axis == 0, v1[:, 0], v1[:, 1]) * sign / d1
     return np.where(
         (cos_phi > 0) & (cos_alpha > 0),
         np.where(cos_phi > 0, cos_phi, 0.0) ** m * cos_alpha * areas / d1_sq,
@@ -189,10 +186,11 @@ def _led_leg(tx_pos: np.ndarray, m: float, centers, normals, areas) -> np.ndarra
     )
 
 
-def _rx_leg(dx, dy, dz, normals, led_leg, cos_fov: float):
+def _rx_leg(dx, dy, dz, axis, sign, led_leg, cos_fov: float):
     """Midpoint terms (without the constant k) and patch -> receiver distances d2
     from per-component receiver - patch offsets: (rows, patches) against a
-    tiling's (patches, 3) normals, or one flat (receiver, sub-patch) list.
+    tiling's per-patch wall axes and inward signs, or one flat (receiver,
+    sub-patch) list. cos(beta) is the offset along the wall normal over d2.
 
     A receiver on a (sub-)patch centre (d2 = 0) lies in its plane: the 0/0
     cosines fail the acceptance test, so the term is 0 as for any coplanar patch.
@@ -200,7 +198,7 @@ def _rx_leg(dx, dy, dz, normals, led_leg, cos_fov: float):
     d2_sq = dx * dx + dy * dy + dz * dz
     d2 = np.sqrt(d2_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_beta = (dx * normals[..., 0] + dy * normals[..., 1] + dz * normals[..., 2]) / d2
+        cos_beta = np.where(axis == 0, dx, dy) * sign / d2
         cos_psi = -dz / d2  # patch is at -dz above the receiver plane
         accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
         return np.where(accept, led_leg / d2_sq * cos_beta * cos_psi, 0.0), d2
@@ -214,7 +212,7 @@ def _nlos_gain_block(
     m = lambertian_order(tx.hpa_deg)
     g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
     # the LED leg depends only on the tiling; computed once per block
-    led_leg = _led_leg(tx_pos, m, pa.centers, pa.normals, pa.edges_u * pa.edges_v)
+    led_leg = _led_leg(tx_pos, m, pa.centers, pa.axis, pa.sign, pa.edges_u * pa.edges_v)
     k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
     total, (rows, cols) = _midpoint_sums(led_leg, cos_fov, pos, pa)
     # row by row, patch after patch, as a loop over the pairs would add them;
@@ -234,7 +232,7 @@ def _midpoint_sums(led_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _Pa
     """
     # per component, to avoid an (n, N, 3) temporary
     contrib, d2 = _rx_leg(pos[:, 0, None] - pa.centers[:, 0], pos[:, 1, None] - pa.centers[:, 1],
-                          pos[:, 2, None] - pa.centers[:, 2], pa.normals, led_leg, cos_fov)
+                          pos[:, 2, None] - pa.centers[:, 2], pa.axis, pa.sign, led_leg, cos_fov)
     # The midpoint rule degrades when the receiver sits close to a patch
     # (the 1/d2^2 factor varies too much across it). Such patches are
     # re-evaluated by subdivision until every sub-patch satisfies
@@ -259,17 +257,12 @@ def _refined_terms(tx_pos, m: float, cos_fov: float, rx: np.ndarray, pa: _PatchA
     leaves are added into their pair's sum in child order, so a pair's value
     does not depend on which other pairs share the batch.
     """
-    x_wall = pa.normals[cols, 0] != 0.0
-    # a sub-patch centre is (wall, u, v) on x walls and (u, wall, v) on y walls
-    wall = np.where(x_wall, pa.centers[cols, 0], pa.centers[cols, 1])
-    u = np.where(x_wall, pa.centers[cols, 1], pa.centers[cols, 0])
-    v = pa.centers[cols, 2]
+    centers = pa.centers[cols]
+    axis, sign = pa.axis[cols], pa.sign[cols]
     eu, ev = pa.edges_u[cols], pa.edges_v[cols]
     node = np.arange(len(cols))  # pair each sub-patch of this depth belongs to
     sums = np.zeros(len(cols))
     for depth in range(_REFINE_MAX_DEPTH + 1):
-        xw = x_wall[node]
-        centers = np.column_stack([np.where(xw, wall[node], u), np.where(xw, u, wall[node]), v])
         offsets = rx[node] - centers
         wx, wy, wz = offsets.T
         split = 4.0 * np.maximum(eu, ev) > np.sqrt(wx * wx + wy * wy + wz * wz)
@@ -277,20 +270,21 @@ def _refined_terms(tx_pos, m: float, cos_fov: float, rx: np.ndarray, pa: _PatchA
             split[:] = False
         leaf = ~split
         if leaf.any():
-            normals = pa.normals[cols[node[leaf]]]
-            led_leg = _led_leg(tx_pos, m, centers[leaf], normals, eu[leaf] * ev[leaf])
-            term, _ = _rx_leg(*offsets[leaf].T, normals, led_leg, cos_fov)
+            a, sg = axis[node[leaf]], sign[node[leaf]]
+            led_leg = _led_leg(tx_pos, m, centers[leaf], a, sg, eu[leaf] * ev[leaf])
+            term, _ = _rx_leg(*offsets[leaf].T, a, sg, led_leg, cos_fov)
             np.add.at(sums, node[leaf], term)
         s = np.nonzero(split)[0]
         if len(s) == 0:
             break
-        # children in the order (-,-), (-,+), (+,-), (+,+)
-        qu, qv = 0.25 * eu[s], 0.25 * ev[s]
-        lo_u, hi_u, lo_v, hi_v = u[s] - qu, u[s] + qu, v[s] - qv, v[s] + qv
-        u = np.column_stack([lo_u, lo_u, hi_u, hi_u]).ravel()
-        v = np.column_stack([lo_v, hi_v, lo_v, hi_v]).ravel()
-        eu, ev = np.repeat(0.5 * eu[s], 4), np.repeat(0.5 * ev[s], 4)
+        # children in the order (-,-), (-,+), (+,-), (+,+), a quarter edge
+        # away along the wall's tangent axis (1 - axis) and up z
         node = np.repeat(node[s], 4)
+        centers = np.repeat(centers[s], 4, axis=0)
+        tangent = 1 - axis[node]
+        centers[np.arange(len(node)), tangent] += np.outer(0.25 * eu[s], [-1, -1, 1, 1]).ravel()
+        centers[:, 2] += np.outer(0.25 * ev[s], [-1, 1, -1, 1]).ravel()
+        eu, ev = np.repeat(0.5 * eu[s], 4), np.repeat(0.5 * ev[s], 4)
     return sums
 
 

@@ -211,12 +211,18 @@ class RadioMap:
 _MAX_MAP_CELLS = 1_000_000  # 1 cm cells in a 7 x 7 m room make 490,000
 
 
-def _grid(scene: Scene, z_plane: float, spacing: float):
-    """Cell spacings and (ny, nx) cell centers of a map inside the room at `z_plane`."""
+def _check_height(scene: Scene, z_plane: float) -> None:
+    """Refuse a map or profile height outside the room (0 <= z < lz)."""
     room = scene.room
     if not 0 <= z_plane < room.lz:
         raise ValueError(f"map height z = {float(z_plane)} lies outside the "
                          f"{room.lx} x {room.ly} x {room.lz} m room (0 <= z < {room.lz})")
+
+
+def _grid(scene: Scene, z_plane: float, spacing: float):
+    """Cell spacings and (ny, nx) cell centers of a map inside the room at `z_plane`."""
+    _check_height(scene, z_plane)
+    room = scene.room
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be finite and positive, got {spacing}")
     nx = math.ceil(room.lx / spacing - 1e-12)
@@ -262,6 +268,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     """
     if n_points < 2:
         raise ValueError(f"need at least 2 profile points, got {n_points}")
+    _check_height(scene, z_plane)
     room = scene.room
     t = np.linspace(0.0, 1.0, n_points)
     xs = (1.0 - t) * (room.lx / 2.0)
@@ -447,9 +454,7 @@ def benchmark(
         model = fit_model(kind, splits, epochs=epochs, batch_size=batch_size,
                           seed=rep_seed, **fit_kw)
         train_times.append(time.perf_counter() - t0)
-        rows = data.features[
-            np.random.default_rng(rep_seed).integers(0, len(data), size=n_predict)
-        ]
+        rows = data.features[_stream(rep_seed).integers(0, len(data), size=n_predict)]
         t0 = time.perf_counter()
         for row in rows:
             predict_any(model, row)

@@ -122,6 +122,13 @@ def test_discretize_walls_counts_and_area():
                         rel_tol=1e-9)
 
 
+def _normals(pa):
+    """(N, 3) inward unit normals built from each patch's wall axis and sign."""
+    normals = np.zeros((len(pa), 3))
+    normals[np.arange(len(pa)), pa.axis] = pa.sign
+    return normals
+
+
 def test_discretize_walls_non_divisible_edge():
     """Edge 0.3 on a 5 m extent rounds the count up and shrinks patches to fit."""
     room = Room(5.0, 5.0, 3.0)
@@ -130,7 +137,7 @@ def test_discretize_walls_non_divisible_edge():
     assert len(pa) == 4 * nu * nv
     assert math.isclose((pa.edges_u * pa.edges_v).sum(), 60.0, rel_tol=1e-9)
     # every patch is strictly inside its wall plane and normals point inward
-    for (x, y, z), normal in zip(pa.centers, pa.normals):
+    for (x, y, z), normal in zip(pa.centers, _normals(pa)):
         normal = tuple(normal)
         assert 0.0 < z < room.lz
         if normal == (1.0, 0.0, 0.0):
@@ -142,6 +149,44 @@ def test_discretize_walls_non_divisible_edge():
         else:
             assert normal == (0.0, -1.0, 0.0)
             assert y == room.ly
+
+
+def _meshgrid_tiling(room, edge):
+    """Per-wall meshgrid tiling, written independently of `from_room`:
+    centres, normals and edges of the walls x=0, x=lx, y=0, y=ly in turn."""
+    parts = []
+    for axis, offset, normal, extent in [
+        ("x", 0.0, (1.0, 0.0, 0.0), room.ly), ("x", room.lx, (-1.0, 0.0, 0.0), room.ly),
+        ("y", 0.0, (0.0, 1.0, 0.0), room.lx), ("y", room.ly, (0.0, -1.0, 0.0), room.lx),
+    ]:
+        nu = math.ceil(extent / edge - 1e-12)
+        nv = math.ceil(room.lz / edge - 1e-12)
+        du, dv = extent / nu, room.lz / nv
+        uu, vv = np.meshgrid((np.arange(nu) + 0.5) * du, (np.arange(nv) + 0.5) * dv,
+                             indexing="ij")
+        uu, vv = uu.ravel(), vv.ravel()
+        wall = np.full_like(uu, offset)
+        centers = np.column_stack([wall, uu, vv] if axis == "x" else [uu, wall, vv])
+        parts.append((centers, np.tile(normal, (len(uu), 1)),
+                      np.full(len(uu), du), np.full(len(uu), dv)))
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+@pytest.mark.parametrize("room, edge", [
+    (preset_scene("small").room, 0.2),
+    (preset_scene("mid").room, 0.2),
+    (preset_scene("big").room, 0.2),
+    (variable_scene(3.7, 6.1).room, 0.2),
+    (variable_scene(7.0, 3.0).room, 0.13),
+    (Room(5.0, 5.0, 3.0), 0.3),  # non-divisible edge
+])
+def test_tiling_matches_per_wall_meshgrid(room, edge):
+    pa = ch._PatchArrays.from_room(room, edge)
+    centers, normals, edges_u, edges_v = _meshgrid_tiling(room, edge)
+    for got, want in [(pa.centers, centers), (_normals(pa), normals),
+                      (pa.edges_u, edges_u), (pa.edges_v, edges_v)]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_discretize_walls_bad_edge():
@@ -193,7 +238,7 @@ def _nlos_naive(tx, rx, rx_pos, pa, rho):
     fov = math.radians(rx.fov_deg)
     g = rx.refractive_index ** 2 / math.sin(fov) ** 2
     total = 0.0
-    for center, normal, eu, ev in zip(pa.centers.tolist(), pa.normals.tolist(),
+    for center, normal, eu, ev in zip(pa.centers.tolist(), _normals(pa).tolist(),
                                       pa.edges_u.tolist(), pa.edges_v.tolist()):
         total += _naive_term(tx, rx_pos, center, normal, eu, ev, m, math.cos(fov), 0)
     return total * (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g

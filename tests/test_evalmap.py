@@ -209,6 +209,13 @@ def test_profile_needs_two_points(small_scene):
         evalmap.half_diagonal_profile(None, small_scene, 1.0, 1)
 
 
+def test_profile_height_outside_room_refused_for_every_source(small_scene, constant_model):
+    radio_map = evalmap.simulate_map(small_scene, z_plane=1.0, spacing=1.0)
+    for source in (None, radio_map, constant_model):
+        with pytest.raises(ValueError, match=r"z = 50.0 lies outside the 3.0 x 3.0 x 2.8 m room"):
+            evalmap.half_diagonal_profile(source, small_scene, 50.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # Map serialization
 # ---------------------------------------------------------------------------
