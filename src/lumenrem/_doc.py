@@ -6,18 +6,28 @@ constructor argument. Tuples and arrays become lists, records nested objects.
 Reading is strict: a document with a missing or an unknown key is refused
 with every such key named. Each record's own `__post_init__` converts and
 checks the values it is given.
+
+A model file stores each array as an object instead: its dtype, its shape and
+the base64 of its little-endian bytes, which is smaller than a list of
+numbers and parses without a float per element.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import functools
 import json
+import math
 import typing
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# the dtypes a model's arrays hold: int32 split features, float64 otherwise
+_ARRAY_DTYPES = ("<f8", "<i4")
 
 
 class ModelFormatError(ValueError):
@@ -28,16 +38,17 @@ class ModelVersionError(ValueError):
     """The file's format version is not supported."""
 
 
-def to_doc(record):
-    """The JSON-ready document of a record (or of any value inside one)."""
+def to_doc(record, array=np.ndarray.tolist):
+    """The JSON-ready document of a record (or of any value inside one); each
+    array becomes `array(a)`, by default a list."""
     if dataclasses.is_dataclass(record):
-        return {name: to_doc(getattr(record, name)) for name in _field_types(type(record))}
+        return {name: to_doc(getattr(record, name), array) for name in _field_types(type(record))}
     if isinstance(record, np.ndarray):
-        return record.tolist()
+        return array(record)
     if isinstance(record, (tuple, list)):
-        return [to_doc(v) for v in record]
+        return [to_doc(v, array) for v in record]
     if isinstance(record, dict):
-        return {k: to_doc(v) for k, v in record.items()}
+        return {k: to_doc(v, array) for k, v in record.items()}
     return record
 
 
@@ -47,31 +58,68 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
-def _build(hint, value):
-    """`value` with every record the type hint names built from its document."""
+def _build(hint, value, array, where):
+    """`value` with every record the type hint names built from its document,
+    and each array field given to `array(value, where)` when one is passed."""
     if dataclasses.is_dataclass(hint):
-        return from_doc(hint, value)
+        return from_doc(hint, value, array)
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _build(args[0], value)
-    if typing.get_origin(hint) is tuple and dataclasses.is_dataclass(args[0]):
-        return tuple(from_doc(args[0], v) for v in value)
+        return None if value is None else _build(args[0], value, array, where)
+    if hint is np.ndarray:
+        return value if array is None else array(value, where)
+    origin = typing.get_origin(hint)
+    if origin in (tuple, list) and (dataclasses.is_dataclass(args[0]) or args[0] is np.ndarray):
+        return origin(_build(args[0], v, array, f"{where}[{i}]") for i, v in enumerate(value))
     return value
 
 
-def from_doc(cls, d):
+def from_doc(cls, d, array=None):
     """The record of type `cls` whose document is `d`; ValueError names the
-    record and every missing or unknown key, a nested record's first."""
+    record and every missing or unknown key, a nested record's first. With
+    `array`, each array field's value is `array(value, "Record.field")`."""
     if not isinstance(d, dict):
         raise ValueError(f"a {cls.__name__} document must be an object, got {type(d).__name__}")
     types = _field_types(cls)
-    values = {name: _build(hint, d[name]) for name, hint in types.items() if name in d}
+    values = {name: _build(hint, d[name], array, f"{cls.__name__}.{name}")
+              for name, hint in types.items() if name in d}
     missing, unknown = sorted(set(types) - set(d)), sorted(set(d) - set(types))
     if missing or unknown:
         problems = [f"{what} keys {keys}" for what, keys in
                     (("missing", missing), ("unknown", unknown)) if keys]
         raise ValueError(f"{cls.__name__} document has {' and '.join(problems)}")
     return cls(**values)
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    dtype = a.dtype.newbyteorder("<").str
+    return {"dtype": dtype, "shape": list(a.shape),
+            "base64": base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")}
+
+
+def _decode_array(doc, where: str) -> np.ndarray:
+    """The array an `_encode_array` object describes; ValueError names the
+    field (`where`) unless the object has exactly its three keys, an allowed
+    dtype, a shape of counts, valid base64 and as many items as the shape."""
+    if not isinstance(doc, dict) or sorted(doc) != ["base64", "dtype", "shape"]:
+        raise ValueError(f"{where} is not an array object with keys base64, dtype and shape")
+    dtype, shape = doc["dtype"], doc["shape"]
+    if dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"{where} has dtype {dtype!r}, not one of {list(_ARRAY_DTYPES)}")
+    if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValueError(f"{where} has shape {shape!r}, not a list of counts")
+    try:
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except (binascii.Error, TypeError, ValueError) as e:
+        raise ValueError(f"{where} is not valid base64: {e}") from e
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise ValueError(f"{where} holds {len(raw)} bytes, not a whole number of "
+                         f"{size}-byte items")
+    # the product of Python ints: a huge declared shape is refused, never allocated
+    if math.prod(shape) != len(raw) // size:
+        raise ValueError(f"{where} declares shape {shape}, but holds {len(raw) // size} items")
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
 
 
 def write_json(path, doc, indent=None) -> None:
@@ -94,8 +142,10 @@ def read_json(path) -> dict:
 
 
 def write_model(path, kind: str, record) -> None:
-    """Write a model file: the format header, the `kind` tag and the record's document."""
-    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind, **to_doc(record)})
+    """Write a model file: the format header, the `kind` tag and the record's
+    document, each array in it an object of dtype, shape and base64 bytes."""
+    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind,
+                      **to_doc(record, _encode_array)})
 
 
 def read_model(path, kinds: dict):
@@ -110,7 +160,7 @@ def read_model(path, kinds: dict):
     if "format_version" not in doc:
         raise ModelFormatError(f"{path} is missing the format header")
     version = doc.pop("format_version")
-    # True and 1.0 equal 1 in Python, so the type is checked too
+    # 2.0 equals 2 in Python (and True equals 1), so the type is checked too
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"{path} has format version {version!r}, expected {MODEL_FORMAT_VERSION}"
@@ -121,7 +171,7 @@ def read_model(path, kinds: dict):
             f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, kinds))}"
         )
     try:
-        return from_doc(kinds[kind], doc)
+        return from_doc(kinds[kind], doc, _decode_array)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{path} is malformed: {e}") from e
 

@@ -13,6 +13,7 @@ success, 1 on a usage error, 2 on a runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -55,7 +56,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    changes nothing in it, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="lumenrem",
         description="Indoor visible-light RSS simulation, surrogate models, and radio maps.",

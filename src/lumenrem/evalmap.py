@@ -262,14 +262,22 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     """RSS along the segment from the floor-plan center to the (0, 0) corner.
 
     `source` selects where values come from: None for the simulator, a
-    RadioMap for cell lookup, or a trained model for inference. Returns a
-    list of (x, rss_dbm) pairs; x is the point's abscissa, so it starts at
-    lx/2 and falls to 0.
+    RadioMap for cell lookup, or a trained model for inference. A map must
+    lie at `z_plane` and cover the scene's room. Returns a list of
+    (x, rss_dbm) pairs; x is the point's abscissa, so it starts at lx/2 and
+    falls to 0.
     """
     if n_points < 2:
         raise ValueError(f"need at least 2 profile points, got {n_points}")
     _check_height(scene, z_plane)
     room = scene.room
+    if isinstance(source, RadioMap):
+        span = (source.nx * source.spacing[0], source.ny * source.spacing[1])
+        if source.z_plane != z_plane or not all(
+                math.isclose(a, b, rel_tol=1e-9) for a, b in zip(span, (room.lx, room.ly))):
+            raise ValueError(f"the map covers {span[0]:.6g} x {span[1]:.6g} m at "
+                             f"z = {source.z_plane}, not the {room.lx} x {room.ly} m room "
+                             f"at z = {float(z_plane)}")
     t = np.linspace(0.0, 1.0, n_points)
     xs = (1.0 - t) * (room.lx / 2.0)
     ys = (1.0 - t) * (room.ly / 2.0)

@@ -93,15 +93,9 @@ class Tree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route every row to its leaf; rows go left when feature < threshold."""
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int32)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] < self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active[idx] = self.feature[node[idx]] >= 0
-        return self.value[node]
+        if X.ndim != 2 or X.shape[1] <= self.feature.max():
+            raise ValueError(f"tree splits on feature {self.feature.max()}, got shape {X.shape}")
+        return _route(self.feature, self.threshold, self.right, self.value, _ROOT, X)[0]
 
     def predict_row(self, x) -> float:
         i = 0
@@ -286,6 +280,9 @@ class Forest:
     seed: int
     trees_per_member: int = 1
     tree_weights: np.ndarray | None = None
+    # every tree's feature, threshold, right child and value arrays back to
+    # back, children offset to the flat numbering, and each tree's root
+    _packed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("single", "extra_trees", "adaboost_r2"):
@@ -306,6 +303,12 @@ class Forest:
                 raise ValueError("adaboost_r2 member weights must be finite")
         for t in self.trees:
             _check_tree(t, self.n_features)
+        sizes = [t.n_nodes for t in self.trees]
+        roots = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+        feature, threshold, right, value = (np.concatenate([getattr(t, a) for t in self.trees])
+                                            for a in ("feature", "threshold", "right", "value"))
+        # a leaf's `right` (-1 plus the offset) is never read
+        self._packed = (feature, threshold, right + np.repeat(roots, sizes), value, roots)
 
     @property
     def n_members(self) -> int:
@@ -451,6 +454,41 @@ def _sequential_mean(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] / len(a)
 
 
+# at most this many (tree, row) pairs are routed together, as the channel
+# bounds its chunks: a block's index arrays stay a few MB whatever the forest
+_ROUTE_PAIRS = 1 << 18
+_ROOT = np.zeros(1, dtype=np.intp)
+
+
+def _route(feature, threshold, right, value, roots, X: np.ndarray) -> np.ndarray:
+    """Leaf values of every (tree, row) pair, a (len(roots), len(X)) matrix.
+
+    The trees' nodes lie in flat arrays, tree t's root at node roots[t] and a
+    split node's children at right - 1 and right. All pairs of a block of rows
+    step down one level per pass, and a pair leaves the block's active set at
+    its leaf. A row goes left when x < threshold, so NaN goes right.
+    """
+    n, k = X.shape
+    out = np.empty((len(roots), n))
+    step = max(1, _ROUTE_PAIRS // len(roots))
+    for lo in range(0, n, step):
+        block = X[lo:lo + step]
+        m = len(block)
+        flat = block.ravel()
+        node = np.repeat(roots, m)  # pair p is tree p // m and row p % m
+        pairs = np.flatnonzero(feature[node] >= 0)
+        cur = node[pairs]
+        at = pairs % m * k  # where the pair's row starts in `flat`
+        while len(pairs):
+            nxt = right[cur] - (flat[at + feature[cur]] < threshold[cur])
+            leaf = feature[nxt] < 0
+            node[pairs[leaf]] = nxt[leaf]
+            inner = ~leaf
+            pairs, at, cur = pairs[inner], at[inner], nxt[inner]
+        out[:, lo:lo + m] = value[node].reshape(len(roots), m)
+    return out
+
+
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n_members, n_rows) matrix; a member's output averages its trees."""
     if len(X) == 1:
@@ -458,7 +496,7 @@ def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
         # per-level array overhead
         per_tree = np.array([[t.predict_row(X[0])] for t in forest.trees], dtype=np.float64)
     else:
-        per_tree = np.array([t.predict(X) for t in forest.trees])
+        per_tree = _route(*forest._packed, X)
     if forest.trees_per_member == 1:
         return per_tree
     members = per_tree.reshape(forest.n_members, forest.trees_per_member, -1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lumenrem import cli, evalmap, forest, mlp
+from lumenrem._doc import _encode_array
 from lumenrem.dataset import Dataset
 from lumenrem.scene import Scene, preset_scene
 
@@ -189,14 +190,35 @@ def test_map_from_model(workdir, trained, capsys):
     assert "predicted:mlp32x128" in capsys.readouterr().out
 
 
+def test_main_calls_in_a_row_share_no_values(workdir, trained):
+    """One parser serves every call in a process; no flag value of one call
+    reaches the next."""
+    model = str(trained / "m.json")
+    assert cli.main(["map", "--model", model, "--scene", "small", "--spacing", "1.5",
+                     "--out", "a.csv", "--pgm", "a.pgm"]) == 0
+    assert cli.main(["map", "--model", model, "--scene", "small", "--out", "b.csv"]) == 0
+    assert cli.main(["predict", "--model", model, "--at", "1,1,1", "--at", "2,2,1",
+                     "--out", "c.csv"]) == 0
+    assert cli.main(["predict", "--model", model, "--at", "0.5,0.5,1", "--out", "d.csv"]) == 0
+    resolved = {name: json.loads(Path(f"{name}.csv.run.meta.json").read_text())["resolved"]
+                for name in "abcd"}
+    assert (resolved["a"]["pgm"], resolved["a"]["spacing"]) == ("a.pgm", 1.5)
+    assert (resolved["b"]["pgm"], resolved["b"]["spacing"]) == (None, 0.1)
+    assert not Path("b.pgm").exists()
+    assert resolved["c"]["at"] == ["1,1,1", "2,2,1"]
+    assert resolved["d"]["at"] == ["0.5,0.5,1"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_map_from_malformed_forest_file_is_runtime_error(workdir, capsys):
     # the root splits on feature 3 of a 3-feature model
     nan = float("nan")
-    doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
-           "params": forest.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
-           "tree_weights": None,
-           "trees": [{"feature": [3, -1, -1], "threshold": [0.5, nan, nan],
-                      "value": [0.0, 0.0, 0.0]}]}
+    doc = {"format_version": mlp.MODEL_FORMAT_VERSION, "kind": "forest", "mode": "extra_trees",
+           "n_features": 3, "params": forest.TreeParams().to_dict(), "seed": 0,
+           "trees_per_member": 1, "tree_weights": None,
+           "trees": [{"feature": _encode_array(np.array([3, -1, -1], dtype="<i4")),
+                      "threshold": _encode_array(np.array([0.5, nan, nan])),
+                      "value": _encode_array(np.zeros(3))}]}
     Path("bad.json").write_text(json.dumps(doc))
     assert cli.main(["map", "--model", "bad.json", "--out", "m.csv"]) == 2
     assert "bad.json is malformed: a split feature lies outside [0, 3)" in capsys.readouterr().err

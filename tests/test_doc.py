@@ -2,7 +2,10 @@
 and writer, the one CSV writer and the files written through them, and forest
 predictions that do not depend on the batch a row sits in."""
 
+import base64
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +247,108 @@ def test_cli_generate_rejects_a_scene_file_with_bad_keys(monkeypatch, tmp_path, 
                      "--out", "d.csv"]) == 2
     assert named in capsys.readouterr().err
     assert not Path("d.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Model files: each array as its dtype, shape and base64 bytes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A directory holding a saved 2-tree Extra Trees forest and a saved MLP."""
+    d = tmp_path_factory.mktemp("codec")
+    X = np.random.default_rng(3).uniform(0.0, 3.0, (40, 3))
+    forest.save_forest(forest.fit_extra_trees(X, X[:, 0] - X[:, 1], n_trees=2, seed=3),
+                       d / "f.json")
+    mlp.save_model(mlp.init(mlp.MlpConfig(input_dim=3, hidden=(4,))), d / "m.json")
+    return d
+
+
+def test_model_file_arrays_are_little_endian_base64(saved_models, tmp_path):
+    """Decoding an array field by hand gives the model's array, and saving a
+    loaded model again gives the same bytes."""
+    f = forest.load_forest(saved_models / "f.json")
+    doc = json.loads((saved_models / "f.json").read_text())
+    for tree, tree_doc in zip(f.trees, doc["trees"]):
+        for name, dtype in (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8")):
+            a = tree_doc[name]
+            assert (a["dtype"], a["shape"]) == (dtype, [tree.n_nodes])
+            assert (base64.b64decode(a["base64"])
+                    == getattr(tree, name).astype(dtype).tobytes())
+    m = mlp.load_model(saved_models / "m.json")
+    w = json.loads((saved_models / "m.json").read_text())["weights"][0]
+    assert (w["dtype"], w["shape"]) == ("<f8", [3, 4])
+    assert base64.b64decode(w["base64"]) == m.weights[0].astype("<f8").tobytes()
+    for name, save, load in (("f.json", forest.save_forest, forest.load_forest),
+                             ("m.json", mlp.save_model, mlp.load_model)):
+        save(load(saved_models / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (saved_models / name).read_bytes()
+
+
+def _array_object(dtype, shape, data: bytes):
+    return {"dtype": dtype, "shape": shape, "base64": base64.b64encode(data).decode("ascii")}
+
+
+_THREE = np.array([0.5, 1.5, -2.0]).tobytes()
+
+
+@pytest.mark.parametrize("array, message", [
+    ({**_array_object("<f8", [1], bytes(8)), "base64": "AAAAAA*AAAAA="}, "is not valid base64"),
+    ({**_array_object("<f8", [1], bytes(8)), "base64": "AAAAAAAAAAA"}, "is not valid base64"),
+    (_array_object("<f8", [1], bytes(7)), "holds 7 bytes, not a whole number of 8-byte items"),
+    (_array_object("<f8", [4], _THREE), "declares shape [4], but holds 3 items"),
+    (_array_object("<f8", [10**7], _THREE), "declares shape [10000000], but holds 3 items"),
+    (_array_object("<f8", [2**40, 2**40], _THREE),
+     "declares shape [1099511627776, 1099511627776], but holds 3 items"),
+    (_array_object("<f8", [-3], _THREE), "has shape [-3], not a list of counts"),
+    (_array_object("<f4", [6], _THREE), "has dtype '<f4', not one of ['<f8', '<i4']"),
+    ([0.5, 1.5, -2.0], "is not an array object with keys base64, dtype and shape"),
+], ids=["bad-alphabet", "bad-padding", "ragged-bytes", "short-shape", "large-shape",
+        "huge-shape", "negative-shape", "float32", "list-of-numbers"])
+@pytest.mark.parametrize("name, path, field", [
+    ("f.json", ("trees", 1, "threshold"), "Tree.threshold"),
+    ("m.json", ("weights", 0), "MlpModel.weights[0]"),
+], ids=["forest", "mlp"])
+def test_hostile_array_objects_are_refused(saved_models, monkeypatch, tmp_path, capsys,
+                                           array, message, name, path, field):
+    """Refused naming the file and the field, before anything the size of a
+    declared shape is allocated; the CLI exits 2."""
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((saved_models / name).read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = array
+    Path("bad.json").write_text(json.dumps(doc))
+    expected = re.escape(f"bad.json is malformed: {field} {message}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(mlp.ModelFormatError, match=expected):
+            evalmap.load_any_model("bad.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli.main(["predict", "--model", "bad.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert re.search(expected, capsys.readouterr().err)
+    assert not Path("p.csv").exists()
+
+
+def test_a_version_1_file_is_refused(monkeypatch, tmp_path, capsys):
+    """The layout written before arrays were stored as bytes: lists of numbers
+    under format version 1."""
+    monkeypatch.chdir(tmp_path)
+    nan = float("nan")
+    doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
+           "params": forest.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
+           "tree_weights": None, "trees": [{"feature": [0, -1, -1], "threshold": [0.5, nan, nan],
+                                            "value": [0.0, -1.0, 1.0]}]}
+    Path("old.json").write_text(json.dumps(doc))
+    message = "old.json has format version 1, expected 2"
+    with pytest.raises(mlp.ModelVersionError, match=message):
+        forest.load_forest("old.json")
+    assert cli.main(["predict", "--model", "old.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,19 @@ def test_profile_from_map(small_scene):
         assert v == m.value_at(x, x)  # square room: y == x along this diagonal
 
 
+def test_profile_from_map_refuses_another_height_or_room(small_scene):
+    m = evalmap.simulate_map(small_scene, z_plane=1.0, spacing=0.5)
+    with pytest.raises(ValueError, match=re.escape(
+            "the map covers 3 x 3 m at z = 1.0, not the 3.0 x 3.0 m room at z = 0.2")):
+        evalmap.half_diagonal_profile(m, small_scene, z_plane=0.2, n_points=3)
+    big = preset_scene("big")
+    room = big.room
+    with pytest.raises(ValueError, match=re.escape(
+            f"the map covers 3 x 3 m at z = 1.0, not the {room.lx} x {room.ly} m room "
+            "at z = 1.0")):
+        evalmap.half_diagonal_profile(m, big, z_plane=1.0, n_points=3)
+
+
 def test_profile_from_model(small_scene, small_pool, constant_model):
     prof = evalmap.half_diagonal_profile(constant_model, small_scene, 1.0, 3)
     expected = float(np.mean(small_pool.rss_dbm))
@@ -290,7 +304,7 @@ def test_load_any_model_rejects_garbage(tmp_path):
         with pytest.raises(mlp.ModelFormatError, match="junk.json"):
             evalmap.load_any_model(p)
     for kind in ("nonsense", ["mlp"]):
-        p.write_text(json.dumps({"format_version": 1, "kind": kind}))
+        p.write_text(json.dumps({"format_version": mlp.MODEL_FORMAT_VERSION, "kind": kind}))
         with pytest.raises(mlp.ModelFormatError):
             evalmap.load_any_model(p)
 

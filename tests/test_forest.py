@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from lumenrem import evalmap
 from lumenrem import forest as fr
-from lumenrem.mlp import ModelFormatError, ModelVersionError
+from lumenrem._doc import _encode_array
+from lumenrem.mlp import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError
 
 
 def _toy(n=200, k=3, seed=0, noise=0.0):
@@ -503,6 +504,70 @@ def test_hand_built_tree_routing():
     assert tree.predict_row(pts[2]) == 3.0
 
 
+@st.composite
+def _small_forests(draw):
+    """A forest of any mode with random stopping rules, grown on a few rows
+    whose features lie on a coarse grid, so many cuts fall on grid values."""
+    n, k = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, (n, k)) / 2.0
+    y = rng.normal(size=n)
+    params = draw(st.builds(fr.TreeParams, max_depth=st.none() | st.integers(1, 8),
+                            min_samples_split=st.integers(2, 6),
+                            min_samples_leaf=st.integers(1, 3)))
+    mode = draw(st.sampled_from(("single", "extra_trees", "adaboost_r2")))
+    if mode == "single":
+        return fr.Forest(mode="single", trees=(fr.fit_cart(X, y, params),), n_features=k,
+                         params=params, seed=0)
+    if mode == "extra_trees":
+        return fr.fit_extra_trees(X, y, n_trees=draw(st.integers(1, 5)), params=params,
+                                  seed=seed)
+    return fr.fit_adaboost_r2(X, y, n_estimators=draw(st.integers(1, 3)),
+                              base_n_trees=draw(st.integers(1, 3)), params=params, seed=seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_small_forests(), m=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_packed_router_matches_each_trees_walk(f, m, seed):
+    """Rows drawn from the grid, from every split threshold and NaN: the
+    packed router gives each tree's `predict_row` leaf value bit for bit, and
+    a row alone gets the bits it gets inside the batch."""
+    cuts = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
+    pool = np.concatenate([np.arange(5) / 2.0, cuts, [np.nan]])
+    X = np.random.default_rng(seed).choice(pool, (m, f.n_features))
+    packed = fr._route(*f._packed, X)
+    walked = np.array([[t.predict_row(x) for x in X] for t in f.trees])
+    assert packed.tobytes() == walked.tobytes()
+    assert np.array([t.predict(X) for t in f.trees]).tobytes() == walked.tobytes()
+    batch = fr.predict_forest(f, X)
+    for i in range(m):
+        assert np.float64(fr.predict_forest(f, X[i])).tobytes() == batch[i].tobytes()
+
+
+def test_routing_block_size_does_not_change_predictions(monkeypatch):
+    """Same bits whatever the number of (tree, row) pairs per routing block."""
+    X, y = _toy(n=120, seed=30, noise=0.3)
+    models = [fr.Forest(mode="single", trees=(fr.fit_cart(X, y),), n_features=3,
+                        params=fr.TreeParams(), seed=0),
+              fr.fit_extra_trees(X, y, n_trees=4, seed=30),
+              fr.fit_adaboost_r2(X, y, n_estimators=3, base_n_trees=2, seed=31)]
+    pts = np.random.default_rng(32).uniform(0.0, 4.0, (50, 3))
+    default = [(fr._route(*f._packed, pts), fr.predict_forest(f, pts)) for f in models]
+    for pairs in (1, 7):  # one row per block, and blocks that split the rows unevenly
+        monkeypatch.setattr(fr, "_ROUTE_PAIRS", pairs)
+        for f, (leaves, out) in zip(models, default):
+            np.testing.assert_array_equal(fr._route(*f._packed, pts), leaves)
+            np.testing.assert_array_equal(fr.predict_forest(f, pts), out)
+
+
+def test_tree_predict_refuses_rows_without_its_split_features():
+    tree = fr.Tree([2, -1, -1], [0.5, np.nan, np.nan], [np.nan, 1.0, 2.0])
+    np.testing.assert_array_equal(tree.predict([[0, 0, 0.4], [0, 0, 0.6]]), [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"tree splits on feature 2, got shape \(2, 2\)"):
+        tree.predict(np.zeros((2, 2)))
+
+
 def test_threshold_scaling_invariance():
     X, y = _toy(n=70, seed=20)
     f = fr.fit_extra_trees(X, y, n_trees=3, seed=20)
@@ -592,26 +657,31 @@ def test_forest_load_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
-    # True and 1.0 equal 1 in Python, but only the integer 1 is version 1
-    for version in (99, True, 1.0, "1"):
+    # 2.0 equals 2 in Python, but only the integer 2 is version 2
+    for version in (99, 1, True, 2.0, "2"):
         p.write_text(json.dumps({"format_version": version, "kind": "forest"}))
         with pytest.raises(ModelVersionError, match=re.escape(f"version {version!r},")):
             fr.load_forest(p)
-    p.write_text(json.dumps({"format_version": 1, "kind": "mlp"}))
+    p.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION, "kind": "mlp"}))
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
 
 
 def _forest_doc(trees, **fields):
-    doc = {"format_version": 1, "kind": "forest", "mode": "extra_trees", "n_features": 3,
-           "params": fr.TreeParams().to_dict(), "seed": 0, "trees_per_member": 1,
-           "tree_weights": None, "trees": trees}
+    doc = {"format_version": MODEL_FORMAT_VERSION, "kind": "forest", "mode": "extra_trees",
+           "n_features": 3, "params": fr.TreeParams().to_dict(), "seed": 0,
+           "trees_per_member": 1, "tree_weights": None, "trees": trees}
     doc.update(fields)
     return doc
 
 
-def _tree(feature, threshold, value):
-    return {"feature": feature, "threshold": threshold, "value": value}
+def _array(values, dtype="<f8"):
+    return _encode_array(np.asarray(values, dtype=dtype))
+
+
+def _tree(feature, threshold, value, feature_dtype="<i4"):
+    return {"feature": _array(feature, feature_dtype), "threshold": _array(threshold),
+            "value": _array(value)}
 
 
 _NAN = float("nan")
@@ -627,8 +697,8 @@ def test_hand_built_forest_file_loads(tmp_path):
 
 def test_a_file_with_stored_children_is_refused(tmp_path):
     """The layout written before trees derived their children."""
-    doc = _forest_doc([{**_STUMP, "left": [1, -1, -1], "right": [2, -1, -1]}],
-                      meta={"n_trees": 1})
+    doc = _forest_doc([{**_STUMP, "left": _array([1, -1, -1], "<i4"),
+                        "right": _array([2, -1, -1], "<i4")}], meta={"n_trees": 1})
     p = tmp_path / "f.json"
     p.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError,
@@ -701,7 +771,7 @@ _RAGGED = "tree arrays must be one-dimensional and of equal length"
     (_forest_doc([_tree([0, -1, -1, 0, -1], [0.5, _NAN, _NAN, 0.5, _NAN], [0.0] * 5)]),
      _NOT_ABOVE),
     (_forest_doc([_STUMP], trees_per_member=0), "trees_per_member must be >= 1, got 0"),
-    (_forest_doc([_STUMP], mode="adaboost_r2", tree_weights=[_NAN]),
+    (_forest_doc([_STUMP], mode="adaboost_r2", tree_weights=_array([_NAN])),
      "adaboost_r2 member weights must be finite"),
     # split on feature 3 of a 3-feature model
     (_forest_doc([_tree([3, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3)]), _FEATURE_LIMIT),
@@ -711,8 +781,8 @@ _RAGGED = "tree arrays must be one-dimensional and of equal length"
     (_forest_doc([_tree([0, -1, -1], [0.5, _NAN], [0.0] * 3)]), _RAGGED),
     (_forest_doc([_tree([[0, -1, -1]], [[0.5, _NAN, _NAN]], [[0.0] * 3])]), _RAGGED),
     (_forest_doc([_tree([], [], [])]), "a tree with 0 split nodes has 0 nodes, not 1"),
-    (_forest_doc([_tree([2**40, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3)]),
-     "out of bounds for int32"),
+    (_forest_doc([_tree([2**40, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3, "<i8")]),
+     re.escape("Tree.feature has dtype '<i8', not one of ['<f8', '<i4']")),
     *((_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value}),
        re.escape(f"{key} must be an int >= {low}, got {value!r}"))
       for key, value, low in (("max_depth", True, 1), ("max_depth", 2.0, 1),

@@ -6,6 +6,7 @@ import pytest
 
 from lumenrem import dataset as dt
 from lumenrem import evalmap, mlp
+from lumenrem._doc import _decode_array, _encode_array
 
 
 def _model(input_dim, hidden, seed=0, **kw):
@@ -356,43 +357,53 @@ def test_load_version_mismatch(tmp_path):
 
 def test_load_wrong_kind(tmp_path):
     p = tmp_path / "m.json"
-    p.write_text(json.dumps({"format_version": 1, "kind": "forest"}))
+    p.write_text(json.dumps({"format_version": mlp.MODEL_FORMAT_VERSION, "kind": "forest"}))
     with pytest.raises(mlp.ModelFormatError):
         mlp.load_model(p)
 
 
 def _set(path, value):
-    """An edit of a model document: the list or object at `path[:-1]` gets `value` at `path[-1]`."""
+    """An edit of a model document: `path` walks to a field, whose item at the
+    last step gets `value`; a tuple last step indexes the array the field stores."""
     def edit(doc):
         node = doc
-        for key in path[:-1]:
+        for key in path[:-2]:
             node = node[key]
-        node[path[-1]] = value
+        key, index = path[-2:]
+        if isinstance(index, tuple):
+            a = _decode_array(node[key], "edited").copy()
+            a[index] = value
+            node[key] = _encode_array(a)
+        else:
+            node[key][index] = value
         return doc
     return edit
 
 
 _NAN, _INF = float("nan"), float("inf")
+_NOT_FINITE = "a weight or bias is not finite"
+_BAD_NORM = "normalization statistics must be finite, standard deviations > 0"
 
 
-@pytest.mark.parametrize("edit", [
-    _set(("weights", 0, 1, 2), _NAN),
-    _set(("weights", 1, 0, 0), -_INF),
-    _set(("biases", 0, 3), _INF),
-    _set(("norm", "feature_mean", 1), _NAN),
-    _set(("norm", "target_mean"), _INF),
-    _set(("norm", "feature_std", 0), 0.0),
-    _set(("norm", "feature_std", 2), -1.0),
-    _set(("norm", "target_std"), _NAN),
+@pytest.mark.parametrize("edit, message", [
+    (_set(("weights", 0, (1, 2)), _NAN), _NOT_FINITE),
+    (_set(("weights", 1, (0, 0)), -_INF), _NOT_FINITE),
+    (_set(("biases", 0, (3,)), _INF), _NOT_FINITE),
+    (_set(("norm", "feature_mean", (1,)), _NAN), _BAD_NORM),
+    (_set(("norm", "target_mean"), _INF), _BAD_NORM),
+    (_set(("norm", "feature_std", (0,)), 0.0), _BAD_NORM),
+    (_set(("norm", "feature_std", (2,)), -1.0), _BAD_NORM),
+    (_set(("norm", "target_std"), _NAN), _BAD_NORM),
 ], ids=["nan-weight", "inf-weight", "inf-bias", "nan-feature-mean", "inf-target-mean",
         "zero-feature-std", "negative-feature-std", "nan-target-std"])
-def test_load_rejects_hostile_mlp_files(tmp_path, edit):
-    """Each file fails at load time, naming the file; none is ever handed to predict."""
+def test_load_rejects_hostile_mlp_files(tmp_path, edit, message):
+    """Each file fails at load time, naming the file and the fault; none is
+    ever handed to predict."""
     model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), _linear_splits(n=50))
     p = tmp_path / "m.json"
     mlp.save_model(model, p)
     p.write_text(json.dumps(edit(json.loads(p.read_text()))))
-    with pytest.raises(mlp.ModelFormatError, match="m.json is malformed"):
+    with pytest.raises(mlp.ModelFormatError, match=f"m.json is malformed: {message}"):
         mlp.load_model(p)
-    with pytest.raises(mlp.ModelFormatError, match="m.json is malformed"):
+    with pytest.raises(mlp.ModelFormatError, match=f"m.json is malformed: {message}"):
         evalmap.load_any_model(p)
