@@ -9,7 +9,9 @@ checks the values it is given.
 
 A model file stores each array as an object instead: its dtype, its shape and
 the base64 of its little-endian bytes, which is smaller than a list of
-numbers and parses without a float per element.
+numbers and parses without a float per element. The dtype must be the
+field's (float64, unless the field's metadata names another), so an array is
+never cast on reading.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 
 MODEL_FORMAT_VERSION = 2
 
-# the dtypes a model's arrays hold: int32 split features, float64 otherwise
-_ARRAY_DTYPES = ("<f8", "<i4")
+# the dtype a model file holds an array field in, unless the field's
+# `dtype` metadata names another (int32 split features)
+_ARRAY_DTYPE = "<f8"
 
 
 class ModelFormatError(ValueError):
@@ -58,30 +61,38 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
-def _build(hint, value, array, where):
+@functools.cache
+def _field_dtypes(cls) -> dict:
+    return {f.name: f.metadata.get("dtype", _ARRAY_DTYPE) for f in dataclasses.fields(cls)}
+
+
+def _build(hint, value, array, where, dtype):
     """`value` with every record the type hint names built from its document,
-    and each array field given to `array(value, where)` when one is passed."""
+    and each array field given to `array(value, where, dtype)` when one is
+    passed."""
     if dataclasses.is_dataclass(hint):
         return from_doc(hint, value, array)
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _build(args[0], value, array, where)
+        return None if value is None else _build(args[0], value, array, where, dtype)
     if hint is np.ndarray:
-        return value if array is None else array(value, where)
+        return value if array is None else array(value, where, dtype)
     origin = typing.get_origin(hint)
     if origin in (tuple, list) and (dataclasses.is_dataclass(args[0]) or args[0] is np.ndarray):
-        return origin(_build(args[0], v, array, f"{where}[{i}]") for i, v in enumerate(value))
+        return origin(_build(args[0], v, array, f"{where}[{i}]", dtype)
+                      for i, v in enumerate(value))
     return value
 
 
 def from_doc(cls, d, array=None):
     """The record of type `cls` whose document is `d`; ValueError names the
     record and every missing or unknown key, a nested record's first. With
-    `array`, each array field's value is `array(value, "Record.field")`."""
+    `array`, each array field's value is `array(value, "Record.field", dtype)`,
+    `dtype` the one the field's arrays are stored in."""
     if not isinstance(d, dict):
         raise ValueError(f"a {cls.__name__} document must be an object, got {type(d).__name__}")
-    types = _field_types(cls)
-    values = {name: _build(hint, d[name], array, f"{cls.__name__}.{name}")
+    types, dtypes = _field_types(cls), _field_dtypes(cls)
+    values = {name: _build(hint, d[name], array, f"{cls.__name__}.{name}", dtypes[name])
               for name, hint in types.items() if name in d}
     missing, unknown = sorted(set(types) - set(d)), sorted(set(d) - set(types))
     if missing or unknown:
@@ -97,15 +108,15 @@ def _encode_array(a: np.ndarray) -> dict:
             "base64": base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")}
 
 
-def _decode_array(doc, where: str) -> np.ndarray:
+def _decode_array(doc, where: str, field_dtype: str) -> np.ndarray:
     """The array an `_encode_array` object describes; ValueError names the
-    field (`where`) unless the object has exactly its three keys, an allowed
+    field (`where`) unless the object has exactly its three keys, the field's
     dtype, a shape of counts, valid base64 and as many items as the shape."""
     if not isinstance(doc, dict) or sorted(doc) != ["base64", "dtype", "shape"]:
         raise ValueError(f"{where} is not an array object with keys base64, dtype and shape")
     dtype, shape = doc["dtype"], doc["shape"]
-    if dtype not in _ARRAY_DTYPES:
-        raise ValueError(f"{where} has dtype {dtype!r}, not one of {list(_ARRAY_DTYPES)}")
+    if dtype != field_dtype:
+        raise ValueError(f"{where} has dtype {dtype!r}, not its field's {field_dtype!r}")
     if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
         raise ValueError(f"{where} has shape {shape!r}, not a list of counts")
     try:

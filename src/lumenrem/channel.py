@@ -9,16 +9,27 @@ that axis, so a wall cosine is one offset component times the sign over the
 distance; the tiling, the midpoint kernel and close-range refinement share
 this one description.
 
+Every call is one pass: `received_power_rooms` takes the rows of any number of
+rooms, `received_power_many` is its one-room call and `received_power` its
+one-row call. Each room's rows meet its tiling in cache-sized (rows, patches)
+blocks; the (row, patch) pairs too close for the midpoint rule, from every
+block and room, wait in one refinement queue that is refined in fixed-size
+batches whenever one fills. A position's powers are the same bits whichever
+call, block or batch it falls in.
+
 Everything here is pure and deterministic; the additive noise applied to
 training data lives in `dataset`, keeping this module usable as ground truth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +42,21 @@ __all__ = [
     "concentrator_gain",
     "received_power",
     "received_power_many",
+    "received_power_rooms",
     "rss_dbm",
     "path_loss_db",
 ]
 
 DEFAULT_PATCH_EDGE_M = 0.2
 
-# Positions are processed in chunks of at most this many (position, patch)
-# pairs, so the (chunk x patches) work arrays stay small whatever the dataset
-# size and the patch count.
-_CHUNK_PAIRS = 1 << 18
+# Positions go through the midpoint kernel in chunks of at most this many
+# (position, patch) pairs, so the kernel's (chunk x patches) work arrays stay
+# in cache whatever the dataset size and the patch count.
+_CHUNK_PAIRS = 1 << 15
+
+# Chunks each worker takes per round of the pool: every round costs handing
+# work to the threads and waiting for the slowest, so a round spans several.
+_ROUND_CHUNKS = 8
 
 _THREADS_ENV = "LUMEN_REM_THREADS"
 
@@ -170,15 +186,16 @@ def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray) -> np.ndarra
     return np.where(visible & in_fov, gain, 0.0)
 
 
-def _led_leg(tx_pos: np.ndarray, m: float, centers, axis, sign, areas) -> np.ndarray:
-    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3) centre."""
+def _led_leg(tx_pos: np.ndarray, m: float, centers, x_wall, sign, areas) -> np.ndarray:
+    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3)
+    centre, from one LED position (3,) or one per centre (k, 3)."""
     v1 = centers - tx_pos
     d1_sq = np.einsum("ij,ij->i", v1, v1)
     if np.any(d1_sq == 0.0):
         raise ValueError("a wall patch coincides with a transmitter")
     d1 = np.sqrt(d1_sq)
-    cos_phi = (tx_pos[2] - centers[:, 2]) / d1
-    cos_alpha = -np.where(axis == 0, v1[:, 0], v1[:, 1]) * sign / d1
+    cos_phi = (tx_pos[..., 2] - centers[:, 2]) / d1
+    cos_alpha = -np.where(x_wall, v1[:, 0], v1[:, 1]) * sign / d1
     return np.where(
         (cos_phi > 0) & (cos_alpha > 0),
         np.where(cos_phi > 0, cos_phi, 0.0) ** m * cos_alpha * areas / d1_sq,
@@ -186,106 +203,139 @@ def _led_leg(tx_pos: np.ndarray, m: float, centers, axis, sign, areas) -> np.nda
     )
 
 
-def _rx_leg(dx, dy, dz, axis, sign, led_leg, cos_fov: float):
-    """Midpoint terms (without the constant k) and patch -> receiver distances d2
-    from per-component receiver - patch offsets: (rows, patches) against a
-    tiling's per-patch wall axes and inward signs, or one flat (receiver,
-    sub-patch) list. cos(beta) is the offset along the wall normal over d2.
+def _rx_leg(dx, dy, dz, x_wall, sign, led_leg, cos_fov: float, near=None, work=None):
+    """Midpoint terms (without the constant k) from per-component receiver -
+    patch offsets: (rows, patches) against a tiling's per-patch walls, or one
+    flat (receiver, sub-patch) list. cos(beta) is the offset along the wall
+    normal over the patch -> receiver distance d2.
+
+    The kernel works in place: it overwrites the offsets and keeps its two
+    other temporaries, the returned terms one of them, in `work` when given.
+    With `near`, a pair with d2 < near (per patch) is left out of the terms and
+    flagged in the returned mask, for refinement; without, the mask is None.
 
     A receiver on a (sub-)patch centre (d2 = 0) lies in its plane: the 0/0
     cosines fail the acceptance test, so the term is 0 as for any coplanar patch.
     """
-    d2_sq = dx * dx + dy * dy + dz * dz
-    d2 = np.sqrt(d2_sq)
+    d2_sq, d2 = (np.empty_like(dx), np.empty_like(dx)) if work is None else work
+    np.multiply(dx, dx, out=d2_sq)
+    np.multiply(dy, dy, out=d2)
+    d2_sq += d2
+    np.multiply(dz, dz, out=d2)
+    d2_sq += d2
+    np.sqrt(d2_sq, out=d2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_beta = np.where(axis == 0, dx, dy) * sign / d2
-        cos_psi = -dz / d2  # patch is at -dz above the receiver plane
-        accept = (cos_beta > 0) & (cos_psi > 0) & (cos_psi >= cos_fov)
-        return np.where(accept, led_leg / d2_sq * cos_beta * cos_psi, 0.0), d2
-
-
-def _nlos_gain_block(
-    tx: Transmitter, rx: Receiver, pos: np.ndarray, pa: _PatchArrays, rho: float
-) -> np.ndarray:
-    """Single-bounce reflected DC gain for a (n, 3) block of positions."""
-    tx_pos = np.asarray(tx.position)
-    m = lambertian_order(tx.hpa_deg)
-    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
-    # the LED leg depends only on the tiling; computed once per block
-    led_leg = _led_leg(tx_pos, m, pa.centers, pa.axis, pa.sign, pa.edges_u * pa.edges_v)
-    k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * rho * rx.filter_gain * g
-    total, (rows, cols) = _midpoint_sums(led_leg, cos_fov, pos, pa)
-    # row by row, patch after patch, as a loop over the pairs would add them;
-    # in batches, because a receiver on a wall refines its pairs to full depth
-    for lo in range(0, len(rows), _REFINE_BATCH):
-        r, c = rows[lo : lo + _REFINE_BATCH], cols[lo : lo + _REFINE_BATCH]
-        np.add.at(total, r, _refined_terms(tx_pos, m, cos_fov, pos[r], pa, c))
-    return k * total
-
-
-def _midpoint_sums(led_leg: np.ndarray, cos_fov: float, pos: np.ndarray, pa: _PatchArrays):
-    """Per-row midpoint-rule sum over the patches (without the constant k) and
-    the (rows, cols) of the pairs left out of it for refinement.
-
-    The (n, N) temporaries live only in here, so they are freed before the
-    refinement builds its own arrays.
-    """
-    # per component, to avoid an (n, N, 3) temporary
-    contrib, d2 = _rx_leg(pos[:, 0, None] - pa.centers[:, 0], pos[:, 1, None] - pa.centers[:, 1],
-                          pos[:, 2, None] - pa.centers[:, 2], pa.axis, pa.sign, led_leg, cos_fov)
-    # The midpoint rule degrades when the receiver sits close to a patch
-    # (the 1/d2^2 factor varies too much across it). Such patches are
-    # re-evaluated by subdivision until every sub-patch satisfies
-    # edge <= d2/4, keeping the discretization error small everywhere.
-    needs = d2 < 4.0 * np.maximum(pa.edges_u, pa.edges_v)
-    return np.where(needs, 0.0, contrib).sum(axis=1), np.nonzero(needs)
+        cos_beta = dy
+        np.copyto(cos_beta, dx, where=x_wall)  # the offset along the wall normal
+        cos_beta *= sign
+        cos_beta /= d2
+        cos_psi = np.negative(dz, out=dz)  # the patch is -dz above the receiver plane
+        cos_psi /= d2
+        term = np.divide(led_leg, d2_sq, out=d2_sq)
+        term *= cos_beta
+        term *= cos_psi
+    # a FOV of at most 90 deg has cos_fov > 0, so this also asks cos(psi) > 0
+    keep = cos_beta > 0
+    keep &= cos_psi >= cos_fov
+    if near is not None:
+        near = d2 < near
+        keep &= ~near
+    np.copyto(term, 0.0, where=~keep)
+    return term, near
 
 
 _REFINE_MAX_DEPTH = 12
-# (row, patch) pairs refined together; bounds the breadth-first arrays
+# close (row, patch) pairs refined together; bounds the breadth-first arrays
 _REFINE_BATCH = 1024
 
 
-def _refined_terms(tx_pos, m: float, cos_fov: float, rx: np.ndarray, pa: _PatchArrays,
-                   cols: np.ndarray) -> np.ndarray:
+class _Pairs(NamedTuple):
+    """Close (lane, patch) pairs waiting for refinement, one entry per pair:
+    the lane whose sum the pair's terms go to, its receiver and LED positions,
+    and its patch."""
+
+    lane: np.ndarray
+    rx: np.ndarray
+    tx: np.ndarray
+    centers: np.ndarray
+    axis: np.ndarray
+    sign: np.ndarray
+    edges_u: np.ndarray
+    edges_v: np.ndarray
+
+    def rows(self, lo: int, hi: int | None = None) -> "_Pairs":
+        return _Pairs(*(a[lo:hi] for a in self))
+
+
+def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     """Sums of the midpoint terms (without the constant k) over the sub-patches
-    of patches `cols` seen from the receivers `rx`, one per pair, each patch
-    split 2x2 while a (sub-)patch is closer to its receiver than four times its
-    edge, at most _REFINE_MAX_DEPTH times.
+    of each pair's patch seen from its receiver, each patch split 2x2 while a
+    (sub-)patch is closer to its receiver than four times its edge, at most
+    _REFINE_MAX_DEPTH times. The pairs are close, so each patch starts split.
 
     The subdivision runs breadth-first over every pair at once. Each depth's
-    leaves are added into their pair's sum in child order, so a pair's value
-    does not depend on which other pairs share the batch.
+    terms are added into their pair's sum in child order (0 for a sub-patch
+    split further), so a pair's value does not depend on which other pairs
+    share the batch.
     """
-    centers = pa.centers[cols]
-    axis, sign = pa.axis[cols], pa.sign[cols]
-    eu, ev = pa.edges_u[cols], pa.edges_v[cols]
-    node = np.arange(len(cols))  # pair each sub-patch of this depth belongs to
-    sums = np.zeros(len(cols))
-    for depth in range(_REFINE_MAX_DEPTH + 1):
-        offsets = rx[node] - centers
-        wx, wy, wz = offsets.T
-        split = 4.0 * np.maximum(eu, ev) > np.sqrt(wx * wx + wy * wy + wz * wz)
-        if depth == _REFINE_MAX_DEPTH:
-            split[:] = False
-        leaf = ~split
-        if leaf.any():
-            a, sg = axis[node[leaf]], sign[node[leaf]]
-            led_leg = _led_leg(tx_pos, m, centers[leaf], a, sg, eu[leaf] * ev[leaf])
-            term, _ = _rx_leg(*offsets[leaf].T, a, sg, led_leg, cos_fov)
-            np.add.at(sums, node[leaf], term)
-        s = np.nonzero(split)[0]
-        if len(s) == 0:
-            break
+    centers, eu, ev = q.centers, q.edges_u, q.edges_v
+    node = split = np.arange(len(q.lane))  # pair each sub-patch of this depth belongs to
+    sums = np.zeros(len(node))
+    for depth in range(1, _REFINE_MAX_DEPTH + 1):
         # children in the order (-,-), (-,+), (+,-), (+,+), a quarter edge
         # away along the wall's tangent axis (1 - axis) and up z
-        node = np.repeat(node[s], 4)
-        centers = np.repeat(centers[s], 4, axis=0)
-        tangent = 1 - axis[node]
-        centers[np.arange(len(node)), tangent] += np.outer(0.25 * eu[s], [-1, -1, 1, 1]).ravel()
-        centers[:, 2] += np.outer(0.25 * ev[s], [-1, 1, -1, 1]).ravel()
-        eu, ev = np.repeat(0.5 * eu[s], 4), np.repeat(0.5 * ev[s], 4)
+        node = np.repeat(node[split], 4)
+        centers = np.repeat(centers[split], 4, axis=0)
+        centers[np.arange(len(node)), 1 - q.axis[node]] += np.outer(
+            0.25 * eu[split], [-1, -1, 1, 1]).ravel()
+        centers[:, 2] += np.outer(0.25 * ev[split], [-1, 1, -1, 1]).ravel()
+        eu, ev = np.repeat(0.5 * eu[split], 4), np.repeat(0.5 * ev[split], 4)
+        x_wall, sign = q.axis[node] == 0, q.sign[node]
+        led_leg = _led_leg(q.tx[node], m, centers, x_wall, sign, eu * ev)
+        near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
+        term, near = _rx_leg(*(q.rx[node] - centers).T, x_wall, sign, led_leg, cos_fov, near)
+        np.add.at(sums, node, term)
+        if near is None or not near.any():
+            break
+        split = np.nonzero(near)[0]
     return sums
+
+
+class _RefineQueue:
+    """The close pairs of one call, whatever chunk or room they come from,
+    refined in full _REFINE_BATCH blocks as they arrive and added into their
+    lanes' midpoint sums (`sums`, flat), so at most a batch waits between
+    chunks. Pairs wait by (Lambertian order, FOV cosine), so that `** m` and
+    the FOV test take scalars. A lane's pairs arrive together, patch after
+    patch, and are added in that order, as a loop over the pairs would add
+    them: its sum does not depend on the batching.
+    """
+
+    def __init__(self, sums: np.ndarray):
+        self.sums = sums
+        self.waiting: dict[tuple[float, float], list[_Pairs]] = {}
+
+    def put(self, key: tuple[float, float], pairs: _Pairs) -> None:
+        if len(pairs.lane):
+            parts = self.waiting.setdefault(key, [])
+            parts.append(pairs)
+            if sum(len(p.lane) for p in parts) >= _REFINE_BATCH:
+                self._refine(key, whole_batches=True)
+
+    def drain(self) -> None:
+        for key in list(self.waiting):
+            self._refine(key, whole_batches=False)
+
+    def _refine(self, key: tuple[float, float], whole_batches: bool) -> None:
+        parts = self.waiting.pop(key)
+        q = parts[0] if len(parts) == 1 else _Pairs(*map(np.concatenate, zip(*parts)))
+        n = len(q.lane)
+        stop = n - n % _REFINE_BATCH if whole_batches else n
+        for lo in range(0, stop, _REFINE_BATCH):
+            batch = q.rows(lo, min(lo + _REFINE_BATCH, stop))
+            np.add.at(self.sums, batch.lane, _refined_terms(*key, batch))
+        if stop < n:
+            self.waiting[key] = [q.rows(stop)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,36 +355,145 @@ class PowerBreakdown:
         return self.p_los_mw + self.p_nlos_mw
 
 
-def _room_tiling(scene: Scene, pos: np.ndarray, patch_edge_m: float) -> _PatchArrays:
-    """Wall tiling of the scene's room, once every (n, 3) position is checked inside it."""
-    room = scene.room
-    ok = (
-        (pos[:, 0] >= 0) & (pos[:, 0] <= room.lx)
-        & (pos[:, 1] >= 0) & (pos[:, 1] <= room.ly)
-        & (pos[:, 2] >= 0) & (pos[:, 2] < room.lz)
-    )
+class _TiledRoom:
+    """A scene's wall tiling and per-transmitter constants, made once per call."""
+
+    def __init__(self, scene: Scene, patch_edge_m: float):
+        pa = _PatchArrays.from_room(scene.room, patch_edge_m)
+        rx = scene.receiver
+        g, self.cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
+        self.scene, self.pa = scene, pa
+        self.x_wall = pa.axis == 0
+        # The midpoint rule degrades when the receiver sits close to a patch
+        # (the 1/d2^2 factor varies too much across it). Such pairs are
+        # re-evaluated by subdivision until every sub-patch satisfies
+        # edge <= d2/4, keeping the discretization error small everywhere.
+        self.near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
+        areas = pa.edges_u * pa.edges_v
+        # per transmitter: itself, its Lambertian order, the LED leg of every
+        # patch and the NLOS constant k
+        self.transmitters = []
+        for tx in scene.transmitters:
+            m = lambertian_order(tx.hpa_deg)
+            k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance * rx.filter_gain * g
+            led_leg = _led_leg(np.asarray(tx.position), m, pa.centers, self.x_wall, pa.sign, areas)
+            self.transmitters.append((tx, m, led_leg, k))
+
+    def midpoint_sums(self, pos: np.ndarray, led_leg: np.ndarray, work: np.ndarray):
+        """Per-row midpoint-rule sum over the patches (without the constant k)
+        and the (rows, patches) of the close pairs left out of it; `work` holds
+        five (rows, patches) temporaries."""
+        c = self.pa.centers
+        for axis in range(3):
+            np.subtract(pos[:, axis, None], c[:, axis], out=work[axis])
+        terms, near = _rx_leg(*work[:3], self.x_wall, self.pa.sign, led_leg, self.cos_fov,
+                              self.near, work[3:])
+        return terms.sum(axis=1), np.nonzero(near)
+
+
+def _check_inside(scenes, counts, pos: np.ndarray) -> None:
+    """Every row of the (n, 3) positions inside its scene's room, `counts[i]`
+    rows for scene i in turn."""
+    ext = np.repeat(np.array([(s.room.lx, s.room.ly, s.room.lz) for s in scenes],
+                             dtype=float).reshape(-1, 3), counts, axis=0)
+    ok = np.all(pos >= 0, axis=1) & np.all(pos[:, :2] <= ext[:, :2], axis=1) & (pos[:, 2] < ext[:, 2])
     if not np.all(ok):
         bad = pos[~ok][0].tolist()
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
-    return _PatchArrays.from_room(room, patch_edge_m)
 
 
-def _tx_powers(scene: Scene, pos: np.ndarray, pa: _PatchArrays):
-    """(LOS, NLOS) received power arrays in mW at (n, 3) positions, one pair
-    per transmitter in scene order; callers sum them in that order."""
-    rx, rho = scene.receiver, scene.wall_reflectance
-    return [
-        (tx.power_mw * _los_gain_block(tx, rx, pos),
-         tx.power_mw * _nlos_gain_block(tx, rx, pos, pa, rho))
-        for tx in scene.transmitters
-    ]
+def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """LOS and NLOS power (mW) of every (row, transmitter) lane, two (n, T)
+    arrays: the rows of `positions[i]` in scene i's room, room after room, and
+    T the most transmitters of any scene (a scene with fewer leaves its other
+    lanes 0).
+
+    Each room's rows go through the midpoint kernel in chunks of at most
+    _CHUNK_PAIRS (row, patch) pairs, and every chunk's close pairs join one
+    refinement queue. Chunks of at least half that size run on the worker pool
+    capped by LUMEN_REM_THREADS, _ROUND_CHUNKS per worker in a round, while
+    the calling thread waits; smaller chunks, and the refinement between
+    rounds, run on the calling thread. A worker's NumPy calls on a smaller
+    block are too short to pay for handing the interpreter lock back and
+    forth, and refinement, mostly interpreter work, would hold the lock
+    against the workers.
+    """
+    blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
+    if len(blocks) != len(scenes):
+        raise ValueError(f"{len(scenes)} scenes but {len(blocks)} position blocks")
+    counts = [len(b) for b in blocks]
+    pos = np.concatenate(blocks) if blocks else np.empty((0, 3))
+    _check_inside(scenes, counts, pos)
+    workers = _max_workers()
+    n, width = len(pos), max((len(s.transmitters) for s in scenes), default=1)
+    los, sums = np.zeros((n, width)), np.zeros((n, width))
+    k, power = np.zeros((n, width)), np.zeros((n, width))
+    queue = _RefineQueue(sums.reshape(-1))
+    local = threading.local()  # each thread's midpoint temporaries, reused chunk after chunk
+
+    def midpoint(room: _TiledRoom, lo: int, hi: int):
+        """LOS powers and midpoint sums of rows lo:hi; returns their close pairs."""
+        p, pa = pos[lo:hi], room.pa
+        size = 5 * (hi - lo) * len(pa)
+        if getattr(local, "work", np.empty(0)).size < size:
+            local.work = np.empty(size)
+        work = local.work[:size].reshape(5, hi - lo, len(pa))
+        found = []
+        for t, (tx, m, led_leg, k_t) in enumerate(room.transmitters):
+            los[lo:hi, t] = tx.power_mw * _los_gain_block(tx, room.scene.receiver, p)
+            sums[lo:hi, t], (r, c) = room.midpoint_sums(p, led_leg, work)
+            k[lo:hi, t], power[lo:hi, t] = k_t, tx.power_mw
+            tx_pos = np.broadcast_to(tx.position, (len(r), 3))
+            found.append(((m, room.cos_fov), _Pairs(
+                (lo + r) * width + t, p[r], tx_pos, pa.centers[c], pa.axis[c], pa.sign[c],
+                pa.edges_u[c], pa.edges_v[c])))
+        return found
+
+    def run(spans, pool=None):
+        """Midpoints of the spans, on the pool when given (each worker takes an
+        equal share), and their close pairs into the queue."""
+        if pool is not None and len(spans) > 1:
+            shares = [spans[i::workers] for i in range(min(workers, len(spans)))]
+            found = pool.map(lambda share: [f for span in share for f in midpoint(*span)], shares)
+        else:
+            found = (midpoint(*span) for span in spans)
+        for key, pairs in itertools.chain.from_iterable(found):
+            queue.put(key, pairs)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        big, start = [], 0
+        for scene, count in zip(scenes, counts):
+            room = _TiledRoom(scene, patch_edge_m)
+            step = max(1, _CHUNK_PAIRS // len(room.pa))
+            for lo in range(start, start + count, step):
+                hi = min(lo + step, start + count)
+                if workers > 1 and 2 * (hi - lo) * len(room.pa) >= _CHUNK_PAIRS:
+                    big.append((room, lo, hi))
+                    if len(big) == workers * _ROUND_CHUNKS:
+                        run(big, pool)
+                        big = []
+                else:
+                    run([(room, lo, hi)])
+            start += count
+        run(big, pool)
+    queue.drain()
+    return los, power * (k * sums)
+
+
+def _add_transmitters(lanes: np.ndarray) -> np.ndarray:
+    """Per-row sums of (n, T) lane powers, transmitter after transmitter."""
+    total = np.zeros(len(lanes))
+    for column in lanes.T:
+        total += column
+    return total
 
 
 def received_power(scene: Scene, rx_pos, patch_edge_m: float = DEFAULT_PATCH_EDGE_M) -> PowerBreakdown:
-    """Deterministic received power at one position, LOS/NLOS per transmitter."""
-    pos = np.asarray(rx_pos, dtype=float).reshape(1, 3)
-    pa = _room_tiling(scene, pos, patch_edge_m)
-    per_tx = tuple((float(los[0]), float(nlos[0])) for los, nlos in _tx_powers(scene, pos, pa))
+    """Deterministic received power at one position, LOS/NLOS per transmitter:
+    the one-row call of `received_power_rooms`, with the same bits."""
+    los, nlos = _lane_powers([scene], [np.asarray(rx_pos, dtype=float).reshape(1, 3)],
+                             patch_edge_m)
+    per_tx = tuple(zip(los[0].tolist(), nlos[0].tolist()))
     return PowerBreakdown(
         p_los_mw=sum(p for p, _ in per_tx),
         p_nlos_mw=sum(p for _, p in per_tx),
@@ -345,34 +504,24 @@ def received_power(scene: Scene, rx_pos, patch_edge_m: float = DEFAULT_PATCH_EDG
 def received_power_many(
     scene: Scene, positions, patch_edge_m: float = DEFAULT_PATCH_EDGE_M
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Total LOS and NLOS received power (mW) for an (n, 3) array of positions.
+    """Total LOS and NLOS received power (mW) for an (n, 3) array of positions:
+    the one-room call of `received_power_rooms`."""
+    return received_power_rooms([scene], [positions], patch_edge_m)
 
-    Positions are evaluated in chunks of at most _CHUNK_PAIRS (position,
-    patch) pairs; chunks are independent, so the result is identical whatever
-    the chunk size and whether they run serially or on the worker pool capped
-    by LUMEN_REM_THREADS.
+
+def received_power_rooms(
+    scenes, positions, patch_edge_m: float = DEFAULT_PATCH_EDGE_M
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total LOS and NLOS received power (mW) at the rows of `positions[i]`
+    (an (n_i, 3) array) in the room of `scenes[i]`, room after room, in one
+    pass.
+
+    A row's powers are the same bits whichever rooms and rows share the call,
+    whatever the chunk size, and whether the chunks run serially or on the
+    worker pool capped by LUMEN_REM_THREADS.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    pa = _room_tiling(scene, pos, patch_edge_m)
-    n = len(pos)
-    chunk = max(1, _CHUNK_PAIRS // len(pa))
-    p_los = np.zeros(n)
-    p_nlos = np.zeros(n)
-
-    def work(lo: int, hi: int) -> None:
-        for los, nlos in _tx_powers(scene, pos[lo:hi], pa):
-            p_los[lo:hi] += los
-            p_nlos[lo:hi] += nlos
-
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    workers = min(_max_workers(), len(spans))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: work(*s), spans))
-    else:
-        for lo, hi in spans:
-            work(lo, hi)
-    return p_los, p_nlos
+    los, nlos = _lane_powers(scenes, positions, patch_edge_m)
+    return _add_transmitters(los), _add_transmitters(nlos)
 
 
 # ---------------------------------------------------------------------------

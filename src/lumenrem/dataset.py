@@ -232,7 +232,12 @@ class NormStats:
 
 def _rss_for(scene: Scene, positions: np.ndarray, patch_edge_m: float) -> np.ndarray:
     """RSS in dBm at (n, 3) positions."""
-    p_los, p_nlos = channel.received_power_many(scene, positions, patch_edge_m)
+    return _rss(channel.received_power_many(scene, positions, patch_edge_m))
+
+
+def _rss(powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """RSS in dBm of (LOS, NLOS) power arrays."""
+    p_los, p_nlos = powers
     return channel.rss_dbm(p_los + p_nlos)
 
 
@@ -285,21 +290,19 @@ def generate_variable(
         raise ValueError("all draw counts must be >= 1")
     lxs = _stream(seed, 1, 0).uniform(3.0, 7.0, per_dim)
     lys = _stream(seed, 1, 1).uniform(3.0, 7.0, per_dim)
-    blocks_x = []
-    blocks_y = []
+    scenes, blocks = [], []
     for i, lx in enumerate(lxs):
         for j, ly in enumerate(lys):
             fx = _stream(seed, 2, i, j, 0).uniform(0.0, 1.0, per_xy)
             fy = _stream(seed, 2, i, j, 1).uniform(0.0, 1.0, per_xy)
             zs = _stream(seed, 2, i, j, 2).uniform(0.0, RX_Z_MAX, per_z)
             gx, gy, gz = np.meshgrid(fx * lx, fy * ly, zs, indexing="ij")
-            pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-            scene = variable_scene(float(lx), float(ly), led_count)
-            rss = _rss_for(scene, pos, patch_edge_m)
-            n = len(pos)
-            feats = np.column_stack([pos, np.full(n, lx), np.full(n, ly)])
-            blocks_x.append(feats)
-            blocks_y.append(rss)
+            n = gx.size
+            blocks.append(np.column_stack([gx.ravel(), gy.ravel(), gz.ravel(),
+                                           np.full(n, lx), np.full(n, ly)]))
+            scenes.append(variable_scene(float(lx), float(ly), led_count))
+    # one channel call for every room
+    rss = _rss(channel.received_power_rooms(scenes, [b[:, :3] for b in blocks], patch_edge_m))
     meta = {
         "generator": "variable",
         "led_count": led_count,
@@ -311,8 +314,8 @@ def generate_variable(
     }
     return Dataset(
         feature_names=FEATURE_LAYOUTS[5],
-        features=np.concatenate(blocks_x),
-        rss_dbm=np.concatenate(blocks_y),
+        features=np.concatenate(blocks),
+        rss_dbm=rss,
         meta=meta,
     )
 
@@ -360,11 +363,9 @@ def generate_reference_variable(
     y = _stream(seed, 3, 1).uniform(0.0, 1.0, n) * ly
     z = _stream(seed, 3, 2).uniform(0.0, RX_Z_MAX, n)
     pos = np.column_stack([x, y, z])
-    # every row has a room of its own, so there is nothing to batch per room
-    rss = np.concatenate([
-        _rss_for(variable_scene(float(a), float(b), led_count), pos[i : i + 1], patch_edge_m)
-        for i, (a, b) in enumerate(zip(lx, ly))
-    ])
+    # every row has a room of its own; one channel call covers them all
+    scenes = [variable_scene(a, b, led_count) for a, b in zip(lx.tolist(), ly.tolist())]
+    rss = _rss(channel.received_power_rooms(scenes, pos[:, None, :], patch_edge_m))
     meta = {
         "generator": "reference_variable",
         "led_count": led_count,

@@ -72,7 +72,7 @@ class Tree:
     (`left`) and 2k + 2 (`right`), and a leaf's are -1.
     """
 
-    feature: np.ndarray
+    feature: np.ndarray = field(metadata={"dtype": "<i4"})  # as a model file stores it
     threshold: np.ndarray
     value: np.ndarray
     left: np.ndarray = field(init=False)
@@ -454,8 +454,9 @@ def _sequential_mean(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] / len(a)
 
 
-# at most this many (tree, row) pairs are routed together, as the channel
-# bounds its chunks: a block's index arrays stay a few MB whatever the forest
+# at most this many (tree, row) pairs are routed and combined together, as
+# the channel bounds its chunks: a block's arrays stay a few MB whatever the
+# forest and the number of rows
 _ROUTE_PAIRS = 1 << 18
 _ROOT = np.zeros(1, dtype=np.intp)
 
@@ -512,11 +513,17 @@ def predict_forest(forest: Forest, raw_features):
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got shape {X.shape}")
-    preds = _member_predictions(forest, X)
-    if forest.mode in ("single", "extra_trees"):
-        out = _sequential_mean(preds)
-    else:
-        out = weighted_median(preds, forest.tree_weights)
+    # members are combined a routing block of rows at a time, so a large
+    # predict never holds every (tree, row) output; a row's value depends on
+    # its own column alone
+    step = max(1, _ROUTE_PAIRS // len(forest.trees))
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        preds = _member_predictions(forest, X[lo:lo + step])
+        if forest.mode in ("single", "extra_trees"):
+            out[lo:lo + step] = _sequential_mean(preds)
+        else:
+            out[lo:lo + step] = weighted_median(preds, forest.tree_weights)
     return float(out[0]) if scalar else out
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -397,8 +398,7 @@ def test_received_power_many_matches_scalar():
     p_los, p_nlos = ch.received_power_many(sc, pts)
     for i in range(len(pts)):
         bd = ch.received_power(sc, pts[i])
-        assert math.isclose(p_los[i], bd.p_los_mw, rel_tol=1e-12)
-        assert math.isclose(p_nlos[i], bd.p_nlos_mw, rel_tol=1e-12)
+        assert (p_los[i], p_nlos[i]) == (bd.p_los_mw, bd.p_nlos_mw)
 
 
 def test_received_power_many_thread_count_invariant(monkeypatch):
@@ -438,6 +438,118 @@ def test_received_power_many_chunk_size_invariant(monkeypatch):
         np.testing.assert_array_equal(default[1], small[1])
 
 
+def _rooms_and_rows(seed: int):
+    """Three rooms, one with four LEDs, each with rows inside it, the first
+    rows of each on its x = 0 wall (refined to full depth)."""
+    scenes = [variable_scene(3.0, 4.5), variable_scene(6.2, 3.3, led_count=4),
+              preset_scene("small")]
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for sc, n in zip(scenes, (90, 40, 120)):
+        room = sc.room
+        pts = np.column_stack([rng.uniform(0, room.lx, n), rng.uniform(0, room.ly, n),
+                               rng.uniform(0, 1.7, n)])
+        pts[:5, 0] = 0.0
+        blocks.append(pts)
+    return scenes, blocks
+
+
+def test_received_power_rooms_matches_one_call_per_room():
+    """A many-room call gives each room's rows the bits its own call gives them."""
+    scenes, blocks = _rooms_and_rows(8)
+    p_los, p_nlos = ch.received_power_rooms(scenes, blocks)
+    start = 0
+    for sc, pts in zip(scenes, blocks):
+        one = ch.received_power_many(sc, pts)
+        np.testing.assert_array_equal(p_los[start:start + len(pts)], one[0])
+        np.testing.assert_array_equal(p_nlos[start:start + len(pts)], one[1])
+        start += len(pts)
+    assert start == len(p_los)
+
+
+def test_received_power_rooms_chunk_size_invariant(monkeypatch):
+    """Same bits in a many-room call whatever the chunk size, the refinement
+    batch and the worker cap."""
+    scenes, blocks = _rooms_and_rows(9)
+    default = ch.received_power_rooms(scenes, blocks)
+    for threads in ("1", "4"):
+        monkeypatch.setenv("LUMEN_REM_THREADS", threads)
+        for chunk, batch in ((ch._CHUNK_PAIRS, ch._REFINE_BATCH), (1, 1), (1, 7), (5000, 7)):
+            monkeypatch.setattr(ch, "_CHUNK_PAIRS", chunk)
+            monkeypatch.setattr(ch, "_REFINE_BATCH", batch)
+            other = ch.received_power_rooms(scenes, blocks)
+            np.testing.assert_array_equal(default[0], other[0])
+            np.testing.assert_array_equal(default[1], other[1])
+
+
+def test_received_power_rooms_rejects_a_row_outside_its_room():
+    small, big = preset_scene("small"), preset_scene("big")
+    ch.received_power_rooms([small, big], [[(1.0, 1.0, 1.0)], [(5.0, 5.0, 1.0)]])
+    with pytest.raises(ValueError, match=r"receiver position \(5.0, 5.0, 1.0\) outside"):
+        ch.received_power_rooms([big, small], [[(1.0, 1.0, 1.0)], [(5.0, 5.0, 1.0)]])
+    with pytest.raises(ValueError, match="2 scenes but 1 position blocks"):
+        ch.received_power_rooms([small, big], [[(1.0, 1.0, 1.0)]])
+
+
+_SCENES = st.builds(variable_scene, st.floats(3.0, 7.0), st.floats(3.0, 7.0), st.sampled_from([1, 4]))
+
+
+@st.composite
+def _row_in_a_batch(draw):
+    """A scene, a batch of rows in its room (one of them drawn near or on a
+    wall) and the index of that row."""
+    sc = draw(_SCENES)
+    room = sc.room
+    fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.7 / 3.0))
+    rows = draw(st.lists(fractions, min_size=1, max_size=6))
+    pts = np.array(rows) * [room.lx, room.ly, room.lz]
+    i = draw(st.integers(0, len(pts) - 1))
+    pts[i, draw(st.integers(0, 1))] = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    return sc, pts, i
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_row_in_a_batch(), others=st.lists(_SCENES, max_size=2), at=st.integers(0, 2))
+def test_single_batched_and_many_room_powers_are_the_same_bits(case, others, at):
+    """A position's LOS and NLOS powers are the same bits from
+    `received_power`, inside a `received_power_many` batch of its room, and
+    inside a `received_power_rooms` call among other rooms."""
+    sc, pts, i = case
+    bd = ch.received_power(sc, pts[i], patch_edge_m=0.5)
+    p_los, p_nlos = ch.received_power_many(sc, pts, patch_edge_m=0.5)
+    assert (p_los[i], p_nlos[i]) == (bd.p_los_mw, bd.p_nlos_mw)
+    scenes = list(others)
+    blocks = [np.array([[o.room.lx / 2, o.room.ly / 3, 1.0]] * 3) for o in others]
+    at = min(at, len(scenes))
+    scenes.insert(at, sc)
+    blocks.insert(at, pts)
+    row = sum(len(b) for b in blocks[:at]) + i
+    p_los, p_nlos = ch.received_power_rooms(scenes, blocks, patch_edge_m=0.5)
+    assert (p_los[row], p_nlos[row]) == (bd.p_los_mw, bd.p_nlos_mw)
+
+
+def test_refinement_queue_memory_does_not_grow_with_rows(monkeypatch):
+    """Close pairs are refined as the queue fills, so four times the rows
+    near a wall add only their output arrays (about 100 bytes a row) to the
+    traced peak, not their close pairs (about 50 a row, over 5 KB if queued whole)."""
+    monkeypatch.setenv("LUMEN_REM_THREADS", "1")
+    sc = preset_scene("small")
+    rng = np.random.default_rng(10)
+    n = 1000
+    pts = np.column_stack([rng.uniform(0.0, 0.3, 4 * n), rng.uniform(0, 3, 4 * n),
+                           rng.uniform(0, 1.7, 4 * n)])
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            ch.received_power_many(sc, rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pts) - peak(pts[:n]) < 3 * n * 300
+
+
 @pytest.mark.parametrize("on_patch, beside", [
     ((0.0, 0.1, 0.1), (0.0, 0.1000001, 0.1)),  # x = 0 wall
     ((0.1, 0.0, 0.1), (0.1000001, 0.0, 0.1)),  # y = 0 wall
@@ -454,7 +566,7 @@ def test_receiver_on_a_wall_patch_centre(on_patch, beside):
         p_los, p_nlos = ch.received_power_many(sc, [on_patch, beside])
     assert math.isfinite(at)
     assert math.isclose(at, ch.received_power(sc, beside).total_mw, rel_tol=1e-6)
-    assert math.isclose(p_los[0] + p_nlos[0], at, rel_tol=1e-12)
+    assert p_los[0] + p_nlos[0] == at
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", "1.5"])

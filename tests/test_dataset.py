@@ -52,7 +52,7 @@ def test_generate_fixed_rss_matches_channel(small_ds):
     sc = preset_scene("small")
     for i in (0, 57, 215):
         bd = received_power(sc, small_ds.features[i])
-        assert math.isclose(small_ds.rss_dbm[i], rss_dbm(bd.total_mw), rel_tol=1e-12)
+        assert small_ds.rss_dbm[i] == rss_dbm(bd.total_mw)  # bitwise
 
 
 def test_generate_fixed_bad_count():
@@ -73,6 +73,17 @@ def test_generate_variable_shape():
     # exactly per_dim^2 distinct rooms
     rooms = {(a, b) for a, b in zip(lx, ly)}
     assert len(rooms) == 4
+
+
+def test_generate_variable_rows_match_their_rooms():
+    """One channel call covers every room; each row still gets the bits of
+    its own room's simulation."""
+    from lumenrem.scene import variable_scene
+
+    ds = dt.generate_variable(led_count=4, per_xy=2, per_z=1, per_dim=2, seed=11)
+    for (x, y, z, lx, ly), rss in zip(ds.features, ds.rss_dbm):
+        bd = received_power(variable_scene(float(lx), float(ly), 4), (x, y, z))
+        assert rss == rss_dbm(bd.total_mw)  # bitwise
 
 
 def test_generate_variable_minimal():
@@ -105,9 +116,9 @@ def test_generate_reference_variable_rows():
     # each row's RSS matches its own-room simulation
     from lumenrem.scene import variable_scene
 
-    i = 13
-    bd = received_power(variable_scene(float(lx[i]), float(ly[i])), (x[i], y[i], z[i]))
-    assert math.isclose(ds.rss_dbm[i], rss_dbm(bd.total_mw), rel_tol=1e-12)
+    for i in range(len(ds)):
+        bd = received_power(variable_scene(float(lx[i]), float(ly[i])), (x[i], y[i], z[i]))
+        assert ds.rss_dbm[i] == rss_dbm(bd.total_mw)  # bitwise
 
 
 # ---------------------------------------------------------------------------

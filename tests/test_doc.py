@@ -301,7 +301,7 @@ _THREE = np.array([0.5, 1.5, -2.0]).tobytes()
     (_array_object("<f8", [2**40, 2**40], _THREE),
      "declares shape [1099511627776, 1099511627776], but holds 3 items"),
     (_array_object("<f8", [-3], _THREE), "has shape [-3], not a list of counts"),
-    (_array_object("<f4", [6], _THREE), "has dtype '<f4', not one of ['<f8', '<i4']"),
+    (_array_object("<f4", [6], _THREE), "has dtype '<f4', not its field's '<f8'"),
     ([0.5, 1.5, -2.0], "is not an array object with keys base64, dtype and shape"),
 ], ids=["bad-alphabet", "bad-padding", "ragged-bytes", "short-shape", "large-shape",
         "huge-shape", "negative-shape", "float32", "list-of-numbers"])
@@ -329,6 +329,36 @@ def test_hostile_array_objects_are_refused(saved_models, monkeypatch, tmp_path, 
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert cli.main(["predict", "--model", "bad.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert re.search(expected, capsys.readouterr().err)
+    assert not Path("p.csv").exists()
+
+
+@pytest.mark.parametrize("name, path, field, array, message", [
+    ("f.json", ("trees", 0, "feature"), "Tree.feature",
+     _array_object("<f8", [5], np.array([0.7, 0.7, -1.0, -1.0, -1.0]).tobytes()),
+     "has dtype '<f8', not its field's '<i4'"),
+    ("f.json", ("trees", 1, "threshold"), "Tree.threshold",
+     _array_object("<i4", [3], np.array([1, 2, 3], dtype="<i4").tobytes()),
+     "has dtype '<i4', not its field's '<f8'"),
+    ("m.json", ("biases", 0), "MlpModel.biases[0]",
+     _array_object("<i4", [4], np.zeros(4, dtype="<i4").tobytes()),
+     "has dtype '<i4', not its field's '<f8'"),
+], ids=["float-features", "int-thresholds", "int-biases"])
+def test_a_model_array_of_another_dtype_is_refused(saved_models, monkeypatch, tmp_path, capsys,
+                                                   name, path, field, array, message):
+    """An array of an allowed dtype that is not its field's is refused, not
+    cast: float split features [0.7, 0.7, -1, ...] would load as feature 0."""
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((saved_models / name).read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = array
+    Path("bad.json").write_text(json.dumps(doc))
+    expected = re.escape(f"bad.json is malformed: {field} {message}")
+    with pytest.raises(mlp.ModelFormatError, match=expected):
+        evalmap.load_any_model("bad.json")
     assert cli.main(["predict", "--model", "bad.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
     assert re.search(expected, capsys.readouterr().err)
     assert not Path("p.csv").exists()

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +562,26 @@ def test_routing_block_size_does_not_change_predictions(monkeypatch):
             np.testing.assert_array_equal(fr.predict_forest(f, pts), out)
 
 
+def test_large_predict_memory_is_bounded_by_the_routing_block(monkeypatch):
+    """A predict combines members a routing block of rows at a time: its
+    traced peak is the output and one block's arrays, not the whole
+    (trees, rows) matrix and its running sum."""
+    X, y = _toy(n=120, seed=33, noise=0.3)
+    f = fr.fit_extra_trees(X, y, n_trees=8, seed=33)
+    pts = np.random.default_rng(34).uniform(0.0, 4.0, (100_000, 3))
+    monkeypatch.setattr(fr, "_ROUTE_PAIRS", 1 << 14)  # 2,048 rows of 8 trees a block
+    tracemalloc.start()
+    try:
+        out = fr.predict_forest(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 8 * len(pts) * 8  # one (trees, rows) float64 matrix: 6.4 MB
+    assert peak < out.nbytes + whole // 2
+    monkeypatch.setattr(fr, "_ROUTE_PAIRS", 1 << 18)
+    np.testing.assert_array_equal(fr.predict_forest(f, pts), out)
+
+
 def test_tree_predict_refuses_rows_without_its_split_features():
     tree = fr.Tree([2, -1, -1], [0.5, np.nan, np.nan], [np.nan, 1.0, 2.0])
     np.testing.assert_array_equal(tree.predict([[0, 0, 0.4], [0, 0, 0.6]]), [1.0, 2.0])
@@ -782,7 +803,7 @@ _RAGGED = "tree arrays must be one-dimensional and of equal length"
     (_forest_doc([_tree([[0, -1, -1]], [[0.5, _NAN, _NAN]], [[0.0] * 3])]), _RAGGED),
     (_forest_doc([_tree([], [], [])]), "a tree with 0 split nodes has 0 nodes, not 1"),
     (_forest_doc([_tree([2**40, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3, "<i8")]),
-     re.escape("Tree.feature has dtype '<i8', not one of ['<f8', '<i4']")),
+     re.escape("Tree.feature has dtype '<i8', not its field's '<i4'")),
     *((_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value}),
        re.escape(f"{key} must be an int >= {low}, got {value!r}"))
       for key, value, low in (("max_depth", True, 1), ("max_depth", 2.0, 1),

@@ -371,7 +371,7 @@ def _set(path, value):
             node = node[key]
         key, index = path[-2:]
         if isinstance(index, tuple):
-            a = _decode_array(node[key], "edited").copy()
+            a = _decode_array(node[key], "edited", "<f8").copy()
             a[index] = value
             node[key] = _encode_array(a)
         else:
