@@ -7,13 +7,19 @@ ground truth are fully independent draws. All randomness is derived from a
 single user seed through keyed sub-streams, so any part of a dataset can be
 regenerated independently and the result never depends on evaluation order
 or worker count.
+
+The four generators share one build path: keyed uniform draws per axis,
+`_product` for the rows of a Cartesian product, one channel call
+(`received_power_many` for a fixed room, `received_power_rooms` for all
+rooms of varying footprint), `_rss` to turn its (LOS, NLOS) powers into dBm,
+and `_dataset` for the record, whose layout follows the column count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,15 +130,8 @@ class Dataset:
     def take(self, indices, extra_meta: dict | None = None) -> "Dataset":
         """New dataset holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        meta = dict(self.meta)
-        if extra_meta:
-            meta.update(extra_meta)
-        return Dataset(
-            feature_names=self.feature_names,
-            features=self.features[idx],
-            rss_dbm=self.rss_dbm[idx],
-            meta=meta,
-        )
+        return replace(self, features=self.features[idx], rss_dbm=self.rss_dbm[idx],
+                       meta={**self.meta, **(extra_meta or {})})
 
     # -- persistence --------------------------------------------------------
 
@@ -230,15 +229,21 @@ class NormStats:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _rss_for(scene: Scene, positions: np.ndarray, patch_edge_m: float) -> np.ndarray:
-    """RSS in dBm at (n, 3) positions."""
-    return _rss(channel.received_power_many(scene, positions, patch_edge_m))
-
-
 def _rss(powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """RSS in dBm of (LOS, NLOS) power arrays."""
     p_los, p_nlos = powers
     return channel.rss_dbm(p_los + p_nlos)
+
+
+def _product(*axes) -> np.ndarray:
+    """Rows of the Cartesian product of 1-D axes, the first axis slowest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _dataset(features: np.ndarray, rss: np.ndarray, patch_edge_m: float, **meta) -> Dataset:
+    """A generator's record; the layout follows the column count."""
+    return Dataset(feature_names=FEATURE_LAYOUTS[features.shape[1]], features=features,
+                   rss_dbm=rss, meta={**meta, "patch_edge_m": patch_edge_m})
 
 
 def generate_fixed(
@@ -255,20 +260,11 @@ def generate_fixed(
     if per_axis < 1:
         raise ValueError(f"per_axis must be >= 1, got {per_axis}")
     room = scene.room
-    xs = _stream(seed, 0, 0).uniform(0.0, room.lx, per_axis)
-    ys = _stream(seed, 0, 1).uniform(0.0, room.ly, per_axis)
-    zs = _stream(seed, 0, 2).uniform(0.0, RX_Z_MAX, per_axis)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    rss = _rss_for(scene, pos, patch_edge_m)
-    meta = {
-        "generator": "fixed",
-        "scene": scene.to_dict(),
-        "per_axis": per_axis,
-        "patch_edge_m": patch_edge_m,
-        "seed": seed,
-    }
-    return Dataset(feature_names=FEATURE_LAYOUTS[3], features=pos, rss_dbm=rss, meta=meta)
+    pos = _product(*(_stream(seed, 0, k).uniform(0.0, hi, per_axis)
+                     for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))))
+    return _dataset(pos, _rss(channel.received_power_many(scene, pos, patch_edge_m)),
+                    patch_edge_m, generator="fixed", scene=scene.to_dict(),
+                    per_axis=per_axis, seed=seed)
 
 
 def generate_variable(
@@ -296,28 +292,12 @@ def generate_variable(
             fx = _stream(seed, 2, i, j, 0).uniform(0.0, 1.0, per_xy)
             fy = _stream(seed, 2, i, j, 1).uniform(0.0, 1.0, per_xy)
             zs = _stream(seed, 2, i, j, 2).uniform(0.0, RX_Z_MAX, per_z)
-            gx, gy, gz = np.meshgrid(fx * lx, fy * ly, zs, indexing="ij")
-            n = gx.size
-            blocks.append(np.column_stack([gx.ravel(), gy.ravel(), gz.ravel(),
-                                           np.full(n, lx), np.full(n, ly)]))
+            blocks.append(_product(fx * lx, fy * ly, zs, [lx], [ly]))
             scenes.append(variable_scene(float(lx), float(ly), led_count))
     # one channel call for every room
     rss = _rss(channel.received_power_rooms(scenes, [b[:, :3] for b in blocks], patch_edge_m))
-    meta = {
-        "generator": "variable",
-        "led_count": led_count,
-        "per_xy": per_xy,
-        "per_z": per_z,
-        "per_dim": per_dim,
-        "patch_edge_m": patch_edge_m,
-        "seed": seed,
-    }
-    return Dataset(
-        feature_names=FEATURE_LAYOUTS[5],
-        features=np.concatenate(blocks),
-        rss_dbm=rss,
-        meta=meta,
-    )
+    return _dataset(np.concatenate(blocks), rss, patch_edge_m, generator="variable",
+                    led_count=led_count, per_xy=per_xy, per_z=per_z, per_dim=per_dim, seed=seed)
 
 
 def generate_reference(
@@ -330,22 +310,10 @@ def generate_reference(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     room = scene.room
-    pos = np.column_stack(
-        [
-            _stream(seed, 3, 0).uniform(0.0, room.lx, n),
-            _stream(seed, 3, 1).uniform(0.0, room.ly, n),
-            _stream(seed, 3, 2).uniform(0.0, RX_Z_MAX, n),
-        ]
-    )
-    rss = _rss_for(scene, pos, patch_edge_m)
-    meta = {
-        "generator": "reference",
-        "scene": scene.to_dict(),
-        "n": n,
-        "patch_edge_m": patch_edge_m,
-        "seed": seed,
-    }
-    return Dataset(feature_names=FEATURE_LAYOUTS[3], features=pos, rss_dbm=rss, meta=meta)
+    pos = np.column_stack([_stream(seed, 3, k).uniform(0.0, hi, n)
+                           for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))])
+    return _dataset(pos, _rss(channel.received_power_many(scene, pos, patch_edge_m)),
+                    patch_edge_m, generator="reference", scene=scene.to_dict(), n=n, seed=seed)
 
 
 def generate_reference_variable(
@@ -362,23 +330,12 @@ def generate_reference_variable(
     x = _stream(seed, 3, 0).uniform(0.0, 1.0, n) * lx
     y = _stream(seed, 3, 1).uniform(0.0, 1.0, n) * ly
     z = _stream(seed, 3, 2).uniform(0.0, RX_Z_MAX, n)
-    pos = np.column_stack([x, y, z])
+    feats = np.column_stack([x, y, z, lx, ly])
     # every row has a room of its own; one channel call covers them all
     scenes = [variable_scene(a, b, led_count) for a, b in zip(lx.tolist(), ly.tolist())]
-    rss = _rss(channel.received_power_rooms(scenes, pos[:, None, :], patch_edge_m))
-    meta = {
-        "generator": "reference_variable",
-        "led_count": led_count,
-        "n": n,
-        "patch_edge_m": patch_edge_m,
-        "seed": seed,
-    }
-    return Dataset(
-        feature_names=FEATURE_LAYOUTS[5],
-        features=np.column_stack([pos, lx, ly]),
-        rss_dbm=rss,
-        meta=meta,
-    )
+    rss = _rss(channel.received_power_rooms(scenes, feats[:, None, :3], patch_edge_m))
+    return _dataset(feats, rss, patch_edge_m, generator="reference_variable",
+                    led_count=led_count, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +351,8 @@ def add_noise(ds: Dataset, noise_factor: float, seed: int = 0) -> tuple[Dataset,
     where per-row OSNR is clean power over sigma. A zero noise_factor returns
     the dataset unchanged with infinite OSNR.
     """
-    if noise_factor < 0:
-        raise ValueError(f"noise_factor must be >= 0, got {noise_factor}")
+    if not (math.isfinite(noise_factor) and noise_factor >= 0):
+        raise ValueError(f"noise_factor must be finite and >= 0, got {noise_factor}")
     if noise_factor == 0:
         return ds, math.inf
     p_clean = 10.0 ** (ds.rss_dbm / 10.0)
@@ -405,15 +362,8 @@ def add_noise(ds: Dataset, noise_factor: float, seed: int = 0) -> tuple[Dataset,
     rng = _stream(seed, 4)
     p_noisy = np.maximum(p_clean + rng.normal(0.0, sigma, len(ds)), _POWER_FLOOR_MW)
     osnr_db = float(np.mean(10.0 * np.log10(p_clean / sigma)))
-    meta = dict(ds.meta)
-    meta.update({"noise_factor": noise_factor, "noise_seed": seed, "mean_osnr_db": osnr_db})
-    noisy = Dataset(
-        feature_names=ds.feature_names,
-        features=ds.features,
-        rss_dbm=10.0 * np.log10(p_noisy),
-        meta=meta,
-    )
-    return noisy, osnr_db
+    meta = {**ds.meta, "noise_factor": noise_factor, "noise_seed": seed, "mean_osnr_db": osnr_db}
+    return replace(ds, rss_dbm=10.0 * np.log10(p_noisy), meta=meta), osnr_db
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +376,10 @@ def split(ds: Dataset, seed: int = 0) -> SplitSets:
     if n < 5:
         raise ValueError(f"need at least 5 rows to split 60/20/20, got {n}")
     perm = _stream(seed, 5).permutation(n)
-    n_tr = int(math.floor(0.6 * n))
-    n_va = int(math.floor(0.2 * n))
-    return SplitSets(
-        train=ds.take(perm[:n_tr], {"split": "train", "split_seed": seed}),
-        validation=ds.take(perm[n_tr : n_tr + n_va], {"split": "validation", "split_seed": seed}),
-        test=ds.take(perm[n_tr + n_va :], {"split": "test", "split_seed": seed}),
-    )
+    n_tr = math.floor(0.6 * n)
+    parts = np.split(perm, [n_tr, n_tr + math.floor(0.2 * n)])
+    return SplitSets(*(ds.take(part, {"split": name, "split_seed": seed})
+                       for name, part in zip(("train", "validation", "test"), parts)))
 
 
 def subsample(ds: Dataset, n: int, seed: int = 0) -> Dataset:

@@ -22,7 +22,7 @@ import numpy as np
 from . import channel, forest, mlp
 from ._doc import from_doc, read_model, to_doc, write_csv
 from .dataset import (
-    FEATURE_LAYOUTS, Dataset, SplitSets, _rss_for, _stream, add_noise, generate_fixed,
+    FEATURE_LAYOUTS, Dataset, SplitSets, _rss, _stream, add_noise, generate_fixed,
     generate_reference, split, subsample,
 )
 from .scene import Scene, preset_scene
@@ -244,7 +244,7 @@ def simulate_map(
     """Ground-truth RSS grid straight from the propagation model."""
     (sx, sy), gx, gy = _grid(scene, z_plane, spacing)
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z_plane))])
-    values = _rss_for(scene, pos, patch_edge_m).reshape(gx.shape)
+    values = _rss(channel.received_power_many(scene, pos, patch_edge_m)).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
                     values=values, source="simulated")
 
@@ -283,7 +283,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     ys = (1.0 - t) * (room.ly / 2.0)
     if source is None:
         pos = np.column_stack([xs, ys, np.full(n_points, float(z_plane))])
-        vals = _rss_for(scene, pos, channel.DEFAULT_PATCH_EDGE_M)
+        vals = _rss(channel.received_power_many(scene, pos, channel.DEFAULT_PATCH_EDGE_M))
     elif isinstance(source, RadioMap):
         vals = np.array([source.value_at(x, y) for x, y in zip(xs, ys)])
     else:

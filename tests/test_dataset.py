@@ -121,6 +121,50 @@ def test_generate_reference_variable_rows():
         assert ds.rss_dbm[i] == rss_dbm(bd.total_mw)  # bitwise
 
 
+def _axis(seed, key, lo, hi, n):
+    """The uniform draws of stream (seed, key), built without `dataset._stream`."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.default_rng(ss).uniform(lo, hi, n)
+
+
+def test_generators_replay_from_their_keyed_streams():
+    """The seed contract: each generator's axes come from streams keyed off
+    the user seed, so its rows and meta can be rebuilt without it."""
+    seed, edge, room = 5, 0.5, preset_scene("small").room
+    highs = (room.lx, room.ly, dt.RX_Z_MAX)
+
+    ds = dt.generate_fixed(preset_scene("small"), 3, edge, seed)
+    xs, ys, zs = (_axis(seed, (0, k), 0.0, hi, 3) for k, hi in enumerate(highs))
+    np.testing.assert_array_equal(ds.features, [(x, y, z) for x in xs for y in ys for z in zs])
+    assert ds.meta == {"generator": "fixed", "scene": preset_scene("small").to_dict(),
+                       "per_axis": 3, "patch_edge_m": edge, "seed": seed}
+
+    ds = dt.generate_reference(preset_scene("small"), 6, edge, seed)
+    cols = [_axis(seed, (3, k), 0.0, hi, 6) for k, hi in enumerate(highs)]
+    np.testing.assert_array_equal(ds.features, np.column_stack(cols))
+    assert ds.meta == {"generator": "reference", "scene": preset_scene("small").to_dict(),
+                       "n": 6, "patch_edge_m": edge, "seed": seed}
+
+    ds = dt.generate_variable(4, 2, 3, 2, edge, seed)
+    rows = []
+    for i, lx in enumerate(_axis(seed, (1, 0), 3.0, 7.0, 2)):
+        for j, ly in enumerate(_axis(seed, (1, 1), 3.0, 7.0, 2)):
+            fx, fy = (_axis(seed, (2, i, j, k), 0.0, 1.0, 2) for k in (0, 1))
+            zs = _axis(seed, (2, i, j, 2), 0.0, dt.RX_Z_MAX, 3)
+            rows += [(a * lx, b * ly, z, lx, ly) for a in fx for b in fy for z in zs]
+    np.testing.assert_array_equal(ds.features, rows)
+    assert ds.meta == {"generator": "variable", "led_count": 4, "per_xy": 2, "per_z": 3,
+                       "per_dim": 2, "patch_edge_m": edge, "seed": seed}
+
+    ds = dt.generate_reference_variable(4, 6, edge, seed)
+    lx, ly = _axis(seed, (3, 3), 3.0, 7.0, 6), _axis(seed, (3, 4), 3.0, 7.0, 6)
+    x, y = _axis(seed, (3, 0), 0.0, 1.0, 6) * lx, _axis(seed, (3, 1), 0.0, 1.0, 6) * ly
+    z = _axis(seed, (3, 2), 0.0, dt.RX_Z_MAX, 6)
+    np.testing.assert_array_equal(ds.features, np.column_stack([x, y, z, lx, ly]))
+    assert ds.meta == {"generator": "reference_variable", "led_count": 4, "n": 6,
+                       "patch_edge_m": edge, "seed": seed}
+
+
 # ---------------------------------------------------------------------------
 # Noise
 # ---------------------------------------------------------------------------
@@ -176,6 +220,15 @@ def test_add_noise_negative_factor():
     ds = dt.generate_fixed(preset_scene("small"), per_axis=2, seed=0)
     with pytest.raises(ValueError):
         dt.add_noise(ds, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_add_noise_refuses_a_non_finite_factor(factor):
+    """Named up front: NaN would fail later as a non-finite rss_dbm, and inf
+    would divide by zero in the OSNR's log10."""
+    ds = dt.generate_fixed(preset_scene("small"), per_axis=2, seed=0)
+    with pytest.raises(ValueError, match="noise_factor must be finite and >= 0"):
+        dt.add_noise(ds, factor, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,24 @@ def test_routing_block_size_does_not_change_predictions(monkeypatch):
             np.testing.assert_array_equal(fr.predict_forest(f, pts), out)
 
 
+def test_single_row_takes_the_router_from_the_crossover_on(monkeypatch):
+    """A single row walks each tree of a forest with fewer than `_WALK_TREES`
+    trees and takes `_route` from there on; it gets the bits it gets inside a
+    batch either way."""
+    X, y = _toy(n=120, seed=35, noise=0.3)
+    pts = np.random.default_rng(36).uniform(0.0, 4.0, (20, 3))
+    routed = []
+    route = fr._route
+    monkeypatch.setattr(fr, "_route", lambda *a: routed.append(len(a[-1])) or route(*a))
+    for n_trees, walks in ((fr._WALK_TREES - 1, True), (fr._WALK_TREES, False)):
+        f = fr.fit_extra_trees(X, y, n_trees=n_trees, seed=n_trees)
+        batch = fr.predict_forest(f, pts)
+        routed.clear()
+        alone = np.array([fr.predict_forest(f, p) for p in pts])
+        assert routed == ([] if walks else [1] * len(pts))
+        assert alone.tobytes() == batch.tobytes()
+
+
 def test_large_predict_memory_is_bounded_by_the_routing_block(monkeypatch):
     """A predict combines members a routing block of rows at a time: its
     traced peak is the output and one block's arrays, not the whole
