@@ -23,11 +23,7 @@ training data lives in `dataset`, keeping this module usable as ground truth.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,26 +49,6 @@ DEFAULT_PATCH_EDGE_M = 0.2
 # (position, patch) pairs, so the kernel's (chunk x patches) work arrays stay
 # in cache whatever the dataset size and the patch count.
 _CHUNK_PAIRS = 1 << 15
-
-# Chunks each worker takes per round of the pool: every round costs handing
-# work to the threads and waiting for the slowest, so a round spans several.
-_ROUND_CHUNKS = 8
-
-_THREADS_ENV = "LUMEN_REM_THREADS"
-
-
-def _max_workers() -> int:
-    """Worker cap from LUMEN_REM_THREADS: a positive count, or 0/unset for one per CPU."""
-    raw = os.environ.get(_THREADS_ENV, "").strip()
-    try:
-        n = int(raw) if raw else 0
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(
-            f"{_THREADS_ENV} must be a non-negative integer (0 = automatic), got {raw!r}"
-        )
-    return n or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +338,7 @@ class _TiledRoom:
         pa = _PatchArrays.from_room(scene.room, patch_edge_m)
         rx = scene.receiver
         g, self.cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
-        self.scene, self.pa = scene, pa
+        self.pa = pa
         self.x_wall = pa.axis == 0
         # The midpoint rule degrades when the receiver sits close to a patch
         # (the 1/d2^2 factor varies too much across it). Such pairs are
@@ -408,15 +384,9 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     T the most transmitters of any scene (a scene with fewer leaves its other
     lanes 0).
 
-    Each room's rows go through the midpoint kernel in chunks of at most
-    _CHUNK_PAIRS (row, patch) pairs, and every chunk's close pairs join one
-    refinement queue. Chunks of at least half that size run on the worker pool
-    capped by LUMEN_REM_THREADS, _ROUND_CHUNKS per worker in a round, while
-    the calling thread waits; smaller chunks, and the refinement between
-    rounds, run on the calling thread. A worker's NumPy calls on a smaller
-    block are too short to pay for handing the interpreter lock back and
-    forth, and refinement, mostly interpreter work, would hold the lock
-    against the workers.
+    Each room's rows go through the midpoint kernel on the calling thread, in
+    chunks of at most _CHUNK_PAIRS (row, patch) pairs that share one work
+    buffer, and every chunk's close pairs join one refinement queue.
     """
     blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
     if len(blocks) != len(scenes):
@@ -424,58 +394,29 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     counts = [len(b) for b in blocks]
     pos = np.concatenate(blocks) if blocks else np.empty((0, 3))
     _check_inside(scenes, counts, pos)
-    workers = _max_workers()
     n, width = len(pos), max((len(s.transmitters) for s in scenes), default=1)
     los, sums = np.zeros((n, width)), np.zeros((n, width))
     k, power = np.zeros((n, width)), np.zeros((n, width))
     queue = _RefineQueue(sums.reshape(-1))
-    local = threading.local()  # each thread's midpoint temporaries, reused chunk after chunk
-
-    def midpoint(room: _TiledRoom, lo: int, hi: int):
-        """LOS powers and midpoint sums of rows lo:hi; returns their close pairs."""
-        p, pa = pos[lo:hi], room.pa
-        size = 5 * (hi - lo) * len(pa)
-        if getattr(local, "work", np.empty(0)).size < size:
-            local.work = np.empty(size)
-        work = local.work[:size].reshape(5, hi - lo, len(pa))
-        found = []
-        for t, (tx, m, led_leg, k_t) in enumerate(room.transmitters):
-            los[lo:hi, t] = tx.power_mw * _los_gain_block(tx, room.scene.receiver, p)
-            sums[lo:hi, t], (r, c) = room.midpoint_sums(p, led_leg, work)
-            k[lo:hi, t], power[lo:hi, t] = k_t, tx.power_mw
-            tx_pos = np.broadcast_to(tx.position, (len(r), 3))
-            found.append(((m, room.cos_fov), _Pairs(
-                (lo + r) * width + t, p[r], tx_pos, pa.centers[c], pa.axis[c], pa.sign[c],
-                pa.edges_u[c], pa.edges_v[c])))
-        return found
-
-    def run(spans, pool=None):
-        """Midpoints of the spans, on the pool when given (each worker takes an
-        equal share), and their close pairs into the queue."""
-        if pool is not None and len(spans) > 1:
-            shares = [spans[i::workers] for i in range(min(workers, len(spans)))]
-            found = pool.map(lambda share: [f for span in share for f in midpoint(*span)], shares)
-        else:
-            found = (midpoint(*span) for span in spans)
-        for key, pairs in itertools.chain.from_iterable(found):
-            queue.put(key, pairs)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        big, start = [], 0
-        for scene, count in zip(scenes, counts):
-            room = _TiledRoom(scene, patch_edge_m)
-            step = max(1, _CHUNK_PAIRS // len(room.pa))
-            for lo in range(start, start + count, step):
-                hi = min(lo + step, start + count)
-                if workers > 1 and 2 * (hi - lo) * len(room.pa) >= _CHUNK_PAIRS:
-                    big.append((room, lo, hi))
-                    if len(big) == workers * _ROUND_CHUNKS:
-                        run(big, pool)
-                        big = []
-                else:
-                    run([(room, lo, hi)])
-            start += count
-        run(big, pool)
+    buffer, start = np.empty(0), 0  # the midpoint temporaries, reused chunk after chunk
+    for scene, count in zip(scenes, counts):
+        room = _TiledRoom(scene, patch_edge_m)
+        pa = room.pa
+        step = max(1, _CHUNK_PAIRS // len(pa))
+        for lo in range(start, start + count, step):
+            hi = min(lo + step, start + count)
+            p, size = pos[lo:hi], 5 * (hi - lo) * len(pa)
+            if buffer.size < size:
+                buffer = np.empty(size)
+            work = buffer[:size].reshape(5, hi - lo, len(pa))
+            for t, (tx, m, led_leg, k_t) in enumerate(room.transmitters):
+                los[lo:hi, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
+                sums[lo:hi, t], (r, c) = room.midpoint_sums(p, led_leg, work)
+                k[lo:hi, t], power[lo:hi, t] = k_t, tx.power_mw
+                queue.put((m, room.cos_fov), _Pairs(
+                    (lo + r) * width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
+                    pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
+        start += count
     queue.drain()
     return los, power * (k * sums)
 
@@ -516,9 +457,8 @@ def received_power_rooms(
     (an (n_i, 3) array) in the room of `scenes[i]`, room after room, in one
     pass.
 
-    A row's powers are the same bits whichever rooms and rows share the call,
-    whatever the chunk size, and whether the chunks run serially or on the
-    worker pool capped by LUMEN_REM_THREADS.
+    A row's powers are the same bits whichever rooms and rows share the call
+    and whatever the chunk size.
     """
     los, nlos = _lane_powers(scenes, positions, patch_edge_m)
     return _add_transmitters(los), _add_transmitters(nlos)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, evalmap, forest, mlp
 from ._doc import read_json, write_csv, write_json
-from .channel import _THREADS_ENV, DEFAULT_PATCH_EDGE_M
+from .channel import DEFAULT_PATCH_EDGE_M
 from .dataset import (
     FEATURE_LAYOUTS,
     Dataset,
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumenrem",
         description="Indoor visible-light RSS simulation, surrogate models, and radio maps.",
-        epilog=f"Set {_THREADS_ENV} to cap worker threads (0 or unset = automatic).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -469,29 +469,23 @@ def _route(feature, threshold, right, value, roots, X: np.ndarray) -> np.ndarray
     """Leaf values of every (tree, row) pair, a (len(roots), len(X)) matrix.
 
     The trees' nodes lie in flat arrays, tree t's root at node roots[t] and a
-    split node's children at right - 1 and right. All pairs of a block of rows
-    step down one level per pass, and a pair leaves the block's active set at
-    its leaf. A row goes left when x < threshold, so NaN goes right.
+    split node's children at right - 1 and right. All pairs step down one
+    level per pass, and a pair leaves the active set at its leaf. A row goes
+    left when x < threshold, so NaN goes right.
     """
-    n, k = X.shape
-    out = np.empty((len(roots), n))
-    step = max(1, _ROUTE_PAIRS // len(roots))
-    for lo in range(0, n, step):
-        block = X[lo:lo + step]
-        m = len(block)
-        flat = block.ravel()
-        node = np.repeat(roots, m)  # pair p is tree p // m and row p % m
-        pairs = np.flatnonzero(feature[node] >= 0)
-        cur = node[pairs]
-        at = pairs % m * k  # where the pair's row starts in `flat`
-        while len(pairs):
-            nxt = right[cur] - (flat[at + feature[cur]] < threshold[cur])
-            leaf = feature[nxt] < 0
-            node[pairs[leaf]] = nxt[leaf]
-            inner = ~leaf
-            pairs, at, cur = pairs[inner], at[inner], nxt[inner]
-        out[:, lo:lo + m] = value[node].reshape(len(roots), m)
-    return out
+    m, k = X.shape
+    flat = X.ravel()
+    node = np.repeat(roots, m)  # pair p is tree p // m and row p % m
+    pairs = np.flatnonzero(feature[node] >= 0)
+    cur = node[pairs]
+    at = pairs % m * k  # where the pair's row starts in `flat`
+    while len(pairs):
+        nxt = right[cur] - (flat[at + feature[cur]] < threshold[cur])
+        leaf = feature[nxt] < 0
+        node[pairs[leaf]] = nxt[leaf]
+        inner = ~leaf
+        pairs, at, cur = pairs[inner], at[inner], nxt[inner]
+    return value[node].reshape(len(roots), m)
 
 
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:

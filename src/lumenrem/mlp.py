@@ -143,8 +143,8 @@ def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward(model: MlpModel, features):
-    """Network output in the normalized target domain. 1D in, float out."""
+def _rows(model: MlpModel, features) -> tuple[np.ndarray, bool]:
+    """Features as a (rows, input_dim) float array, and whether one 1D row came in."""
     x = np.asarray(features, dtype=np.float64)
     scalar = x.ndim == 1
     if scalar:
@@ -153,6 +153,12 @@ def forward(model: MlpModel, features):
         raise ValueError(
             f"expected {model.config.input_dim} features, got shape {x.shape}"
         )
+    return x, scalar
+
+
+def forward(model: MlpModel, features):
+    """Network output in the normalized target domain. 1D in, float out."""
+    x, scalar = _rows(model, features)
     out = _forward_cached(model, x)[-1][:, 0]
     return float(out[0]) if scalar else out
 
@@ -279,14 +285,13 @@ def train(config: MlpConfig, splits: SplitSets) -> MlpModel:
 
 def predict(model: MlpModel, features):
     """RSS prediction in dBm from raw features; scalar for a single row."""
-    x = np.asarray(features, dtype=np.float64)
-    scalar = x.ndim == 1
+    x, scalar = _rows(model, features)
     if model.norm is not None:
         x = apply_norm(model.norm, x)
     out = forward(model, x)
     if model.norm is not None:
         out = out * model.norm.target_std + model.norm.target_mean
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

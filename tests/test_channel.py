@@ -1,6 +1,6 @@
 import math
-import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -401,23 +401,6 @@ def test_received_power_many_matches_scalar():
         assert (p_los[i], p_nlos[i]) == (bd.p_los_mw, bd.p_nlos_mw)
 
 
-def test_received_power_many_thread_count_invariant(monkeypatch):
-    """Same bits regardless of the worker cap."""
-    sc = preset_scene("small")
-    rng = np.random.default_rng(5)
-    n = 1300  # spans multiple chunks
-    pts = np.column_stack(
-        [rng.uniform(0, 3, n), rng.uniform(0, 3, n), rng.uniform(0, 1.7, n)]
-    )
-    monkeypatch.setenv("LUMEN_REM_THREADS", "1")
-    serial = ch.received_power_many(sc, pts)
-    for raw in ("4", "0"):  # 0 = one worker per CPU
-        monkeypatch.setenv("LUMEN_REM_THREADS", raw)
-        threaded = ch.received_power_many(sc, pts)
-        np.testing.assert_array_equal(serial[0], threaded[0])
-        np.testing.assert_array_equal(serial[1], threaded[1])
-
-
 def test_received_power_many_chunk_size_invariant(monkeypatch):
     """Same bits whatever the number of positions per chunk."""
     sc = preset_scene("small")
@@ -468,18 +451,33 @@ def test_received_power_rooms_matches_one_call_per_room():
 
 
 def test_received_power_rooms_chunk_size_invariant(monkeypatch):
-    """Same bits in a many-room call whatever the chunk size, the refinement
-    batch and the worker cap."""
+    """Same bits in a many-room call whatever the chunk size and the
+    refinement batch."""
     scenes, blocks = _rooms_and_rows(9)
     default = ch.received_power_rooms(scenes, blocks)
-    for threads in ("1", "4"):
-        monkeypatch.setenv("LUMEN_REM_THREADS", threads)
-        for chunk, batch in ((ch._CHUNK_PAIRS, ch._REFINE_BATCH), (1, 1), (1, 7), (5000, 7)):
-            monkeypatch.setattr(ch, "_CHUNK_PAIRS", chunk)
-            monkeypatch.setattr(ch, "_REFINE_BATCH", batch)
-            other = ch.received_power_rooms(scenes, blocks)
-            np.testing.assert_array_equal(default[0], other[0])
-            np.testing.assert_array_equal(default[1], other[1])
+    for chunk, batch in ((ch._CHUNK_PAIRS, ch._REFINE_BATCH), (1, 1), (1, 7), (5000, 7)):
+        monkeypatch.setattr(ch, "_CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(ch, "_REFINE_BATCH", batch)
+        other = ch.received_power_rooms(scenes, blocks)
+        np.testing.assert_array_equal(default[0], other[0])
+        np.testing.assert_array_equal(default[1], other[1])
+
+
+def test_received_power_rooms_starts_no_thread(monkeypatch):
+    """Every chunk of a call, however many, runs on the calling thread."""
+    scenes = [preset_scene("small"), preset_scene("mid", 4)]
+    rng = np.random.default_rng(12)
+    blocks = [rng.uniform(0.0, 1.0, (n, 3)) * [s.room.lx, s.room.ly, 1.7]
+              for s, n in zip(scenes, (200, 300))]
+    # several full chunks in each room
+    assert all(len(b) * len(ch._PatchArrays.from_room(s.room, ch.DEFAULT_PATCH_EDGE_M))
+               > 4 * ch._CHUNK_PAIRS for s, b in zip(scenes, blocks))
+
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ch.received_power_rooms(scenes, blocks)
 
 
 def test_received_power_rooms_rejects_a_row_outside_its_room():
@@ -528,11 +526,10 @@ def test_single_batched_and_many_room_powers_are_the_same_bits(case, others, at)
     assert (p_los[row], p_nlos[row]) == (bd.p_los_mw, bd.p_nlos_mw)
 
 
-def test_refinement_queue_memory_does_not_grow_with_rows(monkeypatch):
+def test_refinement_queue_memory_does_not_grow_with_rows():
     """Close pairs are refined as the queue fills, so four times the rows
     near a wall add only their output arrays (about 100 bytes a row) to the
     traced peak, not their close pairs (about 50 a row, over 5 KB if queued whole)."""
-    monkeypatch.setenv("LUMEN_REM_THREADS", "1")
     sc = preset_scene("small")
     rng = np.random.default_rng(10)
     n = 1000
@@ -567,13 +564,6 @@ def test_receiver_on_a_wall_patch_centre(on_patch, beside):
     assert math.isfinite(at)
     assert math.isclose(at, ch.received_power(sc, beside).total_mw, rel_tol=1e-6)
     assert p_los[0] + p_nlos[0] == at
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3", "1.5"])
-def test_received_power_many_rejects_bad_thread_env(monkeypatch, raw):
-    monkeypatch.setenv("LUMEN_REM_THREADS", raw)
-    with pytest.raises(ValueError, match=f"LUMEN_REM_THREADS .*'{re.escape(raw)}'"):
-        ch.received_power_many(preset_scene("small"), [(1.0, 1.0, 1.0)])
 
 
 def test_rss_and_path_loss_edges():

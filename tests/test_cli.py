@@ -241,14 +241,6 @@ def test_map_refuses_a_grid_too_fine_or_a_plane_outside_the_room(workdir, traine
     assert list(workdir.iterdir()) == []
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_thread_env_is_runtime_error(workdir, monkeypatch, capsys, raw):
-    monkeypatch.setenv("LUMEN_REM_THREADS", raw)
-    assert cli.main(["generate", "--per-axis", "2", "--out", "t.csv"]) == 2
-    err = capsys.readouterr().err
-    assert "LUMEN_REM_THREADS" in err and repr(raw) in err
-
-
 def test_map_requires_exactly_one_source(workdir, trained):
     assert cli.main(["map", "--scene", "small", "--out", "m.csv"]) == 1
     assert cli.main(["map", "--simulate", "--model", str(trained / "m.json"),

@@ -473,11 +473,11 @@ for t in trees:
 
 def test_growth_does_not_depend_on_the_thread_count():
     """A CART tree, 5 Extra Trees and a 2 x 2 AdaBoost, grown in a process with
-    one BLAS (and channel) thread and in one with two, hash the same."""
+    one BLAS thread and in one with two, hash the same."""
     src = str(Path(fr.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "LUMEN_REM_THREADS": threads,
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         runs.append(subprocess.run([sys.executable, "-c", _FIT_AND_HASH], env=env, check=True,
                                    capture_output=True, text=True, timeout=300).stdout.split())
@@ -554,11 +554,10 @@ def test_routing_block_size_does_not_change_predictions(monkeypatch):
               fr.fit_extra_trees(X, y, n_trees=4, seed=30),
               fr.fit_adaboost_r2(X, y, n_estimators=3, base_n_trees=2, seed=31)]
     pts = np.random.default_rng(32).uniform(0.0, 4.0, (50, 3))
-    default = [(fr._route(*f._packed, pts), fr.predict_forest(f, pts)) for f in models]
+    default = [fr.predict_forest(f, pts) for f in models]
     for pairs in (1, 7):  # one row per block, and blocks that split the rows unevenly
         monkeypatch.setattr(fr, "_ROUTE_PAIRS", pairs)
-        for f, (leaves, out) in zip(models, default):
-            np.testing.assert_array_equal(fr._route(*f._packed, pts), leaves)
+        for f, out in zip(models, default):
             np.testing.assert_array_equal(fr.predict_forest(f, pts), out)
 
 

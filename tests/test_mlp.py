@@ -311,8 +311,11 @@ def test_predict_batch_equals_scalar():
 def test_predict_arity_mismatch():
     splits = _linear_splits(n=50)
     model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), splits)
-    with pytest.raises(ValueError):
+    assert model.norm is not None  # the rows are checked before they are normalized
+    with pytest.raises(ValueError, match=r"expected 3 features, got shape \(1, 4\)"):
         mlp.predict(model, np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match=r"expected 3 features, got shape \(2, 4\)"):
+        mlp.predict(model, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
