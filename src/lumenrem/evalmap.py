@@ -303,12 +303,15 @@ def _scene_features(model, scene: Scene, xs, ys, z_plane: float) -> np.ndarray:
 
 
 def map_to_csv(radio_map: RadioMap, path) -> None:
-    """Long-form x,y,rss rows, y-major then x, both ascending."""
-    rows = np.column_stack([np.tile(radio_map.x_centers(), radio_map.ny),
-                            np.repeat(radio_map.y_centers(), radio_map.nx),
-                            radio_map.values.ravel()])
-    write_csv(path, ("x", "y", "rss_dbm"), rows.tolist(),
-              comment=f"source={radio_map.source} z={radio_map.z_plane!r}")
+    """Long-form x,y,rss rows, y-major then x, both ascending, each number its
+    `repr`, as `write_csv` writes them. Each of the nx x-centres and ny
+    y-centres is formatted once, not once per cell."""
+    cells = product(map(repr, radio_map.y_centers().tolist()),
+                    map(repr, radio_map.x_centers().tolist()))
+    values = map(repr, radio_map.values.ravel().tolist())
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# source={radio_map.source} z={radio_map.z_plane!r}\nx,y,rss_dbm\n")
+        f.writelines(f"{x},{y},{v}\n" for (y, x), v in zip(cells, values))
 
 
 def map_to_pgm(radio_map: RadioMap, path) -> None:
@@ -321,8 +324,8 @@ def map_to_pgm(radio_map: RadioMap, path) -> None:
         gray = np.rint((v - v.min()) / span * 255.0).astype(np.int64)
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"P2\n{radio_map.nx} {radio_map.ny}\n255\n")
-        for iy in range(radio_map.ny - 1, -1, -1):  # top row = largest y
-            f.write(" ".join(str(int(g)) for g in gray[iy]) + "\n")
+        # top row = largest y
+        f.writelines(" ".join(map(str, row)) + "\n" for row in gray[::-1].tolist())
 
 
 # ---------------------------------------------------------------------------

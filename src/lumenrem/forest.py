@@ -18,7 +18,9 @@ the MLP needs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -96,12 +98,6 @@ class Tree:
         if X.ndim != 2 or X.shape[1] <= self.feature.max():
             raise ValueError(f"tree splits on feature {self.feature.max()}, got shape {X.shape}")
         return _route(self.feature, self.threshold, self.right, self.value, _ROOT, X)[0]
-
-    def predict_row(self, x) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] < self.threshold[i] else self.right[i]
-        return float(self.value[i])
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +455,11 @@ def _sequential_mean(a: np.ndarray) -> np.ndarray:
 # forest and the number of rows
 _ROUTE_PAIRS = 1 << 18
 _ROOT = np.zeros(1, dtype=np.intp)
-# a single row walks each tree in Python when the forest has fewer trees than
-# this; from here on the router's fixed cost per level is the cheaper one
-# (measured on a 2-CPU VM with Extra Trees grown on 1,200 rows)
-_WALK_TREES = 18
+# a single row walks the packed arrays in Python when the forest has fewer
+# trees than this; from here on the router's fixed cost per level is the
+# cheaper one (measured on a 2-CPU VM with Extra Trees grown on 1,200 rows:
+# the walk was cheaper up to 50 trees, and about as costly from 55 to 65)
+_WALK_TREES = 55
 
 
 def _route(feature, threshold, right, value, roots, X: np.ndarray) -> np.ndarray:
@@ -488,12 +485,33 @@ def _route(feature, threshold, right, value, roots, X: np.ndarray) -> np.ndarray
     return value[node].reshape(len(roots), m)
 
 
+def _walk(forest: Forest, x: list) -> float:
+    """One row's prediction, each tree walked in Python over the packed arrays.
+
+    A memoryview hands out Python ints and floats, so a level costs a few
+    bytecodes instead of NumPy calls. Leaf values are added in tree order
+    from the first one, as `_sequential_mean`'s cumsum does (so -0.0 stays
+    -0.0; `sum` would start from 0 and, from Python 3.12 on, compensate), and
+    a row gets the bits `_route` gives it.
+    """
+    feature, threshold, right, value = map(memoryview, forest._packed[:4])
+    leaves = []
+    for i in forest._packed[4].tolist():
+        f = feature[i]
+        while f >= 0:
+            i = right[i] - (x[f] < threshold[i])
+            f = feature[i]
+        leaves.append(value[i])
+    if forest.mode != "adaboost_r2":
+        return reduce(operator.add, leaves) / len(leaves)
+    k = forest.trees_per_member
+    means = [reduce(operator.add, leaves[lo:lo + k]) / k for lo in range(0, len(leaves), k)]
+    return weighted_median(means, forest.tree_weights)
+
+
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(n_members, n_rows) matrix; a member's output averages its trees."""
-    if len(X) == 1 and len(forest.trees) < _WALK_TREES:
-        per_tree = np.array([[t.predict_row(X[0])] for t in forest.trees], dtype=np.float64)
-    else:
-        per_tree = _route(*forest._packed, X)
+    per_tree = _route(*forest._packed, X)
     if forest.trees_per_member == 1:
         return per_tree
     members = per_tree.reshape(forest.n_members, forest.trees_per_member, -1)
@@ -509,6 +527,9 @@ def predict_forest(forest: Forest, raw_features):
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got shape {X.shape}")
+    if len(X) == 1 and len(forest.trees) < _WALK_TREES:
+        value = _walk(forest, X[0].tolist())
+        return value if scalar else np.array([value])
     # members are combined a routing block of rows at a time, so a large
     # predict never holds every (tree, row) output; a row's value depends on
     # its own column alone

@@ -288,7 +288,7 @@ def predict(model: MlpModel, features):
     x, scalar = _rows(model, features)
     if model.norm is not None:
         x = apply_norm(model.norm, x)
-    out = forward(model, x)
+    out = _forward_cached(model, x)[-1][:, 0]
     if model.norm is not None:
         out = out * model.norm.target_std + model.norm.target_mean
     return float(out[0]) if scalar else out

@@ -7,6 +7,7 @@ the photodetector faces straight up. Orientations are fixed and not configurable
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ._doc import from_doc, read_json, to_doc, write_json
@@ -39,6 +40,15 @@ _WALL_REFLECTANCE = 0.8
 _RESPONSIVITY = 1.0
 
 
+def _refuse_non_finite(record, *names: str) -> None:
+    """ValueError naming the first of the record's fields `names` that holds
+    NaN or an infinity (a tuple field is checked item by item)."""
+    for name in names:
+        v = getattr(record, name)
+        if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+            raise ValueError(f"{type(record).__name__} {name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Room:
     """Rectangular room extents in meters."""
@@ -48,6 +58,7 @@ class Room:
     lz: float
 
     def __post_init__(self):
+        _refuse_non_finite(self, "lx", "ly", "lz")
         if not (self.lx > 0 and self.ly > 0 and self.lz > 0):
             raise ValueError(f"room dimensions must be positive, got {self.lx}x{self.ly}x{self.lz}")
 
@@ -61,13 +72,14 @@ class Transmitter:
     hpa_deg: float = _HPA_DEG
 
     def __post_init__(self):
+        if len(self.position) != 3:
+            raise ValueError("position must be a 3D point")
+        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
+        _refuse_non_finite(self, "position", "power_mw", "hpa_deg")
         if self.power_mw <= 0:
             raise ValueError(f"power_mw must be positive, got {self.power_mw}")
         if not 0 < self.hpa_deg < 90:
             raise ValueError(f"hpa_deg must be in (0, 90), got {self.hpa_deg}")
-        if len(self.position) != 3:
-            raise ValueError("position must be a 3D point")
-        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,8 @@ class Receiver:
     responsivity: float = _RESPONSIVITY
 
     def __post_init__(self):
+        _refuse_non_finite(self, "area_m2", "fov_deg", "filter_gain", "refractive_index",
+                           "responsivity")
         if self.area_m2 <= 0:
             raise ValueError(f"area_m2 must be positive, got {self.area_m2}")
         if not 0 < self.fov_deg <= 90:
@@ -129,7 +143,13 @@ class Scene:
 
     @classmethod
     def load(cls, path) -> "Scene":
-        return cls.from_dict(read_json(path))
+        """Read a file written by `save`; ValueError names the file whatever
+        the document gets wrong."""
+        doc = read_json(path)
+        try:
+            return cls.from_dict(doc)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: {e}") from e
 
 
 def _led_positions(room: Room, led_count: int) -> list[tuple[float, float, float]]:

@@ -347,6 +347,18 @@ def test_scene_file_and_campaign_spec_must_be_json_objects(workdir, capsys, raw)
     assert not Path("d.csv").exists() and not Path("camp").exists()
 
 
+def test_scene_file_with_an_infinite_room_side_is_refused_by_name(workdir, capsys):
+    doc = preset_scene("mid").to_dict()
+    doc["room"]["lx"] = float("inf")
+    Path("room.json").write_text(json.dumps(doc))
+    assert '"lx": Infinity' in Path("room.json").read_text()
+    assert cli.main(["generate", "--scene", "room.json", "--reference", "2",
+                     "--out", "d.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "room.json" in err[0] and "lx must be finite" in err[0]
+    assert not Path("d.csv").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["generate", "--per-axis", "2", "--noise-factor", "nan"], "--noise-factor"),
     (["generate", "--per-axis", "2", "--patch-edge", "inf"], "--patch-edge"),

@@ -264,6 +264,46 @@ def test_pgm_constant_map(tmp_path):
     assert path.read_text() == "P2\n2 2\n255\n0 0\n0 0\n"
 
 
+def _row_by_row_map_files(m) -> tuple[bytes, bytes]:
+    """The CSV and PGM bytes of a map as a row-by-row writer makes them: a
+    `repr(float)` per CSV cell, x and y again for every cell, and a
+    `str(int)` per PGM cell."""
+    rows = np.column_stack([np.tile(m.x_centers(), m.ny), np.repeat(m.y_centers(), m.nx),
+                            m.values.ravel()])
+    csv = [f"# source={m.source} z={m.z_plane!r}", "x,y,rss_dbm"]
+    csv += [",".join(repr(float(c)) for c in row) for row in rows]
+    v = m.values
+    span = float(v.max() - v.min())
+    gray = (np.zeros_like(v, dtype=np.int64) if span == 0.0
+            else np.rint((v - v.min()) / span * 255.0).astype(np.int64))
+    pgm = [f"P2\n{m.nx} {m.ny}\n255"]
+    pgm += [" ".join(str(int(g)) for g in gray[iy]) for iy in range(m.ny - 1, -1, -1)]
+    return ("\n".join(csv) + "\n").encode(), ("\n".join(pgm) + "\n").encode()
+
+
+def _hand_map(values, spacing=(0.1, 0.3), z=0.5):
+    return evalmap.RadioMap(origin=(0.0, 0.0), spacing=spacing, z_plane=z,
+                            values=np.asarray(values, dtype=np.float64), source="hand")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: evalmap.simulate_map(preset_scene("mid"), 1.0, 0.1),
+    lambda: _hand_map([[-0.0, 1e-300, 1e16], [0.1 + 0.2, 3.0, -7.0], [1e22, -2.5e-8, 40.0]]),
+    lambda: _hand_map(np.arange(7.0)[None, :] / 3, spacing=(1 / 7, 0.2), z=-0.0),
+    lambda: _hand_map(np.arange(7.0)[:, None] - 3.0, spacing=(0.7, 0.1 + 0.2)),
+], ids=["mid-50x50", "odd-floats", "1xN", "Nx1"])
+def test_map_files_match_a_row_by_row_writer(tmp_path, make):
+    """map_to_csv and map_to_pgm write the very bytes a cell-by-cell writer
+    does, for a simulated 50x50 map, floats whose repr is unusual, and maps
+    one cell wide or tall."""
+    m = make()
+    csv, pgm = _row_by_row_map_files(m)
+    evalmap.map_to_csv(m, tmp_path / "m.csv")
+    evalmap.map_to_pgm(m, tmp_path / "m.pgm")
+    assert (tmp_path / "m.csv").read_bytes() == csv
+    assert (tmp_path / "m.pgm").read_bytes() == pgm
+
+
 # ---------------------------------------------------------------------------
 # Model zoo plumbing
 # ---------------------------------------------------------------------------

@@ -502,7 +502,30 @@ def test_hand_built_tree_routing():
         [[0.5, 9.0], [1.0, 1.9], [1.0, 2.0], [2.0, -4.0], [0.99, 2.0]]
     )
     np.testing.assert_array_equal(tree.predict(pts), [5.0, -1.0, 3.0, -1.0, 5.0])
-    assert tree.predict_row(pts[2]) == 3.0
+    assert [_walk_tree(tree, p) for p in pts] == [5.0, -1.0, 3.0, -1.0, 5.0]
+
+
+def _walk_tree(t, x) -> float:
+    """Reference walk of one tree over its own arrays: from the root, to the
+    left child when x < threshold and to the right one otherwise (NaN too),
+    down to a leaf."""
+    i = 0
+    while t.feature[i] >= 0:
+        i = t.left[i] if x[t.feature[i]] < t.threshold[i] else t.right[i]
+    return float(t.value[i])
+
+
+def test_single_row_sum_starts_from_the_first_tree():
+    """A walked row sums its trees from the first leaf value, as the batch's
+    cumsum does, so leaves of -0.0 give -0.0 alone and in a batch."""
+    stump = fr.Tree(feature=[0, -1, -1], threshold=[0.5, np.nan, np.nan],
+                    value=[0.0, -0.0, -0.0])
+    for kw in (dict(mode="extra_trees"),
+               dict(mode="adaboost_r2", trees_per_member=2, tree_weights=[1.0])):
+        f = fr.Forest(trees=(stump, stump), n_features=1, params=fr.TreeParams(), seed=0, **kw)
+        alone = fr.predict_forest(f, [0.1])
+        assert math.copysign(1.0, alone) == -1.0
+        assert np.float64(alone).tobytes() == fr.predict_forest(f, [[0.1], [0.9]])[0].tobytes()
 
 
 @st.composite
@@ -532,18 +555,20 @@ def _small_forests(draw):
 @given(f=_small_forests(), m=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
 def test_packed_router_matches_each_trees_walk(f, m, seed):
     """Rows drawn from the grid, from every split threshold and NaN: the
-    packed router gives each tree's `predict_row` leaf value bit for bit, and
-    a row alone gets the bits it gets inside the batch."""
+    packed router gives each tree's walked leaf value bit for bit, and a row
+    alone, as a 1-D row or a one-row batch, gets the bits it gets inside the
+    batch."""
     cuts = np.concatenate([t.threshold[t.feature >= 0] for t in f.trees])
     pool = np.concatenate([np.arange(5) / 2.0, cuts, [np.nan]])
     X = np.random.default_rng(seed).choice(pool, (m, f.n_features))
     packed = fr._route(*f._packed, X)
-    walked = np.array([[t.predict_row(x) for x in X] for t in f.trees])
+    walked = np.array([[_walk_tree(t, x) for x in X] for t in f.trees])
     assert packed.tobytes() == walked.tobytes()
     assert np.array([t.predict(X) for t in f.trees]).tobytes() == walked.tobytes()
     batch = fr.predict_forest(f, X)
     for i in range(m):
         assert np.float64(fr.predict_forest(f, X[i])).tobytes() == batch[i].tobytes()
+        assert fr.predict_forest(f, X[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
 
 
 def test_routing_block_size_does_not_change_predictions(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -89,6 +90,46 @@ def test_validation_errors():
         Scene(room=room, transmitters=(Transmitter(position=(4.0, 1.0, 3.0)),))
     with pytest.raises(ValueError):
         Scene(room=room, transmitters=(Transmitter(position=(1.0, 1.0, 3.0)),), wall_reflectance=1.2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lx", "ly", "lz"])
+def test_room_refuses_non_finite_sides(field, value):
+    sides = {"lx": 3.0, "ly": 3.0, "lz": 3.0, field: value}
+    with pytest.raises(ValueError, match=f"Room {field} must be finite"):
+        Room(**sides)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["position", "power_mw", "hpa_deg"])
+def test_transmitter_refuses_non_finite_numbers(field, value):
+    kw = {"position": (1.0, 1.0, value) if field == "position" else (1.0, 1.0, 3.0)}
+    if field != "position":
+        kw[field] = value
+    with pytest.raises(ValueError, match=f"Transmitter {field} must be finite"):
+        Transmitter(**kw)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["area_m2", "fov_deg", "filter_gain", "refractive_index",
+                                   "responsivity"])
+def test_receiver_refuses_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"Receiver {field} must be finite"):
+        Receiver(**{field: value})
+
+
+def test_scene_load_names_the_file_in_every_refusal(tmp_path):
+    path = tmp_path / "room.json"
+    for edit in (lambda d: d["room"].update(lx=math.inf),
+                 lambda d: d["transmitters"][0].update(power_mw=math.inf),
+                 lambda d: d["receiver"].update(area_m2=math.inf),
+                 lambda d: d.update(wall_reflectance=2.0),
+                 lambda d: d.update(extra=1)):
+        doc = preset_scene("mid").to_dict()
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            Scene.load(path)
 
 
 def test_json_round_trip(tmp_path):
