@@ -17,6 +17,13 @@ block and room, wait in one refinement queue that is refined in fixed-size
 batches whenever one fills. A position's powers are the same bits whichever
 call, block or batch it falls in.
 
+Only what the receiver can see is refined. The receiver faces up, so a
+(sub-)patch whose top edge is at or below its plane has cos(psi) <= 0 at every
+point: each of its sub-patches fails the FOV test and adds exactly 0.0 at any
+depth. Such a close pair, or close sub-patch, is not split; its own midpoint
+term is left out as for any close pair, so it adds the same 0.0 it would have
+added split, and the sums keep their bits.
+
 Everything here is pure and deterministic; the additive noise applied to
 training data lives in `dataset`, keeping this module usable as ground truth.
 """
@@ -49,6 +56,11 @@ DEFAULT_PATCH_EDGE_M = 0.2
 # (position, patch) pairs, so the kernel's (chunk x patches) work arrays stay
 # in cache whatever the dataset size and the patch count.
 _CHUNK_PAIRS = 1 << 15
+
+# A room's wall tiling holds at most this many patches; every row costs one
+# midpoint term per patch. 2 cm patches on the walls of the 6.5 x 6.5 x 3.5 m
+# "big" preset make 227,500.
+_MAX_PATCHES = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +124,19 @@ class _PatchArrays:
         # Four walls, fixed order x=0, x=lx, y=0, y=ly, as (axis, offset,
         # inward sign, extent). Each is tiled with ceil(extent/edge) patches
         # per direction and exact sizes extent/count, so the tiling covers the
-        # wall exactly and is reflection-symmetric.
-        walls = np.array([(0, 0.0, 1.0, room.ly), (0, room.lx, -1.0, room.ly),
-                          (1, 0.0, 1.0, room.lx), (1, room.ly, -1.0, room.lx)])
-        nu = np.ceil(walls[:, 3] / patch_edge_m - 1e-12).astype(int)
+        # wall exactly and is reflection-symmetric. The counts are Python ints,
+        # so a tiling over the bound is refused before anything is allocated.
+        walls = [(0, 0.0, 1.0, room.ly), (0, room.lx, -1.0, room.ly),
+                 (1, 0.0, 1.0, room.lx), (1, room.ly, -1.0, room.lx)]
+        nu = [math.ceil(extent / patch_edge_m - 1e-12) for *_, extent in walls]
         nv = math.ceil(room.lz / patch_edge_m - 1e-12)
-        per_wall = nu * nv
+        if sum(nu) * nv > _MAX_PATCHES:
+            raise ValueError(
+                f"patch edge {patch_edge_m} m tiles the walls of the {room.lx} x {room.ly} x "
+                f"{room.lz} m room with {sum(nu) * nv:,} patches, more than the "
+                f"{_MAX_PATCHES:,} a tiling may hold"
+            )
+        walls, per_wall = np.array(walls), np.array(nu) * nv
         axis, offset, sign, extent = np.repeat(walls, per_wall, axis=0).T
         # index of each patch on its wall, u-major: patch (iu, iv) is iu * nv + iv
         k = np.arange(per_wall.sum()) - np.repeat(np.cumsum(per_wall) - per_wall, per_wall)
@@ -243,15 +262,32 @@ class _Pairs(NamedTuple):
         return _Pairs(*(a[lo:hi] for a in self))
 
 
+def _rises_above(center_z, edge_v, rx_z) -> np.ndarray:
+    """Which (sub-)patches have their top edge above their receiver's plane.
+
+    The receiver faces up, so a (sub-)patch that does not has cos(psi) <= 0
+    at every point, and each of its sub-patches, at any depth, fails the FOV
+    test and adds exactly 0.0: a close pair is split only when this holds.
+    This holds in floating point too: under _MAX_PATCHES, a depth-12
+    sub-patch's half edge is over a million ulps of its height, so rounding
+    never lifts a sub-patch centre above its ancestor's top edge.
+    """
+    return center_z + 0.5 * edge_v > rx_z
+
+
 def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     """Sums of the midpoint terms (without the constant k) over the sub-patches
     of each pair's patch seen from its receiver, each patch split 2x2 while a
-    (sub-)patch is closer to its receiver than four times its edge, at most
-    _REFINE_MAX_DEPTH times. The pairs are close, so each patch starts split.
+    (sub-)patch is closer to its receiver than four times its edge and its top
+    edge is above the receiver's plane, at most _REFINE_MAX_DEPTH times. The
+    pairs are close and rise above the plane, so each patch starts split.
 
-    The subdivision runs breadth-first over every pair at once. Each depth's
-    terms are added into their pair's sum in child order (0 for a sub-patch
-    split further), so a pair's value does not depend on which other pairs
+    A close sub-patch that does not rise above the plane is not split: its
+    own term is left out as a close one, and its sub-patches would all add
+    exactly 0.0 (`_rises_above`), so the sums are the same bits as with it
+    split. The subdivision runs breadth-first over every pair at once. Each
+    depth's terms are added into their pair's sum in child order (0 for a
+    close sub-patch), so a pair's value does not depend on which other pairs
     share the batch.
     """
     centers, eu, ev = q.centers, q.edges_u, q.edges_v
@@ -271,47 +307,51 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
         near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
         term, near = _rx_leg(*(q.rx[node] - centers).T, x_wall, sign, led_leg, cos_fov, near)
         np.add.at(sums, node, term)
-        if near is None or not near.any():
+        if near is None:
             break
         split = np.nonzero(near)[0]
+        split = split[_rises_above(centers[split, 2], ev[split], q.rx[node[split], 2])]
+        if not len(split):
+            break
     return sums
 
 
 class _RefineQueue:
-    """The close pairs of one call, whatever chunk or room they come from,
-    refined in full _REFINE_BATCH blocks as they arrive and added into their
-    lanes' midpoint sums (`sums`, flat), so at most a batch waits between
-    chunks. Pairs wait by (Lambertian order, FOV cosine), so that `** m` and
-    the FOV test take scalars. A lane's pairs arrive together, patch after
-    patch, and are added in that order, as a loop over the pairs would add
-    them: its sum does not depend on the batching.
+    """The close pairs of one call that rise above their receiver's plane,
+    whatever chunk or room they come from, refined in full _REFINE_BATCH
+    blocks as they arrive and added into their lanes' midpoint sums (`sums`,
+    flat), so at most a batch waits between chunks. The other close pairs never
+    come here: refined, they would add exactly 0.0 (`_rises_above`). Pairs
+    wait by (Lambertian order, FOV cosine), so that `** m` and the FOV test
+    take scalars, with a running count per key. A lane's pairs arrive
+    together, patch after patch, and are added in that order, as a loop over
+    the pairs would add them: its sum does not depend on the batching.
     """
 
     def __init__(self, sums: np.ndarray):
         self.sums = sums
         self.waiting: dict[tuple[float, float], list[_Pairs]] = {}
+        self.counts: dict[tuple[float, float], int] = {}
 
     def put(self, key: tuple[float, float], pairs: _Pairs) -> None:
-        if len(pairs.lane):
-            parts = self.waiting.setdefault(key, [])
-            parts.append(pairs)
-            if sum(len(p.lane) for p in parts) >= _REFINE_BATCH:
-                self._refine(key, whole_batches=True)
+        self.waiting.setdefault(key, []).append(pairs)
+        self.counts[key] = count = self.counts.get(key, 0) + len(pairs.lane)
+        if count >= _REFINE_BATCH:
+            self._refine(key, whole_batches=True)
 
     def drain(self) -> None:
         for key in list(self.waiting):
             self._refine(key, whole_batches=False)
 
     def _refine(self, key: tuple[float, float], whole_batches: bool) -> None:
-        parts = self.waiting.pop(key)
+        parts, n = self.waiting.pop(key), self.counts.pop(key)
         q = parts[0] if len(parts) == 1 else _Pairs(*map(np.concatenate, zip(*parts)))
-        n = len(q.lane)
         stop = n - n % _REFINE_BATCH if whole_batches else n
         for lo in range(0, stop, _REFINE_BATCH):
             batch = q.rows(lo, min(lo + _REFINE_BATCH, stop))
             np.add.at(self.sums, batch.lane, _refined_terms(*key, batch))
         if stop < n:
-            self.waiting[key] = [q.rows(stop)]
+            self.waiting[key], self.counts[key] = [q.rows(stop)], n - stop
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +397,17 @@ class _TiledRoom:
 
     def midpoint_sums(self, pos: np.ndarray, led_leg: np.ndarray, work: np.ndarray):
         """Per-row midpoint-rule sum over the patches (without the constant k)
-        and the (rows, patches) of the close pairs left out of it; `work` holds
-        five (rows, patches) temporaries."""
-        c = self.pa.centers
+        and the (rows, patches) of the close pairs left out of it whose patch
+        rises above the row's receiver plane, the only ones to refine; `work`
+        holds five (rows, patches) temporaries."""
+        pa = self.pa
         for axis in range(3):
-            np.subtract(pos[:, axis, None], c[:, axis], out=work[axis])
-        terms, near = _rx_leg(*work[:3], self.x_wall, self.pa.sign, led_leg, self.cos_fov,
+            np.subtract(pos[:, axis, None], pa.centers[:, axis], out=work[axis])
+        terms, near = _rx_leg(*work[:3], self.x_wall, pa.sign, led_leg, self.cos_fov,
                               self.near, work[3:])
-        return terms.sum(axis=1), np.nonzero(near)
+        r, c = np.nonzero(near)
+        seen = _rises_above(pa.centers[c, 2], pa.edges_v[c], pos[r, 2])
+        return terms.sum(axis=1), (r[seen], c[seen])
 
 
 def _check_inside(scenes, counts, pos: np.ndarray) -> None:
@@ -386,7 +429,8 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
 
     Each room's rows go through the midpoint kernel on the calling thread, in
     chunks of at most _CHUNK_PAIRS (row, patch) pairs that share one work
-    buffer, and every chunk's close pairs join one refinement queue.
+    buffer, and every chunk's close pairs that rise above their receiver's
+    plane join one refinement queue.
     """
     blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
     if len(blocks) != len(scenes):
@@ -413,9 +457,10 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
                 los[lo:hi, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
                 sums[lo:hi, t], (r, c) = room.midpoint_sums(p, led_leg, work)
                 k[lo:hi, t], power[lo:hi, t] = k_t, tx.power_mw
-                queue.put((m, room.cos_fov), _Pairs(
-                    (lo + r) * width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
-                    pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
+                if len(r):
+                    queue.put((m, room.cos_fov), _Pairs(
+                        (lo + r) * width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
+                        pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
         start += count
     queue.drain()
     return los, power * (k * sums)

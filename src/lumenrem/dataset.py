@@ -229,10 +229,17 @@ class NormStats:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _rss(powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """RSS in dBm of (LOS, NLOS) power arrays."""
-    p_los, p_nlos = powers
-    return channel.rss_dbm(p_los + p_nlos)
+def _rss(rows: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """RSS in dBm of (LOS, NLOS) power arrays received at `rows`, whose first
+    three columns are the positions; the first position that gets no light
+    (no LED in the FOV, every lit patch out of it or seen edge-on) is named."""
+    total = powers[0] + powers[1]
+    dark = total <= 0
+    if dark.any():
+        x, y, z = rows[np.argmax(dark), :3].tolist()
+        raise ValueError(f"no light reaches the receiver at ({x}, {y}, {z}): received power "
+                         f"must be positive to express in dBm")
+    return channel.rss_dbm(total)
 
 
 def _product(*axes) -> np.ndarray:
@@ -262,7 +269,7 @@ def generate_fixed(
     room = scene.room
     pos = _product(*(_stream(seed, 0, k).uniform(0.0, hi, per_axis)
                      for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))))
-    return _dataset(pos, _rss(channel.received_power_many(scene, pos, patch_edge_m)),
+    return _dataset(pos, _rss(pos, channel.received_power_many(scene, pos, patch_edge_m)),
                     patch_edge_m, generator="fixed", scene=scene.to_dict(),
                     per_axis=per_axis, seed=seed)
 
@@ -295,8 +302,10 @@ def generate_variable(
             blocks.append(_product(fx * lx, fy * ly, zs, [lx], [ly]))
             scenes.append(variable_scene(float(lx), float(ly), led_count))
     # one channel call for every room
-    rss = _rss(channel.received_power_rooms(scenes, [b[:, :3] for b in blocks], patch_edge_m))
-    return _dataset(np.concatenate(blocks), rss, patch_edge_m, generator="variable",
+    feats = np.concatenate(blocks)
+    rss = _rss(feats, channel.received_power_rooms(scenes, [b[:, :3] for b in blocks],
+                                                   patch_edge_m))
+    return _dataset(feats, rss, patch_edge_m, generator="variable",
                     led_count=led_count, per_xy=per_xy, per_z=per_z, per_dim=per_dim, seed=seed)
 
 
@@ -312,7 +321,7 @@ def generate_reference(
     room = scene.room
     pos = np.column_stack([_stream(seed, 3, k).uniform(0.0, hi, n)
                            for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))])
-    return _dataset(pos, _rss(channel.received_power_many(scene, pos, patch_edge_m)),
+    return _dataset(pos, _rss(pos, channel.received_power_many(scene, pos, patch_edge_m)),
                     patch_edge_m, generator="reference", scene=scene.to_dict(), n=n, seed=seed)
 
 
@@ -333,7 +342,7 @@ def generate_reference_variable(
     feats = np.column_stack([x, y, z, lx, ly])
     # every row has a room of its own; one channel call covers them all
     scenes = [variable_scene(a, b, led_count) for a, b in zip(lx.tolist(), ly.tolist())]
-    rss = _rss(channel.received_power_rooms(scenes, feats[:, None, :3], patch_edge_m))
+    rss = _rss(feats, channel.received_power_rooms(scenes, feats[:, None, :3], patch_edge_m))
     return _dataset(feats, rss, patch_edge_m, generator="reference_variable",
                     led_count=led_count, n=n, seed=seed)
 

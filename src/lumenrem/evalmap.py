@@ -244,7 +244,7 @@ def simulate_map(
     """Ground-truth RSS grid straight from the propagation model."""
     (sx, sy), gx, gy = _grid(scene, z_plane, spacing)
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z_plane))])
-    values = _rss(channel.received_power_many(scene, pos, patch_edge_m)).reshape(gx.shape)
+    values = _rss(pos, channel.received_power_many(scene, pos, patch_edge_m)).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
                     values=values, source="simulated")
 
@@ -283,7 +283,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     ys = (1.0 - t) * (room.ly / 2.0)
     if source is None:
         pos = np.column_stack([xs, ys, np.full(n_points, float(z_plane))])
-        vals = _rss(channel.received_power_many(scene, pos, channel.DEFAULT_PATCH_EDGE_M))
+        vals = _rss(pos, channel.received_power_many(scene, pos, channel.DEFAULT_PATCH_EDGE_M))
     elif isinstance(source, RadioMap):
         vals = np.array([source.value_at(x, y) for x, y in zip(xs, ys)])
     else:

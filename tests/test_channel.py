@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lumenrem import channel as ch
@@ -196,6 +196,27 @@ def test_discretize_walls_bad_edge():
         ch._PatchArrays.from_room(room, 0.0)
     with pytest.raises(ValueError):
         ch._PatchArrays.from_room(room, 10.0)
+
+
+def test_tiling_over_the_patch_bound_is_refused_before_any_allocation():
+    """The bound admits 2 cm patches in the largest preset room and in the
+    largest varying room; a finer tiling is refused, naming the room and the
+    edge, before its arrays exist."""
+    assert len(ch._PatchArrays.from_room(preset_scene("big").room, 0.02)) <= ch._MAX_PATCHES
+    assert len(ch._PatchArrays.from_room(variable_scene(7.0, 7.0).room, 0.02)) <= ch._MAX_PATCHES
+    for room, edge in ((Room(5.0, 5.0, 3.0), 0.001), (Room(1e5, 5.0, 3.0), 0.2),
+                       (Room(1e300, 1e300, 3.0), 0.2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"patch edge {edge} m tiles the walls of the {room.lx} x {room.ly} x "
+                    f"{room.lz} m room with ")) as info:
+                ch._PatchArrays.from_room(room, edge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"more than the {ch._MAX_PATCHES:,} a tiling may hold" in str(info.value)
+        assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +566,77 @@ def test_refinement_queue_memory_does_not_grow_with_rows():
             tracemalloc.stop()
 
     assert peak(pts) - peak(pts[:n]) < 3 * n * 300
+
+
+def _patches_below(pa, z):
+    """Indices of the patches whose top edge is at or below height z."""
+    return np.nonzero(pa.centers[:, 2] + 0.5 * pa.edges_v <= z)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge=st.sampled_from([0.1, 0.2, 0.3, 0.5]), wall=st.integers(0, 3),
+       depth=st.floats(0.0, 1.0), along=st.floats(0.0, 5.0), z=st.floats(0.0, 2.9),
+       led=st.integers(0, 3), fov=st.floats(10.0, 90.0))
+@example(edge=0.5, wall=0, depth=0.0, along=2.5, z=1.0, led=0, fov=85.0)  # on a top edge
+@example(edge=0.1, wall=2, depth=0.05, along=1.05, z=1.5, led=3, fov=90.0)
+def test_a_patch_at_or_below_the_receiver_plane_refines_to_exactly_zero(
+        edge, wall, depth, along, z, led, fov):
+    """A close patch whose top edge is at or below the receiver's plane adds
+    exactly 0.0 when refined, whether its close sub-patches are split at every
+    depth (the pruning test switched off) or left as the channel leaves them."""
+    sc = preset_scene("mid", led_count=4)
+    pa = ch._PatchArrays.from_room(sc.room, edge)
+    pos = np.array(_near_wall(wall, depth * 4.0 * edge, along, z))
+    below = _patches_below(pa, z)
+    close = below[np.linalg.norm(pos - pa.centers[below], axis=1) < 4.0 * edge]
+    assume(len(close))
+    k = len(close)
+    q = ch._Pairs(np.arange(k), np.tile(pos, (k, 1)),
+                  np.tile(sc.transmitters[led].position, (k, 1)), pa.centers[close],
+                  pa.axis[close], pa.sign[close], pa.edges_u[close], pa.edges_v[close])
+    m = ch.lambertian_order(sc.transmitters[led].hpa_deg)
+    cos_fov = math.cos(math.radians(fov))
+    assert ch._refined_terms(m, cos_fov, q).tolist() == [0.0] * k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch, "_rises_above", lambda center_z, edge_v, rx_z: np.ones(len(rx_z), bool))
+        assert ch._refined_terms(m, cos_fov, q).tolist() == [0.0] * k
+
+
+def test_only_close_pairs_rising_above_the_receiver_plane_are_refined(monkeypatch):
+    """The pairs that reach refinement are exactly the close (row, patch,
+    LED) triples whose patch top edge is above the row's height, counted by
+    brute force over every row and patch."""
+    sc = preset_scene("mid", led_count=4)
+    edge = 0.5
+    pa = ch._PatchArrays.from_room(sc.room, edge)
+    rng = np.random.default_rng(17)
+    rows = [_near_wall(w, d, a, z) for w, d, a, z in zip(
+        rng.integers(0, 4, 40), rng.uniform(0.0, 2.0, 40), rng.uniform(0.0, 5.0, 40),
+        rng.uniform(0.0, 1.7, 40))]
+    rows += [(0.3, 2.2, 1.0), (2.6, 0.0, 1.5), (4.9, 4.9, 0.5)]  # on top-edge heights
+    reached = []
+
+    def record(m, cos_fov, q):
+        reached.extend(zip(q.lane.tolist(), map(tuple, q.centers.tolist()),
+                           (q.centers[:, 2] + 0.5 * q.edges_v).tolist(), q.rx[:, 2].tolist()))
+        return refine(m, cos_fov, q)
+
+    refine = ch._refined_terms
+    monkeypatch.setattr(ch, "_refined_terms", record)
+    ch.received_power_many(sc, rows, patch_edge_m=edge)
+    assert all(top > rx_z for *_, top, rx_z in reached)
+    want, skipped = [], 0
+    for i, (x, y, z) in enumerate(rows):
+        for (cx, cy, cz), ev in zip(pa.centers.tolist(), pa.edges_v.tolist()):
+            dx, dy, dz = x - cx, y - cy, z - cz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) < 4.0 * edge:
+                if cz + 0.5 * ev > z:
+                    want += [(4 * i + t, (cx, cy, cz)) for t in range(4)]
+                else:
+                    skipped += 4
+    assert want and skipped
+    assert len(reached) == len(want)
+    assert sorted(pair[:2] for pair in reached) == sorted(want)
 
 
 @pytest.mark.parametrize("on_patch, beside", [

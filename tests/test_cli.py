@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -357,6 +358,43 @@ def test_scene_file_with_an_infinite_room_side_is_refused_by_name(workdir, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "room.json" in err[0] and "lx must be finite" in err[0]
     assert not Path("d.csv").exists()
+
+
+def _traced_main(argv):
+    """Exit code and traced allocation peak of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lx, argv, room", [
+    (5.0, ["generate", "--reference", "1", "--patch-edge", "0.001", "--out", "d.csv"],
+     "patch edge 0.001 m tiles the walls of the 5.0 x 5.0 x 3.0 m room with 60,000,000 patches"),
+    (1e5, ["map", "--simulate", "--spacing", "1000", "--out", "d.csv"],
+     "patch edge 0.2 m tiles the walls of the 100000.0 x 5.0 x 3.0 m room with 15,000,750 patches"),
+])
+def test_a_tiling_over_the_patch_bound_exits_2_before_allocating(workdir, capsys, lx, argv, room):
+    doc = preset_scene("mid").to_dict()
+    doc["room"]["lx"] = lx
+    Path("room.json").write_text(json.dumps(doc))
+    code, peak = _traced_main(argv + ["--scene", "room.json"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and room in err[0]
+    assert peak < 4 * 2**20
+    assert not Path("d.csv").exists()
+
+
+def test_a_map_cell_that_gets_no_light_is_named(workdir, capsys):
+    """At 2.9 m in the mid room the LED is outside the 85 deg FOV and the top
+    patch row is seen edge-on: the first such cell is named."""
+    assert cli.main(["map", "--simulate", "--scene", "mid", "--z", "2.9", "--out", "m.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no light reaches the receiver at (0.65, 0.65, 2.9)" in err[0]
+    assert not Path("m.csv").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
