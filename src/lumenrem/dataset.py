@@ -53,6 +53,13 @@ RX_Z_MAX = 1.7
 # Floor for noisy linear powers so the dBm transform stays defined.
 _POWER_FLOOR_MW = 1e-12
 
+# A generator refuses to make more rows than this, before it draws or
+# allocates anything: eight times the 125,000-row pool of a 50-per-axis grid.
+# At the default 0.2 m patches the channel simulates about 12,000 rows a
+# second on one core, so the largest dataset takes a minute or two, and its
+# feature matrix holds at most 40 MB.
+_MAX_ROWS = 1_000_000
+
 # Row layouts by feature count: the receiver position, plus the footprint of a varying room.
 FEATURE_LAYOUTS = {3: ("x", "y", "z"), 5: ("x", "y", "z", "lx", "ly")}
 
@@ -231,15 +238,27 @@ class NormStats:
 
 def _rss(rows: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """RSS in dBm of (LOS, NLOS) power arrays received at `rows`, whose first
-    three columns are the positions; the first position that gets no light
-    (no LED in the FOV, every lit patch out of it or seen edge-on) is named."""
+    three columns are the positions. The first position whose power is not
+    finite (a scene value so large that the power overflows) is named, and
+    then the first that gets no light (no LED in the FOV, every lit patch out
+    of it or seen edge-on)."""
     total = powers[0] + powers[1]
-    dark = total <= 0
-    if dark.any():
-        x, y, z = rows[np.argmax(dark), :3].tolist()
-        raise ValueError(f"no light reaches the receiver at ({x}, {y}, {z}): received power "
-                         f"must be positive to express in dBm")
+    for bad, problem in ((~np.isfinite(total), "the received power is not finite at {}: "
+                          "a scene value (LED power, receiver area or gain) is too large"),
+                         (total <= 0, "no light reaches the receiver at {}: received power "
+                          "must be positive to express in dBm")):
+        if bad.any():
+            x, y, z = rows[np.argmax(bad), :3].tolist()
+            raise ValueError(problem.format(f"({x}, {y}, {z})"))
     return channel.rss_dbm(total)
+
+
+def _check_rows(rows: int, counts: str) -> None:
+    """Refuse a generator's row count, computed from Python ints so it cannot
+    wrap, when it exceeds `_MAX_ROWS`; `counts` names the parameters."""
+    if rows > _MAX_ROWS:
+        raise ValueError(f"{counts}: {rows:,} rows, more than the {_MAX_ROWS:,} "
+                         "a dataset may hold")
 
 
 def _product(*axes) -> np.ndarray:
@@ -266,6 +285,7 @@ def generate_fixed(
     """
     if per_axis < 1:
         raise ValueError(f"per_axis must be >= 1, got {per_axis}")
+    _check_rows(int(per_axis) ** 3, f"per_axis={per_axis}")
     room = scene.room
     pos = _product(*(_stream(seed, 0, k).uniform(0.0, hi, per_axis)
                      for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))))
@@ -291,6 +311,8 @@ def generate_variable(
     """
     if min(per_xy, per_z, per_dim) < 1:
         raise ValueError("all draw counts must be >= 1")
+    _check_rows(int(per_xy) ** 2 * int(per_z) * int(per_dim) ** 2,
+                f"per_xy={per_xy}, per_z={per_z} and per_dim={per_dim}")
     lxs = _stream(seed, 1, 0).uniform(3.0, 7.0, per_dim)
     lys = _stream(seed, 1, 1).uniform(3.0, 7.0, per_dim)
     scenes, blocks = [], []
@@ -318,6 +340,7 @@ def generate_reference(
     """n fully independent uniform positions in a fixed room (ground truth)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_rows(int(n), f"n={n}")
     room = scene.room
     pos = np.column_stack([_stream(seed, 3, k).uniform(0.0, hi, n)
                            for k, hi in enumerate((room.lx, room.ly, RX_Z_MAX))])
@@ -334,6 +357,7 @@ def generate_reference_variable(
     """n independent draws, each with its own room footprint on [3, 7]^2."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_rows(int(n), f"n={n}")
     lx = _stream(seed, 3, 3).uniform(3.0, 7.0, n)
     ly = _stream(seed, 3, 4).uniform(3.0, 7.0, n)
     x = _stream(seed, 3, 0).uniform(0.0, 1.0, n) * lx

@@ -22,8 +22,8 @@ import numpy as np
 from . import channel, forest, mlp
 from ._doc import from_doc, read_model, to_doc, write_csv
 from .dataset import (
-    FEATURE_LAYOUTS, Dataset, SplitSets, _rss, _stream, add_noise, generate_fixed,
-    generate_reference, split, subsample,
+    FEATURE_LAYOUTS, Dataset, SplitSets, _check_rows, _rss, _stream, add_noise,
+    generate_fixed, generate_reference, split, subsample,
 )
 from .scene import Scene, preset_scene
 
@@ -524,6 +524,14 @@ class CampaignSpec:
             raise ValueError(f"unknown model kinds {unknown}; expected {MODEL_KINDS}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        # the pool and the reference set are generated only when the campaign
+        # runs, so their sizes are checked here, under the campaign's names
+        for name, rows in (("pool_per_axis", self.pool_per_axis ** 3),
+                           ("reference_n", self.reference_n)):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"campaign {name} must be >= 1, got {v}")
+            _check_rows(rows, f"campaign {name}={v}")
         if any(s < 5 for s in self.train_sizes):
             raise ValueError("train sizes must be >= 5 to split")
         if any(e < 0 for e in self.epochs) or any(b < 1 for b in self.batch_sizes):

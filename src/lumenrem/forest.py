@@ -1,10 +1,13 @@
 """Regression-tree baselines: a CART tree, Extra Trees, and AdaBoost.R2.
 
 Trees store their nodes in flat parallel arrays (feature, threshold, value)
-with -1 marking leaves, grown and numbered breadth-first, a whole depth per
-pass, so the k-th split node's children are nodes 2k + 1 and 2k + 2.
-CART searches every midpoint between consecutive sorted distinct values;
-Extra Trees draws one uniform cut per feature per node and keeps the best.
+with -1 marking leaves, grown and numbered breadth-first, so the k-th split
+node's children are nodes 2k + 1 and 2k + 2. One pass grows a whole depth of
+every tree of a group: an Extra Trees ensemble's trees grow together, each
+drawing from its own stream, and a CART tree is a group of one. CART
+searches every midpoint between consecutive sorted distinct values, a depth's
+nodes in power-of-two size classes; Extra Trees draws one uniform cut per
+feature per node and keeps the best.
 Both maximize the drop in squared error, scored from target sums alone, and
 take their best valid cut even when it gains nothing. Cuts whose scores are
 equal in every bit go to the lowest feature, then the lowest threshold; two
@@ -104,24 +107,32 @@ class Tree:
 # Growth
 # ---------------------------------------------------------------------------
 
-def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
-    """Grow a tree breadth-first, a whole depth per pass. The depth's rows are
-    kept grouped by node (node i owns `rows[starts[i]:starts[i] + counts[i]]`),
-    so each per-node reduction is one `reduceat` over the depth.
+def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter,
+          n_trees: int = 1) -> list[Tree]:
+    """Grow `n_trees` trees on the same rows together, breadth-first, a whole
+    depth of every tree per pass. A depth holds the open nodes of every tree
+    in tree-major order, each with its tree id, and its rows are kept grouped
+    by node (node i owns `rows[starts[i]:starts[i] + counts[i]]`), so each
+    per-node reduction is one `reduceat` over the depth. A node's arithmetic
+    does not depend on the other nodes of its depth, so a tree gets the bits
+    it gets when it grows alone.
 
     This is the one stop rule: a node stays a leaf only when its targets are
     equal, it is at `max_depth`, it has fewer than `min_samples_split` rows, or
-    no valid cut exists. `splitter(X, y, rows, starts, counts, sums)` gets
-    the rows and target sums of the nodes left open. It returns each node's
-    split feature (-1 when it has no valid cut) and threshold, the rows in the
-    order the children keep them, and for each row whether it goes left. One
-    stable partition then gives every child its rows. The next depth holds
-    the children in their parents' order, which is the numbering `Tree`
-    derives its children from.
+    no valid cut exists. `splitter(X, y, rows, starts, counts, sums, opens)`
+    gets the rows and target sums of the nodes left open and how many of
+    them each tree holds. It returns each node's split feature (-1 when it
+    has no valid cut) and threshold, the rows in the order the children keep
+    them, and for each row whether it goes left. One stable partition then
+    gives every child its rows. The next depth holds the children in their
+    parents' order, and they inherit their parents' tree ids, so each tree's
+    nodes of a depth keep the numbering `Tree` derives its children from. At
+    the end one stable sort by tree id cuts the depths back into the trees.
     """
     max_depth = math.inf if params.max_depth is None else params.max_depth
-    rows = np.arange(len(y))
-    counts = np.array([len(y)])
+    rows = np.tile(np.arange(len(y)), n_trees)
+    counts = np.full(n_trees, len(y))
+    tree = np.arange(n_trees)
     levels = []
     while len(counts):
         m = len(counts)
@@ -130,7 +141,7 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
         # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
         # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
         sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
-        level = (np.full(m, -1), np.full(m, math.nan), sums / counts)
+        level = (np.full(m, -1), np.full(m, math.nan), sums / counts, tree)
         levels.append(level)
         is_open = ((counts >= params.min_samples_split)
                    & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
@@ -139,8 +150,9 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
         nodes = np.flatnonzero(is_open)
         rows = rows[np.repeat(is_open, counts)]
         counts = counts[is_open]
+        tree = tree[is_open]
         f, thr, rows, go_left = splitter(X, y, rows, np.cumsum(counts) - counts, counts,
-                                         sums[is_open])
+                                         sums[is_open], np.bincount(tree, minlength=n_trees))
         split = f >= 0
         inner = nodes[split]
         level[0][inner] = f[split]
@@ -150,7 +162,12 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter) -> Tree:
         child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
         rows = rows[kept][np.argsort(child, kind="stable")]
         counts = np.bincount(child, minlength=2 * len(inner))
-    return Tree(*(np.concatenate(a) for a in zip(*levels)))
+        tree = np.repeat(tree[split], 2)
+    feature, threshold, value, tree = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    cuts = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
+    return [Tree(*parts) for parts in zip(*(np.split(a[order], cuts)
+                                            for a in (feature, threshold, value)))]
 
 
 def _sse_reduction(n, sum_y, nl, syl):
@@ -163,29 +180,40 @@ def _sse_reduction(n, sum_y, nl, syl):
 
 def _cart_splitter(params: TreeParams):
     """Exact CART: every midpoint between consecutive distinct values of every
-    feature. Nodes of one size are searched together, all features at once,
-    and each gets the sums it would get alone: its rows stably sorted from
-    the order its parent left them in, and sequential prefix sums. No BLAS
-    call is made, so a tree does not depend on the thread count. Each child
-    keeps its parent's rows in the split feature's order."""
+    feature. Nodes are searched in power-of-two size classes, each class's
+    nodes together and all features at once: a node's rows are padded after
+    its last one to the class size with a row of feature +inf and target 0.0.
+    Each node still gets the sums it would get alone: its rows stably sorted
+    from the order its parent left them in, the padding after them, and
+    sequential prefix sums, which the padding does not reach. A cut into the
+    padding leaves fewer than `min_samples_leaf` rows right, so it is never
+    valid. No BLAS call is made, so a tree does not depend on the thread
+    count. Each child keeps its parent's rows in the split feature's order."""
     msl = params.min_samples_leaf
 
-    def split(X, y, rows, starts, counts, sums):
+    def split(X, y, rows, starts, counts, sums, opens):
         feature = np.full(len(counts), -1)
         threshold = np.full(len(counts), math.nan)
         rows = rows.copy()
         go_left = np.zeros(len(rows), dtype=bool)
-        for n in np.unique(counts).tolist():
-            nodes = np.flatnonzero(counts == n)
-            at = starts[nodes, None] + np.arange(n)  # (c, n): the nodes' places in `rows`
-            r = rows[at]
+        pad = len(y)  # the padding row's index
+        xt = np.concatenate([X, np.full((1, X.shape[1]), np.inf)]).T
+        yp = np.append(y, 0.0)
+        size = 1 << np.frexp(counts - 1.0)[1]  # the least power of two >= count
+        for s in np.unique(size).tolist():
+            nodes = np.flatnonzero(size == s)
+            n = counts[nodes, None]
+            real = np.arange(s) < n  # (c, s)
+            at = starts[nodes, None] + np.arange(s)  # the nodes' places in `rows`
+            r = np.where(real, rows.take(at, mode="clip"), pad)
             col = np.arange(len(nodes))
-            # (k, c, n): every node's rows in each feature's stable order
-            rs = r[col[:, None], np.argsort(X.T[:, r], axis=2, kind="stable")]
-            xs = X.T[np.arange(X.shape[1])[:, None, None], rs]
-            ys = y[rs]
-            nl = np.arange(1, n)  # left-side row count of the cut after each position
-            red = _sse_reduction(n, sums[nodes, None], nl, np.cumsum(ys, axis=2)[..., :-1])
+            # (k, c, s): every node's rows in each feature's stable order
+            rs = r[col[:, None], np.argsort(xt[:, r], axis=2, kind="stable")]
+            xs = xt[np.arange(X.shape[1])[:, None, None], rs]
+            nl = np.arange(1, s)  # left-side row count of the cut after each position
+            red = _sse_reduction(n, sums[nodes, None],
+                                 np.minimum(nl, n - 1),  # cuts into the padding are dropped
+                                 np.cumsum(yp[rs], axis=2)[..., :-1])
             valid = (xs[..., 1:] != xs[..., :-1]) & (nl >= msl) & (n - nl >= msl)
             red = np.where(valid, red, -np.inf)
             # argmax takes the first best: equal scores go to the lowest feature,
@@ -200,37 +228,42 @@ def _cart_splitter(params: TreeParams):
             feature[nodes[hit]] = f
             # a midpoint that rounds onto a would send a right: b routes as intended
             threshold[nodes[hit]] = np.where(a < thr, thr, b)
-            rows[at[hit]] = rs[f, hit]
-            go_left[at[hit]] = np.arange(n) <= j[:, None]
+            real = real[hit]
+            rows[at[hit][real]] = rs[f, hit][real]
+            go_left[at[hit][real]] = (np.arange(s) <= j[:, None])[real]
         return feature, threshold, rows, go_left
 
     return split
 
 
-def _extra_splitter(params: TreeParams, rng: np.random.Generator):
+def _extra_splitter(params: TreeParams, rngs: list[np.random.Generator]):
     """Extra Trees (Geurts et al. 2006): one uniform cut per feature per node
-    between the node's minimum and maximum, the best of them kept; a whole
-    depth takes one `rng.random` draw, node by node and feature by feature.
-    A constant feature burns its draw and gives no valid cut. Rows keep
-    their order, so each child holds its rows in ascending order."""
+    between the node's minimum and maximum, the best of them kept. Tree t
+    draws from `rngs[t]`, one `random((open nodes of t, k))` block a depth,
+    node by node and feature by feature, and nothing once it has no open
+    node, so its stream sees the draws it would see if it grew alone. A
+    constant feature burns its draw and gives no valid cut. Rows keep their
+    order, so each child holds its rows in ascending order."""
     msl = params.min_samples_leaf
 
-    def split(X, y, rows, starts, counts, sums):
+    def split(X, y, rows, starts, counts, sums, opens):
         m = len(counts)
-        xd = X[rows]
-        lo = np.minimum.reduceat(xd, starts)
-        cuts = lo + (np.maximum.reduceat(xd, starts) - lo) * rng.random(lo.shape)
+        # (k, rows): each per-node reduction runs over contiguous memory, and a
+        # sum adds the same values in the same order as over (rows, k)
+        xd = X.T[:, rows]
+        lo = np.minimum.reduceat(xd, starts, axis=1)
+        draws = [rng.random((c, X.shape[1])) for rng, c in zip(rngs, opens.tolist()) if c]
+        cuts = lo + (np.maximum.reduceat(xd, starts, axis=1) - lo) * np.concatenate(draws).T
         node = np.repeat(np.arange(m), counts)
-        go = xd < cuts[node]
-        n = counts[:, None]
-        nl = np.add.reduceat(go, starts, dtype=np.intp)
-        valid = (nl >= msl) & (n - nl >= msl)
-        red = _sse_reduction(n, sums[:, None],
-                             np.clip(nl, 1, n - 1),  # invalid cuts are scored, then dropped
-                             np.add.reduceat(go * y[rows][:, None], starts))
-        f = np.argmax(np.where(valid, red, -np.inf), axis=1)  # equal scores: the lowest feature
-        return (np.where(valid.any(axis=1), f, -1), cuts[np.arange(m), f], rows,
-                go[np.arange(len(rows)), f[node]])
+        go = xd < cuts[:, node]
+        nl = np.add.reduceat(go, starts, axis=1, dtype=np.intp)
+        valid = (nl >= msl) & (counts - nl >= msl)
+        red = _sse_reduction(counts, sums,
+                             np.clip(nl, 1, counts - 1),  # invalid cuts are scored, then dropped
+                             np.add.reduceat(go * y[rows], starts, axis=1))
+        f = np.argmax(np.where(valid, red, -np.inf), axis=0)  # equal scores: the lowest feature
+        return (np.where(valid.any(axis=0), f, -1), cuts[f, np.arange(m)], rows,
+                go[f[node], np.arange(len(rows))])
 
     return split
 
@@ -347,7 +380,7 @@ def fit_cart(features, targets, params: TreeParams = TreeParams(), seed: int = 0
     """Greedy exact-split regression tree (the seed is accepted for interface
     symmetry; CART is deterministic)."""
     X, y = _training_arrays(features, targets)
-    return _grow(X, y, params, _cart_splitter(params))
+    return _grow(X, y, params, _cart_splitter(params))[0]
 
 
 def fit_extra_trees(
@@ -361,8 +394,12 @@ def fit_extra_trees(
     X, y = _training_arrays(features, targets)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    trees = tuple(_grow(X, y, params, _extra_splitter(params, _stream(seed, t)))
-                  for t in range(n_trees))
+    # the trees grow together, at most `_GROW_PAIRS` (tree, row) pairs at a time
+    step = max(1, _GROW_PAIRS // len(y))
+    trees = []
+    for lo in range(0, n_trees, step):
+        rngs = [_stream(seed, t) for t in range(lo, min(lo + step, n_trees))]
+        trees += _grow(X, y, params, _extra_splitter(params, rngs), len(rngs))
     return Forest(mode="extra_trees", trees=trees, n_features=X.shape[1], params=params,
                   seed=seed)
 
@@ -454,6 +491,10 @@ def _sequential_mean(a: np.ndarray) -> np.ndarray:
 # the channel bounds its chunks: a block's arrays stay a few MB whatever the
 # forest and the number of rows
 _ROUTE_PAIRS = 1 << 18
+# an ensemble grows as many trees together as keep its depth's (tree, row)
+# pairs within this, one tree at least, as the channel bounds its chunks: a
+# depth's work arrays stay under a MB for a few features
+_GROW_PAIRS = 1 << 15
 _ROOT = np.zeros(1, dtype=np.intp)
 # a single row walks the packed arrays in Python when the forest has fewer
 # trees than this; from here on the router's fixed cost per level is the

@@ -397,6 +397,36 @@ def test_a_map_cell_that_gets_no_light_is_named(workdir, capsys):
     assert not Path("m.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["generate", "--reference", "3"],
+                                  ["map", "--simulate", "--spacing", "1"]])
+def test_a_received_power_that_is_not_finite_is_named(workdir, capsys, argv):
+    """A receiver area of 1e308 loads, but the power it collects overflows:
+    the first such position is named, not only the non-finite result."""
+    doc = preset_scene("mid").to_dict()
+    doc["receiver"]["area_m2"] = 1e308
+    Path("huge.json").write_text(json.dumps(doc))
+    assert cli.main(argv + ["--scene", "huge.json", "--out", "d.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.search(r"the received power is not finite at \([-\d.e]+, "
+                                       r"[-\d.e]+, [-\d.e]+\): a scene value", err[0])
+    assert not Path("d.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--per-axis", "3000"], "per_axis=3000: 27,000,000,000 rows"),
+    (["generate", "--variable", "--per-xy", "1000", "--per-z", "1000", "--per-dim", "1000"],
+     "per_xy=1000, per_z=1000 and per_dim=1000: 1,000,000,000,000,000 rows"),
+    (["generate", "--reference", "100000000"], "n=100000000: 100,000,000 rows"),
+])
+def test_a_dataset_over_the_row_bound_exits_2_before_allocating(workdir, capsys, argv, message):
+    code, peak = _traced_main(argv + ["--out", "d.csv"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{message}, more than the 1,000,000 a dataset may hold" in err[0]
+    assert peak < 4 * 2**20
+    assert not Path("d.csv").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["generate", "--per-axis", "2", "--noise-factor", "nan"], "--noise-factor"),
     (["generate", "--per-axis", "2", "--patch-edge", "inf"], "--patch-edge"),

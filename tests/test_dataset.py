@@ -60,6 +60,28 @@ def test_generate_fixed_bad_count():
         dt.generate_fixed(preset_scene("small"), per_axis=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: dt.generate_fixed(preset_scene("small"), per_axis=3000),
+     "per_axis=3000: 27,000,000,000 rows"),
+    (lambda: dt.generate_fixed(preset_scene("small"), per_axis=np.int64(2**21)),
+     "per_axis=2097152: 9,223,372,036,854,775,808 rows"),  # one past the int64 maximum
+    (lambda: dt.generate_variable(1, 100, 1, 11), "per_xy=100, per_z=1 and per_dim=11: "
+                                                  "1,210,000 rows"),
+    (lambda: dt.generate_reference(preset_scene("small"), 10**6 + 1), "n=1000001: 1,000,001 rows"),
+    (lambda: dt.generate_reference_variable(1, 10**9), "n=1000000000: 1,000,000,000 rows"),
+])
+def test_generators_refuse_more_rows_than_the_bound_by_name(make, message):
+    """Counted in Python ints, so a count past int64 does not wrap, and refused
+    before any draw: no generator call here gets to the channel."""
+    with pytest.raises(ValueError, match=f"{message}, more than the 1,000,000 a dataset may hold"):
+        make()
+
+
+def test_the_row_bound_admits_a_50_per_axis_pool():
+    assert 50**3 <= dt._MAX_ROWS
+    dt._check_rows(dt._MAX_ROWS, "n")
+
+
 def test_generate_variable_shape():
     ds = dt.generate_variable(led_count=1, per_xy=3, per_z=2, per_dim=2, seed=7)
     assert len(ds) == 3 * 3 * 2 * 2 * 2

@@ -413,6 +413,19 @@ def test_campaign_spec_integer_fields_take_ints_only(field, value):
         evalmap.CampaignSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pool_per_axis", 0, "campaign pool_per_axis must be >= 1, got 0"),
+    ("pool_per_axis", -1, "campaign pool_per_axis must be >= 1, got -1"),
+    ("reference_n", 0, "campaign reference_n must be >= 1, got 0"),
+    ("pool_per_axis", 101, "campaign pool_per_axis=101: 1,030,301 rows, more than the 1,000,000"),
+    ("reference_n", 10**7, "campaign reference_n=10000000: 10,000,000 rows, more than the"),
+])
+def test_campaign_spec_refuses_pool_and_reference_sizes_by_name(field, value, message):
+    """Refused when the spec is built, not when the campaign generates its data."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evalmap.CampaignSpec(**{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("noise_factors", (math.nan,)), ("noise_factors", (0.1, math.inf)),
     ("patch_edge_m", math.nan), ("patch_edge_m", math.inf),

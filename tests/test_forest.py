@@ -199,6 +199,16 @@ def test_rows_reach_exactly_one_leaf_holding_their_mean(kind, n, k, levels, seed
 @given(kind=st.sampled_from(("cart", "xt")), n=st.integers(2, 60), k=st.integers(1, 3),
        levels=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
        max_depth=st.none() | st.integers(1, 6), min_leaf=st.integers(1, 4))
+# CART pads nodes to power-of-two size classes: node sizes at a power of two,
+# one above and one below, with min_leaf > 1, so the cuts next to the padding
+# are invalid
+@example(kind="cart", n=2, k=2, levels=12, seed=1, max_depth=None, min_leaf=2)
+@example(kind="cart", n=3, k=1, levels=12, seed=2, max_depth=None, min_leaf=2)
+@example(kind="cart", n=4, k=2, levels=12, seed=3, max_depth=None, min_leaf=2)
+@example(kind="cart", n=5, k=2, levels=12, seed=4, max_depth=None, min_leaf=2)
+@example(kind="cart", n=33, k=3, levels=12, seed=5, max_depth=None, min_leaf=3)
+@example(kind="cart", n=64, k=2, levels=12, seed=6, max_depth=None, min_leaf=4)
+@example(kind="cart", n=65, k=3, levels=3, seed=7, max_depth=None, min_leaf=2)
 def test_every_split_is_valid_and_cart_takes_the_best_cut(kind, n, k, levels, seed, max_depth,
                                                           min_leaf):
     """Node by node, not only at the root: both children keep `min_samples_leaf`
@@ -300,6 +310,59 @@ def test_extra_trees_mean_bound():
     out = fr.predict_forest(f, pts)
     assert np.all(out >= per_tree.min(axis=0) - 1e-12)
     assert np.all(out <= per_tree.max(axis=0) + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 3), levels=st.integers(1, 8),
+       n_trees=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       params=st.builds(fr.TreeParams, max_depth=st.none() | st.integers(1, 6),
+                        min_samples_split=st.integers(2, 5), min_samples_leaf=st.integers(1, 3)))
+def test_each_tree_of_an_ensemble_is_the_tree_grown_alone_from_its_stream(n, k, levels, n_trees,
+                                                                           seed, params):
+    """The trees of a group share each depth's pass, but tree t draws only from
+    `_stream(seed, t)`: it equals, in every bit, the one-tree group grown from
+    that stream, whatever depth the other trees stop at."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, (n, k)) + rng.integers(0, 2, (n, k)) * rng.uniform(0, 1, (n, k))
+    y = np.round(rng.normal(-20.0, 5.0, n), int(rng.integers(0, 3)))
+    forest = fr.fit_extra_trees(X, y, n_trees=n_trees, params=params, seed=seed)
+    for t, tree in enumerate(forest.trees):
+        alone, = fr._grow(X, y, params, fr._extra_splitter(params, [fr._stream(seed, t)]), 1)
+        for a in ("feature", "threshold", "value"):
+            assert getattr(tree, a).tobytes() == getattr(alone, a).tobytes()
+
+
+def test_the_group_bound_does_not_change_the_forest(monkeypatch):
+    """One tree per group, two groups of unequal size, or every tree in one
+    group: the same trees in every bit."""
+    X, y = _toy(n=150, seed=40, noise=0.5)
+    hashes = set()
+    for pairs in (1, 4 * 150, 1 << 30):  # groups of 1, of 4 (4 + 3), and of all 7
+        monkeypatch.setattr(fr, "_GROW_PAIRS", pairs)
+        f = fr.fit_extra_trees(X, y, n_trees=7, params=fr.TreeParams(min_samples_leaf=2),
+                               seed=40)
+        hashes.add(hashlib.sha1(b"".join(a.tobytes() for t in f.trees
+                                         for a in (t.feature, t.threshold, t.value))).digest())
+    assert len(hashes) == 1
+
+
+def test_growth_memory_is_bounded_by_the_group(monkeypatch):
+    """An ensemble grows a group of trees at a time: with one tree per group,
+    the traced peak is the trees and one tree's depth arrays, not a depth of
+    the whole ensemble's (tree, row, feature) cuts."""
+    X, y = _toy(n=4000, k=4, seed=41)
+    params = fr.TreeParams(max_depth=4)  # small trees: the depth arrays dominate
+    peaks = []
+    for pairs in (len(y), 1 << 30):
+        monkeypatch.setattr(fr, "_GROW_PAIRS", pairs)
+        tracemalloc.start()
+        try:
+            fr.fit_extra_trees(X, y, n_trees=16, params=params, seed=41)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole = 16 * X.nbytes  # one (tree, row, feature) float64 array of all 16 trees: 2 MB
+    assert peaks[0] < whole // 2 and peaks[1] > whole
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +546,36 @@ def test_growth_does_not_depend_on_the_thread_count():
                                    capture_output=True, text=True, timeout=300).stdout.split())
     assert len(runs[0]) >= 8
     assert runs[0] == runs[1]
+
+
+# sha1 of every tree's feature, threshold and value bytes and every AdaBoost.R2
+# member weight, over the fits below, as trees grew one at a time with CART
+# searching each distinct node size on its own
+_GROWTH_SHA1 = "a66b2fd97df2e13377604f0ed73537ca38cc4a12"
+
+
+def test_growth_keeps_its_bits():
+    """CART, 6 Extra Trees and a 4 x 3 AdaBoost.R2 on continuous data, on the
+    same features rounded to integers (many ties, which a sort must keep in
+    order for the prefix sums to keep their bits), and on rounded features
+    and targets, under the default stopping rules, max_depth=3, and
+    min_samples_leaf=3 with min_samples_split=5."""
+    rng = np.random.default_rng(19)
+    X = rng.uniform(0.0, 4.0, (300, 3))
+    y = X[:, 0] ** 2 - 2.0 * X[:, 1] + 0.5 * rng.normal(size=300)
+    h = hashlib.sha1()
+    for data in ((X, y), (np.round(X), y), (np.round(X), np.round(y))):
+        for params in (fr.TreeParams(), fr.TreeParams(max_depth=3),
+                       fr.TreeParams(min_samples_split=5, min_samples_leaf=3)):
+            boost = fr.fit_adaboost_r2(*data, n_estimators=4, base_n_trees=3, params=params,
+                                       seed=3)
+            for t in (fr.fit_cart(*data, params),
+                      *fr.fit_extra_trees(*data, n_trees=6, params=params, seed=2).trees,
+                      *boost.trees):
+                for a in (t.feature, t.threshold, t.value):
+                    h.update(a.tobytes())
+            h.update(boost.tree_weights.tobytes())
+    assert h.hexdigest() == _GROWTH_SHA1
 
 
 # ---------------------------------------------------------------------------
