@@ -11,11 +11,15 @@ this one description.
 
 Every call is one pass: `received_power_rooms` takes the rows of any number of
 rooms, `received_power_many` is its one-room call and `received_power` its
-one-row call. Each room's rows meet its tiling in cache-sized (rows, patches)
-blocks; the (row, patch) pairs too close for the midpoint rule, from every
-block and room, wait in one refinement queue that is refined in fixed-size
-batches whenever one fills. A position's powers are the same bits whichever
-call, block or batch it falls in.
+one-row call. The rows meet the wall tilings in cache-sized chunks.
+Consecutive small rooms share a chunk, with one tiling of all their walls
+back to back and one LED-leg, LOS and midpoint pass over all their rows; any
+other room's rows meet its own tiling in (rows, patches) blocks. The (row,
+patch) pairs too close for the midpoint rule, from every chunk and room,
+wait in one refinement queue that is refined in fixed-size batches whenever
+one fills. A position's powers are the same bits whichever call, chunk or
+batch it falls in: a row's midpoint sum is NumPy's pairwise sum over exactly
+its own room's patches wherever it is taken.
 
 Only what the receiver can see is refined. The receiver faces up, so a
 (sub-)patch whose top edge is at or below its plane has cos(psi) <= 0 at every
@@ -100,6 +104,26 @@ def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
 # Wall discretization
 # ---------------------------------------------------------------------------
 
+def _wall_counts(room: Room, patch_edge_m: float) -> tuple[list[int], int]:
+    """Patches along each wall (x=0, x=lx, y=0, y=ly) and up every wall of a
+    room's tiling, as Python ints, so a tiling over the bound is refused
+    before anything is allocated."""
+    if not 0 < patch_edge_m <= min(room.lx, room.ly, room.lz):
+        raise ValueError(
+            f"patch edge must be in (0, min room extent], got {patch_edge_m}"
+        )
+    nu = [math.ceil(extent / patch_edge_m - 1e-12)
+          for extent in (room.ly, room.ly, room.lx, room.lx)]
+    nv = math.ceil(room.lz / patch_edge_m - 1e-12)
+    if sum(nu) * nv > _MAX_PATCHES:
+        raise ValueError(
+            f"patch edge {patch_edge_m} m tiles the walls of the {room.lx} x {room.ly} x "
+            f"{room.lz} m room with {sum(nu) * nv:,} patches, more than the "
+            f"{_MAX_PATCHES:,} a tiling may hold"
+        )
+    return nu, nv
+
+
 @dataclass(slots=True)
 class _PatchArrays:
     """Struct-of-arrays view of the wall tiling, shared by the vector kernels.
@@ -116,40 +140,38 @@ class _PatchArrays:
     edges_v: np.ndarray
 
     @classmethod
-    def from_room(cls, room: Room, patch_edge_m: float) -> "_PatchArrays":
-        if not 0 < patch_edge_m <= min(room.lx, room.ly, room.lz):
-            raise ValueError(
-                f"patch edge must be in (0, min room extent], got {patch_edge_m}"
-            )
-        # Four walls, fixed order x=0, x=lx, y=0, y=ly, as (axis, offset,
-        # inward sign, extent). Each is tiled with ceil(extent/edge) patches
-        # per direction and exact sizes extent/count, so the tiling covers the
-        # wall exactly and is reflection-symmetric. The counts are Python ints,
-        # so a tiling over the bound is refused before anything is allocated.
-        walls = [(0, 0.0, 1.0, room.ly), (0, room.lx, -1.0, room.ly),
-                 (1, 0.0, 1.0, room.lx), (1, room.ly, -1.0, room.lx)]
-        nu = [math.ceil(extent / patch_edge_m - 1e-12) for *_, extent in walls]
-        nv = math.ceil(room.lz / patch_edge_m - 1e-12)
-        if sum(nu) * nv > _MAX_PATCHES:
-            raise ValueError(
-                f"patch edge {patch_edge_m} m tiles the walls of the {room.lx} x {room.ly} x "
-                f"{room.lz} m room with {sum(nu) * nv:,} patches, more than the "
-                f"{_MAX_PATCHES:,} a tiling may hold"
-            )
-        walls, per_wall = np.array(walls), np.array(nu) * nv
-        axis, offset, sign, extent = np.repeat(walls, per_wall, axis=0).T
+    def from_room(cls, room, patch_edge_m: float) -> "_PatchArrays":
+        """The tiling of a room's walls, or of a sequence of rooms' walls back
+        to back, room after room, each as it would be tiled alone."""
+        rooms = [room] if isinstance(room, Room) else list(room)
+        # Each room's four walls, fixed order x=0, x=lx, y=0, y=ly, as (axis,
+        # offset, inward sign, extent, patch height) and (patches along,
+        # patches up). Each is tiled with ceil(extent/edge) patches per
+        # direction and exact sizes extent/count, so the tiling covers the
+        # wall exactly and is reflection-symmetric. Every room's counts are
+        # checked before anything is allocated (`_wall_counts`).
+        walls, counts = [], []
+        for r in rooms:
+            nu, nv = _wall_counts(r, patch_edge_m)
+            walls += zip((0, 0, 1, 1), (0.0, r.lx, 0.0, r.ly), (1.0, -1.0, 1.0, -1.0),
+                         (r.ly, r.ly, r.lx, r.lx), (r.lz / nv,) * 4)
+            counts += zip(nu, (nv,) * 4)
+        counts = np.array(counts).T
+        per_wall = counts[0] * counts[1]
+        axis, offset, sign, extent, dv = np.repeat(np.array(walls).T, per_wall, axis=1)
+        nu, nv = np.repeat(counts, per_wall, axis=1)
         # index of each patch on its wall, u-major: patch (iu, iv) is iu * nv + iv
         k = np.arange(per_wall.sum()) - np.repeat(np.cumsum(per_wall) - per_wall, per_wall)
-        du = extent / np.repeat(nu, per_wall)
+        du = extent / nu
         u = (k // nv + 0.5) * du
-        v = (k % nv + 0.5) * (room.lz / nv)
+        v = (k % nv + 0.5) * dv
         x_wall = axis == 0
         return cls(
             centers=np.column_stack([np.where(x_wall, offset, u), np.where(x_wall, u, offset), v]),
             axis=axis.astype(int),
-            sign=sign,
+            sign=sign.copy(),  # not a view that would keep every column alive
             edges_u=du,
-            edges_v=np.full_like(v, room.lz / nv),
+            edges_v=dv.copy(),
         )
 
     def __len__(self) -> int:
@@ -160,15 +182,16 @@ class _PatchArrays:
 # Vectorized gain kernels
 # ---------------------------------------------------------------------------
 
-def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray) -> np.ndarray:
-    """LOS DC gain for a (n, 3) block of receiver positions."""
-    tx_pos = np.asarray(tx.position)
+def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray, tx_pos=None) -> np.ndarray:
+    """LOS DC gain for a (n, 3) block of receiver positions, from `tx` or,
+    given `tx_pos` (n, 3), from an LED of tx's half-power angle per row."""
+    tx_pos = np.asarray(tx.position) if tx_pos is None else tx_pos
     delta = pos - tx_pos
     d_sq = np.einsum("ij,ij->i", delta, delta)
     if np.any(d_sq == 0.0):
         raise ValueError("receiver position coincides with a transmitter")
     d = np.sqrt(d_sq)
-    cos_phi = (tx_pos[2] - pos[:, 2]) / d
+    cos_phi = (tx_pos[..., 2] - pos[:, 2]) / d
     m = lambertian_order(tx.hpa_deg)
     g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
     visible = cos_phi > 0
@@ -410,6 +433,130 @@ class _TiledRoom:
         return terms.sum(axis=1), (r[seen], c[seen])
 
 
+class _Lanes:
+    """What one call fills for every (row, transmitter) lane, each an (n, T)
+    array: LOS power, midpoint sum, NLOS constant k and LED power. The
+    refinement queue adds into the sums; the midpoint temporaries share one
+    work buffer, reused chunk after chunk and grown when a chunk needs more."""
+
+    def __init__(self, n: int, width: int):
+        self.width = width
+        self.los, self.sums, self.k, self.power = (np.zeros((n, width)) for _ in range(4))
+        self.queue = _RefineQueue(self.sums.reshape(-1))
+        self._buffer = np.empty(0)
+
+    def work(self, *shape: int) -> np.ndarray:
+        """Five temporaries of the given shape, views of the work buffer."""
+        size = 5 * math.prod(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return self._buffer[:size].reshape(5, *shape)
+
+
+def _one_room(scene: Scene, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
+              patch_edge_m: float) -> None:
+    """Rows lo:hi of `pos`, all in the scene's room, in (rows, patches) chunks
+    of at most _CHUNK_PAIRS pairs (one row at least) against the room's tiling,
+    one LED after another."""
+    room = _TiledRoom(scene, patch_edge_m)
+    pa = room.pa
+    step = max(1, _CHUNK_PAIRS // len(pa))
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        p, work = pos[a:b], lanes.work(b - a, len(pa))
+        for t, (tx, m, led_leg, k) in enumerate(room.transmitters):
+            lanes.los[a:b, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
+            lanes.sums[a:b, t], (r, c) = room.midpoint_sums(p, led_leg, work)
+            lanes.k[a:b, t], lanes.power[a:b, t] = k, tx.power_mw
+            if len(r):
+                lanes.queue.put((m, room.cos_fov), _Pairs(
+                    (a + r) * lanes.width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
+                    pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
+
+
+def _shared_chunk(scenes, spans, patches, pos: np.ndarray, lanes: _Lanes,
+                  patch_edge_m: float) -> None:
+    """The rows of several whole rooms in one chunk: one tiling of all their
+    walls back to back, one LED leg, LOS and midpoint pass over all of them.
+
+    Room i has rows spans[i] = (first, count) of `pos` and patches[i] wall
+    patches; the rooms share their receiver and one Lambertian order
+    (`_room_groups`), so `** m` and the FOV test take the scalars each room's
+    own chunk gives them. A segment is one (room, LED): its lanes (the room's
+    rows) against its room's patches. The pass runs over the (lane, patch)
+    pairs segment after segment, each row-major, so the close pairs reach the
+    refinement queue in the order one-room chunks give them, and a lane's
+    midpoint sum is NumPy's pairwise sum over its own room's patches, as in a
+    (rows, patches) block: every lane keeps its bits.
+    """
+    pa = _PatchArrays.from_room([s.room for s in scenes], patch_edge_m)
+    rx, led = scenes[0].receiver, scenes[0].transmitters[0]
+    m = lambertian_order(led.hpa_deg)
+    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
+    segments, first = [], 0
+    for scene, (lo, count), size in zip(scenes, spans, patches):
+        k_room = ((m + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance
+                  * rx.filter_gain * g)
+        segments += [(lo, count, first, size, t, tx.power_mw, k_room, *tx.position)
+                     for t, tx in enumerate(scene.transmitters)]
+        first += size
+    seg = np.array(segments)
+    row0, n, patch0, size, column = seg[:, :5].T.astype(np.intp)
+    power, k, tx_pos = seg[:, 5], seg[:, 6], seg[:, 7:]
+
+    # lanes, segment after segment: their rows, LEDs and flat (row, LED) index
+    lane_row, lane_tx = _ranges(row0, n), np.repeat(tx_pos, n, axis=0)
+    lane = lane_row * lanes.width + np.repeat(column, n)
+    rows = pos[lane_row]
+    lanes.los.reshape(-1)[lane] = np.repeat(power, n) * _los_gain_block(led, rx, rows, lane_tx)
+    lanes.k.reshape(-1)[lane] = np.repeat(k, n)
+    lanes.power.reshape(-1)[lane] = np.repeat(power, n)
+    # The patch of every (segment, patch) leg and the leg of every (lane,
+    # patch) pair, lane after lane; None where they are the same (one LED, or
+    # one row, a room), so nothing is gathered.
+    leg_patch = None if len(seg) == len(scenes) else _ranges(patch0, size)
+    lane_size = np.repeat(size, n)
+    pair_leg = None if np.all(n == 1) else _ranges(np.repeat(np.cumsum(size) - size, n), lane_size)
+    pair_patch = _take(leg_patch, pair_leg)
+    x_wall = pa.axis == 0
+    led_leg = _led_leg(np.repeat(tx_pos, size, axis=0), m, _take(pa.centers, leg_patch),
+                       _take(x_wall, leg_patch), _take(pa.sign, leg_patch),
+                       _take(pa.edges_u * pa.edges_v, leg_patch))
+    work = lanes.work(lane_size.sum())
+    for axis in range(3):
+        np.subtract(np.repeat(rows[:, axis], lane_size), _take(pa.centers[:, axis], pair_patch),
+                    out=work[axis])
+    near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
+    terms, close = _rx_leg(*work[:3], _take(x_wall, pair_patch), _take(pa.sign, pair_patch),
+                           _take(led_leg, pair_leg), cos_fov, _take(near, pair_patch), work[3:])
+    end = 0
+    for a, count, width, t in zip(row0.tolist(), n.tolist(), size.tolist(), column.tolist()):
+        block = terms[end:end + count * width].reshape(count, width)
+        lanes.sums[a:a + count, t] = block.sum(axis=1)
+        end += count * width
+    (i,) = np.nonzero(close)
+    c, j = _take(pair_patch, i), np.searchsorted(np.cumsum(lane_size), i, side="right")
+    seen = _rises_above(pa.centers[c, 2], pa.edges_v[c], rows[j, 2])
+    if seen.any():
+        c, j = c[seen], j[seen]
+        lanes.queue.put((m, cos_fov), _Pairs(
+            lane[j], rows[j], lane_tx[j],
+            pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] + arange(lengths[i]), back to back."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _take(a, index):
+    """The rows a[index], or `a` when `index` is None; an index array `a`
+    that is None stands for the identity, so this also composes indexes."""
+    if index is None:
+        return a
+    return index if a is None else np.take(a, index, axis=0)
+
+
 def _check_inside(scenes, counts, pos: np.ndarray) -> None:
     """Every row of the (n, 3) positions inside its scene's room, `counts[i]`
     rows for scene i in turn."""
@@ -421,16 +568,44 @@ def _check_inside(scenes, counts, pos: np.ndarray) -> None:
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
 
 
+def _room_groups(scenes, counts, patches) -> list[list[int]]:
+    """The scenes, by index, in runs of consecutive whole rooms that share one
+    chunk: their (row, LED, patch) triples fit in a quarter of _CHUNK_PAIRS
+    together, and they share their receiver and one Lambertian order for
+    every LED. Any other room is a run of its own.
+
+    A shared chunk also holds its rooms' tilings and LED legs, and gathers
+    per-pair copies of them: with one row and one LED a room, that is about
+    four times the memory of the pair temporaries alone, so a quarter keeps
+    its peak near that of one full one-room chunk.
+    """
+    budget = _CHUNK_PAIRS // 4
+    groups, pairs, key = [], 0, None
+    for i, (scene, count, size) in enumerate(zip(scenes, counts, patches)):
+        size *= count * len(scene.transmitters)
+        orders = {lambertian_order(tx.hpa_deg) for tx in scene.transmitters}
+        room_key = (orders.pop(), scene.receiver) if len(orders) == 1 else None
+        if not groups or room_key is None or room_key != key or pairs + size > budget:
+            groups.append([])
+            pairs = 0
+        groups[-1].append(i)
+        pairs, key = pairs + size, room_key
+    return groups
+
+
 def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np.ndarray]:
     """LOS and NLOS power (mW) of every (row, transmitter) lane, two (n, T)
     arrays: the rows of `positions[i]` in scene i's room, room after room, and
     T the most transmitters of any scene (a scene with fewer leaves its other
     lanes 0).
 
-    Each room's rows go through the midpoint kernel on the calling thread, in
-    chunks of at most _CHUNK_PAIRS (row, patch) pairs that share one work
-    buffer, and every chunk's close pairs that rise above their receiver's
-    plane join one refinement queue.
+    Everything runs on the calling thread, in chunks of at most _CHUNK_PAIRS
+    (row, LED, patch) triples that share one work buffer. Consecutive small
+    rooms share a chunk (`_shared_chunk`): one tiling, LED leg, LOS and
+    midpoint pass for all their rows. A room alone in its chunk, or too big to
+    share one, is split by rows into (rows, patches) chunks (`_one_room`).
+    Every chunk's close pairs that rise above their receiver's plane join one
+    refinement queue.
     """
     blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
     if len(blocks) != len(scenes):
@@ -438,32 +613,19 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     counts = [len(b) for b in blocks]
     pos = np.concatenate(blocks) if blocks else np.empty((0, 3))
     _check_inside(scenes, counts, pos)
-    n, width = len(pos), max((len(s.transmitters) for s in scenes), default=1)
-    los, sums = np.zeros((n, width)), np.zeros((n, width))
-    k, power = np.zeros((n, width)), np.zeros((n, width))
-    queue = _RefineQueue(sums.reshape(-1))
-    buffer, start = np.empty(0), 0  # the midpoint temporaries, reused chunk after chunk
-    for scene, count in zip(scenes, counts):
-        room = _TiledRoom(scene, patch_edge_m)
-        pa = room.pa
-        step = max(1, _CHUNK_PAIRS // len(pa))
-        for lo in range(start, start + count, step):
-            hi = min(lo + step, start + count)
-            p, size = pos[lo:hi], 5 * (hi - lo) * len(pa)
-            if buffer.size < size:
-                buffer = np.empty(size)
-            work = buffer[:size].reshape(5, hi - lo, len(pa))
-            for t, (tx, m, led_leg, k_t) in enumerate(room.transmitters):
-                los[lo:hi, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
-                sums[lo:hi, t], (r, c) = room.midpoint_sums(p, led_leg, work)
-                k[lo:hi, t], power[lo:hi, t] = k_t, tx.power_mw
-                if len(r):
-                    queue.put((m, room.cos_fov), _Pairs(
-                        (lo + r) * width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
-                        pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
-        start += count
-    queue.drain()
-    return los, power * (k * sums)
+    # every tiling is checked against the patch bound before anything is built
+    patches = [sum(nu) * nv for nu, nv in (_wall_counts(s.room, patch_edge_m) for s in scenes)]
+    starts = np.cumsum([0] + counts).tolist()
+    lanes = _Lanes(len(pos), max((len(s.transmitters) for s in scenes), default=1))
+    for group in _room_groups(scenes, counts, patches):
+        if len(group) == 1:
+            i = group[0]
+            _one_room(scenes[i], pos, starts[i], starts[i + 1], lanes, patch_edge_m)
+        else:
+            _shared_chunk([scenes[i] for i in group], [(starts[i], counts[i]) for i in group],
+                          [patches[i] for i in group], pos, lanes, patch_edge_m)
+    lanes.queue.drain()
+    return lanes.los, lanes.power * (lanes.k * lanes.sums)
 
 
 def _add_transmitters(lanes: np.ndarray) -> np.ndarray:

@@ -332,16 +332,22 @@ class Forest:
                 raise ValueError("adaboost_r2 member weights must be finite")
         for t in self.trees:
             _check_tree(t, self.n_features)
-        sizes = [t.n_nodes for t in self.trees]
-        roots = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
-        feature, threshold, right, value = (np.concatenate([getattr(t, a) for t in self.trees])
-                                            for a in ("feature", "threshold", "right", "value"))
-        # a leaf's `right` (-1 plus the offset) is never read
-        self._packed = (feature, threshold, right + np.repeat(roots, sizes), value, roots)
+        self._packed = _pack(self.trees)
 
     @property
     def n_members(self) -> int:
         return len(self.trees) // self.trees_per_member
+
+
+def _pack(trees) -> tuple:
+    """Every tree's feature, threshold, right child and value arrays back to
+    back, children offset to the flat numbering, and each tree's root."""
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+    feature, threshold, right, value = (np.concatenate([getattr(t, a) for t in trees])
+                                        for a in ("feature", "threshold", "right", "value"))
+    # a leaf's `right` (-1 plus the offset) is never read
+    return feature, threshold, right + np.repeat(roots, sizes), value, roots
 
 
 # n * max|y| at most this keeps every squared target sum of a split score, and
@@ -394,14 +400,21 @@ def fit_extra_trees(
     X, y = _training_arrays(features, targets)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    # the trees grow together, at most `_GROW_PAIRS` (tree, row) pairs at a time
+    return Forest(mode="extra_trees", trees=_grow_extra_trees(X, y, n_trees, params, seed),
+                  n_features=X.shape[1], params=params, seed=seed)
+
+
+def _grow_extra_trees(X: np.ndarray, y: np.ndarray, n_trees: int, params: TreeParams,
+                      seed: int) -> list[Tree]:
+    """The Extra Trees of `fit_extra_trees` on checked training arrays, tree
+    t drawing from `_stream(seed, t)`. They grow together, at most
+    `_GROW_PAIRS` (tree, row) pairs at a time."""
     step = max(1, _GROW_PAIRS // len(y))
     trees = []
     for lo in range(0, n_trees, step):
         rngs = [_stream(seed, t) for t in range(lo, min(lo + step, n_trees))]
         trees += _grow(X, y, params, _extra_splitter(params, rngs), len(rngs))
-    return Forest(mode="extra_trees", trees=trees, n_features=X.shape[1], params=params,
-                  seed=seed)
+    return trees
 
 
 def fit_adaboost_r2(
@@ -414,10 +427,11 @@ def fit_adaboost_r2(
 ) -> Forest:
     """AdaBoost.R2 with linear loss over Extra Trees base learners.
 
-    Each round resamples rows by the current weights, fits a base ensemble,
-    and scores it on the ORIGINAL rows. Rounds with average loss >= 0.5 are
-    rejected and boosting stops; a perfect round (zero loss) is kept with
-    weight 1 and also stops. If the very first round is rejected it is kept
+    Each round resamples rows by the current weights, grows a base ensemble,
+    and scores it on the ORIGINAL rows, packed as grown: only the final
+    forest checks the trees. Rounds with average loss >= 0.5 are rejected and
+    boosting stops; a perfect round (zero loss) is kept with weight 1 and
+    also stops. If the very first round is rejected it is kept
     anyway (weight 1) so the model is never empty.
     """
     X, y = _training_arrays(features, targets, min_rows=2)
@@ -430,23 +444,23 @@ def fit_adaboost_r2(
     for r in range(n_estimators):
         rows = _stream(seed, r, 0).choice(n, size=n, replace=True, p=w)
         base_seed = int(_stream(seed, r, 1).integers(0, 2**63 - 1))
-        base = fit_extra_trees(X[rows], y[rows], n_trees=base_n_trees, params=params, seed=base_seed)
-        pred = predict_forest(base, X)
-        err = np.abs(pred - y)
+        # a resample of checked arrays is checked too
+        base = _grow_extra_trees(X[rows], y[rows], base_n_trees, params, base_seed)
+        err = np.abs(_ensemble_mean(base, X) - y)
         err_max = float(err.max())
         if err_max == 0.0:  # perfect member: keep it and stop
-            member_trees.extend(base.trees)
+            member_trees.extend(base)
             member_weights.append(1.0)
             break
         loss = err / err_max
         l_bar = float(w @ loss)
         if l_bar >= 0.5:
             if not member_weights:  # never return an empty ensemble
-                member_trees.extend(base.trees)
+                member_trees.extend(base)
                 member_weights.append(1.0)
             break
         beta = l_bar / (1.0 - l_bar)
-        member_trees.extend(base.trees)
+        member_trees.extend(base)
         member_weights.append(math.log(1.0 / beta))
         w = w * beta ** (1.0 - loss)
         w /= w.sum()
@@ -548,6 +562,18 @@ def _walk(forest: Forest, x: list) -> float:
     k = forest.trees_per_member
     means = [reduce(operator.add, leaves[lo:lo + k]) / k for lo in range(0, len(leaves), k)]
     return weighted_median(means, forest.tree_weights)
+
+
+def _ensemble_mean(trees, X: np.ndarray) -> np.ndarray:
+    """Each row's mean over the trees, added in tree order: the bits
+    `predict_forest` gives an Extra Trees forest of them, from the packed
+    trees alone (no forest built, no tree checked), a block of at most
+    `_ROUTE_PAIRS` (tree, row) pairs at a time."""
+    packed, step = _pack(trees), max(1, _ROUTE_PAIRS // len(trees))
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        out[lo:lo + step] = _sequential_mean(_route(*packed, X[lo:lo + step]))
+    return out
 
 
 def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:

@@ -40,13 +40,31 @@ _WALL_REFLECTANCE = 0.8
 _RESPONSIVITY = 1.0
 
 
-def _refuse_non_finite(record, *names: str) -> None:
-    """ValueError naming the first of the record's fields `names` that holds
-    NaN or an infinity (a tuple field is checked item by item)."""
+def _number_problem(x) -> str | None:
+    """What keeps x from being a finite real number, or None if it is one:
+    it is a str, a bool, None or another non-number, an int too large for a
+    float, NaN or an infinity."""
+    if x is None or isinstance(x, (str, bytes, bool)):
+        return f"be a real number, got {x!r}"
+    try:
+        if math.isfinite(x):
+            return None
+    except TypeError:
+        return f"be a real number, got {x!r}"
+    except OverflowError:
+        return "be finite, got an int too large for a float"
+    return f"be finite, got {x!r}"
+
+
+def _refuse_non_numbers(record, *names: str) -> None:
+    """ValueError naming the first of the record's fields `names` that is not
+    a finite real number (a tuple field is checked item by item)."""
     for name in names:
         v = getattr(record, name)
-        if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
-            raise ValueError(f"{type(record).__name__} {name} must be finite, got {v!r}")
+        for x in v if isinstance(v, tuple) else (v,):
+            problem = _number_problem(x)
+            if problem:
+                raise ValueError(f"{type(record).__name__} {name} must {problem}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +76,7 @@ class Room:
     lz: float
 
     def __post_init__(self):
-        _refuse_non_finite(self, "lx", "ly", "lz")
+        _refuse_non_numbers(self, "lx", "ly", "lz")
         if not (self.lx > 0 and self.ly > 0 and self.lz > 0):
             raise ValueError(f"room dimensions must be positive, got {self.lx}x{self.ly}x{self.lz}")
 
@@ -74,8 +92,9 @@ class Transmitter:
     def __post_init__(self):
         if len(self.position) != 3:
             raise ValueError("position must be a 3D point")
+        object.__setattr__(self, "position", tuple(self.position))
+        _refuse_non_numbers(self, "position", "power_mw", "hpa_deg")
         object.__setattr__(self, "position", tuple(float(c) for c in self.position))
-        _refuse_non_finite(self, "position", "power_mw", "hpa_deg")
         if self.power_mw <= 0:
             raise ValueError(f"power_mw must be positive, got {self.power_mw}")
         if not 0 < self.hpa_deg < 90:
@@ -97,8 +116,8 @@ class Receiver:
     responsivity: float = _RESPONSIVITY
 
     def __post_init__(self):
-        _refuse_non_finite(self, "area_m2", "fov_deg", "filter_gain", "refractive_index",
-                           "responsivity")
+        _refuse_non_numbers(self, "area_m2", "fov_deg", "filter_gain", "refractive_index",
+                            "responsivity")
         if self.area_m2 <= 0:
             raise ValueError(f"area_m2 must be positive, got {self.area_m2}")
         if not 0 < self.fov_deg <= 90:
@@ -120,6 +139,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "transmitters", tuple(self.transmitters))
+        _refuse_non_numbers(self, "wall_reflectance")
         if not self.transmitters:
             raise ValueError("scene needs at least one transmitter")
         if not 0 <= self.wall_reflectance <= 1:

@@ -3,6 +3,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -668,3 +669,121 @@ def test_rss_and_path_loss_edges():
     with pytest.raises(ValueError):
         ch.path_loss_db(0.0)
     np.testing.assert_allclose(ch.rss_dbm(np.array([1.0, 10.0])), [0.0, 10.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Small rooms sharing a chunk
+# ---------------------------------------------------------------------------
+
+_EDGE = 0.5  # coarse patches keep the per-row reference calls fast
+
+
+@st.composite
+def _small_room(draw):
+    """A room with 1 or 4 LEDs, the default or a 60 deg FOV receiver, and now
+    and then one LED of another half-power angle, and 1 to 9 rows in it, some
+    on or near a wall."""
+    sc = variable_scene(draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0)),
+                        draw(st.sampled_from([1, 4])))
+    if draw(st.booleans()):
+        sc = replace(sc, receiver=Receiver(fov_deg=60.0))
+    if draw(st.integers(0, 3)) == 0:
+        txs = list(sc.transmitters)
+        t = draw(st.integers(0, len(txs) - 1))
+        txs[t] = replace(txs[t], hpa_deg=45.0)
+        sc = replace(sc, transmitters=tuple(txs))
+    room = sc.room
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        x, y = draw(st.floats(0.0, room.lx)), draw(st.floats(0.0, room.ly))
+        wall = draw(st.sampled_from([None, None, 0, 1, 2, 3]))
+        if wall is not None:
+            off = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+            if wall < 2:
+                x = (off, room.lx - off)[wall]
+            else:
+                y = (off, room.ly - off)[wall - 2]
+        rows.append((x, y, draw(st.floats(0.0, 1.7))))
+    return sc, np.array(rows)
+
+
+def _triples(sc, n_rows):
+    """A room's (row, LED, patch) triples at the test's patch edge."""
+    nu, nv = ch._wall_counts(sc.room, _EDGE)
+    return n_rows * len(sc.transmitters) * sum(nu) * nv
+
+
+@settings(max_examples=40, deadline=None)
+@given(rooms=st.lists(_small_room(), min_size=1, max_size=6))
+def test_each_row_of_small_rooms_sharing_a_chunk_keeps_its_own_bits(rooms):
+    """Every row of a many-room call gets the bits of its own one-row call,
+    whether each room's rows have a chunk of their own (chunk bound 1), three
+    rooms share one, or the default bound decides."""
+    scenes, blocks = [sc for sc, _ in rooms], [rows for _, rows in rooms]
+    want = [ch.received_power(sc, p, patch_edge_m=_EDGE)
+            for sc, rows in rooms for p in rows]
+    few = 4 * sum(_triples(sc, len(rows)) for sc, rows in rooms[:3])  # a quarter is shared
+    for chunk in (1, few, ch._CHUNK_PAIRS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ch, "_CHUNK_PAIRS", chunk)
+            p_los, p_nlos = ch.received_power_rooms(scenes, blocks, patch_edge_m=_EDGE)
+        assert list(zip(p_los.tolist(), p_nlos.tolist())) == [
+            (bd.p_los_mw, bd.p_nlos_mw) for bd in want]
+
+
+def test_rooms_share_a_chunk_only_with_the_same_receiver_and_lambertian_order():
+    plain = variable_scene(4.0, 5.0)
+    narrow = replace(plain, receiver=Receiver(fov_deg=60.0))
+    four = variable_scene(4.0, 5.0, 4)
+    mixed = replace(four, transmitters=(replace(four.transmitters[0], hpa_deg=45.0),
+                                        *four.transmitters[1:]))
+    steep = replace(plain, transmitters=(replace(plain.transmitters[0], hpa_deg=45.0),))
+    scenes = [plain, plain, narrow, narrow, plain, mixed, mixed, four, steep, steep]
+    ones = [1] * len(scenes)  # one row and one patch a room
+    assert ch._room_groups(scenes, ones, ones) == [
+        [0, 1], [2, 3], [4], [5], [6], [7], [8, 9]]
+
+
+def test_small_rooms_are_tiled_a_chunk_at_a_time(monkeypatch):
+    """300 one-row rooms take one tiling per shared chunk, every room tiled
+    once, and give each row the bits of its own room's call."""
+    rng = np.random.default_rng(21)
+    scenes = [variable_scene(a, b) for a, b in rng.uniform(3.0, 7.0, (300, 2)).tolist()]
+    blocks = [rng.uniform(0.0, 1.0, (1, 3)) * [s.room.lx, s.room.ly, 1.7] for s in scenes]
+    tiled = []
+    from_room = ch._PatchArrays.from_room
+
+    def record(room, patch_edge_m):
+        tiled.append(1 if isinstance(room, Room) else len(room))
+        return from_room(room, patch_edge_m)
+
+    monkeypatch.setattr(ch._PatchArrays, "from_room", record)
+    p_los, p_nlos = ch.received_power_rooms(scenes, blocks)
+    assert sum(tiled) == 300 and len(tiled) < 300 / 3
+    monkeypatch.undo()
+    for i in range(0, 300, 37):
+        one = ch.received_power_many(scenes[i], blocks[i])
+        assert (p_los[i], p_nlos[i]) == (one[0][0], one[1][0])
+
+
+def test_small_rooms_memory_stays_that_of_one_full_chunk():
+    """A 300-room call's traced peak stays under twice that of one room whose
+    rows fill a whole chunk: the chunks, not the call, bound the temporaries
+    (one pass over all 300 rooms would hold about 450,000 pairs)."""
+    rng = np.random.default_rng(22)
+    scenes = [variable_scene(a, b) for a, b in rng.uniform(3.0, 7.0, (300, 2)).tolist()]
+    blocks = [rng.uniform(0.0, 1.0, (1, 3)) * [s.room.lx, s.room.ly, 1.7] for s in scenes]
+    mid = preset_scene("mid")  # 1,500 wall patches at the default edge
+    full = rng.uniform(0.0, 1.0, (ch._CHUNK_PAIRS // 1500, 3)) * [5.0, 5.0, 1.7]
+
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak(lambda: ch.received_power_many(mid, full))
+    assert peak(lambda: ch.received_power_rooms(scenes, blocks)) < 2 * one_chunk

@@ -360,6 +360,28 @@ def test_scene_file_with_an_infinite_room_side_is_refused_by_name(workdir, capsy
     assert not Path("d.csv").exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d["transmitters"][0].update(power_mw="1000"),
+     "Transmitter power_mw must be a real number, got '1000'"),
+    (lambda d: d["room"].update(lx=10**400),
+     "Room lx must be finite, got an int too large for a float"),
+    (lambda d: d["room"].update(lx=True), "Room lx must be a real number, got True"),
+    (lambda d: d["receiver"].update(area_m2=None), "Receiver area_m2 must be a real number, got None"),
+    (lambda d: d.update(wall_reflectance="0.8"),
+     "Scene wall_reflectance must be a real number, got '0.8'"),
+    (lambda d: d["transmitters"][0].update(position=["1", 2, 3]),
+     "Transmitter position must be a real number, got '1'"),
+])
+def test_a_scene_field_that_is_not_a_number_is_refused_by_name(workdir, capsys, edit, named):
+    doc = preset_scene("mid").to_dict()
+    edit(doc)
+    Path("room.json").write_text(json.dumps(doc))
+    assert cli.main(["generate", "--scene", "room.json", "--reference", "2",
+                     "--out", "d.csv"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: room.json: {named}"]
+    assert not Path("d.csv").exists()
+
+
 def _traced_main(argv):
     """Exit code and traced allocation peak of one in-process CLI run."""
     tracemalloc.start()

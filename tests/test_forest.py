@@ -578,6 +578,42 @@ def test_growth_keeps_its_bits():
     assert h.hexdigest() == _GROWTH_SHA1
 
 
+def test_adaboost_builds_and_checks_one_forest(monkeypatch):
+    """An AdaBoost.R2 fit builds one forest, the final one, so each of its
+    trees is checked once; no round's base ensemble is built as a forest, and
+    no resample is checked again as training data."""
+    rng = np.random.default_rng(23)
+    X = rng.uniform(0.0, 4.0, (200, 3))
+    y = X[:, 0] - X[:, 1] + 0.1 * rng.normal(size=200)
+    counts = {"forests": 0, "checked": 0, "training": 0}
+
+    def count(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fr.Forest, "__post_init__", count("forests", fr.Forest.__post_init__))
+    monkeypatch.setattr(fr, "_check_tree", count("checked", fr._check_tree))
+    monkeypatch.setattr(fr, "_training_arrays", count("training", fr._training_arrays))
+    boost = fr.fit_adaboost_r2(X, y, n_estimators=6, base_n_trees=3, seed=4)
+    assert boost.n_members > 1
+    assert counts == {"forests": 1, "checked": len(boost.trees), "training": 1}
+
+
+@pytest.mark.parametrize("route_pairs", [1, 7, 1 << 18])
+def test_ensemble_mean_is_an_extra_trees_forests_prediction(monkeypatch, route_pairs):
+    """The mean an AdaBoost.R2 round scores with has the bits `predict_forest`
+    gives the same trees as an Extra Trees forest, whatever the row blocks."""
+    rng = np.random.default_rng(24)
+    X = rng.uniform(0.0, 4.0, (150, 3))
+    y = X[:, 0] * X[:, 2] + 0.1 * rng.normal(size=150)
+    forest = fr.fit_extra_trees(X, y, n_trees=5, seed=6)
+    want = fr.predict_forest(forest, X)
+    monkeypatch.setattr(fr, "_ROUTE_PAIRS", route_pairs)
+    assert fr._ensemble_mean(forest.trees, X).tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Prediction mechanics
 # ---------------------------------------------------------------------------

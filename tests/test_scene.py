@@ -164,3 +164,31 @@ def test_led_height_matches_room():
     for name, (_, _, lz) in PRESET_ROOMS.items():
         for tx in preset_scene(name, led_count=4).transmitters:
             assert math.isclose(tx.position[2], lz)
+
+
+_NON_NUMBERS = [("1000", "a real number"), (True, "a real number"), (None, "a real number"),
+                (10**400, "finite")]
+
+
+@pytest.mark.parametrize("value, must", _NON_NUMBERS)
+@pytest.mark.parametrize("cls, field", [
+    (Room, "lx"), (Room, "lz"), (Transmitter, "position"), (Transmitter, "power_mw"),
+    (Transmitter, "hpa_deg"), (Receiver, "area_m2"), (Receiver, "fov_deg"),
+    (Receiver, "filter_gain"), (Receiver, "refractive_index"), (Receiver, "responsivity"),
+    (Scene, "wall_reflectance")])
+def test_scene_records_refuse_non_numbers_by_name(cls, field, value, must):
+    """A str, a bool, None or an int too large for a float is refused with
+    the class and field named, before any other check can trip on it."""
+    room, tx = Room(3.0, 3.0, 3.0), Transmitter(position=(1.0, 1.0, 3.0))
+    kw = {Room: {"lx": 3.0, "ly": 3.0, "lz": 3.0}, Transmitter: {"position": (1.0, 1.0, 3.0)},
+          Receiver: {}, Scene: {"room": room, "transmitters": (tx,)}}[cls]
+    kw[field] = (1.0, value, 3.0) if field == "position" else value
+    with pytest.raises(ValueError, match=f"^{cls.__name__} {field} must be {must}, got "):
+        cls(**kw)
+
+
+def test_whole_numbers_stay_accepted():
+    assert Room(3, 4, 3).lx == 3
+    assert Transmitter(position=(1, 2, 3), power_mw=10**300).power_mw == 10**300
+    assert Scene(room=Room(3, 3, 3), transmitters=(Transmitter(position=(1, 1, 3)),),
+                 wall_reflectance=1).wall_reflectance == 1
