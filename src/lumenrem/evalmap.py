@@ -406,7 +406,13 @@ def evaluate_model(model, reference: Dataset, mean_osnr_db=None) -> EvalReport:
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Wall-clock training and single-point inference costs."""
+    """Wall-clock training and single-point inference costs.
+
+    `train_seconds` is the mean fit time over the repetitions.
+    `predict_us_per_sample` is the per-row time of the median block: every
+    repetition times its `n_predict` one-row predictions in blocks of
+    `_PREDICT_BLOCK` rows, and one disturbed block does not move the median.
+    """
 
     model_kind: str
     train_seconds: float
@@ -436,6 +442,10 @@ def hardware_note() -> str:
     )
 
 
+# `benchmark` times single-row predictions in blocks of this many rows
+_PREDICT_BLOCK = 500
+
+
 def benchmark(
     kind: str,
     data: Dataset,
@@ -449,15 +459,17 @@ def benchmark(
 ) -> TimingReport:
     """Average train wall time over repetitions, then single-point inference.
 
-    Inference cost is total wall time over `n_predict` one-row predictions
-    divided by the count, averaged across repetitions.
+    Each repetition makes `n_predict` one-row predictions, timed in blocks of
+    `_PREDICT_BLOCK` rows. Inference cost is the median over the blocks of
+    all repetitions of a block's wall time divided by its rows, so a block
+    slowed by something else on the machine does not move it.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if n_predict < 10_000:
         raise ValueError("inference timing needs at least 10000 single-point predictions")
     train_times = []
-    predict_times = []
+    block_us = []  # per-row µs of each timed block
     for rep in range(repetitions):
         rep_seed = _seed_int(seed, rep)
         splits = split(data, seed=rep_seed)
@@ -466,14 +478,16 @@ def benchmark(
                           seed=rep_seed, **fit_kw)
         train_times.append(time.perf_counter() - t0)
         rows = data.features[_stream(rep_seed).integers(0, len(data), size=n_predict)]
-        t0 = time.perf_counter()
-        for row in rows:
-            predict_any(model, row)
-        predict_times.append((time.perf_counter() - t0) / n_predict * 1e6)
+        for lo in range(0, n_predict, _PREDICT_BLOCK):
+            block = rows[lo:lo + _PREDICT_BLOCK]
+            t0 = time.perf_counter()
+            for row in block:
+                predict_any(model, row)
+            block_us.append((time.perf_counter() - t0) / len(block) * 1e6)
     return TimingReport(
         model_kind=kind,
         train_seconds=float(np.mean(train_times)),
-        predict_us_per_sample=float(np.mean(predict_times)),
+        predict_us_per_sample=float(np.median(block_us)),
         repetitions=repetitions,
         n_train_rows=len(splits.train),  # the same count in every repetition's split
         n_predict=n_predict,

@@ -119,53 +119,73 @@ def _grow(X: np.ndarray, y: np.ndarray, params: TreeParams, splitter,
 
     This is the one stop rule: a node stays a leaf only when its targets are
     equal, it is at `max_depth`, it has fewer than `min_samples_split` rows, or
-    no valid cut exists. `splitter(X, y, rows, starts, counts, sums, opens)`
-    gets the rows and target sums of the nodes left open and how many of
-    them each tree holds. It returns each node's split feature (-1 when it
-    has no valid cut) and threshold, the rows in the order the children keep
-    them, and for each row whether it goes left. One stable partition then
-    gives every child its rows. The next depth holds the children in their
-    parents' order, and they inherit their parents' tree ids, so each tree's
-    nodes of a depth keep the numbering `Tree` derives its children from. At
-    the end one stable sort by tree id cuts the depths back into the trees.
+    no valid cut exists. `splitter(cols, yp, rows, starts, counts, sums,
+    opens)` gets the data with a padding row n of feature +inf and target 0.0
+    after the n real ones (`cols` the (k, n + 1) feature columns, each
+    contiguous, and `yp` the n + 1 targets), the rows and target sums of the
+    nodes left open, and how many of them each tree holds. It returns each
+    node's split feature (-1 when it has no valid cut) and threshold, the rows
+    in the order the children keep them, and for each row whether it goes
+    left. One stable partition then gives every child its rows. The next
+    depth holds the children in their parents' order, and they inherit their
+    parents' tree ids, so each tree's nodes of a depth keep the numbering
+    `Tree` derives its children from. At the end one stable sort by tree id
+    cuts the depths back into the trees.
+
+    A pass is a few dozen NumPy calls on arrays as long as its rows, so on
+    small depths their fixed cost is the pass's cost: the loop calls ufuncs
+    and array methods directly, not the Python-level wrappers (`np.cumsum`,
+    `np.insert`, `np.repeat`, ...) that give the same results more slowly.
     """
     max_depth = math.inf if params.max_depth is None else params.max_depth
+    cols = np.concatenate([X, np.full((1, X.shape[1]), np.inf)]).T.copy()
+    yp = np.append(y, 0.0)
     rows = np.tile(np.arange(len(y)), n_trees)
     counts = np.full(n_trees, len(y))
     tree = np.arange(n_trees)
-    levels = []
+    values, trees, splits = [], [], []
+    first = 0  # the depth's first node, the depths of all trees numbered in turn
     while len(counts):
         m = len(counts)
-        starts = np.cumsum(counts) - counts
-        yd = y[rows]
+        starts = np.add.accumulate(counts) - counts
+        yd = y.take(rows)
         # a 0.0 ahead of each node's rows makes reduceat sum them as np.add.reduce
         # does (from 0.0, pairwise), so a node's value is its rows' mean bit for bit
-        sums = np.add.reduceat(np.insert(yd, starts, 0.0), starts + np.arange(m))
-        level = (np.full(m, -1), np.full(m, math.nan), sums / counts, tree)
-        levels.append(level)
+        at = starts + np.arange(m)
+        real = np.ones(len(rows) + m, dtype=bool)
+        real[at] = False
+        padded = np.zeros(len(real))
+        padded[real] = yd
+        sums = np.add.reduceat(padded, at)
+        values.append(sums / counts)
+        trees.append(tree)
         is_open = ((counts >= params.min_samples_split)
                    & (np.minimum.reduceat(yd, starts) < np.maximum.reduceat(yd, starts)))
-        if len(levels) > max_depth or not is_open.any():
+        if len(values) > max_depth or not is_open.any():
             break
-        nodes = np.flatnonzero(is_open)
-        rows = rows[np.repeat(is_open, counts)]
+        nodes = is_open.nonzero()[0]
+        rows = rows[is_open.repeat(counts)]
         counts = counts[is_open]
         tree = tree[is_open]
-        f, thr, rows, go_left = splitter(X, y, rows, np.cumsum(counts) - counts, counts,
-                                         sums[is_open], np.bincount(tree, minlength=n_trees))
+        f, thr, rows, go_left = splitter(cols, yp, rows, np.add.accumulate(counts) - counts,
+                                         counts, sums[is_open],
+                                         np.bincount(tree, minlength=n_trees))
         split = f >= 0
-        inner = nodes[split]
-        level[0][inner] = f[split]
-        level[1][inner] = thr[split]
+        splits.append((first + nodes[split], f[split], thr[split]))
+        first += m
         # the k-th split node's children are the next depth's nodes 2k and 2k + 1
-        kept = np.repeat(split, counts)
-        child = (np.repeat(2 * np.cumsum(split) - 2, counts) + ~go_left)[kept]
-        rows = rows[kept][np.argsort(child, kind="stable")]
-        counts = np.bincount(child, minlength=2 * len(inner))
-        tree = np.repeat(tree[split], 2)
-    feature, threshold, value, tree = (np.concatenate(a) for a in zip(*levels))
-    order = np.argsort(tree, kind="stable")
-    cuts = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
+        kept = split.repeat(counts)
+        parents = counts[split]
+        child = np.arange(0, 2 * len(parents), 2).repeat(parents) + ~go_left[kept]
+        rows = rows[kept][child.argsort(kind="stable")]
+        counts = np.bincount(child, minlength=2 * len(parents))
+        tree = tree[split].repeat(2)
+    value, tree = np.concatenate(values), np.concatenate(trees)
+    feature, threshold = np.full(len(value), -1), np.full(len(value), math.nan)
+    for inner, f, thr in splits:
+        feature[inner], threshold[inner] = f, thr
+    order = tree.argsort(kind="stable")
+    cuts = np.add.accumulate(np.bincount(tree, minlength=n_trees))[:-1]
     return [Tree(*parts) for parts in zip(*(np.split(a[order], cuts)
                                             for a in (feature, threshold, value)))]
 
@@ -182,47 +202,60 @@ def _cart_splitter(params: TreeParams):
     """Exact CART: every midpoint between consecutive distinct values of every
     feature. Nodes are searched in power-of-two size classes, each class's
     nodes together and all features at once: a node's rows are padded after
-    its last one to the class size with a row of feature +inf and target 0.0.
-    Each node still gets the sums it would get alone: its rows stably sorted
-    from the order its parent left them in, the padding after them, and
+    its last one to the class size with the padding row (feature +inf, target
+    0.0). Each node still gets the sums it would get alone: its rows stably
+    sorted from the order its parent left them in, the padding after them, and
     sequential prefix sums, which the padding does not reach. A cut into the
     padding leaves fewer than `min_samples_leaf` rows right, so it is never
-    valid. No BLAS call is made, so a tree does not depend on the thread
-    count. Each child keeps its parent's rows in the split feature's order."""
+    valid. So a class may be padded to a larger size than its nodes need, and
+    a class whose nodes fill at most `_MERGE_SLOTS` rows at the next class's
+    size is searched with that class, which saves a search's fixed cost. No
+    BLAS call is made, so a tree does not depend on the thread count. Each
+    child keeps its parent's rows in the split feature's order."""
     msl = params.min_samples_leaf
 
-    def split(X, y, rows, starts, counts, sums, opens):
+    def split(cols, yp, rows, starts, counts, sums, opens):
         feature = np.full(len(counts), -1)
         threshold = np.full(len(counts), math.nan)
         rows = rows.copy()
         go_left = np.zeros(len(rows), dtype=bool)
-        pad = len(y)  # the padding row's index
-        xt = np.concatenate([X, np.full((1, X.shape[1]), np.inf)]).T
-        yp = np.append(y, 0.0)
-        size = 1 << np.frexp(counts - 1.0)[1]  # the least power of two >= count
-        for s in np.unique(size).tolist():
-            nodes = np.flatnonzero(size == s)
+        pad = len(yp) - 1  # the padding row's index
+        # (k, 1, 1): each feature's offset into the raveled columns
+        feat = np.arange(0, cols.size, cols.shape[1])[:, None, None]
+        exp = np.frexp(counts - 1.0)[1]  # 2 ** exp is the least power of two >= count
+        by_size = exp.argsort(kind="stable")
+        members = np.bincount(exp).tolist()
+        classes = [e for e, c in enumerate(members) if c]
+        lo = hi = 0
+        for e, bigger in zip(classes, [*classes[1:], None]):
+            hi += members[e]
+            if bigger is not None and (hi - lo) << bigger <= _MERGE_SLOTS:
+                continue  # searched with the next class
+            s = 1 << e
+            nodes = by_size[lo:hi]
+            lo = hi
             n = counts[nodes, None]
             real = np.arange(s) < n  # (c, s)
             at = starts[nodes, None] + np.arange(s)  # the nodes' places in `rows`
             r = np.where(real, rows.take(at, mode="clip"), pad)
             col = np.arange(len(nodes))
             # (k, c, s): every node's rows in each feature's stable order
-            rs = r[col[:, None], np.argsort(xt[:, r], axis=2, kind="stable")]
-            xs = xt[np.arange(X.shape[1])[:, None, None], rs]
+            order = cols.take(r, axis=1).argsort(axis=2, kind="stable")
+            rs = r.take(order + (col * s)[:, None])
+            xs = cols.take(rs + feat)
             nl = np.arange(1, s)  # left-side row count of the cut after each position
             red = _sse_reduction(n, sums[nodes, None],
                                  np.minimum(nl, n - 1),  # cuts into the padding are dropped
-                                 np.cumsum(yp[rs], axis=2)[..., :-1])
+                                 np.add.accumulate(yp.take(rs), axis=2)[..., :-1])
             valid = (xs[..., 1:] != xs[..., :-1]) & (nl >= msl) & (n - nl >= msl)
             red = np.where(valid, red, -np.inf)
             # argmax takes the first best: equal scores go to the lowest feature,
             # then the lowest threshold
-            best = red.max(axis=2)
-            f = np.argmax(best, axis=0)
-            hit = np.flatnonzero(best[f, col] > -np.inf)
+            best = np.maximum.reduce(red, axis=2)
+            f = best.argmax(axis=0)
+            hit = (best[f, col] > -np.inf).nonzero()[0]
             f = f[hit]
-            j = np.argmax(red[f, hit], axis=1)
+            j = red[f, hit].argmax(axis=1)
             a, b = xs[f, hit, j], xs[f, hit, j + 1]
             thr = a + (b - a) / 2.0
             feature[nodes[hit]] = f
@@ -246,24 +279,33 @@ def _extra_splitter(params: TreeParams, rngs: list[np.random.Generator]):
     order, so each child holds its rows in ascending order."""
     msl = params.min_samples_leaf
 
-    def split(X, y, rows, starts, counts, sums, opens):
+    def split(cols, yp, rows, starts, counts, sums, opens):
         m = len(counts)
         # (k, rows): each per-node reduction runs over contiguous memory, and a
         # sum adds the same values in the same order as over (rows, k)
-        xd = X.T[:, rows]
+        xd = cols.take(rows, axis=1)
         lo = np.minimum.reduceat(xd, starts, axis=1)
-        draws = [rng.random((c, X.shape[1])) for rng, c in zip(rngs, opens.tolist()) if c]
-        cuts = lo + (np.maximum.reduceat(xd, starts, axis=1) - lo) * np.concatenate(draws).T
-        node = np.repeat(np.arange(m), counts)
-        go = xd < cuts[:, node]
-        nl = np.add.reduceat(go, starts, axis=1, dtype=np.intp)
+        draws = np.empty((m, len(cols)))
+        at = 0
+        for rng, c in zip(rngs, opens.tolist()):
+            if c:
+                rng.random(out=draws[at:at + c])  # the values of rng.random((c, k))
+                at += c
+        cuts = lo + (np.maximum.reduceat(xd, starts, axis=1) - lo) * draws.T
+        node = np.arange(m).repeat(counts)
+        go = xd < cuts.take(node, axis=1)
+        # the counts and sums over float 0/1 go as over the bools, and faster
+        went = go.astype(np.float64)
+        nl = np.add.reduceat(went, starts, axis=1)
         valid = (nl >= msl) & (counts - nl >= msl)
+        went *= yp.take(rows)
         red = _sse_reduction(counts, sums,
-                             np.clip(nl, 1, counts - 1),  # invalid cuts are scored, then dropped
-                             np.add.reduceat(go * y[rows], starts, axis=1))
-        f = np.argmax(np.where(valid, red, -np.inf), axis=0)  # equal scores: the lowest feature
+                             # invalid cuts are scored on 1 to count - 1 rows, then dropped
+                             np.minimum(np.maximum(nl, 1.0), counts - 1),
+                             np.add.reduceat(went, starts, axis=1))
+        f = np.where(valid, red, -np.inf).argmax(axis=0)  # equal scores: the lowest feature
         return (np.where(valid.any(axis=0), f, -1), cuts[f, np.arange(m)], rows,
-                go[f[node], np.arange(len(rows))])
+                go.ravel().take(f.take(node) * len(rows) + np.arange(len(rows))))
 
     return split
 
@@ -509,6 +551,9 @@ _ROUTE_PAIRS = 1 << 18
 # pairs within this, one tree at least, as the channel bounds its chunks: a
 # depth's work arrays stay under a MB for a few features
 _GROW_PAIRS = 1 << 15
+# a CART size class whose nodes, padded to the next class's size, fill at most
+# this many rows is searched with that class
+_MERGE_SLOTS = 1024
 _ROOT = np.zeros(1, dtype=np.intp)
 # a single row walks the packed arrays in Python when the forest has fewer
 # trees than this; from here on the router's fixed cost per level is the

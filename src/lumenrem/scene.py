@@ -56,6 +56,16 @@ def _number_problem(x) -> str | None:
     return f"be finite, got {x!r}"
 
 
+def _finite_positive(formula) -> bool:
+    """Whether `formula()` gives a finite positive float; a division by zero
+    or an overflow counts as not."""
+    try:
+        v = formula()
+    except (ZeroDivisionError, OverflowError):
+        return False
+    return math.isfinite(v) and v > 0
+
+
 def _refuse_non_numbers(record, *names: str) -> None:
     """ValueError naming the first of the record's fields `names` that is not
     a finite real number (a tuple field is checked item by item)."""
@@ -99,6 +109,11 @@ class Transmitter:
             raise ValueError(f"power_mw must be positive, got {self.power_mw}")
         if not 0 < self.hpa_deg < 90:
             raise ValueError(f"hpa_deg must be in (0, 90), got {self.hpa_deg}")
+        # the channel's Lambertian order; a cosine that rounds to 1 divides by zero
+        cos_hpa = math.cos(math.radians(self.hpa_deg))
+        if not _finite_positive(lambda: -math.log(2.0) / math.log(cos_hpa)):
+            raise ValueError("Transmitter hpa_deg must give a finite Lambertian order "
+                             f"-ln 2 / ln cos(hpa_deg), got {self.hpa_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,15 @@ class Receiver:
             raise ValueError(f"filter_gain must be positive, got {self.filter_gain}")
         if self.refractive_index < 1:
             raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
+        # the channel's concentrator gain n^2 / sin^2(fov): n^2 can overflow, and
+        # the sine squared of a tiny FOV is 0
+        n, fov = self.refractive_index, self.fov_deg
+        if not _finite_positive(lambda: n ** 2):
+            raise ValueError("Receiver refractive_index must give a finite concentrator gain "
+                             f"n^2 / sin^2(fov_deg), got {n!r}")
+        if not _finite_positive(lambda: n ** 2 / math.sin(math.radians(fov)) ** 2):
+            raise ValueError("Receiver fov_deg must give a finite concentrator gain "
+                             f"n^2 / sin^2(fov_deg) with refractive_index {n!r}, got {fov!r}")
 
 
 @dataclass(frozen=True)

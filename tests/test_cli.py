@@ -382,6 +382,29 @@ def test_a_scene_field_that_is_not_a_number_is_refused_by_name(workdir, capsys, 
     assert not Path("d.csv").exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: d["transmitters"][0].update(hpa_deg=1e-9),
+     "Transmitter hpa_deg must give a finite Lambertian order -ln 2 / ln cos(hpa_deg), "
+     "got 1e-09"),
+    (lambda d: d["receiver"].update(fov_deg=1e-300),
+     "Receiver fov_deg must give a finite concentrator gain n^2 / sin^2(fov_deg) with "
+     "refractive_index 1.5, got 1e-300"),
+    (lambda d: d["receiver"].update(refractive_index=1e200),
+     "Receiver refractive_index must give a finite concentrator gain n^2 / sin^2(fov_deg), "
+     "got 1e+200"),
+])
+def test_a_scene_value_whose_channel_constant_is_not_finite_is_refused_by_name(
+        workdir, capsys, edit, named):
+    """These loaded once and then failed inside the channel with a bare
+    'float division by zero' or '(34, 'Numerical result out of range')'."""
+    doc = preset_scene("mid").to_dict()
+    edit(doc)
+    Path("s.json").write_text(json.dumps(doc))
+    assert cli.main(["generate", "--scene", "s.json", "--reference", "2", "--out", "d.csv"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: s.json: {named}"]
+    assert not Path("d.csv").exists()
+
+
 def _traced_main(argv):
     """Exit code and traced allocation peak of one in-process CLI run."""
     tracemalloc.start()

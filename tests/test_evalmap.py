@@ -374,6 +374,36 @@ def test_benchmark_dt(small_pool):
     assert d["model_kind"] == "dt" and d["hardware_note"] == rep.hardware_note
 
 
+def test_benchmark_reports_the_median_block_so_one_stalled_block_does_not_move_it(
+        small_pool, monkeypatch):
+    """A fake clock advances 2**-20 s per predict; one predict in one block
+    stalls for a whole second. The stall moves the mean per-row time by about
+    50 us, and the reported figure not at all."""
+    clock = [0.0]
+
+    class FakeTime:
+        @staticmethod
+        def perf_counter():
+            return clock[0]
+
+    def fit(*args, **kwargs):
+        clock[0] += 1.0
+        return "model"
+
+    def reported(stall_at):
+        calls = [0]
+
+        def predict(model, row):
+            calls[0] += 1
+            clock[0] += 1.0 if calls[0] == stall_at else 2.0 ** -20
+        monkeypatch.setattr(evalmap, "predict_any", predict)
+        return evalmap.benchmark("dt", small_pool, repetitions=2, seed=0).predict_us_per_sample
+
+    monkeypatch.setattr(evalmap, "time", FakeTime)
+    monkeypatch.setattr(evalmap, "fit_model", fit)
+    assert reported(stall_at=None) == reported(stall_at=1234) == 2.0 ** -20 * 1e6
+
+
 def test_benchmark_rejects_small_prediction_batch(small_pool):
     with pytest.raises(ValueError):
         evalmap.benchmark("dt", small_pool, repetitions=1, n_predict=500)

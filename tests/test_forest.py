@@ -346,6 +346,22 @@ def test_the_group_bound_does_not_change_the_forest(monkeypatch):
     assert len(hashes) == 1
 
 
+def test_searching_size_classes_together_does_not_change_a_tree(monkeypatch):
+    """CART searches each power-of-two size class on its own, or a small class
+    with the next one, or every class of a depth together: the same tree in
+    every bit."""
+    X, y = _toy(n=300, seed=42, noise=0.5)
+    X = np.round(X, 1)  # ties, which the padded sort must keep in order
+    hashes = set()
+    for slots in (0, fr._MERGE_SLOTS, 1 << 30):
+        monkeypatch.setattr(fr, "_MERGE_SLOTS", slots)
+        for params in (fr.TreeParams(), fr.TreeParams(min_samples_leaf=3)):
+            t = fr.fit_cart(X, y, params)
+            hashes.add((params, hashlib.sha1(b"".join(
+                a.tobytes() for a in (t.feature, t.threshold, t.value))).digest()))
+    assert len(hashes) == 2
+
+
 def test_growth_memory_is_bounded_by_the_group(monkeypatch):
     """An ensemble grows a group of trees at a time: with one tree per group,
     the traced peak is the trees and one tree's depth arrays, not a depth of

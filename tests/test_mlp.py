@@ -163,6 +163,28 @@ def test_gradients_match_finite_differences(dims, n_draws):
                 assert abs(fd - an) / denom < 1e-5, (draw, p_idx, ix, fd, an)
 
 
+def test_public_gradients_are_not_overwritten_by_the_next_call():
+    """`train` reuses its gradient buffers from step to step; a call made
+    outside it gets arrays of its own, which a later call leaves alone."""
+    m = _model(3, (8, 4), seed=5)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
+    _, gw, gb = mlp.loss_and_gradients(m, x, y)
+    kept = [g.copy() for g in gw + gb]
+    mlp.loss_and_gradients(m, 2.0 * x, y + 1.0)
+    mlp.loss_and_gradients(m, x[:3], y[:3])
+    assert all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
+
+
+def test_train_drops_its_workspace_and_returns_plain_weights():
+    model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=2, batch_size=7, seed=1),
+                      _linear_splits(n=40, seed=1))
+    assert not hasattr(model, "_work")
+    assert [w.shape for w in model.weights] == [(3, 4), (4, 1)]
+    assert [b.shape for b in model.biases] == [(4,), (1,)]
+    assert all(p.flags.c_contiguous for p in model.params)
+
+
 def test_empty_batch_rejected():
     m = _model(2, (2,))
     with pytest.raises(ValueError):
@@ -209,6 +231,23 @@ def test_adam_recurrence_on_quadratic():
         w -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
         assert math.isclose(p[0], w, rel_tol=1e-12, abs_tol=1e-12)
     assert state.t == 5
+
+
+def test_adam_on_one_flat_vector_matches_adam_on_separate_arrays():
+    """The flat update `train` makes gives every parameter the bits the same
+    step gives it as a separate array, step after step."""
+    cfg = mlp.MlpConfig(input_dim=3, hidden=(5,))
+    rng = np.random.default_rng(11)
+    params = [rng.normal(size=(3, 5)), rng.normal(size=(5, 1)), rng.normal(size=5),
+              rng.normal(size=1)]
+    flat = np.concatenate([p.ravel() for p in params])
+    apart, joined = mlp.AdamState.for_params(params), mlp.AdamState.for_params([flat])
+    for _ in range(4):
+        grads = [rng.normal(size=p.shape) for p in params]
+        mlp.adam_step(apart, params, grads, cfg)
+        mlp.adam_step(joined, [flat], [np.concatenate([g.ravel() for g in grads])], cfg)
+    assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+    assert apart.m.tobytes() == joined.m.tobytes() and apart.v.tobytes() == joined.v.tobytes()
 
 
 # ---------------------------------------------------------------------------

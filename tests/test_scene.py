@@ -118,6 +118,31 @@ def test_receiver_refuses_non_finite_numbers(field, value):
         Receiver(**{field: value})
 
 
+@pytest.mark.parametrize("make, named", [
+    # cos(1e-9 deg) rounds to 1.0: -ln 2 / ln 1 divides by zero
+    (lambda: Transmitter(position=(1.0, 1.0, 3.0), hpa_deg=1e-9),
+     "Transmitter hpa_deg must give a finite Lambertian order"),
+    # sin^2(1e-300 deg) is 0
+    (lambda: Receiver(fov_deg=1e-300), "Receiver fov_deg must give a finite concentrator gain"),
+    # 1.5^2 / sin^2(1e-160 deg) overflows: the sine squared underflows to 0
+    (lambda: Receiver(fov_deg=1e-160), "Receiver fov_deg must give a finite concentrator gain"),
+    # (1e200)^2 overflows
+    (lambda: Receiver(refractive_index=1e200),
+     "Receiver refractive_index must give a finite concentrator gain"),
+])
+def test_records_refuse_values_whose_channel_constants_are_not_finite(make, named):
+    with pytest.raises(ValueError, match=f"^{named}"):
+        make()
+
+
+def test_the_edges_of_the_channel_constants_stay_accepted():
+    """A half-power angle whose cosine is the float just below 1, a narrow FOV
+    whose gain is still finite and a large refractive index all load."""
+    assert Transmitter(position=(1.0, 1.0, 3.0), hpa_deg=1e-6).hpa_deg == 1e-6
+    assert Receiver(fov_deg=1e-100).fov_deg == 1e-100
+    assert Receiver(refractive_index=1e150).refractive_index == 1e150
+
+
 def test_scene_load_names_the_file_in_every_refusal(tmp_path):
     path = tmp_path / "room.json"
     for edit in (lambda d: d["room"].update(lx=math.inf),
