@@ -14,12 +14,13 @@ rooms, `received_power_many` is its one-room call and `received_power` its
 one-row call. The rows meet the wall tilings in cache-sized chunks.
 Consecutive small rooms share a chunk, with one tiling of all their walls
 back to back and one LED-leg, LOS and midpoint pass over all their rows; any
-other room's rows meet its own tiling in (rows, patches) blocks. The (row,
-patch) pairs too close for the midpoint rule, from every chunk and room,
-wait in one refinement queue that is refined in fixed-size batches whenever
-one fills. A position's powers are the same bits whichever call, chunk or
-batch it falls in: a row's midpoint sum is NumPy's pairwise sum over exactly
-its own room's patches wherever it is taken.
+other room's rows meet its own tiling in (rows, patches) blocks, taken in
+height order (a stable sort), lowest first. The (row, patch) pairs too close
+for the midpoint rule, from every chunk and room, wait in one refinement
+queue that is refined in fixed-size batches whenever one fills. A position's
+powers are the same bits whichever call, chunk or batch it falls in: a row's
+midpoint sum is NumPy's pairwise sum over exactly its own room's patches
+wherever it is taken.
 
 Only what the receiver can see is refined. The receiver faces up, so a
 (sub-)patch whose top edge is at or below its plane has cos(psi) <= 0 at every
@@ -28,12 +29,21 @@ depth. Such a close pair, or close sub-patch, is not split; its own midpoint
 term is left out as for any close pair, so it adds the same 0.0 it would have
 added split, and the sums keep their bits.
 
+The same test cuts work before any term is computed. Every wall column has
+the same rows of patches, so a block of rows in height order runs the
+midpoint kernel only on the patch rows whose top edge is above its lowest
+receiver. A patch of a row cut is at or below every receiver of the block:
+its midpoint term fails the FOV test and its refinement would add exactly
+0.0. The cut terms are written as the 0.0 they are, in place, so each row
+still sums all its patches in the same pairwise order and keeps its bits.
+
 Everything here is pure and deterministic; the additive noise applied to
 training data lives in `dataset`, keeping this module usable as ground truth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -142,40 +152,44 @@ class _PatchArrays:
     @classmethod
     def from_room(cls, room, patch_edge_m: float) -> "_PatchArrays":
         """The tiling of a room's walls, or of a sequence of rooms' walls back
-        to back, room after room, each as it would be tiled alone."""
+        to back, room after room, each as it would be tiled alone. Every
+        room's counts are checked before anything is allocated (`_wall_counts`)."""
         rooms = [room] if isinstance(room, Room) else list(room)
-        # Each room's four walls, fixed order x=0, x=lx, y=0, y=ly, as (axis,
-        # offset, inward sign, extent, patch height) and (patches along,
-        # patches up). Each is tiled with ceil(extent/edge) patches per
-        # direction and exact sizes extent/count, so the tiling covers the
-        # wall exactly and is reflection-symmetric. Every room's counts are
-        # checked before anything is allocated (`_wall_counts`).
-        walls, counts = [], []
-        for r in rooms:
-            nu, nv = _wall_counts(r, patch_edge_m)
-            walls += zip((0, 0, 1, 1), (0.0, r.lx, 0.0, r.ly), (1.0, -1.0, 1.0, -1.0),
-                         (r.ly, r.ly, r.lx, r.lx), (r.lz / nv,) * 4)
-            counts += zip(nu, (nv,) * 4)
-        counts = np.array(counts).T
-        per_wall = counts[0] * counts[1]
-        axis, offset, sign, extent, dv = np.repeat(np.array(walls).T, per_wall, axis=1)
-        nu, nv = np.repeat(counts, per_wall, axis=1)
-        # index of each patch on its wall, u-major: patch (iu, iv) is iu * nv + iv
-        k = np.arange(per_wall.sum()) - np.repeat(np.cumsum(per_wall) - per_wall, per_wall)
-        du = extent / nu
-        u = (k // nv + 0.5) * du
-        v = (k % nv + 0.5) * dv
-        x_wall = axis == 0
-        return cls(
-            centers=np.column_stack([np.where(x_wall, offset, u), np.where(x_wall, u, offset), v]),
-            axis=axis.astype(int),
-            sign=sign.copy(),  # not a view that would keep every column alive
-            edges_u=du,
-            edges_v=dv.copy(),
-        )
+        counts = [_wall_counts(r, patch_edge_m) for r in rooms]
+        parts = [_wall_patches(r, nu[0], nu[2], nv) for r, (nu, nv) in zip(rooms, counts)]
+        return cls(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
 
     def __len__(self) -> int:
         return len(self.centers)
+
+
+_WALL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _wall_patches(room: Room, nx: int, ny: int, nv: int):
+    """One room's `_PatchArrays` fields. Its four walls come in a fixed order,
+    x=0, x=lx, y=0, y=ly: the x walls have nx columns along y, the y walls ny
+    columns along x, and every column nv patches up z, wall by wall, u-major
+    (patch (iu, iv) of a wall is iu * nv + iv). Each direction is tiled with
+    exact sizes extent/count, so the tiling covers every wall exactly and is
+    reflection-symmetric; a column's centre along its wall and a patch row's
+    height are each computed once and broadcast."""
+    du_x, du_y, dv = room.ly / nx, room.lx / ny, room.lz / nv
+    centers = np.empty((2 * (nx + ny), nv, 3))
+    x_walls = centers[:2 * nx].reshape(2, nx, nv, 3)
+    x_walls[..., 0] = np.array([0.0, room.lx])[:, None, None]
+    x_walls[..., 1] = ((np.arange(nx) + 0.5) * du_x)[:, None]
+    y_walls = centers[2 * nx:].reshape(2, ny, nv, 3)
+    y_walls[..., 0] = ((np.arange(ny) + 0.5) * du_y)[:, None]
+    y_walls[..., 1] = np.array([0.0, room.ly])[:, None, None]
+    centers[..., 2] = (np.arange(nv) + 0.5) * dv
+    on_x = 2 * nx * nv  # patches on the x walls
+    axis = np.zeros(len(centers) * nv, dtype=int)
+    axis[on_x:] = 1
+    edges_u = np.full(len(axis), du_y)
+    edges_u[:on_x] = du_x
+    sign = np.repeat(_WALL_SIGNS, [nx * nv, nx * nv, ny * nv, ny * nv])
+    return centers.reshape(-1, 3), axis, sign, edges_u, np.full(len(axis), dv)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +312,12 @@ def _rises_above(center_z, edge_v, rx_z) -> np.ndarray:
     return center_z + 0.5 * edge_v > rx_z
 
 
+# the children of a (sub-)patch, in the order (-,-), (-,+), (+,-), (+,+): a
+# quarter edge along the wall's tangent axis (u) and up z (v)
+_CHILD_U = np.array([-1.0, -1.0, 1.0, 1.0])
+_CHILD_V = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     """Sums of the midpoint terms (without the constant k) over the sub-patches
     of each pair's patch seen from its receiver, each patch split 2x2 while a
@@ -312,28 +332,42 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     depth's terms are added into their pair's sum in child order (0 for a
     close sub-patch), so a pair's value does not depend on which other pairs
     share the batch.
+
+    Sub-patches live in wall coordinates, as 1-D arrays gathered from their
+    pair with `take`: a pair's wall plane and its receiver's offset from it
+    along the normal are fixed, and only the tangent coordinate and the
+    height change from child to child. The receiver offsets go to `_rx_leg`
+    as (tangent, normal, z), the normal one where a y wall has it; their
+    squares add in either order to the same bits.
     """
-    centers, eu, ev = q.centers, q.edges_u, q.edges_v
-    node = split = np.arange(len(q.lane))  # pair each sub-patch of this depth belongs to
-    sums = np.zeros(len(node))
+    pair = np.arange(len(q.lane))
+    x_wall = q.axis == 0
+    plane = q.centers[pair, q.axis]
+    rx_n = q.rx[pair, q.axis] - plane  # receiver offset along the normal
+    rx_t, rx_z = q.rx[pair, 1 - q.axis], q.rx[:, 2]
+    node = split = pair  # pair each sub-patch of this depth belongs to
+    t, z, eu, ev = q.centers[pair, 1 - q.axis], q.centers[:, 2], q.edges_u, q.edges_v
+    sums = np.zeros(len(pair))
     for depth in range(1, _REFINE_MAX_DEPTH + 1):
-        # children in the order (-,-), (-,+), (+,-), (+,+), a quarter edge
-        # away along the wall's tangent axis (1 - axis) and up z
-        node = np.repeat(node[split], 4)
-        centers = np.repeat(centers[split], 4, axis=0)
-        centers[np.arange(len(node)), 1 - q.axis[node]] += np.outer(
-            0.25 * eu[split], [-1, -1, 1, 1]).ravel()
-        centers[:, 2] += np.outer(0.25 * ev[split], [-1, 1, -1, 1]).ravel()
-        eu, ev = np.repeat(0.5 * eu[split], 4), np.repeat(0.5 * ev[split], 4)
-        x_wall, sign = q.axis[node] == 0, q.sign[node]
-        led_leg = _led_leg(q.tx[node], m, centers, x_wall, sign, eu * ev)
+        node = node.take(split).repeat(4)
+        eu, ev = eu.take(split), ev.take(split)
+        t = (t.take(split)[:, None] + (0.25 * eu)[:, None] * _CHILD_U).ravel()
+        z = (z.take(split)[:, None] + (0.25 * ev)[:, None] * _CHILD_V).ravel()
+        eu, ev = (0.5 * eu).repeat(4), (0.5 * ev).repeat(4)
+        on_x, sign, wall = x_wall.take(node), q.sign.take(node), plane.take(node)
+        centers = np.empty((len(node), 3))
+        centers[:, 0] = np.where(on_x, wall, t)
+        centers[:, 1] = np.where(on_x, t, wall)
+        centers[:, 2] = z
+        led_leg = _led_leg(q.tx.take(node, axis=0), m, centers, on_x, sign, eu * ev)
         near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
-        term, near = _rx_leg(*(q.rx[node] - centers).T, x_wall, sign, led_leg, cos_fov, near)
+        term, near = _rx_leg(rx_t.take(node) - t, rx_n.take(node), rx_z.take(node) - z,
+                             False, sign, led_leg, cos_fov, near)
         np.add.at(sums, node, term)
         if near is None:
             break
-        split = np.nonzero(near)[0]
-        split = split[_rises_above(centers[split, 2], ev[split], q.rx[node[split], 2])]
+        (split,) = near.nonzero()
+        split = split[_rises_above(z.take(split), ev.take(split), rx_z.take(node.take(split)))]
         if not len(split):
             break
     return sums
@@ -395,40 +429,78 @@ class PowerBreakdown:
 
 
 class _TiledRoom:
-    """A scene's wall tiling and per-transmitter constants, made once per call."""
+    """A scene's wall tiling and per-transmitter constants, made once per call,
+    and the patches of it that rise above the current height cut."""
 
     def __init__(self, scene: Scene, patch_edge_m: float):
-        pa = _PatchArrays.from_room(scene.room, patch_edge_m)
+        self.pa = pa = _PatchArrays.from_room(scene.room, patch_edge_m)
         rx = scene.receiver
         g, self.cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
-        self.pa = pa
-        self.x_wall = pa.axis == 0
+        x_wall = pa.axis == 0
         # The midpoint rule degrades when the receiver sits close to a patch
         # (the 1/d2^2 factor varies too much across it). Such pairs are
         # re-evaluated by subdivision until every sub-patch satisfies
         # edge <= d2/4, keeping the discretization error small everywhere.
-        self.near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
+        near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
         areas = pa.edges_u * pa.edges_v
-        # per transmitter: itself, its Lambertian order, the LED leg of every
-        # patch and the NLOS constant k
-        self.transmitters = []
+        # per transmitter: itself, its Lambertian order and the NLOS constant
+        # k, and apart the LED leg of every patch
+        self.transmitters, led_legs = [], []
         for tx in scene.transmitters:
             m = lambertian_order(tx.hpa_deg)
             k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance * rx.filter_gain * g
-            led_leg = _led_leg(np.asarray(tx.position), m, pa.centers, self.x_wall, pa.sign, areas)
-            self.transmitters.append((tx, m, led_leg, k))
+            self.transmitters.append((tx, m, k))
+            led_legs.append(
+                _led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas))
+        # Every wall column has the same patch rows, so the patches above a
+        # height cut are the same rows of every column. Row iv's top edge,
+        # the sum `_rises_above` takes, is the same bits in every column and
+        # never falls as iv rises.
+        self.patch_rows = nv = _wall_counts(scene.room, patch_edge_m)[1]
+        self.tops = pa.centers[:nv, 2] + 0.5 * pa.edges_v[:nv]
+        # what the midpoint kernel reads of each patch, each array apart: the
+        # centre as (3, patches), the wall axis mask, sign, close-range
+        # distance and LED legs
+        self._patches = (np.ascontiguousarray(pa.centers.T), x_wall, pa.sign, near, *led_legs)
+        self.cut = -1
 
-    def midpoint_sums(self, pos: np.ndarray, led_leg: np.ndarray, work: np.ndarray):
+    def cut_below(self, z: float) -> None:
+        """Keep only the patch rows whose top edge rises above height z, the
+        lowest receiver of the rows to come. A patch of a row cut is at or
+        below every such receiver's plane, so its term and, were it close, its
+        refinement are exactly 0.0 (`_rises_above`). The kept patches are one
+        contiguous copy, made again only when the cut moves."""
+        cut = int(np.searchsorted(self.tops, z, side="right"))
+        if cut == self.cut:
+            return
+        self.cut, self.kept = cut, self._patches
+        if cut:
+            # each array as a (..., columns, patch rows) view, its upper rows copied
+            nv = self.patch_rows
+            self.kept = [np.ascontiguousarray(a.reshape(*a.shape[:-1], -1, nv)[..., cut:])
+                         .reshape(*a.shape[:-1], -1) for a in self._patches]
+
+    def midpoint_sums(self, pos: np.ndarray, t: int, lanes: "_Lanes"):
         """Per-row midpoint-rule sum over the patches (without the constant k)
-        and the (rows, patches) of the close pairs left out of it whose patch
-        rises above the row's receiver plane, the only ones to refine; `work`
-        holds five (rows, patches) temporaries."""
-        pa = self.pa
+        for transmitter t, and the (rows, patches) of the close pairs left out
+        of it whose patch rises above the row's receiver plane, the only ones
+        to refine. The kernel runs on the kept patches only; the rows cut are
+        written as the 0.0 they add, so each row's sum is NumPy's pairwise sum
+        over all its room's patches, the same bits as with no cut."""
+        pa, cut, nv, n = self.pa, self.cut, self.patch_rows, len(pos)
+        centers, x_wall, sign, near, *led_legs = self.kept
+        columns, kept = len(pa) // nv, nv - cut
+        work, *full = lanes.work((5, n, columns * kept), *([(n, len(pa))] if cut else []))
         for axis in range(3):
-            np.subtract(pos[:, axis, None], pa.centers[:, axis], out=work[axis])
-        terms, near = _rx_leg(*work[:3], self.x_wall, pa.sign, led_leg, self.cos_fov,
-                              self.near, work[3:])
+            np.subtract(pos[:, axis, None], centers[axis], out=work[axis])
+        terms, near = _rx_leg(*work[:3], x_wall, sign, led_legs[t], self.cos_fov, near, work[3:])
         r, c = np.nonzero(near)
+        if cut:
+            c += cut * (c // kept + 1)  # the kept patch's index in the tiling
+            by_row = full[0].reshape(n, columns, nv)
+            by_row[:, :, :cut] = 0.0
+            by_row[:, :, cut:] = terms.reshape(n, columns, kept)
+            terms = full[0]
         seen = _rises_above(pa.centers[c, 2], pa.edges_v[c], pos[r, 2])
         return terms.sum(axis=1), (r[seen], c[seen])
 
@@ -445,32 +517,37 @@ class _Lanes:
         self.queue = _RefineQueue(self.sums.reshape(-1))
         self._buffer = np.empty(0)
 
-    def work(self, *shape: int) -> np.ndarray:
-        """Five temporaries of the given shape, views of the work buffer."""
-        size = 5 * math.prod(shape)
-        if self._buffer.size < size:
-            self._buffer = np.empty(size)
-        return self._buffer[:size].reshape(5, *shape)
+    def work(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """Temporaries of the given shapes, back to back in the work buffer."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._buffer.size < sum(sizes):
+            self._buffer = np.empty(sum(sizes))
+        return [self._buffer[end - size:end].reshape(shape)
+                for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
 
 
 def _one_room(scene: Scene, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
               patch_edge_m: float) -> None:
-    """Rows lo:hi of `pos`, all in the scene's room, in (rows, patches) chunks
-    of at most _CHUNK_PAIRS pairs (one row at least) against the room's tiling,
-    one LED after another."""
+    """Rows lo:hi of `pos`, all in the scene's room, lowest first (a stable
+    sort by height), in (rows, patches) chunks of at most _CHUNK_PAIRS pairs
+    (one row at least) against the room's tiling, one LED after another.
+    A chunk meets only the patch rows above its lowest row
+    (`_TiledRoom.cut_below`); the cut rises chunk after chunk."""
     room = _TiledRoom(scene, patch_edge_m)
     pa = room.pa
     step = max(1, _CHUNK_PAIRS // len(pa))
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        p, work = pos[a:b], lanes.work(b - a, len(pa))
-        for t, (tx, m, led_leg, k) in enumerate(room.transmitters):
-            lanes.los[a:b, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
-            lanes.sums[a:b, t], (r, c) = room.midpoint_sums(p, led_leg, work)
-            lanes.k[a:b, t], lanes.power[a:b, t] = k, tx.power_mw
+    order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
+    for a in range(0, hi - lo, step):
+        rows = order[a:a + step]
+        p = pos[rows]
+        room.cut_below(p[0, 2])
+        for t, (tx, m, k) in enumerate(room.transmitters):
+            lanes.los[rows, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
+            lanes.sums[rows, t], (r, c) = room.midpoint_sums(p, t, lanes)
+            lanes.k[rows, t], lanes.power[rows, t] = k, tx.power_mw
             if len(r):
                 lanes.queue.put((m, room.cos_fov), _Pairs(
-                    (a + r) * lanes.width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
+                    rows[r] * lanes.width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
                     pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
 
 
@@ -522,7 +599,7 @@ def _shared_chunk(scenes, spans, patches, pos: np.ndarray, lanes: _Lanes,
     led_leg = _led_leg(np.repeat(tx_pos, size, axis=0), m, _take(pa.centers, leg_patch),
                        _take(x_wall, leg_patch), _take(pa.sign, leg_patch),
                        _take(pa.edges_u * pa.edges_v, leg_patch))
-    work = lanes.work(lane_size.sum())
+    work, = lanes.work((5, lane_size.sum()))
     for axis in range(3):
         np.subtract(np.repeat(rows[:, axis], lane_size), _take(pa.centers[:, axis], pair_patch),
                     out=work[axis])

@@ -640,6 +640,133 @@ def test_only_close_pairs_rising_above_the_receiver_plane_are_refined(monkeypatc
     assert sorted(pair[:2] for pair in reached) == sorted(want)
 
 
+def test_refinement_prunes_through_rises_above(monkeypatch):
+    """Refinement asks `_rises_above` at every depth which close sub-patches
+    to split, by that module name: the exactly-zero property above patches
+    it, and against an inlined copy of the test its patch would do nothing
+    and the property would still pass."""
+    sc = preset_scene("mid", led_count=4)
+    edge = 0.5
+    pa = ch._PatchArrays.from_room(sc.room, edge)
+    pos = np.array([0.05, 2.4, 1.1])  # 5 cm from the x = 0 wall
+    close = np.nonzero(np.linalg.norm(pos - pa.centers, axis=1) < 4.0 * edge)[0]
+    close = close[ch._rises_above(pa.centers[close, 2], pa.edges_v[close], pos[2])]
+    k = len(close)
+    q = ch._Pairs(np.arange(k), np.tile(pos, (k, 1)), np.tile(sc.transmitters[0].position, (k, 1)),
+                  pa.centers[close], pa.axis[close], pa.sign[close], pa.edges_u[close],
+                  pa.edges_v[close])
+    m, cos_fov = ch.lambertian_order(sc.transmitters[0].hpa_deg), math.cos(math.radians(85.0))
+    flagged, asked = [], []
+    rx_leg, rises_above = ch._rx_leg, ch._rises_above
+
+    def count_close(*args):
+        term, near = rx_leg(*args)
+        flagged.append(0 if near is None else int(near.sum()))
+        return term, near
+
+    def ask(center_z, edge_v, rx_z):
+        asked.append(len(rx_z))
+        return rises_above(center_z, edge_v, rx_z)
+
+    monkeypatch.setattr(ch, "_rx_leg", count_close)
+    monkeypatch.setattr(ch, "_rises_above", ask)
+    sums = ch._refined_terms(m, cos_fov, q)
+    splits = [n for n in flagged if n]
+    assert len(splits) >= 3
+    assert [n for n in asked if n] == splits
+    # and what it answers decides what is split
+    monkeypatch.setattr(ch, "_rises_above",
+                        lambda center_z, edge_v, rx_z: np.zeros(len(rx_z), bool))
+    assert ch._refined_terms(m, cos_fov, q).tolist() != sums.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Height-ordered chunks: each meets only the patch rows above its lowest row
+# ---------------------------------------------------------------------------
+
+def _top_edge_heights(pa, lz):
+    """Every computed patch top edge, both float neighbours of each, the floor
+    and, when the highest top edge lies below the ceiling, a height above it:
+    every height at which a height cut could be off by one patch row."""
+    tops = np.unique(pa.centers[:, 2] + 0.5 * pa.edges_v)
+    heights = {0.0, *tops.tolist(), *np.nextafter(tops, -np.inf).tolist(),
+               *np.nextafter(tops, np.inf).tolist()}
+    return sorted(z for z in heights if 0.0 <= z < lz)
+
+
+def _wall_point(room, wall, depth, along, z):
+    """A point `depth` m in front of wall x=0, x=lx, y=0 or y=ly (0-3)."""
+    if wall < 2:
+        return ((depth, room.lx - depth)[wall], min(along, room.ly), z)
+    return (min(along, room.lx), (depth, room.ly - depth)[wall - 2], z)
+
+
+@st.composite
+def _rows_at_patch_top_edges(draw):
+    """A 1- or 4-LED room, a patch edge, 2 to 6 rows on or near its walls at
+    the heights of `_top_edge_heights`, and a permutation of the rows."""
+    sc = variable_scene(draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0)),
+                        draw(st.sampled_from([1, 4])))
+    # 0.11, 0.29 and 0.35 tile a 3 m wall with a top edge just below it
+    edge = draw(st.one_of(st.sampled_from([0.1, 0.11, 0.29, 0.35, 0.5]), st.floats(0.1, 0.5)))
+    room = sc.room
+    heights = _top_edge_heights(ch._PatchArrays.from_room(room, edge), room.lz)
+    rows = [_wall_point(room, draw(st.integers(0, 3)),
+                        draw(st.sampled_from([0.0, 0.25, 1.0, 4.5])) * edge,
+                        draw(st.floats(0.0, 7.0)), draw(st.sampled_from(heights)))
+            for _ in range(draw(st.integers(2, 6)))]
+    return sc, edge, np.array(rows), draw(st.permutations(range(len(rows))))
+
+
+_TOP = 2.9999999999999996  # the highest top edge of 0.35 m patches on a 3 m wall
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_rows_at_patch_top_edges())
+@example(case=(variable_scene(5.0, 5.0, 4), 0.35,
+               np.array([[0.0, 2.5, _TOP], [0.05, 1.0, 1.0], [2.5, 0.1, math.nextafter(1.0, 0.0)],
+                         [4.9, 4.0, 2.0], [1.0, 5.0, 0.0]]), [2, 0, 4, 1, 3]))
+def test_height_ordered_chunks_give_every_row_its_own_bits(case):
+    """Rows at, just below and just above every patch top edge get the bits
+    of their own one-row calls from `received_power_many`, in any order, and
+    with the default chunk or two rows a chunk, so a chunk whose height cut
+    drops one patch row too many fails."""
+    sc, edge, rows, perm = case
+    want = [ch.received_power(sc, p, patch_edge_m=edge) for p in rows]
+    want = [(bd.p_los_mw, bd.p_nlos_mw) for bd in want]
+    two_rows = 2 * len(ch._PatchArrays.from_room(sc.room, edge))
+    for chunk in (ch._CHUNK_PAIRS, two_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ch, "_CHUNK_PAIRS", chunk)
+            for order in (list(range(len(rows))), list(perm)):
+                p_los, p_nlos = ch.received_power_many(sc, rows[order], patch_edge_m=edge)
+                assert list(zip(p_los.tolist(), p_nlos.tolist())) == [want[i] for i in order]
+
+
+def test_height_ordered_chunks_compute_only_the_patch_rows_above_them(monkeypatch):
+    """A 50 x 50 map at 1 m runs the midpoint kernel on the 1,000 of the 1,500
+    patches whose top edge is above 1 m, and refines 25,952 close pairs into
+    198,592 sub-patches."""
+    counts = {"terms": 0, "sub-patches": 0, "pairs": 0}
+    rx_leg, refined_terms = ch._rx_leg, ch._refined_terms
+
+    def count_terms(dx, *args):
+        counts["terms" if dx.ndim == 2 else "sub-patches"] += dx.size
+        return rx_leg(dx, *args)
+
+    def count_pairs(m, cos_fov, q):
+        counts["pairs"] += len(q.lane)
+        return refined_terms(m, cos_fov, q)
+
+    monkeypatch.setattr(ch, "_rx_leg", count_terms)
+    monkeypatch.setattr(ch, "_refined_terms", count_pairs)
+    xy = (np.arange(50) + 0.5) * 0.1
+    gx, gy = np.meshgrid(xy, xy)
+    pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(2500, 1.0)])
+    ch.received_power_many(preset_scene("mid"), pos)
+    assert counts == {"terms": 2500 * 1000, "sub-patches": 198_592, "pairs": 25_952}
+
+
 @pytest.mark.parametrize("on_patch, beside", [
     ((0.0, 0.1, 0.1), (0.0, 0.1000001, 0.1)),  # x = 0 wall
     ((0.1, 0.0, 0.1), (0.1000001, 0.0, 0.1)),  # y = 0 wall

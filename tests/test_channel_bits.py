@@ -1,8 +1,10 @@
 """Every generator's output, and a simulated map, held to fixed bits.
 
 The sha1 of each case below was computed before rooms began to share the
-midpoint kernel's chunks, so a change to how rows, rooms or chunks are
-batched must leave each dataset and map byte for byte as it was. A dataset
+midpoint kernel's chunks, or (the 1-LED maps and the 2,000-row 4-LED
+reference) before a chunk's rows began to skip the patch rows below them, so
+a change to how rows, rooms or chunks are batched or cut must leave each
+dataset and map byte for byte as it was. A dataset
 hashes its features, its RSS column and its sorted-key `meta`; a map hashes
 its values.
 """
@@ -12,6 +14,7 @@ import json
 
 import pytest
 
+from lumenrem import channel
 from lumenrem import dataset as ds
 from lumenrem.evalmap import simulate_map
 from lumenrem.scene import preset_scene
@@ -50,6 +53,10 @@ _CASES = {
     "reference_variable 4 LEDs 300 edge 0.1 seed 5": (
         lambda: ds.generate_reference_variable(4, 300, 0.1, seed=5),
         "f7ac279e6fd85a1d01ba66c6332721711337d384"),
+    # rows at every height, so every height cut and many refinement batches
+    "reference mid 4-LED 2000 seed 7": (
+        lambda: ds.generate_reference(preset_scene("mid", 4), 2000, seed=7),
+        "e83f1e9cf3fbae0e44f45b078bab672553d1a9d4"),
 }
 
 
@@ -63,3 +70,20 @@ def test_simulated_map_keeps_its_bits():
     m = simulate_map(preset_scene("mid", 4), 1.0, 0.1)
     sha1 = hashlib.sha1(m.values.tobytes()).hexdigest()
     assert sha1 == "4f66904a6cf972c55535b406a9c93d118ddddba3"
+
+
+def _map_sha1(scene, z_plane: float) -> str:
+    return hashlib.sha1(simulate_map(scene, z_plane, 0.1).values.tobytes()).hexdigest()
+
+
+def test_the_one_led_map_keeps_its_bits():
+    # the benchmark's map; 1.0 m is also the top edge of a patch row
+    assert _map_sha1(preset_scene("mid"), 1.0) == "a4dadcf3724733a0435fdd5be1c992b86c18ef6b"
+
+
+def test_a_map_on_a_computed_patch_top_edge_keeps_its_bits():
+    scene = preset_scene("mid")
+    pa = channel._PatchArrays.from_room(scene.room, channel.DEFAULT_PATCH_EDGE_M)
+    top = float(pa.centers[6, 2] + 0.5 * pa.edges_v[6])  # 1.4000000000000001
+    assert top == 1.4000000000000001
+    assert _map_sha1(scene, top) == "fb67d3b0a68f6e4d594626cd515b2446f8c696f1"
