@@ -13,6 +13,7 @@ success, 1 on a usage error, 2 on a runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -198,6 +199,15 @@ def _load_scene(name_or_path: str, leds: int) -> Scene:
     return Scene.load(name_or_path)
 
 
+@contextlib.contextmanager
+def _naming(model_path):
+    """Name the model file when its model predicts a value that is not finite."""
+    try:
+        yield
+    except evalmap.NonFinitePrediction as exc:
+        raise ValueError(f"{model_path}: {exc}") from None
+
+
 def _cmd_generate(args) -> int:
     grid_flags = [args.per_xy, args.per_z, args.per_dim]
     if args.reference is not None:
@@ -258,7 +268,8 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = evalmap.load_any_model(args.model)
     ref = Dataset.load(args.reference)
-    report = evalmap.evaluate_model(model, ref, mean_osnr_db=ref.meta.get("mean_osnr_db"))
+    with _naming(args.model):
+        report = evalmap.evaluate_model(model, ref, mean_osnr_db=ref.meta.get("mean_osnr_db"))
     write_json(args.out, report.to_dict(), indent=2)
     _write_meta(args, [args.out])
     mape = "n/a" if report.mape_percent is None else f"{report.mape_percent:.3f}%"
@@ -282,7 +293,8 @@ def _cmd_predict(args) -> int:
             raise UsageError(f"--at {spec!r} is not numeric") from exc
         if not all(map(math.isfinite, rows[-1])):
             raise UsageError(f"--at {spec!r} holds a value that is not finite")
-    preds = np.atleast_1d(evalmap.predict_any(model, np.array(rows, dtype=np.float64)))
+    with _naming(args.model):
+        preds = evalmap.finite_predictions(model, np.array(rows, dtype=np.float64))
     for v in preds:
         print(repr(float(v)))
     write_csv(args.out, FEATURE_LAYOUTS[arity] + ("prediction_dbm",),
@@ -297,7 +309,8 @@ def _cmd_map(args) -> int:
         radio_map = evalmap.simulate_map(scene, args.z, args.spacing, args.patch_edge)
     else:
         model = evalmap.load_any_model(args.model)
-        radio_map = evalmap.predict_map(model, scene, args.z, args.spacing)
+        with _naming(args.model):
+            radio_map = evalmap.predict_map(model, scene, args.z, args.spacing)
     evalmap.map_to_csv(radio_map, args.out)
     outputs = [args.out]
     if args.pgm:

@@ -44,6 +44,8 @@ __all__ = [
     "map_to_pgm",
     "fit_model",
     "predict_any",
+    "finite_predictions",
+    "NonFinitePrediction",
     "load_any_model",
     "model_label",
     "evaluate_model",
@@ -253,7 +255,7 @@ def predict_map(model, scene: Scene, z_plane: float, spacing: float) -> RadioMap
     """Model-inferred RSS grid over the same cell centers as simulate_map."""
     (sx, sy), gx, gy = _grid(scene, z_plane, spacing)
     feats = _scene_features(model, scene, gx.ravel(), gy.ravel(), z_plane)
-    values = predict_any(model, feats).reshape(gx.shape)
+    values = finite_predictions(model, feats).reshape(gx.shape)
     return RadioMap(origin=(0.0, 0.0), spacing=(sx, sy), z_plane=float(z_plane),
                     values=values, source=f"predicted:{model_label(model)}")
 
@@ -287,7 +289,7 @@ def half_diagonal_profile(source, scene: Scene, z_plane: float, n_points: int):
     elif isinstance(source, RadioMap):
         vals = np.array([source.value_at(x, y) for x, y in zip(xs, ys)])
     else:
-        vals = predict_any(source, _scene_features(source, scene, xs, ys, z_plane))
+        vals = finite_predictions(source, _scene_features(source, scene, xs, ys, z_plane))
     return [(float(x), float(v)) for x, v in zip(xs, vals)]
 
 
@@ -309,9 +311,10 @@ def map_to_csv(radio_map: RadioMap, path) -> None:
     cells = product(map(repr, radio_map.y_centers().tolist()),
                     map(repr, radio_map.x_centers().tolist()))
     values = map(repr, radio_map.values.ravel().tolist())
+    body = "".join([f"{x},{y},{v}\n" for (y, x), v in zip(cells, values)])
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# source={radio_map.source} z={radio_map.z_plane!r}\nx,y,rss_dbm\n")
-        f.writelines(f"{x},{y},{v}\n" for (y, x), v in zip(cells, values))
+        f.write(body)
 
 
 def map_to_pgm(radio_map: RadioMap, path) -> None:
@@ -347,6 +350,24 @@ def predict_any(model, features):
     if isinstance(model, forest.Forest):
         return forest.predict_forest(model, features)
     raise TypeError(f"not a known model type: {type(model).__name__}")
+
+
+class NonFinitePrediction(ValueError):
+    """A model predicted a value that is not finite."""
+
+
+def finite_predictions(model, features) -> np.ndarray:
+    """`predict_any` on an (n, k) batch, refused with NonFinitePrediction
+    when a prediction is not finite (an MLP whose weights overflow, say).
+    NumPy's overflow and invalid-value warnings are held back, as the
+    refusal reports what they would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = predict_any(model, features)
+    if not np.isfinite(out).all():
+        i = int(np.isfinite(out).argmin())
+        raise NonFinitePrediction(f"the {model_label(model)} model predicts {float(out[i])!r} "
+                                  f"at {tuple(features[i].tolist())}, which is not finite")
+    return out
 
 
 def load_any_model(path):
@@ -396,7 +417,7 @@ def fit_model(
 
 def evaluate_model(model, reference: Dataset, mean_osnr_db=None) -> EvalReport:
     """Score a model against reference ground truth."""
-    preds = predict_any(model, reference.features)
+    preds = finite_predictions(model, reference.features)
     return EvalReport.from_predictions(preds, reference.rss_dbm, mean_osnr_db=mean_osnr_db)
 
 

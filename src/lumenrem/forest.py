@@ -74,22 +74,27 @@ class Tree:
     feature[i] is the split feature of node i, or -1 for a leaf; leaves keep
     their routed-target mean in value[i]. Node 0 is the root. The children
     follow from the order alone: the k-th split node's are nodes 2k + 1
-    (`left`) and 2k + 2 (`right`), and a leaf's are -1.
+    (`left`) and 2k + 2 (`right`), and a leaf's are -1. They are derived when
+    asked for; a forest derives every tree's at once.
     """
 
     feature: np.ndarray = field(metadata={"dtype": "<i4"})  # as a model file stores it
     threshold: np.ndarray
     value: np.ndarray
-    left: np.ndarray = field(init=False)
-    right: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.int32)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.value = np.asarray(self.value, dtype=np.float64)
+
+    @property
+    def left(self) -> np.ndarray:
         split = (self.feature >= 0).ravel()
-        self.left = np.where(split, 2 * np.cumsum(split, dtype=np.int32) - 1, -1)
-        self.right = np.where(split, self.left + 1, -1)
+        return np.where(split, 2 * np.cumsum(split, dtype=np.int32) - 1, -1)
+
+    @property
+    def right(self) -> np.ndarray:
+        return np.where((self.feature >= 0).ravel(), self.left + 1, -1)
 
     @property
     def n_nodes(self) -> int:
@@ -100,7 +105,7 @@ class Tree:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] <= self.feature.max():
             raise ValueError(f"tree splits on feature {self.feature.max()}, got shape {X.shape}")
-        return _route(self.feature, self.threshold, self.right, self.value, _ROOT, X)[0]
+        return _route(*_pack((self,)), X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +339,29 @@ def _check_tree(t: Tree, n_features: int) -> None:
         raise ValueError("a threshold or value is not finite")
 
 
+def _check_trees(trees, n_features: int) -> tuple:
+    """The route layout (`_pack`) of trees that each pass `_check_tree`. The
+    checks run over all trees' nodes at once, on the layout; only when one
+    fails are the trees checked one by one, so the first tree that fails is
+    refused with the message it gets alone."""
+    if all(t.feature.ndim == t.threshold.ndim == t.value.ndim == 1
+           and len(t.feature) == len(t.threshold) == len(t.value) for t in trees):
+        packed = feature, threshold, right, value, roots = _pack(trees)
+        inner = np.flatnonzero(feature >= 0)
+        bounds = np.append(roots, len(feature))
+        ahead = inner.searchsorted(bounds)
+        # a leaf's threshold is NaN in the layout, so the finite ones are the
+        # splits' when every split's is finite
+        if (np.array_equal(bounds[1:] - roots, 1 + 2 * (ahead[1:] - ahead[:-1]))
+                and feature.min() >= -1 and feature.max() < n_features
+                and np.all(right.take(inner) - inner >= 2)  # the left child, right - 1, is above
+                and np.count_nonzero(np.isfinite(threshold)) == len(inner)
+                and np.isfinite(value).all()):
+            return packed
+    for t in trees:
+        _check_tree(t, n_features)
+
+
 @dataclass
 class Forest:
     """A fitted tree model: one CART, an Extra Trees ensemble, or AdaBoost.R2.
@@ -351,9 +379,10 @@ class Forest:
     seed: int
     trees_per_member: int = 1
     tree_weights: np.ndarray | None = None
-    # every tree's feature, threshold, right child and value arrays back to
-    # back, children offset to the flat numbering, and each tree's root
+    # the trees' route layout (`_pack`), and the memoryviews of its four node
+    # arrays and its roots as a list, which `_walk` reads
     _packed: tuple = field(init=False, repr=False, compare=False)
+    _walker: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("single", "extra_trees", "adaboost_r2"):
@@ -372,9 +401,19 @@ class Forest:
             self.tree_weights = np.asarray(self.tree_weights, dtype=np.float64)
             if not np.all(np.isfinite(self.tree_weights)):
                 raise ValueError("adaboost_r2 member weights must be finite")
-        for t in self.trees:
-            _check_tree(t, self.n_features)
-        self._packed = _pack(self.trees)
+        self._set_layout(_check_trees(self.trees, self.n_features))
+
+    def _set_layout(self, packed: tuple) -> None:
+        self._packed = packed
+        self._walker = (*map(memoryview, packed[:4]), packed[4].tolist())
+
+    def __getstate__(self):
+        # memoryviews do not pickle: a copy builds its layout again
+        return {k: v for k, v in vars(self).items() if k not in ("_packed", "_walker")}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._set_layout(_pack(self.trees))
 
     @property
     def n_members(self) -> int:
@@ -382,14 +421,25 @@ class Forest:
 
 
 def _pack(trees) -> tuple:
-    """Every tree's feature, threshold, right child and value arrays back to
-    back, children offset to the flat numbering, and each tree's root."""
-    sizes = [t.n_nodes for t in trees]
-    roots = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
-    feature, threshold, right, value = (np.concatenate([getattr(t, a) for t in trees])
-                                        for a in ("feature", "threshold", "right", "value"))
-    # a leaf's `right` (-1 plus the offset) is never read
-    return feature, threshold, right + np.repeat(roots, sizes), value, roots
+    """The route layout of `trees`: their feature, threshold, right-child and
+    value arrays back to back, and each tree's root (its first node). A
+    split's right child is numbered in the flat layout and its left child is
+    the node before it. A leaf is its own right child and has a NaN
+    threshold, so `x < threshold` is False at a leaf whatever x is, and a
+    step from it stays on it; its feature stays -1, the leaf mark."""
+    bounds = np.cumsum([0, *(len(t.feature) for t in trees)], dtype=np.intp)
+    roots = bounds[:-1]
+    feature, value = (np.concatenate([getattr(t, a) for t in trees]) for a in ("feature", "value"))
+    inner = np.flatnonzero(feature >= 0)
+    threshold = np.full(len(feature), np.nan)
+    threshold[inner] = np.concatenate([t.threshold for t in trees])[inner]
+    # the k-th split of tree t has its right child at roots[t] + 2k + 2, and
+    # the splits of tree t are inner[ahead[t]:ahead[t + 1]]
+    ahead = inner.searchsorted(bounds)
+    right = np.arange(len(feature))
+    right[inner] = (np.arange(2, 2 * len(inner) + 2, 2)
+                    + (roots - 2 * ahead[:-1]).repeat(ahead[1:] - ahead[:-1]))
+    return feature, threshold, right, value, roots
 
 
 # n * max|y| at most this keeps every squared target sum of a split score, and
@@ -554,49 +604,61 @@ _GROW_PAIRS = 1 << 15
 # a CART size class whose nodes, padded to the next class's size, fill at most
 # this many rows is searched with that class
 _MERGE_SLOTS = 1024
-_ROOT = np.zeros(1, dtype=np.intp)
-# a single row walks the packed arrays in Python when the forest has fewer
+# the router steps its pairs this many levels between two drops of the pairs
+# that have reached their leaves
+_ROUTE_LEVELS = 5
+# a single row walks the route layout in Python when the forest has fewer
 # trees than this; from here on the router's fixed cost per level is the
-# cheaper one (measured on a 2-CPU VM with Extra Trees grown on 1,200 rows:
-# the walk was cheaper up to 50 trees, and about as costly from 55 to 65)
-_WALK_TREES = 55
+# cheaper one (measured on a 2-CPU VM with Extra Trees grown on 1,200 rows,
+# walk/route time per row alternating: 0.91 at 50 trees, 0.97 at 55, 1.06 at
+# 60 and 1.13 at 65)
+_WALK_TREES = 60
 
 
 def _route(feature, threshold, right, value, roots, X: np.ndarray) -> np.ndarray:
     """Leaf values of every (tree, row) pair, a (len(roots), len(X)) matrix.
 
-    The trees' nodes lie in flat arrays, tree t's root at node roots[t] and a
-    split node's children at right - 1 and right. All pairs step down one
-    level per pass, and a pair leaves the active set at its leaf. A row goes
-    left when x < threshold, so NaN goes right.
+    The trees lie in `_pack`'s layout, tree t's root at node roots[t]. Every
+    pair takes the same step at every level, with no branch: to right - 1
+    when x < threshold, to right otherwise. A row goes left when
+    x < threshold, so NaN goes right. A leaf steps to itself (a leaf's
+    feature -1 reads the value before the pair's row, or the last value of X,
+    which the NaN threshold makes moot), so a pair that has reached its leaf
+    stays there, and the pairs step `_ROUTE_LEVELS` levels a block. Only
+    between blocks are the pairs at a leaf dropped.
     """
     m, k = X.shape
     flat = X.ravel()
-    node = np.repeat(roots, m)  # pair p is tree p // m and row p % m
-    pairs = np.flatnonzero(feature[node] >= 0)
-    cur = node[pairs]
-    at = pairs % m * k  # where the pair's row starts in `flat`
-    while len(pairs):
-        nxt = right[cur] - (flat[at + feature[cur]] < threshold[cur])
-        leaf = feature[nxt] < 0
-        node[pairs[leaf]] = nxt[leaf]
-        inner = ~leaf
-        pairs, at, cur = pairs[inner], at[inner], nxt[inner]
-    return value[node].reshape(len(roots), m)
+    cur = np.repeat(roots, m)  # pair p is tree p // m and row p % m
+    at = np.tile(np.arange(0, m * k, k), len(roots))  # where the pair's row starts in `flat`
+    node = pairs = None  # every pair's node, and the pairs still stepping (None: all)
+    while True:
+        for _ in range(_ROUTE_LEVELS):
+            cur = right.take(cur) - (flat.take(at + feature.take(cur)) < threshold.take(cur))
+        if pairs is None:
+            node = cur
+        else:
+            node[pairs] = cur
+        inner = (feature.take(cur) >= 0).nonzero()[0]
+        if not len(inner):
+            return value.take(node).reshape(len(roots), m)
+        pairs = inner if pairs is None else pairs.take(inner)
+        at, cur = at.take(inner), cur.take(inner)
 
 
 def _walk(forest: Forest, x: list) -> float:
-    """One row's prediction, each tree walked in Python over the packed arrays.
+    """One row's prediction, each tree walked in Python over the route layout.
 
     A memoryview hands out Python ints and floats, so a level costs a few
-    bytecodes instead of NumPy calls. Leaf values are added in tree order
-    from the first one, as `_sequential_mean`'s cumsum does (so -0.0 stays
-    -0.0; `sum` would start from 0 and, from Python 3.12 on, compensate), and
-    a row gets the bits `_route` gives it.
+    bytecodes instead of NumPy calls; the views and the roots are made once,
+    with the layout. Leaf values are added in tree order from the first one,
+    as `_sequential_mean`'s cumsum does (so -0.0 stays -0.0; `sum` would
+    start from 0 and, from Python 3.12 on, compensate), and a row gets the
+    bits `_route` gives it.
     """
-    feature, threshold, right, value = map(memoryview, forest._packed[:4])
+    feature, threshold, right, value, roots = forest._walker
     leaves = []
-    for i in forest._packed[4].tolist():
+    for i in roots:
         f = feature[i]
         while f >= 0:
             i = right[i] - (x[f] < threshold[i])

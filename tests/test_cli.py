@@ -503,6 +503,30 @@ def test_predict_refuses_non_finite_rows(workdir, trained, capsys, kind, at):
     assert not Path("p.csv").exists()
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["predict", "--at", "1,1,1", "--out", "o.csv"], "o.csv"),
+    (["map", "--scene", "small", "--spacing", "1.0", "--out", "o.csv", "--pgm", "o.pgm"],
+     "o.csv"),
+    (["evaluate", "--reference", "REF", "--out", "o.json"], "o.json"),
+])
+def test_a_model_that_predicts_a_non_finite_value_is_named(workdir, trained, capsys, argv,
+                                                          output):
+    """Every weight times 1e300 overflows the MLP's second layer: each
+    command exits 2 naming the model file, writes nothing, and lets no NumPy
+    warning out."""
+    model = mlp.load_model(trained / "m.json")
+    mlp.save_model(mlp.MlpModel(config=model.config, weights=[w * 1e300 for w in model.weights],
+                                biases=model.biases, norm=model.norm), "huge.json")
+    argv = [str(trained / "ref.csv") if a == "REF" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([argv[0], "--model", "huge.json", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"huge\.json: the mlp32x128 model predicts (nan|inf|-inf) at \(", err), err
+    assert [str(w.message) for w in caught] == []
+    assert sorted(p.name for p in workdir.iterdir()) == ["huge.json"]
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"repetitions": 1.5}, "campaign repetitions takes ints only, got 1.5"),
     ({"train_sizes": [20.0]}, r"campaign train_sizes takes ints only, got \(20.0,\)"),

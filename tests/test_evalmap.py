@@ -218,6 +218,22 @@ def test_profile_from_model(small_scene, small_pool, constant_model):
     assert all(v == expected for _, v in prof)
 
 
+def test_a_non_finite_prediction_is_refused_by_every_consumer(small_scene, small_pool):
+    """Two leaves of 1.5e308 are finite, but their sum, and so the forest's
+    mean, overflows: a map, a profile and an evaluation each refuse it, and
+    no overflow warning escapes (the test run turns one into an error)."""
+    leaf = forest.Tree([-1], [np.nan], [1.5e308])
+    f = forest.Forest(mode="extra_trees", trees=(leaf, leaf), n_features=3,
+                      params=forest.TreeParams(), seed=0)
+    message = r"the xt model predicts inf at \(0\.75, 0\.75, 1\.0\), which is not finite"
+    with pytest.raises(evalmap.NonFinitePrediction, match=message):
+        evalmap.predict_map(f, small_scene, 1.0, 1.5)
+    with pytest.raises(evalmap.NonFinitePrediction, match="predicts inf at"):
+        evalmap.half_diagonal_profile(f, small_scene, 1.0, 3)
+    with pytest.raises(evalmap.NonFinitePrediction, match="predicts inf at"):
+        evalmap.evaluate_model(f, small_pool)
+
+
 def test_profile_needs_two_points(small_scene):
     with pytest.raises(ValueError):
         evalmap.half_diagonal_profile(None, small_scene, 1.0, 1)

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -609,8 +611,13 @@ def test_adaboost_builds_and_checks_one_forest(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def check(trees, n_features):
+        counts["checked"] += len(trees)
+        return check_trees(trees, n_features)
+
+    check_trees = fr._check_trees
     monkeypatch.setattr(fr.Forest, "__post_init__", count("forests", fr.Forest.__post_init__))
-    monkeypatch.setattr(fr, "_check_tree", count("checked", fr._check_tree))
+    monkeypatch.setattr(fr, "_check_trees", check)
     monkeypatch.setattr(fr, "_training_arrays", count("training", fr._training_arrays))
     boost = fr.fit_adaboost_r2(X, y, n_estimators=6, base_n_trees=3, seed=4)
     assert boost.n_members > 1
@@ -714,6 +721,38 @@ def test_packed_router_matches_each_trees_walk(f, m, seed):
     for i in range(m):
         assert np.float64(fr.predict_forest(f, X[i])).tobytes() == batch[i].tobytes()
         assert fr.predict_forest(f, X[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+
+def _max_depth(t) -> int:
+    return max(_node_rows(t, np.empty((0, t.feature.max() + 1)))[1].values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_small_forests(), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_every_pair_reaches_the_leaf_a_walk_reaches_whatever_the_level_block(f, m, seed):
+    """Each leaf's value replaced by its node's number in the flat layout:
+    the router sends every (tree, row) pair to the node `_walk_tree` reaches,
+    with the pairs dropped every level, every `_ROUTE_LEVELS` levels, and
+    only once, after a block longer than the deepest tree."""
+    sizes = np.cumsum([0] + [t.n_nodes for t in f.trees])
+    trees = [fr.Tree(t.feature, t.threshold, np.arange(lo, hi, dtype=np.float64))
+             for t, lo, hi in zip(f.trees, sizes, sizes[1:])]
+    cuts = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
+    pool = np.concatenate([np.arange(5) / 2.0, cuts, [np.nan, np.inf, -np.inf]])
+    X = np.random.default_rng(seed).choice(pool, (m, f.n_features))
+    walked = np.array([[_walk_tree(t, x) for x in X] for t in trees])
+    deepest = max(_max_depth(t) for t in trees)
+    for levels in (fr._ROUTE_LEVELS, 1, deepest + 1):
+        with mock.patch.object(fr, "_ROUTE_LEVELS", levels):
+            assert fr._route(*fr._pack(trees), X).tolist() == walked.tolist(), levels
+
+
+def test_a_pickled_forest_predicts_as_the_original():
+    X, y = _toy(n=60, seed=37)
+    f = fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=2, seed=37)
+    back = pickle.loads(pickle.dumps(f))
+    assert fr.predict_forest(back, X).tobytes() == fr.predict_forest(f, X).tobytes()
+    assert [fr.predict_forest(back, x) for x in X] == [fr.predict_forest(f, x) for x in X]
 
 
 def test_routing_block_size_does_not_change_predictions(monkeypatch):
@@ -956,6 +995,55 @@ def test_check_tree_accepts_exactly_the_trees_a_walk_covers_once(feature):
     else:
         with pytest.raises(ValueError):
             fr._check_tree(tree, 3)
+
+
+def _refusal_alone(t):
+    """The message a tree checked on its own gets, or None when it passes."""
+    try:
+        fr._check_tree(t, 3)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def _hostile_trees(draw):
+    feature = draw(st.lists(st.integers(-2, 3), max_size=9)
+                   | st.lists(st.booleans(), max_size=9).map(_breadth_first))
+    threshold = [draw(st.sampled_from((0.5, 0.5, _NAN))) if f >= 0 else _NAN for f in feature]
+    value = draw(st.lists(st.sampled_from((0.0, 0.0, 0.0, math.inf)), min_size=len(feature),
+                          max_size=len(feature)))
+    if draw(st.integers(0, 9)) == 0:
+        value = value[:-1] if value else [0.0]
+    return fr.Tree(feature, threshold, value)
+
+
+def _leaves_and_splits(feature, value=0.0):
+    return fr.Tree(feature, [0.5 if f >= 0 else _NAN for f in feature], [value] * len(feature))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.lists(_hostile_trees(), min_size=1, max_size=4))
+# a good stump, then a split below a leaf root (its left child would be itself),
+# then a tree with an infinite value
+@example(trees=[_leaves_and_splits([0, -1, -1]), _leaves_and_splits([-1, 0, -1]),
+                _leaves_and_splits([-1], math.inf)])
+# a back edge after a tree whose value is infinite
+@example(trees=[_leaves_and_splits([0, -1, -1], math.inf),
+                _leaves_and_splits([0, -1, -1, 0, -1])])
+# a ragged tree after an empty one
+@example(trees=[_leaves_and_splits([]), fr.Tree([0, -1, -1], [0.5], [0.0] * 3)])
+def test_a_forest_is_refused_as_its_first_bad_tree_alone(trees):
+    """All trees are checked together, on their route layout: a forest is
+    refused exactly when one of its trees is refused alone, and with the
+    message the first such tree gets."""
+    want = next(filter(None, map(_refusal_alone, trees)), None)
+    if want is None:
+        assert fr._check_trees(trees, 3)[0].tobytes() == fr._pack(trees)[0].tobytes()
+    else:
+        with pytest.raises(ValueError) as err:
+            fr._check_trees(trees, 3)
+        assert str(err.value) == want
 
 
 _FEATURE_LIMIT = r"a split feature lies outside \[0, 3\)"
