@@ -195,11 +195,9 @@ def _cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def write_csv(path, columns, rows, comment=None) -> None:
-    """Write an optional `# comment` line, the header line, then one line per
-    row: None is an empty cell, a float its `repr`, anything else its `str`."""
+def write_csv(path, columns, rows) -> None:
+    """Write the header line, then one line per row: None is an empty cell, a
+    float its `repr`, anything else its `str`."""
     with open(path, "w", encoding="utf-8") as f:
-        if comment is not None:
-            f.write(f"# {comment}\n")
         f.write(",".join(columns) + "\n")
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

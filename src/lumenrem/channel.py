@@ -645,6 +645,12 @@ def _check_inside(scenes, counts, pos: np.ndarray) -> None:
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
 
 
+# Both chunk layouts stay because each is the faster one on a workload the
+# benchmark runs, and this grouping picks between them from each room's row
+# and patch counts. Many one-row rooms (generate_reference_variable) run
+# 1.7 times slower with every room on `_one_room`, and a 50x50 map's rows
+# (simulate_map) 1.5 times slower through `_shared_chunk`'s per-pair gathers
+# (2-CPU VM, alternating runs, the same bits on both sides).
 def _room_groups(scenes, counts, patches) -> list[list[int]]:
     """The scenes, by index, in runs of consecutive whole rooms that share one
     chunk: their (row, LED, patch) triples fit in a quarter of _CHUNK_PAIRS

@@ -73,6 +73,19 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _feature_rows(features, n_features: int) -> tuple[np.ndarray, bool]:
+    """The one input rule of every model's predict: features as a float
+    (rows, n_features) array, and whether one 1-D row came in (it becomes a
+    one-row batch). Any other shape is refused."""
+    X = np.asarray(features, dtype=np.float64)
+    one_row = X.ndim == 1
+    if one_row:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got shape {X.shape}")
+    return X, one_row
+
+
 # ---------------------------------------------------------------------------
 # Container types
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from ._doc import from_doc, read_model, to_doc, write_model
-from .dataset import _stream
+from .dataset import _feature_rows, _stream
 
 __all__ = [
     "TreeParams",
@@ -538,7 +538,7 @@ def fit_adaboost_r2(
         base_seed = int(_stream(seed, r, 1).integers(0, 2**63 - 1))
         # a resample of checked arrays is checked too
         base = _grow_extra_trees(X[rows], y[rows], base_n_trees, params, base_seed)
-        err = np.abs(_ensemble_mean(base, X) - y)
+        err = np.abs(_predict_rows(_pack(base), X) - y)
         err_max = float(err.max())
         if err_max == 0.0:  # perfect member: keep it and stop
             member_trees.extend(base)
@@ -671,51 +671,37 @@ def _walk(forest: Forest, x: list) -> float:
     return weighted_median(means, forest.tree_weights)
 
 
-def _ensemble_mean(trees, X: np.ndarray) -> np.ndarray:
-    """Each row's mean over the trees, added in tree order: the bits
-    `predict_forest` gives an Extra Trees forest of them, from the packed
-    trees alone (no forest built, no tree checked), a block of at most
-    `_ROUTE_PAIRS` (tree, row) pairs at a time."""
-    packed, step = _pack(trees), max(1, _ROUTE_PAIRS // len(trees))
+def _predict_rows(packed: tuple, X: np.ndarray, k: int = 1, weights=None) -> np.ndarray:
+    """Each row's prediction from the trees of a route layout (`_pack`),
+    routed and combined a block of at most `_ROUTE_PAIRS` (tree, row) pairs
+    at a time, so a large predict never holds every pair's leaf value; a
+    row's value depends on its own column alone. Without `weights` it is the
+    mean over every tree, added in tree order; with them, the weighted median
+    of the members' means, each member `k` consecutive trees. This serves
+    `predict_forest`'s batches and each AdaBoost.R2 round's scoring."""
+    n_trees = len(packed[4])
+    step = max(1, _ROUTE_PAIRS // n_trees)
     out = np.empty(len(X))
     for lo in range(0, len(X), step):
-        out[lo:lo + step] = _sequential_mean(_route(*packed, X[lo:lo + step]))
+        leaves = _route(*packed, X[lo:lo + step])
+        if weights is None:
+            out[lo:lo + step] = _sequential_mean(leaves)
+        else:
+            members = leaves.reshape(n_trees // k, k, -1).swapaxes(0, 1)
+            out[lo:lo + step] = weighted_median(_sequential_mean(members), weights)
     return out
-
-
-def _member_predictions(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """(n_members, n_rows) matrix; a member's output averages its trees."""
-    per_tree = _route(*forest._packed, X)
-    if forest.trees_per_member == 1:
-        return per_tree
-    members = per_tree.reshape(forest.n_members, forest.trees_per_member, -1)
-    return _sequential_mean(members.swapaxes(0, 1))
 
 
 def predict_forest(forest: Forest, raw_features):
     """Prediction in the target's raw units; scalar in, scalar out. A row gets
     the same bits alone and inside any batch."""
-    X = np.asarray(raw_features, dtype=np.float64)
-    scalar = X.ndim == 1
-    if scalar:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise ValueError(f"expected {forest.n_features} features, got shape {X.shape}")
+    X, one_row = _feature_rows(raw_features, forest.n_features)
     if len(X) == 1 and len(forest.trees) < _WALK_TREES:
         value = _walk(forest, X[0].tolist())
-        return value if scalar else np.array([value])
-    # members are combined a routing block of rows at a time, so a large
-    # predict never holds every (tree, row) output; a row's value depends on
-    # its own column alone
-    step = max(1, _ROUTE_PAIRS // len(forest.trees))
-    out = np.empty(len(X))
-    for lo in range(0, len(X), step):
-        preds = _member_predictions(forest, X[lo:lo + step])
-        if forest.mode in ("single", "extra_trees"):
-            out[lo:lo + step] = _sequential_mean(preds)
-        else:
-            out[lo:lo + step] = weighted_median(preds, forest.tree_weights)
-    return float(out[0]) if scalar else out
+        return value if one_row else np.array([value])
+    weights = forest.tree_weights if forest.mode == "adaboost_r2" else None
+    out = _predict_rows(forest._packed, X, forest.trees_per_member, weights)
+    return float(out[0]) if one_row else out
 
 
 # ---------------------------------------------------------------------------

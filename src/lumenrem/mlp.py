@@ -8,9 +8,11 @@ dBm out).
 
 Training keeps every weight and bias as a view into one flat parameter
 vector and steps it with whole-vector Adam updates, writing each minibatch's
-activations and gradients into buffers reused from step to step. Its bits are
-those of the same arithmetic on separate, freshly allocated arrays, and do not
-depend on the BLAS thread count.
+activations and gradients into buffers reused from step to step. One forward
+function serves the training step, the epoch's validation pass, `forward` and
+`predict`: it writes each layer's output into the buffers training passes it,
+or into new arrays. Its bits are those of the same arithmetic on separate,
+freshly allocated arrays, and do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._doc import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError  # re-exported
 from ._doc import read_model, write_model
-from .dataset import NormStats, SplitSets, _stream, apply_norm, fit_norm
+from .dataset import NormStats, SplitSets, _feature_rows, _stream, apply_norm, fit_norm
 
 __all__ = [
     "MLP_PRESETS",
@@ -132,41 +134,34 @@ def init(config: MlpConfig) -> MlpModel:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward_cached(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """Activations of every layer for backprop, the input first.
+def _forward_into(model: MlpModel, x: np.ndarray, outs: list[np.ndarray] | None = None
+                  ) -> list[np.ndarray]:
+    """Every layer's output, the input not included: written into `outs` (one
+    (rows, width) array per layer) when it is given, into new arrays
+    otherwise. This one forward serves `forward`, `predict`, the training step
+    and the validation pass.
 
     Bias and ReLU are applied in place on each product, which gives the same
     bits as `np.maximum(a @ w + b, 0)` without two extra temporaries per layer.
+    Without `outs` the product is `a @ w`, which skips the keyword parsing of
+    `np.matmul(..., out=None)` on a single row's small products.
     """
-    acts = [x]
     last = len(model.weights) - 1
+    a, acts = x, []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w
-        z += b
+        a = a @ w if outs is None else np.matmul(a, w, out=outs[i])
+        a += b
         if i < last:
-            np.maximum(z, 0.0, out=z)
-        acts.append(z)
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
     return acts
-
-
-def _rows(model: MlpModel, features) -> tuple[np.ndarray, bool]:
-    """Features as a (rows, input_dim) float array, and whether one 1D row came in."""
-    x = np.asarray(features, dtype=np.float64)
-    scalar = x.ndim == 1
-    if scalar:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
-        raise ValueError(
-            f"expected {model.config.input_dim} features, got shape {x.shape}"
-        )
-    return x, scalar
 
 
 def forward(model: MlpModel, features):
     """Network output in the normalized target domain. 1D in, float out."""
-    x, scalar = _rows(model, features)
-    out = _forward_cached(model, x)[-1][:, 0]
-    return float(out[0]) if scalar else out
+    x, one_row = _feature_rows(features, model.config.input_dim)
+    out = _forward_into(model, x)[-1][:, 0]
+    return float(out[0]) if one_row else out
 
 
 def loss_and_gradients(model: MlpModel, features: np.ndarray, targets: np.ndarray):
@@ -207,20 +202,6 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray, targets: np.ndarra
             back *= np.greater(acts[i], 0.0, out=buf.mask[i - 1])
             delta = back
     return loss, buf.gw, buf.gb
-
-
-def _forward_into(model: MlpModel, x: np.ndarray, outs: list[np.ndarray]) -> list[np.ndarray]:
-    """`_forward_cached`'s activations after the input, written into `outs`
-    (one (rows, width) array per layer), with the same bits."""
-    last = len(model.weights) - 1
-    a = x
-    for i, (w, b, z) in enumerate(zip(model.weights, model.biases, outs)):
-        np.matmul(a, w, out=z)
-        z += b
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-        a = z
-    return outs
 
 
 def _flat_views(flat: np.ndarray, dims: tuple[int, ...]) -> tuple[list, list]:
@@ -399,13 +380,13 @@ def train(config: MlpConfig, splits: SplitSets) -> MlpModel:
 
 def predict(model: MlpModel, features):
     """RSS prediction in dBm from raw features; scalar for a single row."""
-    x, scalar = _rows(model, features)
+    x, one_row = _feature_rows(features, model.config.input_dim)
     if model.norm is not None:
         x = apply_norm(model.norm, x)
-    out = _forward_cached(model, x)[-1][:, 0]
+    out = _forward_into(model, x)[-1][:, 0]
     if model.norm is not None:
         out = out * model.norm.target_std + model.norm.target_mean
-    return float(out[0]) if scalar else out
+    return float(out[0]) if one_row else out
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,8 @@ def test_write_csv_cell_rule(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, ("a", "b", "c", "d", "e"),
               [[None, 0.1, np.float64(-1e-05), np.float32(0.1), 3],
-               ("name", 2.0, np.int64(7), float("inf"), True)], comment="source=test z=1.0")
-    assert p.read_text() == ("# source=test z=1.0\n"
-                             "a,b,c,d,e\n"
+               ("name", 2.0, np.int64(7), float("inf"), True)])
+    assert p.read_text() == ("a,b,c,d,e\n"
                              ",0.1,-1e-05,0.10000000149011612,3\n"
                              "name,2.0,7,inf,True\n")
     write_csv(p, ("x",), [])

@@ -437,7 +437,9 @@ def test_adaboost_multiple_rounds_on_noisy_data():
     assert np.all(f.tree_weights > 0)
     # held-out prediction lands inside the member range
     pts = X[:9]
-    member = fr._member_predictions(f, pts)
+    k = f.trees_per_member
+    member = np.array([fr._predict_rows(fr._pack(f.trees[lo:lo + k]), pts)
+                       for lo in range(0, len(f.trees), k)])
     out = fr.predict_forest(f, pts)
     assert np.all(out >= member.min(axis=0)) and np.all(out <= member.max(axis=0))
 
@@ -626,15 +628,16 @@ def test_adaboost_builds_and_checks_one_forest(monkeypatch):
 
 @pytest.mark.parametrize("route_pairs", [1, 7, 1 << 18])
 def test_ensemble_mean_is_an_extra_trees_forests_prediction(monkeypatch, route_pairs):
-    """The mean an AdaBoost.R2 round scores with has the bits `predict_forest`
-    gives the same trees as an Extra Trees forest, whatever the row blocks."""
+    """The mean an AdaBoost.R2 round scores with (`_predict_rows` on the
+    round's packed trees) has the bits `predict_forest` gives the same trees
+    as an Extra Trees forest, whatever the row blocks."""
     rng = np.random.default_rng(24)
     X = rng.uniform(0.0, 4.0, (150, 3))
     y = X[:, 0] * X[:, 2] + 0.1 * rng.normal(size=150)
     forest = fr.fit_extra_trees(X, y, n_trees=5, seed=6)
     want = fr.predict_forest(forest, X)
     monkeypatch.setattr(fr, "_ROUTE_PAIRS", route_pairs)
-    assert fr._ensemble_mean(forest.trees, X).tolist() == want.tolist()
+    assert fr._predict_rows(fr._pack(forest.trees), X).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +848,18 @@ def test_predict_scalar_row():
     out = fr.predict_forest(f, X[5])
     assert isinstance(out, float)
     assert out == fr.predict_forest(f, X[5:6])[0]
+
+
+def test_only_adaboost_combines_its_trees_by_member():
+    """`trees_per_member` groups the trees of an AdaBoost.R2 forest alone:
+    any other forest averages all its trees, in a batch as for a row alone."""
+    X, y = _toy(n=80, seed=38, noise=0.5)
+    f = fr.fit_extra_trees(X, y, n_trees=6, seed=38)
+    grouped = fr.Forest(mode="extra_trees", trees=f.trees, n_features=3, params=f.params,
+                        seed=38, trees_per_member=3)
+    batch = fr.predict_forest(grouped, X)
+    assert batch.tobytes() == fr.predict_forest(f, X).tobytes()
+    assert np.array([fr.predict_forest(grouped, x) for x in X]).tobytes() == batch.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from lumenrem import dataset as dt
 from lumenrem import evalmap, mlp
+from lumenrem import forest as fr
 from lumenrem._doc import _decode_array, _encode_array
 
 
@@ -347,14 +348,24 @@ def test_predict_batch_equals_scalar():
         assert math.isclose(batch[i], mlp.predict(model, x[i]), rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_predict_arity_mismatch():
+@pytest.mark.parametrize("kind", ["mlp", "forest"])
+def test_predict_arity_mismatch(kind):
+    """Every model's predict refuses a row of the wrong width, or a batch of
+    such rows, by the one input rule and with its message."""
     splits = _linear_splits(n=50)
-    model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), splits)
-    assert model.norm is not None  # the rows are checked before they are normalized
+    if kind == "mlp":
+        model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), splits)
+        assert model.norm is not None  # the rows are checked before they are normalized
+        predict = mlp.predict
+    else:
+        model = fr.fit_extra_trees(splits.train.features, splits.train.rss_dbm, n_trees=2)
+        predict = fr.predict_forest
     with pytest.raises(ValueError, match=r"expected 3 features, got shape \(1, 4\)"):
-        mlp.predict(model, np.array([1.0, 2.0, 3.0, 4.0]))
+        predict(model, np.array([1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(ValueError, match=r"expected 3 features, got shape \(2, 4\)"):
-        mlp.predict(model, np.zeros((2, 4)))
+        predict(model, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"expected 3 features, got shape \(2, 3, 1\)"):
+        predict(model, np.zeros((2, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
