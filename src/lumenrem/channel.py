@@ -37,8 +37,10 @@ its midpoint term fails the FOV test and its refinement would add exactly
 0.0. The cut terms are written as the 0.0 they are, in place, so each row
 still sums all its patches in the same pairwise order and keeps its bits.
 
-Everything here is pure and deterministic; the additive noise applied to
-training data lives in `dataset`, keeping this module usable as ground truth.
+Each call derives a scene's constants once (`_constants`), from the formulas
+in `scene` that its records check; no kernel computes one itself. Everything
+here is pure and deterministic; the additive noise applied to training data
+lives in `dataset`, keeping this module usable as ground truth.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import Receiver, Room, Scene, Transmitter
+from .scene import Room, Scene, _concentrator, lambertian_order
 
 __all__ = [
     "DEFAULT_PATCH_EDGE_M",
@@ -81,13 +83,6 @@ _MAX_PATCHES = 250_000
 # Closed-form channel quantities
 # ---------------------------------------------------------------------------
 
-def lambertian_order(hpa_deg: float) -> float:
-    """Lambertian order m = -ln 2 / ln cos(half-power semi-angle)."""
-    if not 0 < hpa_deg < 90:
-        raise ValueError(f"half-power semi-angle must be in (0, 90) degrees, got {hpa_deg}")
-    return -math.log(2.0) / math.log(math.cos(math.radians(hpa_deg)))
-
-
 def concentrator_gain(cos_psi, fov_deg: float, n: float):
     """Non-imaging concentrator gain: n^2 / sin^2(fov) inside the FOV, else 0.
 
@@ -104,10 +99,25 @@ def concentrator_gain(cos_psi, fov_deg: float, n: float):
     return np.where(cos_psi >= cos_fov, g_inside, 0.0)
 
 
-def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
-    """In-FOV concentrator gain n^2 / sin^2(fov) and the FOV acceptance cosine."""
-    fov_rad = math.radians(fov_deg)
-    return n ** 2 / math.sin(fov_rad) ** 2, math.cos(fov_rad)
+class _Constants(NamedTuple):
+    """A scene, its receiver's in-FOV concentrator gain g and FOV cosine, and
+    each LED's Lambertian order m and NLOS constant k, in the scene's order."""
+
+    scene: Scene
+    g: float
+    cos_fov: float
+    m: tuple[float, ...]
+    k: tuple[float, ...]
+
+
+def _constants(scene: Scene) -> _Constants:
+    """The channel constants of a scene, derived once per call."""
+    rx = scene.receiver
+    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
+    m = tuple(lambertian_order(tx.hpa_deg) for tx in scene.transmitters)
+    k = tuple((order + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance
+              * rx.filter_gain * g for order in m)
+    return _Constants(scene, g, cos_fov, m, k)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +206,19 @@ def _wall_patches(room: Room, nx: int, ny: int, nv: int):
 # Vectorized gain kernels
 # ---------------------------------------------------------------------------
 
-def _los_gain_block(tx: Transmitter, rx: Receiver, pos: np.ndarray, tx_pos=None) -> np.ndarray:
-    """LOS DC gain for a (n, 3) block of receiver positions, from `tx` or,
-    given `tx_pos` (n, 3), from an LED of tx's half-power angle per row."""
-    tx_pos = np.asarray(tx.position) if tx_pos is None else tx_pos
+def _los_gain_block(c: _Constants, m: float, tx_pos: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """LOS DC gain for a (n, 3) block of receiver positions in a scene of
+    constants `c`, from an LED of order m at `tx_pos` (3,) or one per row (n, 3)."""
     delta = pos - tx_pos
     d_sq = np.einsum("ij,ij->i", delta, delta)
     if np.any(d_sq == 0.0):
         raise ValueError("receiver position coincides with a transmitter")
     d = np.sqrt(d_sq)
     cos_phi = (tx_pos[..., 2] - pos[:, 2]) / d
-    m = lambertian_order(tx.hpa_deg)
-    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
     visible = cos_phi > 0
-    in_fov = cos_phi >= cos_fov
+    in_fov = cos_phi >= c.cos_fov
     cos_clip = np.where(visible, cos_phi, 0.0)
+    rx, g = c.scene.receiver, c.g
     gain = (
         (m + 1.0) * rx.area_m2 / (2.0 * math.pi * d_sq)
         * cos_clip ** m * rx.filter_gain * g * cos_clip
@@ -429,13 +437,12 @@ class PowerBreakdown:
 
 
 class _TiledRoom:
-    """A scene's wall tiling and per-transmitter constants, made once per call,
-    and the patches of it that rise above the current height cut."""
+    """A scene's wall tiling and the LED leg of each patch, made once per
+    call, and the patches of it that rise above the current height cut."""
 
-    def __init__(self, scene: Scene, patch_edge_m: float):
-        self.pa = pa = _PatchArrays.from_room(scene.room, patch_edge_m)
-        rx = scene.receiver
-        g, self.cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
+    def __init__(self, c: _Constants, patch_edge_m: float):
+        self.pa = pa = _PatchArrays.from_room(c.scene.room, patch_edge_m)
+        self.cos_fov = c.cos_fov
         x_wall = pa.axis == 0
         # The midpoint rule degrades when the receiver sits close to a patch
         # (the 1/d2^2 factor varies too much across it). Such pairs are
@@ -443,20 +450,13 @@ class _TiledRoom:
         # edge <= d2/4, keeping the discretization error small everywhere.
         near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
         areas = pa.edges_u * pa.edges_v
-        # per transmitter: itself, its Lambertian order and the NLOS constant
-        # k, and apart the LED leg of every patch
-        self.transmitters, led_legs = [], []
-        for tx in scene.transmitters:
-            m = lambertian_order(tx.hpa_deg)
-            k = (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance * rx.filter_gain * g
-            self.transmitters.append((tx, m, k))
-            led_legs.append(
-                _led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas))
+        led_legs = [_led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas)
+                    for tx, m in zip(c.scene.transmitters, c.m)]
         # Every wall column has the same patch rows, so the patches above a
         # height cut are the same rows of every column. Row iv's top edge,
         # the sum `_rises_above` takes, is the same bits in every column and
         # never falls as iv rises.
-        self.patch_rows = nv = _wall_counts(scene.room, patch_edge_m)[1]
+        self.patch_rows = nv = _wall_counts(c.scene.room, patch_edge_m)[1]
         self.tops = pa.centers[:nv, 2] + 0.5 * pa.edges_v[:nv]
         # what the midpoint kernel reads of each patch, each array apart: the
         # centre as (3, patches), the wall axis mask, sign, close-range
@@ -526,14 +526,14 @@ class _Lanes:
                 for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
 
 
-def _one_room(scene: Scene, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
+def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
               patch_edge_m: float) -> None:
     """Rows lo:hi of `pos`, all in the scene's room, lowest first (a stable
     sort by height), in (rows, patches) chunks of at most _CHUNK_PAIRS pairs
     (one row at least) against the room's tiling, one LED after another.
     A chunk meets only the patch rows above its lowest row
     (`_TiledRoom.cut_below`); the cut rises chunk after chunk."""
-    room = _TiledRoom(scene, patch_edge_m)
+    room = _TiledRoom(c, patch_edge_m)
     pa = room.pa
     step = max(1, _CHUNK_PAIRS // len(pa))
     order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
@@ -541,41 +541,37 @@ def _one_room(scene: Scene, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
         rows = order[a:a + step]
         p = pos[rows]
         room.cut_below(p[0, 2])
-        for t, (tx, m, k) in enumerate(room.transmitters):
-            lanes.los[rows, t] = tx.power_mw * _los_gain_block(tx, scene.receiver, p)
-            lanes.sums[rows, t], (r, c) = room.midpoint_sums(p, t, lanes)
+        for t, (tx, m, k) in enumerate(zip(c.scene.transmitters, c.m, c.k)):
+            lanes.los[rows, t] = tx.power_mw * _los_gain_block(c, m, np.asarray(tx.position), p)
+            lanes.sums[rows, t], (r, j) = room.midpoint_sums(p, t, lanes)
             lanes.k[rows, t], lanes.power[rows, t] = k, tx.power_mw
             if len(r):
-                lanes.queue.put((m, room.cos_fov), _Pairs(
+                lanes.queue.put((m, c.cos_fov), _Pairs(
                     rows[r] * lanes.width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
-                    pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
+                    pa.centers[j], pa.axis[j], pa.sign[j], pa.edges_u[j], pa.edges_v[j]))
 
 
-def _shared_chunk(scenes, spans, patches, pos: np.ndarray, lanes: _Lanes,
+def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
                   patch_edge_m: float) -> None:
     """The rows of several whole rooms in one chunk: one tiling of all their
     walls back to back, one LED leg, LOS and midpoint pass over all of them.
 
-    Room i has rows spans[i] = (first, count) of `pos` and patches[i] wall
-    patches; the rooms share their receiver and one Lambertian order
-    (`_room_groups`), so `** m` and the FOV test take the scalars each room's
-    own chunk gives them. A segment is one (room, LED): its lanes (the room's
-    rows) against its room's patches. The pass runs over the (lane, patch)
+    Room i has scene and constants consts[i], rows spans[i] = (first, count)
+    of `pos` and patches[i] wall patches; the rooms share their receiver and one
+    Lambertian order (`_room_groups`), so `** m` and the FOV test take the
+    scalars each room's own chunk gives them. A segment is one (room, LED):
+    its lanes (the room's rows) against its room's patches. The pass runs over the (lane, patch)
     pairs segment after segment, each row-major, so the close pairs reach the
     refinement queue in the order one-room chunks give them, and a lane's
     midpoint sum is NumPy's pairwise sum over its own room's patches, as in a
     (rows, patches) block: every lane keeps its bits.
     """
-    pa = _PatchArrays.from_room([s.room for s in scenes], patch_edge_m)
-    rx, led = scenes[0].receiver, scenes[0].transmitters[0]
-    m = lambertian_order(led.hpa_deg)
-    g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
+    pa = _PatchArrays.from_room([c.scene.room for c in consts], patch_edge_m)
+    m, cos_fov = consts[0].m[0], consts[0].cos_fov
     segments, first = [], 0
-    for scene, (lo, count), size in zip(scenes, spans, patches):
-        k_room = ((m + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance
-                  * rx.filter_gain * g)
-        segments += [(lo, count, first, size, t, tx.power_mw, k_room, *tx.position)
-                     for t, tx in enumerate(scene.transmitters)]
+    for c, (lo, count), size in zip(consts, spans, patches):
+        segments += [(lo, count, first, size, t, tx.power_mw, k, *tx.position)
+                     for t, (tx, k) in enumerate(zip(c.scene.transmitters, c.k))]
         first += size
     seg = np.array(segments)
     row0, n, patch0, size, column = seg[:, :5].T.astype(np.intp)
@@ -585,13 +581,13 @@ def _shared_chunk(scenes, spans, patches, pos: np.ndarray, lanes: _Lanes,
     lane_row, lane_tx = _ranges(row0, n), np.repeat(tx_pos, n, axis=0)
     lane = lane_row * lanes.width + np.repeat(column, n)
     rows = pos[lane_row]
-    lanes.los.reshape(-1)[lane] = np.repeat(power, n) * _los_gain_block(led, rx, rows, lane_tx)
+    lanes.los.reshape(-1)[lane] = np.repeat(power, n) * _los_gain_block(consts[0], m, lane_tx, rows)
     lanes.k.reshape(-1)[lane] = np.repeat(k, n)
     lanes.power.reshape(-1)[lane] = np.repeat(power, n)
     # The patch of every (segment, patch) leg and the leg of every (lane,
     # patch) pair, lane after lane; None where they are the same (one LED, or
     # one row, a room), so nothing is gathered.
-    leg_patch = None if len(seg) == len(scenes) else _ranges(patch0, size)
+    leg_patch = None if len(seg) == len(consts) else _ranges(patch0, size)
     lane_size = np.repeat(size, n)
     pair_leg = None if np.all(n == 1) else _ranges(np.repeat(np.cumsum(size) - size, n), lane_size)
     pair_patch = _take(leg_patch, pair_leg)
@@ -654,8 +650,8 @@ def _check_inside(scenes, counts, pos: np.ndarray) -> None:
 def _room_groups(scenes, counts, patches) -> list[list[int]]:
     """The scenes, by index, in runs of consecutive whole rooms that share one
     chunk: their (row, LED, patch) triples fit in a quarter of _CHUNK_PAIRS
-    together, and they share their receiver and one Lambertian order for
-    every LED. Any other room is a run of its own.
+    together, and they share their receiver and one half-power angle, so one
+    Lambertian order, for every LED. Any other room is a run of its own.
 
     A shared chunk also holds its rooms' tilings and LED legs, and gathers
     per-pair copies of them: with one row and one LED a room, that is about
@@ -666,8 +662,8 @@ def _room_groups(scenes, counts, patches) -> list[list[int]]:
     groups, pairs, key = [], 0, None
     for i, (scene, count, size) in enumerate(zip(scenes, counts, patches)):
         size *= count * len(scene.transmitters)
-        orders = {lambertian_order(tx.hpa_deg) for tx in scene.transmitters}
-        room_key = (orders.pop(), scene.receiver) if len(orders) == 1 else None
+        angles = {tx.hpa_deg for tx in scene.transmitters}
+        room_key = (angles.pop(), scene.receiver) if len(angles) == 1 else None
         if not groups or room_key is None or room_key != key or pairs + size > budget:
             groups.append([])
             pairs = 0
@@ -699,13 +695,14 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     # every tiling is checked against the patch bound before anything is built
     patches = [sum(nu) * nv for nu, nv in (_wall_counts(s.room, patch_edge_m) for s in scenes)]
     starts = np.cumsum([0] + counts).tolist()
+    consts = [_constants(s) for s in scenes]
     lanes = _Lanes(len(pos), max((len(s.transmitters) for s in scenes), default=1))
     for group in _room_groups(scenes, counts, patches):
         if len(group) == 1:
             i = group[0]
-            _one_room(scenes[i], pos, starts[i], starts[i + 1], lanes, patch_edge_m)
+            _one_room(consts[i], pos, starts[i], starts[i + 1], lanes, patch_edge_m)
         else:
-            _shared_chunk([scenes[i] for i in group], [(starts[i], counts[i]) for i in group],
+            _shared_chunk([consts[i] for i in group], [(starts[i], counts[i]) for i in group],
                           [patches[i] for i in group], pos, lanes, patch_edge_m)
     lanes.queue.drain()
     return lanes.los, lanes.power * (lanes.k * lanes.sums)

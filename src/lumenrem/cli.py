@@ -4,16 +4,16 @@ Subcommands cover the whole workflow: generate datasets, train surrogate
 models, score them against references, predict single points, render radio
 maps, benchmark wall-clock costs, and sweep experiment campaigns.
 
-Every run writes a `run.meta.json` next to its primary output holding the
-fully resolved configuration; `argv_from_meta` rebuilds the equivalent
-command line from it, so any run can be replayed exactly. Exit codes: 0 on
-success, 1 on a usage error, 2 on a runtime failure.
+Each handler returns the outputs it wrote; `main` then writes the run's one
+`run.meta.json` next to the primary output, holding the fully resolved
+configuration and that list (a run that fails writes none). `argv_from_meta`
+rebuilds the equivalent command line from it, so any run can be replayed
+exactly. Exit codes: 0 on success, 1 on a usage error, 2 on a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -199,16 +199,7 @@ def _load_scene(name_or_path: str, leds: int) -> Scene:
     return Scene.load(name_or_path)
 
 
-@contextlib.contextmanager
-def _naming(model_path):
-    """Name the model file when its model predicts a value that is not finite."""
-    try:
-        yield
-    except evalmap.NonFinitePrediction as exc:
-        raise ValueError(f"{model_path}: {exc}") from None
-
-
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> list[str]:
     grid_flags = [args.per_xy, args.per_z, args.per_dim]
     if args.reference is not None:
         if args.per_axis is not None or any(v is not None for v in grid_flags):
@@ -231,13 +222,12 @@ def _cmd_generate(args) -> int:
         ds = generate_fixed(scene, args.per_axis, args.patch_edge, seed=args.seed)
     ds, osnr = add_noise(ds, args.noise_factor, seed=args.seed)
     _, sidecar = ds.save(args.out)
-    _write_meta(args, [args.out, str(sidecar)])
     note = "" if osnr == float("inf") else f", mean OSNR {osnr:.2f} dB"
     print(f"wrote {args.out} ({len(ds)} rows{note})")
-    return 0
+    return [args.out, str(sidecar)]
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> list[str]:
     ds = Dataset.load(args.data)
     sub = subsample(ds, args.train_size, seed=args.seed)
     noisy, osnr = add_noise(sub, args.noise_factor, seed=args.seed)
@@ -261,23 +251,20 @@ def _cmd_train(args) -> int:
         forest.save_forest(model, args.out)
         print(f"wrote {args.out} ({args.model} on {len(splits.train)} rows, "
               f"{len(model.trees)} trees)")
-    _write_meta(args, [args.out])
-    return 0
+    return [args.out]
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> list[str]:
     model = evalmap.load_any_model(args.model)
     ref = Dataset.load(args.reference)
-    with _naming(args.model):
-        report = evalmap.evaluate_model(model, ref, mean_osnr_db=ref.meta.get("mean_osnr_db"))
+    report = evalmap.evaluate_model(model, ref, mean_osnr_db=ref.meta.get("mean_osnr_db"))
     write_json(args.out, report.to_dict(), indent=2)
-    _write_meta(args, [args.out])
     mape = "n/a" if report.mape_percent is None else f"{report.mape_percent:.3f}%"
     print(f"MAE {report.mae_dbm:.4f} dBm, MAPE {mape} over {report.n_points} points")
-    return 0
+    return [args.out]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> list[str]:
     model = evalmap.load_any_model(args.model)
     arity = model.n_features
     if arity not in FEATURE_LAYOUTS:
@@ -293,37 +280,33 @@ def _cmd_predict(args) -> int:
             raise UsageError(f"--at {spec!r} is not numeric") from exc
         if not all(map(math.isfinite, rows[-1])):
             raise UsageError(f"--at {spec!r} holds a value that is not finite")
-    with _naming(args.model):
-        preds = evalmap.finite_predictions(model, np.array(rows, dtype=np.float64))
+    preds = evalmap.finite_predictions(model, np.array(rows, dtype=np.float64))
     for v in preds:
         print(repr(float(v)))
     write_csv(args.out, FEATURE_LAYOUTS[arity] + ("prediction_dbm",),
               (row + [v] for row, v in zip(rows, preds)))
-    _write_meta(args, [args.out])
-    return 0
+    return [args.out]
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args) -> list[str]:
     scene = _load_scene(args.scene, args.leds)
     if args.simulate:
         radio_map = evalmap.simulate_map(scene, args.z, args.spacing, args.patch_edge)
     else:
         model = evalmap.load_any_model(args.model)
-        with _naming(args.model):
-            radio_map = evalmap.predict_map(model, scene, args.z, args.spacing)
+        radio_map = evalmap.predict_map(model, scene, args.z, args.spacing)
     evalmap.map_to_csv(radio_map, args.out)
     outputs = [args.out]
     if args.pgm:
         evalmap.map_to_pgm(radio_map, args.pgm)
         outputs.append(args.pgm)
-    _write_meta(args, outputs)
     _, _, px, py = radio_map.peak_cell()
     print(f"wrote {args.out} ({radio_map.nx}x{radio_map.ny} cells, "
           f"source {radio_map.source}, peak at ({px:.2f}, {py:.2f}))")
-    return 0
+    return outputs
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> list[str]:
     ds = Dataset.load(args.data)
     report = evalmap.benchmark(
         args.model_kind, ds, args.reps,
@@ -331,21 +314,19 @@ def _cmd_bench(args) -> int:
         seed=args.seed, n_predict=args.n_predict,
     )
     write_json(args.out, report.to_dict(), indent=2)
-    _write_meta(args, [args.out])
     print(f"{args.model_kind}: train {report.train_seconds:.3f} s, "
           f"predict {report.predict_us_per_sample:.1f} us/sample "
           f"({report.repetitions} reps) [{report.hardware_note}]")
-    return 0
+    return [args.out]
 
 
-def _cmd_campaign(args) -> int:
+def _cmd_campaign(args) -> list[str]:
     spec = evalmap.CampaignSpec.from_dict(read_json(args.spec))
     result = evalmap.campaign(spec)
     rows_path, summary_path = result.write_csv(args.out)
-    _write_meta(args, [str(rows_path), str(summary_path)])
     print(f"wrote {rows_path} ({len(result.rows)} rows) and "
           f"{summary_path} ({len(result.summaries)} cells)")
-    return 0
+    return [str(rows_path), str(summary_path)]
 
 
 _COMMANDS = {
@@ -367,11 +348,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage and 0 for --help/--version
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        _write_meta(args, _COMMANDS[args.command](args))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: bad files, bad values, IO
+        if isinstance(exc, evalmap.NonFinitePrediction) and getattr(args, "model", None):
+            exc = f"{args.model}: {exc}"  # the model file whose model predicted it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -369,7 +369,7 @@ class Forest:
     Every tree is checked when the forest is built, fitted or loaded alike.
     For adaboost_r2, `trees` holds members' trees back to back
     (`trees_per_member` each) and `tree_weights` carries one ln(1/beta)
-    confidence per member.
+    confidence per member; the other modes hold neither, one tree a member.
     """
 
     mode: str
@@ -401,6 +401,11 @@ class Forest:
             self.tree_weights = np.asarray(self.tree_weights, dtype=np.float64)
             if not np.all(np.isfinite(self.tree_weights)):
                 raise ValueError("adaboost_r2 member weights must be finite")
+        elif self.tree_weights is not None:
+            raise ValueError(f"{self.mode} forests take no tree_weights")
+        elif self.trees_per_member != 1:
+            raise ValueError(f"{self.mode} forests take trees_per_member 1, "
+                             f"got {self.trees_per_member}")
         self._set_layout(_check_trees(self.trees, self.n_features))
 
     def _set_layout(self, packed: tuple) -> None:
@@ -664,7 +669,7 @@ def _walk(forest: Forest, x: list) -> float:
             i = right[i] - (x[f] < threshold[i])
             f = feature[i]
         leaves.append(value[i])
-    if forest.mode != "adaboost_r2":
+    if forest.tree_weights is None:
         return reduce(operator.add, leaves) / len(leaves)
     k = forest.trees_per_member
     means = [reduce(operator.add, leaves[lo:lo + k]) / k for lo in range(0, len(leaves), k)]
@@ -699,8 +704,7 @@ def predict_forest(forest: Forest, raw_features):
     if len(X) == 1 and len(forest.trees) < _WALK_TREES:
         value = _walk(forest, X[0].tolist())
         return value if one_row else np.array([value])
-    weights = forest.tree_weights if forest.mode == "adaboost_r2" else None
-    out = _predict_rows(forest._packed, X, forest.trees_per_member, weights)
+    out = _predict_rows(forest._packed, X, forest.trees_per_member, forest.tree_weights)
     return float(out[0]) if one_row else out
 
 

@@ -3,6 +3,9 @@
 Coordinates use a corner-origin frame: (0, 0, 0) at a floor corner, x in [0, lx],
 y in [0, ly], z in [0, lz]. LEDs sit on the ceiling plane facing straight down;
 the photodetector faces straight up. Orientations are fixed and not configurable.
+The transceiver formulas, an LED's Lambertian order and the receiver's
+concentrator gain, live here: the records refuse a value they cannot compute
+and the channel derives its constants from them, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -56,14 +59,25 @@ def _number_problem(x) -> str | None:
     return f"be finite, got {x!r}"
 
 
-def _finite_positive(formula) -> bool:
-    """Whether `formula()` gives a finite positive float; a division by zero
-    or an overflow counts as not."""
+def lambertian_order(hpa_deg: float) -> float:
+    """Lambertian order m = -ln 2 / ln cos(half-power semi-angle)."""
+    if not 0 < hpa_deg < 90:
+        raise ValueError(f"half-power semi-angle must be in (0, 90) degrees, got {hpa_deg}")
+    return -math.log(2.0) / math.log(math.cos(math.radians(hpa_deg)))
+
+
+def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
+    """In-FOV concentrator gain n^2 / sin^2(fov) and the FOV acceptance cosine."""
+    fov_rad = math.radians(fov_deg)
+    return n ** 2 / math.sin(fov_rad) ** 2, math.cos(fov_rad)
+
+
+def _gain_fails(fov_deg: float, n: float) -> bool:
+    """Whether the in-FOV concentrator gain raises or is not finite."""
     try:
-        v = formula()
+        return not math.isfinite(_concentrator(fov_deg, n)[0])
     except (ZeroDivisionError, OverflowError):
-        return False
-    return math.isfinite(v) and v > 0
+        return True
 
 
 def _refuse_non_numbers(record, *names: str) -> None:
@@ -109,11 +123,11 @@ class Transmitter:
             raise ValueError(f"power_mw must be positive, got {self.power_mw}")
         if not 0 < self.hpa_deg < 90:
             raise ValueError(f"hpa_deg must be in (0, 90), got {self.hpa_deg}")
-        # the channel's Lambertian order; a cosine that rounds to 1 divides by zero
-        cos_hpa = math.cos(math.radians(self.hpa_deg))
-        if not _finite_positive(lambda: -math.log(2.0) / math.log(cos_hpa)):
+        try:
+            lambertian_order(self.hpa_deg)
+        except ZeroDivisionError:  # a cosine that rounds to 1
             raise ValueError("Transmitter hpa_deg must give a finite Lambertian order "
-                             f"-ln 2 / ln cos(hpa_deg), got {self.hpa_deg!r}")
+                             f"-ln 2 / ln cos(hpa_deg), got {self.hpa_deg!r}") from None
 
 
 @dataclass(frozen=True)
@@ -141,13 +155,12 @@ class Receiver:
             raise ValueError(f"filter_gain must be positive, got {self.filter_gain}")
         if self.refractive_index < 1:
             raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
-        # the channel's concentrator gain n^2 / sin^2(fov): n^2 can overflow, and
-        # the sine squared of a tiny FOV is 0
+        # at a 90 deg FOV the sine is 1.0 and the gain n^2 alone
         n, fov = self.refractive_index, self.fov_deg
-        if not _finite_positive(lambda: n ** 2):
+        if _gain_fails(90.0, n):
             raise ValueError("Receiver refractive_index must give a finite concentrator gain "
                              f"n^2 / sin^2(fov_deg), got {n!r}")
-        if not _finite_positive(lambda: n ** 2 / math.sin(math.radians(fov)) ** 2):
+        if _gain_fails(fov, n):
             raise ValueError("Receiver fov_deg must give a finite concentrator gain "
                              f"n^2 / sin^2(fov_deg) with refractive_index {n!r}, got {fov!r}")
 

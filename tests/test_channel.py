@@ -97,8 +97,9 @@ def test_los_gain_coincident_raises():
     with pytest.raises(ValueError):
         ch.received_power(sc, tx.position)
     # ... and the LOS kernel itself refuses a zero-length link
+    c = ch._constants(sc)
     with pytest.raises(ValueError, match="coincides"):
-        ch._los_gain_block(tx, sc.receiver, np.array([tx.position]))
+        ch._los_gain_block(c, c.m[0], np.asarray(tx.position), np.array([tx.position]))
 
 
 def test_link_geometry_cosines():

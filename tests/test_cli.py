@@ -527,6 +527,31 @@ def test_a_model_that_predicts_a_non_finite_value_is_named(workdir, trained, cap
     assert sorted(p.name for p in workdir.iterdir()) == ["huge.json"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["generate", "--scene", "s.json", "--reference", "2", "--out", "o.csv"],
+     r"error: s\.json: Receiver fov_deg must give a finite concentrator gain"),
+    (["evaluate", "--model", "bad.json", "--reference", "REF", "--out", "o.json"],
+     r"error: bad\.json is not a JSON file"),
+    (["map", "--model", "huge.json", "--scene", "small", "--spacing", "1.0", "--out", "o.csv"],
+     r"error: huge\.json: the mlp32x128 model predicts (nan|inf|-inf) at \("),
+], ids=["generate-hostile-scene", "evaluate-malformed-model", "map-non-finite-model"])
+def test_only_a_run_that_succeeds_leaves_a_record(workdir, trained, capsys, argv, error):
+    """A command that fails exits 2 with its message and writes no output and
+    no run.meta.json: the record is written once, after the command's work."""
+    doc = preset_scene("mid").to_dict()
+    doc["receiver"]["fov_deg"] = 1e-300
+    Path("s.json").write_text(json.dumps(doc))
+    Path("bad.json").write_text("{not json")
+    model = mlp.load_model(trained / "m.json")
+    mlp.save_model(mlp.MlpModel(config=model.config, weights=[w * 1e300 for w in model.weights],
+                                biases=model.biases, norm=model.norm), "huge.json")
+    argv = [str(trained / "ref.csv") if a == "REF" else a for a in argv]
+    assert cli.main(argv) == 2
+    assert re.match(error, capsys.readouterr().err)
+    assert not list(workdir.glob("*.run.meta.json"))
+    assert sorted(p.name for p in workdir.iterdir()) == ["bad.json", "huge.json", "s.json"]
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"repetitions": 1.5}, "campaign repetitions takes ints only, got 1.5"),
     ({"train_sizes": [20.0]}, r"campaign train_sizes takes ints only, got \(20.0,\)"),

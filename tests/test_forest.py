@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lumenrem import evalmap
+from lumenrem import cli, evalmap
 from lumenrem import forest as fr
 from lumenrem._doc import _encode_array
 from lumenrem.mlp import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError
@@ -850,16 +850,30 @@ def test_predict_scalar_row():
     assert out == fr.predict_forest(f, X[5:6])[0]
 
 
-def test_only_adaboost_combines_its_trees_by_member():
-    """`trees_per_member` groups the trees of an AdaBoost.R2 forest alone:
-    any other forest averages all its trees, in a batch as for a row alone."""
-    X, y = _toy(n=80, seed=38, noise=0.5)
-    f = fr.fit_extra_trees(X, y, n_trees=6, seed=38)
-    grouped = fr.Forest(mode="extra_trees", trees=f.trees, n_features=3, params=f.params,
-                        seed=38, trees_per_member=3)
-    batch = fr.predict_forest(grouped, X)
-    assert batch.tobytes() == fr.predict_forest(f, X).tobytes()
-    assert np.array([fr.predict_forest(grouped, x) for x in X]).tobytes() == batch.tobytes()
+@pytest.mark.parametrize("mode", ["single", "extra_trees"])
+@pytest.mark.parametrize("field, value, message", [
+    ("trees_per_member", 2, "forests take trees_per_member 1, got 2"),
+    ("tree_weights", [1.0], "forests take no tree_weights"),
+], ids=["trees_per_member", "tree_weights"])
+def test_only_adaboost_holds_member_fields(tmp_path, capsys, mode, field, value, message):
+    """`trees_per_member` and `tree_weights` combine an AdaBoost.R2 forest's
+    trees by member, and no other forest's predict reads them: any other
+    forest that carries them is refused when built, its model file fails to
+    load naming the file, and `lumenrem predict` on that file exits 2."""
+    message = f"{mode} {message}"
+    stump = fr.Tree(feature=[0, -1, -1], threshold=[0.5, np.nan, np.nan], value=[0.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fr.Forest(mode=mode, trees=(stump, stump), n_features=3, params=fr.TreeParams(), seed=0,
+                  **{field: value})
+    p = tmp_path / "m.json"
+    stored = value if field == "trees_per_member" else _array(value)
+    p.write_text(json.dumps(_forest_doc([_STUMP, _STUMP], mode=mode, **{field: stored})))
+    with pytest.raises(ModelFormatError, match=re.escape(f"{p} is malformed: {message}")):
+        fr.load_forest(p)
+    out = tmp_path / "p.csv"
+    assert cli.main(["predict", "--model", str(p), "--at", "0.5,0.5,0.5", "--out", str(out)]) == 2
+    assert f"error: {p} is malformed: {message}" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("*.run.meta.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lumenrem import channel as ch
 from lumenrem.scene import (
     PRESET_ROOMS,
     Receiver,
@@ -141,6 +144,49 @@ def test_the_edges_of_the_channel_constants_stay_accepted():
     assert Transmitter(position=(1.0, 1.0, 3.0), hpa_deg=1e-6).hpa_deg == 1e-6
     assert Receiver(fov_deg=1e-100).fov_deg == 1e-100
     assert Receiver(refractive_index=1e150).refractive_index == 1e150
+
+
+def _refused(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return True
+    return False
+
+
+def _fails(formula) -> bool:
+    """Whether `formula()` raises or gives a value that is not finite."""
+    try:
+        return not math.isfinite(formula())
+    except (ValueError, ArithmeticError):
+        return True
+
+
+def _powers_of_ten(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hpa=st.one_of(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+                     _powers_of_ten(-12.0, 1.9)),
+       fov=st.one_of(_REALS, _powers_of_ten(-330.0, 2.5)),
+       n=st.one_of(_REALS, _powers_of_ten(-1.0, 308.0)))
+@example(hpa=1e-12, fov=1e-300, n=1.5)
+@example(hpa=1e-9, fov=1e-160, n=1.5)
+@example(hpa=1e-6, fov=85.0, n=1e150)
+@example(hpa=60.0, fov=85.0, n=1e200)
+@example(hpa=89.99999999999999, fov=90.0, n=1.0)
+def test_records_refuse_exactly_what_the_channel_cannot_use(hpa, fov, n):
+    """A Transmitter refuses exactly the half-power angles whose Lambertian
+    order the channel cannot compute, and a Receiver exactly the FOVs and
+    refractive indices whose concentrator gain raises or is not finite."""
+    assert (_refused(lambda: Transmitter(position=(1.0, 1.0, 3.0), hpa_deg=hpa))
+            == _fails(lambda: ch.lambertian_order(hpa)))
+    assert (_refused(lambda: Receiver(fov_deg=fov, refractive_index=n))
+            == _fails(lambda: ch.concentrator_gain(1.0, fov, n)))
 
 
 def test_scene_load_names_the_file_in_every_refusal(tmp_path):
