@@ -9,9 +9,12 @@ checks the values it is given.
 
 A model file stores each array as an object instead: its dtype, its shape and
 the base64 of its little-endian bytes, which is smaller than a list of
-numbers and parses without a float per element. The dtype must be the
-field's (float64, unless the field's metadata names another), so an array is
-never cast on reading.
+numbers and parses without a float per element. An array is written in its
+field's dtype (float64, unless the field's metadata names another), and on
+reading the dtype must be the field's, so an array is never cast on reading.
+Each model kind has its own format version (`MODEL_FORMAT_VERSIONS`): an MLP
+file is at version 2, and a forest file at version 3, which stores all of a
+forest's trees in one array per field (`forest.Trees`).
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import typing
 
 import numpy as np
 
-MODEL_FORMAT_VERSION = 2
+# the format version each model kind's files are written at; a file of any
+# other version is refused
+MODEL_FORMAT_VERSIONS = {"mlp": 2, "forest": 3}
 
 # the dtype a model file holds an array field in, unless the field's
-# `dtype` metadata names another (int32 split features)
+# `dtype` metadata names another (int16 split features, int32 node counts)
 _ARRAY_DTYPE = "<f8"
 
 
@@ -41,17 +46,20 @@ class ModelVersionError(ValueError):
     """The file's format version is not supported."""
 
 
-def to_doc(record, array=np.ndarray.tolist):
+def to_doc(record, array=None, dtype=_ARRAY_DTYPE):
     """The JSON-ready document of a record (or of any value inside one); each
-    array becomes `array(a)`, by default a list."""
+    array becomes a list, or `array(a, dtype)` when `array` is passed,
+    `dtype` the one its field's arrays are stored in."""
     if dataclasses.is_dataclass(record):
-        return {name: to_doc(getattr(record, name), array) for name in _field_types(type(record))}
+        dtypes = _field_dtypes(type(record))
+        return {name: to_doc(getattr(record, name), array, dtypes[name])
+                for name in _field_types(type(record))}
     if isinstance(record, np.ndarray):
-        return array(record)
+        return record.tolist() if array is None else array(record, dtype)
     if isinstance(record, (tuple, list)):
-        return [to_doc(v, array) for v in record]
+        return [to_doc(v, array, dtype) for v in record]
     if isinstance(record, dict):
-        return {k: to_doc(v, array) for k, v in record.items()}
+        return {k: to_doc(v, array, dtype) for k, v in record.items()}
     return record
 
 
@@ -102,8 +110,9 @@ def from_doc(cls, d, array=None):
     return cls(**values)
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    dtype = a.dtype.newbyteorder("<").str
+def _encode_array(a: np.ndarray, dtype: str | None = None) -> dict:
+    """The array object of `a` in `dtype` (by default `a`'s own, little-endian)."""
+    dtype = a.dtype.newbyteorder("<").str if dtype is None else dtype
     return {"dtype": dtype, "shape": list(a.shape),
             "base64": base64.b64encode(a.astype(dtype, copy=False).tobytes()).decode("ascii")}
 
@@ -153,16 +162,17 @@ def read_json(path) -> dict:
 
 
 def write_model(path, kind: str, record) -> None:
-    """Write a model file: the format header, the `kind` tag and the record's
-    document, each array in it an object of dtype, shape and base64 bytes."""
-    write_json(path, {"format_version": MODEL_FORMAT_VERSION, "kind": kind,
+    """Write a model file: the kind's format header, the `kind` tag and the
+    record's document, each array in it an object of dtype, shape and base64
+    bytes."""
+    write_json(path, {"format_version": MODEL_FORMAT_VERSIONS[kind], "kind": kind,
                       **to_doc(record, _encode_array)})
 
 
 def read_model(path, kinds: dict):
-    """Parse a model file once, check its header, version and kind, and build
-    the record of class `kinds[kind]` from the rest of the document; every
-    malformed document raises ModelFormatError (ModelVersionError for a
+    """Parse a model file once, check its header, kind and the kind's version,
+    and build the record of class `kinds[kind]` from the rest of the document;
+    every malformed document raises ModelFormatError (ModelVersionError for a
     foreign version)."""
     try:
         doc = read_json(path)
@@ -171,16 +181,15 @@ def read_model(path, kinds: dict):
     if "format_version" not in doc:
         raise ModelFormatError(f"{path} is missing the format header")
     version = doc.pop("format_version")
-    # 2.0 equals 2 in Python (and True equals 1), so the type is checked too
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path} has format version {version!r}, expected {MODEL_FORMAT_VERSION}"
-        )
     kind = doc.pop("kind", None)
     if not isinstance(kind, str) or kind not in kinds:
         raise ModelFormatError(
             f"{path} holds a {kind!r} model, expected {' or '.join(map(repr, kinds))}"
         )
+    expected = MODEL_FORMAT_VERSIONS[kind]
+    # 3.0 equals 3 in Python (and True equals 1), so the type is checked too
+    if type(version) is not int or version != expected:
+        raise ModelVersionError(f"{path} has format version {version!r}, expected {expected}")
     try:
         return from_doc(kinds[kind], doc, _decode_array)
     except (KeyError, TypeError, ValueError, OverflowError) as e:

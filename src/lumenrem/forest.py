@@ -15,7 +15,8 @@ cuts that make the same or a mirrored partition may score differently in the
 last bit, and then the higher score wins. Rows route left when
 feature < threshold. Features are used raw —
 axis-aligned splits don't care about scale, so trees skip the normalization
-the MLP needs.
+the MLP needs. A forest holds its trees as `Trees`, one array per field
+across all of them, the form its model file stores.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .dataset import _feature_rows, _stream
 __all__ = [
     "TreeParams",
     "Tree",
+    "Trees",
     "Forest",
     "fit_cart",
     "fit_extra_trees",
@@ -71,14 +73,18 @@ class TreeParams:
 class Tree:
     """One binary regression tree in flat-array form, numbered breadth-first.
 
-    feature[i] is the split feature of node i, or -1 for a leaf; leaves keep
-    their routed-target mean in value[i]. Node 0 is the root. The children
-    follow from the order alone: the k-th split node's are nodes 2k + 1
-    (`left`) and 2k + 2 (`right`), and a leaf's are -1. They are derived when
-    asked for; a forest derives every tree's at once.
+    feature[i] is the split feature of node i, or -1 for a leaf; a split
+    keeps its threshold in threshold[i] and a leaf its routed-target mean in
+    value[i]. Node 0 is the root. The children follow from the order alone:
+    the k-th split node's are nodes 2k + 1 (`left`) and 2k + 2 (`right`), and
+    a leaf's are -1. They are derived when asked for; a forest derives every
+    tree's at once. A grown tree holds a NaN threshold at each leaf and its
+    rows' mean at each split; a tree of a loaded forest is a view into the
+    forest's route layout, with a NaN value at each split, as a model file
+    stores no split's value.
     """
 
-    feature: np.ndarray = field(metadata={"dtype": "<i4"})  # as a model file stores it
+    feature: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
 
@@ -319,11 +325,122 @@ def _extra_splitter(params: TreeParams, rngs: list[np.random.Generator]):
 # Forest container
 # ---------------------------------------------------------------------------
 
+# a model file stores split features as int16
+_MAX_FEATURES = int(np.iinfo(np.int16).max)
+
+
+@dataclass(eq=False)
+class Trees:
+    """A forest's trees as its model file stores them, one array per field
+    across all of them: each tree's node count (`nodes`), every node's split
+    feature (-1 at a leaf), the split nodes' thresholds and the leaves'
+    values, each in node order. A file holds the split features as int16,
+    and neither a leaf's threshold nor a split's value, which no route reads.
+
+    It is the sequence of its trees. Built by `Trees.of` it holds the trees
+    it was given; otherwise each tree is a view into the route layout
+    (`layout`, see `_layout`), which is built at once from the four arrays.
+    The arrays are refused, each named, unless they are 1-D, every node
+    count is at least 1 and the counts sum to the length of `feature`, and
+    there is one threshold per split and one value per leaf; the forest that
+    holds them checks the trees.
+    """
+
+    nodes: np.ndarray = field(metadata={"dtype": "<i4"})
+    feature: np.ndarray = field(metadata={"dtype": "<i2"})
+    threshold: np.ndarray
+    value: np.ndarray
+    layout: tuple = field(init=False, repr=False)
+    _trees: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.nodes = np.asarray(self.nodes, dtype=np.int32)
+        self.feature = np.asarray(self.feature, dtype=np.int32)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        for name in ("nodes", "feature", "threshold", "value"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"Trees.{name} is not one-dimensional")
+        if len(self.nodes) and self.nodes.min() < 1:
+            raise ValueError("Trees.nodes holds a node count below 1")
+        total = int(self.nodes.sum(dtype=np.int64))
+        if total != len(self.feature):
+            raise ValueError(f"Trees.nodes counts {total} nodes, but Trees.feature holds "
+                             f"{len(self.feature)}")
+        splits = int(np.count_nonzero(self.feature >= 0))
+        for name, want, what in (("threshold", splits, "split nodes"),
+                                 ("value", total - splits, "leaves")):
+            if len(getattr(self, name)) != want:
+                raise ValueError(f"Trees.{name} holds {len(getattr(self, name))} items, "
+                                 f"but Trees.feature has {want} {what}")
+        self.layout = feature, threshold, _, value, roots = _layout(
+            self.nodes, self.feature, self.threshold, self.value)
+        bounds = [*roots.tolist(), len(feature)]
+        self._trees = tuple(Tree(feature[lo:hi], threshold[lo:hi], value[lo:hi])
+                            for lo, hi in zip(bounds, bounds[1:]))
+
+    @classmethod
+    def of(cls, trees) -> Trees:
+        """The `Trees` of a sequence of trees whose arrays are 1-D, not empty
+        and of one length each; it holds the trees as given."""
+        feature = np.concatenate([t.feature for t in trees])
+        split = feature >= 0
+        # gathering through indices is several times faster than through a mask
+        stored = cls(nodes=[len(t.feature) for t in trees], feature=feature,
+                     threshold=np.concatenate([t.threshold for t in trees]).take(
+                         np.flatnonzero(split)),
+                     value=np.concatenate([t.value for t in trees]).take(np.flatnonzero(~split)))
+        stored._trees = tuple(trees)
+        return stored
+
+    def __reduce__(self):
+        # a copy holds the trees alone and builds its arrays and layout again
+        return Trees.of, (self._trees,)
+
+    def __len__(self) -> int:
+        return len(self._trees)
+
+    def __getitem__(self, i):
+        return self._trees[i]
+
+    def __iter__(self):
+        return iter(self._trees)
+
+
+def _layout(nodes, feature, threshold, value) -> tuple:
+    """The route layout of trees stored as `Trees` stores them: every node's
+    feature, threshold, right child and value, the trees back to back, and
+    each tree's root (its first node). A split's right child is numbered in
+    the flat layout and its left child is the node before it; its value is
+    NaN, as no route reads it. A leaf is its own right child and has a NaN
+    threshold, so `x < threshold` is False at a leaf whatever x is, and a
+    step from it stays on it; its feature stays -1, the leaf mark."""
+    roots = np.add.accumulate(nodes, dtype=np.intp) - nodes
+    split = feature >= 0
+    # scattering through indices is several times faster than through a mask
+    inner, leaves = np.flatnonzero(split), np.flatnonzero(~split)
+    full_threshold, full_value = np.full(len(feature), np.nan), np.full(len(feature), np.nan)
+    full_threshold[inner] = threshold
+    full_value[leaves] = value
+    # the k-th split of tree t has its right child at roots[t] + 2k + 2, and
+    # the splits of tree t are inner[ahead[t]:ahead[t + 1]]
+    ahead = inner.searchsorted(np.append(roots, len(feature)))
+    right = np.arange(len(feature))
+    right[inner] = (np.arange(2, 2 * len(inner) + 2, 2)
+                    + (roots - 2 * ahead[:-1]).repeat(ahead[1:] - ahead[:-1]))
+    return feature, full_threshold, right, full_value, roots
+
+
+def _pack(trees) -> tuple:
+    """The route layout (`_layout`) of a sequence of trees."""
+    return Trees.of(trees).layout
+
+
 def _check_tree(t: Tree, n_features: int) -> None:
     """Refuse a tree unless its arrays are 1-D and of equal length, features in
     range, nodes one more than twice the splits, each split's left child above
-    it, and split thresholds and values finite. The node count and the child
-    order make every node reached from the root once, so routing ends."""
+    it, and split thresholds and leaf values finite. The node count and the
+    child order make every node reached from the root once, so routing ends."""
     arrays = (t.feature, t.threshold, t.value)
     if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) > 1:
         raise ValueError("tree arrays must be one-dimensional and of equal length")
@@ -335,29 +452,34 @@ def _check_tree(t: Tree, n_features: int) -> None:
                          f"not {1 + 2 * len(inner)}")
     if np.any(t.left[inner] <= inner):
         raise ValueError("a split node's derived left child is not numbered above it")
-    if not (np.all(np.isfinite(t.threshold[inner])) and np.all(np.isfinite(t.value))):
-        raise ValueError("a threshold or value is not finite")
+    if not np.all(np.isfinite(t.threshold[inner])):
+        raise ValueError("a split threshold is not finite")
+    if not np.all(np.isfinite(t.value[t.feature < 0])):
+        raise ValueError("a leaf value is not finite")
 
 
-def _check_trees(trees, n_features: int) -> tuple:
-    """The route layout (`_pack`) of trees that each pass `_check_tree`. The
-    checks run over all trees' nodes at once, on the layout; only when one
-    fails are the trees checked one by one, so the first tree that fails is
-    refused with the message it gets alone."""
-    if all(t.feature.ndim == t.threshold.ndim == t.value.ndim == 1
-           and len(t.feature) == len(t.threshold) == len(t.value) for t in trees):
-        packed = feature, threshold, right, value, roots = _pack(trees)
+def _check_trees(trees, n_features: int) -> Trees:
+    """`trees`, a `Trees` or a sequence of `Tree`, as a `Trees` whose trees
+    each pass `_check_tree`. The checks run over all trees' nodes at once, on
+    the stored arrays and their route layout; only when one fails are the
+    trees checked one by one, so the first tree that fails is refused with
+    the message it gets alone."""
+    if isinstance(trees, Trees):
+        stored = trees
+    elif all(t.feature.ndim == t.threshold.ndim == t.value.ndim == 1
+             and 0 < len(t.feature) == len(t.threshold) == len(t.value) for t in trees):
+        stored = Trees.of(trees)
+    else:
+        stored = None
+    if stored is not None:
+        feature, _, right, _, roots = stored.layout
         inner = np.flatnonzero(feature >= 0)
-        bounds = np.append(roots, len(feature))
-        ahead = inner.searchsorted(bounds)
-        # a leaf's threshold is NaN in the layout, so the finite ones are the
-        # splits' when every split's is finite
-        if (np.array_equal(bounds[1:] - roots, 1 + 2 * (ahead[1:] - ahead[:-1]))
+        ahead = inner.searchsorted(np.append(roots, len(feature)))
+        if (np.array_equal(stored.nodes, 1 + 2 * (ahead[1:] - ahead[:-1]))
                 and feature.min() >= -1 and feature.max() < n_features
                 and np.all(right.take(inner) - inner >= 2)  # the left child, right - 1, is above
-                and np.count_nonzero(np.isfinite(threshold)) == len(inner)
-                and np.isfinite(value).all()):
-            return packed
+                and np.isfinite(stored.threshold).all() and np.isfinite(stored.value).all()):
+            return stored
     for t in trees:
         _check_tree(t, n_features)
 
@@ -367,13 +489,16 @@ class Forest:
     """A fitted tree model: one CART, an Extra Trees ensemble, or AdaBoost.R2.
 
     Every tree is checked when the forest is built, fitted or loaded alike.
-    For adaboost_r2, `trees` holds members' trees back to back
+    `trees` may be given as any sequence of `Tree`, and the forest holds it
+    as a `Trees`. For adaboost_r2, it holds members' trees back to back
     (`trees_per_member` each) and `tree_weights` carries one ln(1/beta)
     confidence per member; the other modes hold neither, one tree a member.
+    `n_features`, `seed` and `trees_per_member` are ints, and a model file
+    stores split features as int16, so `n_features` is at most 32,767.
     """
 
     mode: str
-    trees: tuple[Tree, ...]
+    trees: Trees
     n_features: int
     params: TreeParams
     seed: int
@@ -387,15 +512,22 @@ class Forest:
     def __post_init__(self):
         if self.mode not in ("single", "extra_trees", "adaboost_r2"):
             raise ValueError(f"unknown forest mode {self.mode!r}")
-        self.trees = tuple(self.trees)
-        if not self.trees:
+        # a bool or a float passes a range check, so the type is checked too
+        for name in ("n_features", "seed", "trees_per_member"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not 1 <= self.n_features <= _MAX_FEATURES:
+            raise ValueError(f"n_features must lie in [1, {_MAX_FEATURES}], "
+                             f"got {self.n_features}")
+        trees = self.trees if isinstance(self.trees, Trees) else tuple(self.trees)
+        if not trees:
             raise ValueError("forest holds no trees")
         if self.trees_per_member < 1:
             raise ValueError(f"trees_per_member must be >= 1, got {self.trees_per_member}")
-        if len(self.trees) % self.trees_per_member:
+        if len(trees) % self.trees_per_member:
             raise ValueError("tree count is not a multiple of trees_per_member")
         if self.mode == "adaboost_r2":
-            n_members = len(self.trees) // self.trees_per_member
+            n_members = len(trees) // self.trees_per_member
             if self.tree_weights is None or len(self.tree_weights) != n_members:
                 raise ValueError("adaboost_r2 needs one weight per member")
             self.tree_weights = np.asarray(self.tree_weights, dtype=np.float64)
@@ -406,10 +538,11 @@ class Forest:
         elif self.trees_per_member != 1:
             raise ValueError(f"{self.mode} forests take trees_per_member 1, "
                              f"got {self.trees_per_member}")
-        self._set_layout(_check_trees(self.trees, self.n_features))
+        self.trees = _check_trees(trees, self.n_features)
+        self._set_layout()
 
-    def _set_layout(self, packed: tuple) -> None:
-        self._packed = packed
+    def _set_layout(self) -> None:
+        self._packed = packed = self.trees.layout
         self._walker = (*map(memoryview, packed[:4]), packed[4].tolist())
 
     def __getstate__(self):
@@ -418,33 +551,11 @@ class Forest:
 
     def __setstate__(self, state):
         vars(self).update(state)
-        self._set_layout(_pack(self.trees))
+        self._set_layout()
 
     @property
     def n_members(self) -> int:
         return len(self.trees) // self.trees_per_member
-
-
-def _pack(trees) -> tuple:
-    """The route layout of `trees`: their feature, threshold, right-child and
-    value arrays back to back, and each tree's root (its first node). A
-    split's right child is numbered in the flat layout and its left child is
-    the node before it. A leaf is its own right child and has a NaN
-    threshold, so `x < threshold` is False at a leaf whatever x is, and a
-    step from it stays on it; its feature stays -1, the leaf mark."""
-    bounds = np.cumsum([0, *(len(t.feature) for t in trees)], dtype=np.intp)
-    roots = bounds[:-1]
-    feature, value = (np.concatenate([getattr(t, a) for t in trees]) for a in ("feature", "value"))
-    inner = np.flatnonzero(feature >= 0)
-    threshold = np.full(len(feature), np.nan)
-    threshold[inner] = np.concatenate([t.threshold for t in trees])[inner]
-    # the k-th split of tree t has its right child at roots[t] + 2k + 2, and
-    # the splits of tree t are inner[ahead[t]:ahead[t + 1]]
-    ahead = inner.searchsorted(bounds)
-    right = np.arange(len(feature))
-    right[inner] = (np.arange(2, 2 * len(inner) + 2, 2)
-                    + (roots - 2 * ahead[:-1]).repeat(ahead[1:] - ahead[:-1]))
-    return feature, threshold, right, value, roots
 
 
 # n * max|y| at most this keeps every squared target sum of a split score, and

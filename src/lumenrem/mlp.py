@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._doc import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError  # re-exported
-from ._doc import read_model, write_model
+from ._doc import ModelFormatError, ModelVersionError  # re-exported
+from ._doc import MODEL_FORMAT_VERSIONS, read_model, write_model
 from .dataset import NormStats, SplitSets, _feature_rows, _stream, apply_norm, fit_norm
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+# the format version of an MLP model file
+MODEL_FORMAT_VERSION = MODEL_FORMAT_VERSIONS["mlp"]
 
 # Hidden-layer widths selectable by name on the command line.
 MLP_PRESETS = {

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lumenrem import cli, evalmap, forest, mlp
-from lumenrem._doc import _encode_array
+from lumenrem._doc import MODEL_FORMAT_VERSIONS, _encode_array
 from lumenrem.dataset import Dataset
 from lumenrem.scene import Scene, preset_scene
 
@@ -213,13 +213,13 @@ def test_main_calls_in_a_row_share_no_values(workdir, trained):
 
 def test_map_from_malformed_forest_file_is_runtime_error(workdir, capsys):
     # the root splits on feature 3 of a 3-feature model
-    nan = float("nan")
-    doc = {"format_version": mlp.MODEL_FORMAT_VERSION, "kind": "forest", "mode": "extra_trees",
-           "n_features": 3, "params": forest.TreeParams().to_dict(), "seed": 0,
-           "trees_per_member": 1, "tree_weights": None,
-           "trees": [{"feature": _encode_array(np.array([3, -1, -1], dtype="<i4")),
-                      "threshold": _encode_array(np.array([0.5, nan, nan])),
-                      "value": _encode_array(np.zeros(3))}]}
+    doc = {"format_version": MODEL_FORMAT_VERSIONS["forest"], "kind": "forest",
+           "mode": "extra_trees", "n_features": 3, "params": forest.TreeParams().to_dict(),
+           "seed": 0, "trees_per_member": 1, "tree_weights": None,
+           "trees": {"nodes": _encode_array(np.array([3], dtype="<i4")),
+                     "feature": _encode_array(np.array([3, -1, -1], dtype="<i2")),
+                     "threshold": _encode_array(np.array([0.5])),
+                     "value": _encode_array(np.zeros(2))}}
     Path("bad.json").write_text(json.dumps(doc))
     assert cli.main(["map", "--model", "bad.json", "--out", "m.csv"]) == 2
     assert "bad.json is malformed: a split feature lies outside [0, 3)" in capsys.readouterr().err

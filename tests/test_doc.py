@@ -217,7 +217,7 @@ def model_file(tmp_path_factory):
 @pytest.mark.parametrize("edit, named", [
     (lambda doc: doc.update(surplus=1), "unknown keys ['surplus']"),
     (lambda doc: doc["params"].pop("max_depth"), "missing keys ['max_depth']"),
-    (lambda doc: doc["trees"][0].update(extra=[]), "unknown keys ['extra']"),
+    (lambda doc: doc["trees"].update(extra=[]), "unknown keys ['extra']"),
 ])
 def test_cli_map_rejects_a_model_file_with_bad_keys(monkeypatch, tmp_path, capsys, model_file,
                                                      edit, named):
@@ -265,15 +265,20 @@ def saved_models(tmp_path_factory):
 
 def test_model_file_arrays_are_little_endian_base64(saved_models, tmp_path):
     """Decoding an array field by hand gives the model's array, and saving a
-    loaded model again gives the same bytes."""
+    loaded model again gives the same bytes. A forest stores all its trees'
+    node counts, features, split thresholds and leaf values, one array each."""
     f = forest.load_forest(saved_models / "f.json")
-    doc = json.loads((saved_models / "f.json").read_text())
-    for tree, tree_doc in zip(f.trees, doc["trees"]):
-        for name, dtype in (("feature", "<i4"), ("threshold", "<f8"), ("value", "<f8")):
-            a = tree_doc[name]
-            assert (a["dtype"], a["shape"]) == (dtype, [tree.n_nodes])
-            assert (base64.b64decode(a["base64"])
-                    == getattr(tree, name).astype(dtype).tobytes())
+    doc = json.loads((saved_models / "f.json").read_text())["trees"]
+    feature = np.concatenate([t.feature for t in f.trees])
+    split = feature >= 0
+    for name, dtype, want in (
+            ("nodes", "<i4", [t.n_nodes for t in f.trees]),
+            ("feature", "<i2", feature),
+            ("threshold", "<f8", np.concatenate([t.threshold for t in f.trees])[split]),
+            ("value", "<f8", np.concatenate([t.value for t in f.trees])[~split])):
+        a = doc[name]
+        assert (a["dtype"], a["shape"]) == (dtype, [len(want)])
+        assert base64.b64decode(a["base64"]) == np.asarray(want).astype(dtype).tobytes()
     m = mlp.load_model(saved_models / "m.json")
     w = json.loads((saved_models / "m.json").read_text())["weights"][0]
     assert (w["dtype"], w["shape"]) == ("<f8", [3, 4])
@@ -305,7 +310,7 @@ _THREE = np.array([0.5, 1.5, -2.0]).tobytes()
 ], ids=["bad-alphabet", "bad-padding", "ragged-bytes", "short-shape", "large-shape",
         "huge-shape", "negative-shape", "float32", "list-of-numbers"])
 @pytest.mark.parametrize("name, path, field", [
-    ("f.json", ("trees", 1, "threshold"), "Tree.threshold"),
+    ("f.json", ("trees", "threshold"), "Trees.threshold"),
     ("m.json", ("weights", 0), "MlpModel.weights[0]"),
 ], ids=["forest", "mlp"])
 def test_hostile_array_objects_are_refused(saved_models, monkeypatch, tmp_path, capsys,
@@ -334,10 +339,10 @@ def test_hostile_array_objects_are_refused(saved_models, monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize("name, path, field, array, message", [
-    ("f.json", ("trees", 0, "feature"), "Tree.feature",
+    ("f.json", ("trees", "feature"), "Trees.feature",
      _array_object("<f8", [5], np.array([0.7, 0.7, -1.0, -1.0, -1.0]).tobytes()),
-     "has dtype '<f8', not its field's '<i4'"),
-    ("f.json", ("trees", 1, "threshold"), "Tree.threshold",
+     "has dtype '<f8', not its field's '<i2'"),
+    ("f.json", ("trees", "threshold"), "Trees.threshold",
      _array_object("<i4", [3], np.array([1, 2, 3], dtype="<i4").tobytes()),
      "has dtype '<i4', not its field's '<f8'"),
     ("m.json", ("biases", 0), "MlpModel.biases[0]",
@@ -373,7 +378,7 @@ def test_a_version_1_file_is_refused(monkeypatch, tmp_path, capsys):
            "tree_weights": None, "trees": [{"feature": [0, -1, -1], "threshold": [0.5, nan, nan],
                                             "value": [0.0, -1.0, 1.0]}]}
     Path("old.json").write_text(json.dumps(doc))
-    message = "old.json has format version 1, expected 2"
+    message = "old.json has format version 1, expected 3"
     with pytest.raises(mlp.ModelVersionError, match=message):
         forest.load_forest("old.json")
     assert cli.main(["predict", "--model", "old.json", "--at", "1,1,1", "--out", "p.csv"]) == 2

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from lumenrem import cli, evalmap
 from lumenrem import forest as fr
-from lumenrem._doc import _encode_array
-from lumenrem.mlp import MODEL_FORMAT_VERSION, ModelFormatError, ModelVersionError
+from lumenrem._doc import MODEL_FORMAT_VERSIONS, _encode_array
+from lumenrem.mlp import ModelFormatError, ModelVersionError
 
 
 def _toy(n=200, k=3, seed=0, noise=0.0):
@@ -685,8 +686,10 @@ def test_single_row_sum_starts_from_the_first_tree():
 
 @st.composite
 def _small_forests(draw):
-    """A forest of any mode with random stopping rules, grown on a few rows
-    whose features lie on a coarse grid, so many cuts fall on grid values."""
+    """A forest of any mode with 1 to 12 trees and random stopping rules,
+    grown on a few rows whose features lie on a coarse grid, so many cuts
+    fall on grid values; fewer rows than `min_samples_split` make a tree a
+    single root leaf."""
     n, k = draw(st.integers(2, 40)), draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -700,9 +703,9 @@ def _small_forests(draw):
         return fr.Forest(mode="single", trees=(fr.fit_cart(X, y, params),), n_features=k,
                          params=params, seed=0)
     if mode == "extra_trees":
-        return fr.fit_extra_trees(X, y, n_trees=draw(st.integers(1, 5)), params=params,
+        return fr.fit_extra_trees(X, y, n_trees=draw(st.integers(1, 12)), params=params,
                                   seed=seed)
-    return fr.fit_adaboost_r2(X, y, n_estimators=draw(st.integers(1, 3)),
+    return fr.fit_adaboost_r2(X, y, n_estimators=draw(st.integers(1, 4)),
                               base_n_trees=draw(st.integers(1, 3)), params=params, seed=seed)
 
 
@@ -867,7 +870,7 @@ def test_only_adaboost_holds_member_fields(tmp_path, capsys, mode, field, value,
                   **{field: value})
     p = tmp_path / "m.json"
     stored = value if field == "trees_per_member" else _array(value)
-    p.write_text(json.dumps(_forest_doc([_STUMP, _STUMP], mode=mode, **{field: stored})))
+    p.write_text(json.dumps(_forest_doc(_TWO_STUMPS, mode=mode, **{field: stored})))
     with pytest.raises(ModelFormatError, match=re.escape(f"{p} is malformed: {message}")):
         fr.load_forest(p)
     out = tmp_path / "p.csv"
@@ -893,7 +896,7 @@ def test_forest_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(fr.predict_forest(back, X), fr.predict_forest(f, X))
     doc = json.loads(p.read_text())
     assert "meta" not in doc
-    assert all(sorted(t) == ["feature", "threshold", "value"] for t in doc["trees"])
+    assert sorted(doc["trees"]) == ["feature", "nodes", "threshold", "value"]
     fr.save_forest(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == p.read_bytes()
 
@@ -908,24 +911,84 @@ _GROWN_TREES_SHA1 = {
 }
 
 
-def test_loaded_trees_derive_the_children_growth_numbered(tmp_path):
+def _grown_models():
     rng = np.random.default_rng(42)
     X = np.round(rng.uniform(0.0, 5.0, (300, 3)), 2)
     y = X[:, 0] ** 2 - 2.0 * X[:, 1] + rng.normal(size=300)
-    models = {
+    return {
         "cart": fr.Forest(mode="single", trees=(fr.fit_cart(X, y),), n_features=3,
                           params=fr.TreeParams(), seed=0),
         "xt": fr.fit_extra_trees(X, y, n_trees=5, seed=1),
         "adaboost": fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=2, seed=2),
     }
-    for kind, model in models.items():
+
+
+def _assert_loaded_as_grown(grown, loaded):
+    """A loaded tree has the grown tree's features, thresholds, children and
+    leaf values in every bit, and a NaN value at each split, which a model
+    file does not store."""
+    assert len(loaded) == len(grown)
+    for g, t in zip(grown, loaded):
+        for name in ("feature", "threshold", "left", "right"):
+            assert getattr(t, name).tobytes() == getattr(g, name).tobytes(), name
+        leaf = g.feature < 0
+        assert t.value[leaf].tobytes() == g.value[leaf].tobytes()
+        assert np.isnan(t.value[~leaf]).all()
+
+
+def test_loaded_trees_derive_the_children_growth_numbered(tmp_path):
+    for kind, model in _grown_models().items():
+        h = hashlib.sha1()
+        for t in model.trees:
+            for a in (t.feature, t.threshold, t.left, t.right, t.value):
+                h.update(a.tobytes())
+        assert h.hexdigest() == _GROWN_TREES_SHA1[kind], kind
         fr.save_forest(model, tmp_path / "m.json")
-        for trees in (model.trees, fr.load_forest(tmp_path / "m.json").trees):
-            h = hashlib.sha1()
-            for t in trees:
-                for a in (t.feature, t.threshold, t.left, t.right, t.value):
-                    h.update(a.tobytes())
-            assert h.hexdigest() == _GROWN_TREES_SHA1[kind], kind
+        _assert_loaded_as_grown(model.trees, fr.load_forest(tmp_path / "m.json").trees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_small_forests(), seed=st.integers(0, 2**32 - 1))
+def test_a_saved_forest_loads_with_its_bits(model, seed):
+    """Saved and loaded, a forest keeps its fields, its trees' features,
+    thresholds, children and leaf values in every bit (a NaN value at each
+    split), and its predictions for a batch and for each row alone, rows
+    drawn from the grid, every split threshold and NaN; saved again, it
+    gives the same bytes, and a pickled copy predicts the same batch."""
+    with tempfile.TemporaryDirectory() as d:
+        fr.save_forest(model, Path(d, "a.json"))
+        back = fr.load_forest(Path(d, "a.json"))
+        fr.save_forest(back, Path(d, "b.json"))
+        assert Path(d, "b.json").read_bytes() == Path(d, "a.json").read_bytes()
+    for name in ("mode", "n_features", "params", "seed", "trees_per_member"):
+        assert getattr(back, name) == getattr(model, name), name
+    if model.tree_weights is not None:
+        assert back.tree_weights.tobytes() == model.tree_weights.tobytes()
+    _assert_loaded_as_grown(model.trees, back.trees)
+    cuts = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+    pool = np.concatenate([np.arange(5) / 2.0, cuts, [np.nan]])
+    rows = np.random.default_rng(seed).choice(pool, (9, model.n_features))
+    batch = fr.predict_forest(model, rows).tobytes()
+    assert fr.predict_forest(back, rows).tobytes() == batch
+    assert fr.predict_forest(pickle.loads(pickle.dumps(back)), rows).tobytes() == batch
+    for row in rows:
+        assert (np.float64(fr.predict_forest(back, row)).tobytes()
+                == np.float64(fr.predict_forest(model, row)).tobytes())
+
+
+# sha1 of a saved model file's bytes, for the models of `_grown_models`
+_FILE_SHA1 = {
+    "xt": "d932549f61159acb2df6786f218810faf83cdb3a",
+    "adaboost": "945a0ae1db1641145c1b8083199bae391e924818",
+}
+
+
+def test_a_grown_forest_file_keeps_its_bytes(tmp_path):
+    """A change to the forest file format, or to the bits it stores, shows here."""
+    models = _grown_models()
+    for kind, sha1 in _FILE_SHA1.items():
+        fr.save_forest(models[kind], tmp_path / "m.json")
+        assert hashlib.sha1((tmp_path / "m.json").read_bytes()).hexdigest() == sha1, kind
 
 
 def test_forest_load_errors(tmp_path):
@@ -933,20 +996,21 @@ def test_forest_load_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
-    # 2.0 equals 2 in Python, but only the integer 2 is version 2
-    for version in (99, 1, True, 2.0, "2"):
+    # 3.0 equals 3 in Python, but only the integer 3 is version 3
+    for version in (99, 1, 2, True, 3.0, "3"):
         p.write_text(json.dumps({"format_version": version, "kind": "forest"}))
-        with pytest.raises(ModelVersionError, match=re.escape(f"version {version!r},")):
+        with pytest.raises(ModelVersionError, match=re.escape(f"version {version!r}, expected 3")):
             fr.load_forest(p)
-    p.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION, "kind": "mlp"}))
+    # the kind is checked before the version, which is the kind's own
+    p.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSIONS["forest"], "kind": "mlp"}))
     with pytest.raises(ModelFormatError):
         fr.load_forest(p)
 
 
 def _forest_doc(trees, **fields):
-    doc = {"format_version": MODEL_FORMAT_VERSION, "kind": "forest", "mode": "extra_trees",
-           "n_features": 3, "params": fr.TreeParams().to_dict(), "seed": 0,
-           "trees_per_member": 1, "tree_weights": None, "trees": trees}
+    doc = {"format_version": MODEL_FORMAT_VERSIONS["forest"], "kind": "forest",
+           "mode": "extra_trees", "n_features": 3, "params": fr.TreeParams().to_dict(),
+           "seed": 0, "trees_per_member": 1, "tree_weights": None, "trees": trees}
     doc.update(fields)
     return doc
 
@@ -955,31 +1019,56 @@ def _array(values, dtype="<f8"):
     return _encode_array(np.asarray(values, dtype=dtype))
 
 
-def _tree(feature, threshold, value, feature_dtype="<i4"):
-    return {"feature": _array(feature, feature_dtype), "threshold": _array(threshold),
-            "value": _array(value)}
+def _trees(feature, threshold, value, nodes=None, dtypes=("<i4", "<i2", "<f8", "<f8")):
+    """The document of a forest's trees (`fr.Trees`): every node's feature,
+    the split thresholds and the leaf values; `nodes` defaults to one tree
+    holding every node."""
+    nodes = [len(feature)] if nodes is None else nodes
+    return dict(zip(("nodes", "feature", "threshold", "value"),
+                    map(_array, (nodes, feature, threshold, value), dtypes)))
 
 
 _NAN = float("nan")
-_STUMP = _tree([0, -1, -1], [0.5, _NAN, _NAN], [0.0, -1.0, 1.0])
+_STUMP = _trees([0, -1, -1], [0.5], [-1.0, 1.0])
+_TWO_STUMPS = _trees([0, -1, -1] * 2, [0.5] * 2, [-1.0, 1.0] * 2, nodes=[3, 3])
 
 
 def test_hand_built_forest_file_loads(tmp_path):
     p = tmp_path / "f.json"
-    p.write_text(json.dumps(_forest_doc([_STUMP])))
+    p.write_text(json.dumps(_forest_doc(_STUMP)))
     f = fr.load_forest(p)
     np.testing.assert_array_equal(fr.predict_forest(f, [[0.1, 0, 0], [0.9, 0, 0]]), [-1.0, 1.0])
 
 
 def test_a_file_with_stored_children_is_refused(tmp_path):
-    """The layout written before trees derived their children."""
-    doc = _forest_doc([{**_STUMP, "left": _array([1, -1, -1], "<i4"),
-                        "right": _array([2, -1, -1], "<i4")}], meta={"n_trees": 1})
+    """The layouts written before a forest stored one array per field: a
+    list of per-tree documents, with their children or without."""
+    stump = {"feature": _array([0, -1, -1], "<i4"), "threshold": _array([0.5, _NAN, _NAN]),
+             "value": _array([0.0, -1.0, 1.0])}
+    children = {"left": _array([1, -1, -1], "<i4"), "right": _array([2, -1, -1], "<i4")}
     p = tmp_path / "f.json"
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError,
-                       match=re.escape("Tree document has unknown keys ['left', 'right']")):
-        fr.load_forest(p)
+    for tree in (stump, {**stump, **children}):
+        p.write_text(json.dumps(_forest_doc([tree])))
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("a Trees document must be an object, got list")):
+            fr.load_forest(p)
+
+
+def test_a_version_2_forest_file_is_refused(monkeypatch, tmp_path, capsys):
+    """A forest file as written before the forest's trees were stored one array
+    per field: its version is refused before its layout is read."""
+    monkeypatch.chdir(tmp_path)
+    doc = _forest_doc([{"feature": _array([0, -1, -1], "<i4"),
+                        "threshold": _array([0.5, _NAN, _NAN]),
+                        "value": _array([0.0, -1.0, 1.0])}], format_version=2)
+    Path("old.json").write_text(json.dumps(doc))
+    message = "old.json has format version 2, expected 3"
+    for load in (fr.load_forest, evalmap.load_any_model):
+        with pytest.raises(ModelVersionError, match=message):
+            load("old.json")
+    assert cli.main(["predict", "--model", "old.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("p.csv").exists()
 
 
 def _breadth_first(splits):
@@ -1068,7 +1157,7 @@ def test_a_forest_is_refused_as_its_first_bad_tree_alone(trees):
     message the first such tree gets."""
     want = next(filter(None, map(_refusal_alone, trees)), None)
     if want is None:
-        assert fr._check_trees(trees, 3)[0].tobytes() == fr._pack(trees)[0].tobytes()
+        assert list(fr._check_trees(trees, 3)) == trees
     else:
         with pytest.raises(ValueError) as err:
             fr._check_trees(trees, 3)
@@ -1076,51 +1165,129 @@ def test_a_forest_is_refused_as_its_first_bad_tree_alone(trees):
 
 
 _FEATURE_LIMIT = r"a split feature lies outside \[0, 3\)"
-_NOT_FINITE = "a threshold or value is not finite"
+_NOT_FINITE_THRESHOLD = "a split threshold is not finite"
+_NOT_FINITE_VALUE = "a leaf value is not finite"
 _NOT_ABOVE = "a split node's derived left child is not numbered above it"
-_RAGGED = "tree arrays must be one-dimensional and of equal length"
+_STUMP_ARRAYS = ([0, -1, -1], [0.5], [-1.0, 1.0])
+
+
+def _stump_with(**changes):
+    """The stump's trees document with some arrays replaced: `feature`,
+    `threshold`, `value` and `nodes` by their values, and `dtypes` by the
+    dtypes all four are stored in."""
+    arrays = [changes.pop(name, a) for name, a in zip(("feature", "threshold", "value"),
+                                                      _STUMP_ARRAYS)]
+    return _trees(*arrays, **changes)
+
+
+def _wrong_dtype(name, dtype):
+    dtypes = dict(zip(("nodes", "feature", "threshold", "value"), ("<i4", "<i2", "<f8", "<f8")))
+    field = dtypes[name]
+    dtypes[name] = dtype
+    return (_forest_doc(_stump_with(dtypes=tuple(dtypes.values()))),
+            re.escape(f"Trees.{name} has dtype '{dtype}', not its field's '{field}'"))
 
 
 @pytest.mark.parametrize("doc, message", [
     # a split root with no children
-    (_forest_doc([_tree([0], [0.5], [1.0])]), "a tree with 1 split nodes has 1 nodes, not 3"),
+    (_forest_doc(_trees([0], [0.5], [])), "a tree with 1 split nodes has 1 nodes, not 3"),
     # leaves the root never reaches
-    (_forest_doc([_tree([-1, -1, -1], [_NAN] * 3, [0.0] * 3)]),
+    (_forest_doc(_trees([-1, -1, -1], [], [0.0] * 3)),
      "a tree with 0 split nodes has 3 nodes, not 1"),
     # a split whose children would lie past the end
-    (_forest_doc([_tree([0, 0, -1], [0.5, 0.5, _NAN], [0.0] * 3)]),
+    (_forest_doc(_trees([0, 0, -1], [0.5, 0.5], [0.0])),
      "a tree with 2 split nodes has 3 nodes, not 5"),
     # a split below a leaf root: its children would be itself and the next node
-    (_forest_doc([_tree([-1, 0, -1], [_NAN, 0.5, _NAN], [0.0] * 3)]), _NOT_ABOVE),
+    (_forest_doc(_trees([-1, 0, -1], [0.5], [0.0] * 2)), _NOT_ABOVE),
     # node 3 is the second split, so its left child would be node 3 itself: a back edge
-    (_forest_doc([_tree([0, -1, -1, 0, -1], [0.5, _NAN, _NAN, 0.5, _NAN], [0.0] * 5)]),
-     _NOT_ABOVE),
-    (_forest_doc([_STUMP], trees_per_member=0), "trees_per_member must be >= 1, got 0"),
-    (_forest_doc([_STUMP], mode="adaboost_r2", tree_weights=_array([_NAN])),
+    (_forest_doc(_trees([0, -1, -1, 0, -1], [0.5, 0.5], [0.0] * 3)), _NOT_ABOVE),
+    (_forest_doc(_STUMP, trees_per_member=0), "trees_per_member must be >= 1, got 0"),
+    (_forest_doc(_STUMP, mode="adaboost_r2", tree_weights=_array([_NAN])),
      "adaboost_r2 member weights must be finite"),
     # split on feature 3 of a 3-feature model
-    (_forest_doc([_tree([3, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3)]), _FEATURE_LIMIT),
-    (_forest_doc([_tree([0, -2, -1], [0.5, _NAN, _NAN], [0.0] * 3)]), _FEATURE_LIMIT),
-    (_forest_doc([_tree([0, -1, -1], [_NAN] * 3, [0.0] * 3)]), _NOT_FINITE),
-    (_forest_doc([_tree([-1], [_NAN], [float("inf")])]), _NOT_FINITE),
-    (_forest_doc([_tree([0, -1, -1], [0.5, _NAN], [0.0] * 3)]), _RAGGED),
-    (_forest_doc([_tree([[0, -1, -1]], [[0.5, _NAN, _NAN]], [[0.0] * 3])]), _RAGGED),
-    (_forest_doc([_tree([], [], [])]), "a tree with 0 split nodes has 0 nodes, not 1"),
-    (_forest_doc([_tree([2**40, -1, -1], [0.5, _NAN, _NAN], [0.0] * 3, "<i8")]),
-     re.escape("Tree.feature has dtype '<i8', not its field's '<i4'")),
-    *((_forest_doc([_STUMP], params={**fr.TreeParams().to_dict(), key: value}),
+    (_forest_doc(_stump_with(feature=[3, -1, -1])), _FEATURE_LIMIT),
+    (_forest_doc(_stump_with(feature=[0, -2, -1])), _FEATURE_LIMIT),
+    (_forest_doc(_stump_with(threshold=[_NAN])), _NOT_FINITE_THRESHOLD),
+    (_forest_doc(_trees([-1], [], [math.inf])), _NOT_FINITE_VALUE),
+    # one threshold too few
+    (_forest_doc(_stump_with(threshold=[])),
+     re.escape("Trees.threshold holds 0 items, but Trees.feature has 1 split nodes")),
+    (_forest_doc(_stump_with(feature=[[0, -1, -1]])),
+     re.escape("Trees.feature is not one-dimensional")),
+    (_forest_doc(_trees([], [], [], nodes=[0])), re.escape("Trees.nodes holds a node count below 1")),
+    # a split feature that int16 does not hold
+    (_forest_doc(_stump_with(feature=[2**40, -1, -1], dtypes=("<i4", "<i8", "<f8", "<f8"))),
+     re.escape("Trees.feature has dtype '<i8', not its field's '<i2'")),
+    *((_forest_doc(_STUMP, params={**fr.TreeParams().to_dict(), key: value}),
        re.escape(f"{key} must be an int >= {low}, got {value!r}"))
       for key, value, low in (("max_depth", True, 1), ("max_depth", 2.0, 1),
                               ("min_samples_split", 2.5, 2), ("min_samples_leaf", 1.5, 1))),
+    (_forest_doc(_stump_with(nodes=[-1])), re.escape("Trees.nodes holds a node count below 1")),
+    (_forest_doc(_stump_with(nodes=[4])),
+     re.escape("Trees.nodes counts 4 nodes, but Trees.feature holds 3")),
+    (_forest_doc(_stump_with(nodes=[2])),
+     re.escape("Trees.nodes counts 2 nodes, but Trees.feature holds 3")),
+    (_forest_doc(_stump_with(nodes=[3, 1])),
+     re.escape("Trees.nodes counts 4 nodes, but Trees.feature holds 3")),
+    (_forest_doc(_stump_with(threshold=[0.5, 0.5])),
+     re.escape("Trees.threshold holds 2 items, but Trees.feature has 1 split nodes")),
+    (_forest_doc(_stump_with(value=[0.0])),
+     re.escape("Trees.value holds 1 items, but Trees.feature has 2 leaves")),
+    (_forest_doc(_stump_with(value=[0.0] * 3)),
+     re.escape("Trees.value holds 3 items, but Trees.feature has 2 leaves")),
+    (_forest_doc(_stump_with(value=[0.0, _NAN])), _NOT_FINITE_VALUE),
+    (_forest_doc({**_STUMP, "nodes": {**_STUMP["nodes"], "shape": [10**12]}}),
+     re.escape("Trees.nodes declares shape [1000000000000], but holds 1 items")),
+    _wrong_dtype("nodes", "<i8"),
+    _wrong_dtype("feature", "<i4"),
+    _wrong_dtype("threshold", "<f4"),
+    _wrong_dtype("value", "<f4"),
+    (_forest_doc(_STUMP, n_features=40000), re.escape("n_features must lie in [1, 32767], got 40000")),
 ], ids=["split-root-alone", "unreached-leaves", "child-past-end", "split-below-a-leaf",
         "back-edge", "zero-trees-per-member", "nan-member-weight", "feature-out-of-range",
         "feature-below-leaf-mark", "nan-threshold", "inf-value", "ragged-arrays",
         "two-dimensional-arrays", "empty-tree", "int32-overflow", "bool-max-depth",
-        "float-max-depth", "float-min-samples-split", "float-min-samples-leaf"])
-def test_load_rejects_hostile_forest_files(tmp_path, doc, message):
-    """Each file fails at load time; none is ever handed to predict."""
-    p = tmp_path / "f.json"
-    p.write_text(json.dumps(doc))
+        "float-max-depth", "float-min-samples-split", "float-min-samples-leaf",
+        "negative-node-count", "counts-past-the-nodes", "counts-short-of-the-nodes",
+        "two-counts-for-one-tree", "one-threshold-too-many", "one-value-too-few",
+        "one-value-too-many", "nan-leaf-value", "huge-nodes-shape", "int64-nodes",
+        "int32-features", "float32-thresholds", "float32-values", "too-many-features"])
+def test_load_rejects_hostile_forest_files(monkeypatch, tmp_path, capsys, doc, message):
+    """Each file fails at load time, naming the file; none is ever handed to
+    predict, and `lumenrem predict` on it exits 2 and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(json.dumps(doc))
     for load in (fr.load_forest, evalmap.load_any_model):
-        with pytest.raises(ModelFormatError, match="is malformed: .*" + message):
-            load(p)
+        with pytest.raises(ModelFormatError, match="f.json is malformed: .*" + message):
+            load("f.json")
+    assert cli.main(["predict", "--model", "f.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert re.search("f.json is malformed: .*" + message, capsys.readouterr().err)
+    assert not list(Path().glob("p.csv*"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trees_per_member", 2.0), ("n_features", 3.0), ("seed", 1.5), ("n_features", True),
+    ("seed", None), ("trees_per_member", "2"),
+])
+def test_forest_scalar_fields_are_python_ints(monkeypatch, tmp_path, capsys, field, value):
+    """A float, a bool or any other value that is not an int is refused in
+    each of the forest's int fields, naming the field, whether the forest is
+    built in Python or loaded; `lumenrem predict` on an AdaBoost.R2 file so
+    edited exits 2 naming the file and the field, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    message = f"{field} must be an int, got {value!r}"
+    fields = {"n_features": 3, "seed": 0, "trees_per_member": 2, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fr.Forest(mode="adaboost_r2", trees=(fr.Tree([-1], [_NAN], [1.0]),) * 2,
+                  params=fr.TreeParams(), tree_weights=np.ones(1), **fields)
+    X, y = _toy(n=40, seed=5)
+    fr.save_forest(fr.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=2, seed=5), "m.json")
+    doc = json.loads(Path("m.json").read_text())
+    doc[field] = value
+    Path("m.json").write_text(json.dumps(doc))
+    expected = f"m.json is malformed: {message}"
+    with pytest.raises(ModelFormatError, match=re.escape(expected)):
+        evalmap.load_any_model("m.json")
+    assert cli.main(["predict", "--model", "m.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
+    assert expected in capsys.readouterr().err
+    assert not list(Path().glob("p.csv*"))
