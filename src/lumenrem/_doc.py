@@ -4,8 +4,9 @@ layer and CSV writer.
 A record is a dataclass; its document is an object with exactly one key per
 constructor argument. Tuples and arrays become lists, records nested objects.
 Reading is strict: a document with a missing or an unknown key is refused
-with every such key named. Each record's own `__post_init__` converts and
-checks the values it is given.
+with every such key named. Each record's `__post_init__` first holds its
+int, float and str fields to their type hints (`check_fields`), then checks
+their ranges.
 
 A model file stores each array as an object instead: its dtype, its shape and
 the base64 of its little-endian bytes, which is smaller than a list of
@@ -67,6 +68,42 @@ def to_doc(record, array=None, dtype=_ARRAY_DTYPE):
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def _problem(hint, v) -> str | None:
+    """What keeps `v` from being a value of the type hint, or None: an int
+    field takes an int, a float field an int or a float that is finite (not
+    a bool, nor an int too large for a float), a str field a str, and a
+    tuple field a list or a tuple of such items. A record or an array is
+    left to check itself."""
+    if hint is int:
+        return None if type(v) is int else f"be an int, got {v!r}"
+    if hint is str:
+        return None if type(v) is str else f"be a str, got {v!r}"
+    if hint is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return f"be a real number, got {v!r}"
+        try:
+            return None if math.isfinite(v) else f"be finite, got {v!r}"
+        except OverflowError:
+            return "be finite, got an int too large for a float"
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if v is None else _problem(args[0], v)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(v, (list, tuple)):
+            return f"be a list, got {v!r}"
+        return next(filter(None, (_problem(args[0], x) for x in v)), None)
+    return None
+
+
+def check_fields(record) -> None:
+    """ValueError "<Record> <field> must <problem>" for the first field whose
+    value its type hint refuses (see `_problem`)."""
+    for name, hint in _field_types(type(record)).items():
+        problem = _problem(hint, getattr(record, name))
+        if problem:
+            raise ValueError(f"{type(record).__name__} {name} must {problem}")
 
 
 @functools.cache
@@ -150,11 +187,12 @@ def write_json(path, doc, indent=None) -> None:
 
 def read_json(path) -> dict:
     """The object a JSON file holds (NaN and Infinity accepted, as written);
-    ValueError names the file when it is not UTF-8 JSON or not an object."""
+    ValueError names the file when it is not UTF-8 JSON (an integer of more
+    digits than Python converts included) or not an object."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError among them
         raise ValueError(f"{path} is not a JSON file: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"{path} holds a {type(doc).__name__}, not a JSON object")

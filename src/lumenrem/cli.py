@@ -321,7 +321,11 @@ def _cmd_bench(args) -> list[str]:
 
 
 def _cmd_campaign(args) -> list[str]:
-    spec = evalmap.CampaignSpec.from_dict(read_json(args.spec))
+    doc = read_json(args.spec)
+    try:
+        spec = evalmap.CampaignSpec.from_dict(doc)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{args.spec}: {e}") from e
     result = evalmap.campaign(spec)
     rows_path, summary_path = result.write_csv(args.out)
     print(f"wrote {rows_path} ({len(result.rows)} rows) and "

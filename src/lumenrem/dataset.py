@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from ._doc import read_json, write_csv, write_json
+from ._doc import check_fields, read_json, write_csv, write_json
 from .scene import Scene, variable_scene
 
 __all__ = [
@@ -234,10 +234,9 @@ class NormStats:
     target_std: float
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("feature_mean", "feature_std"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "target_mean", float(self.target_mean))
-        object.__setattr__(self, "target_std", float(self.target_std))
         stats = np.concatenate([self.feature_mean, self.feature_std,
                                 [self.target_mean, self.target_std]])
         if not (np.all(np.isfinite(stats)) and np.all(self.feature_std > 0.0)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, forest, mlp
-from ._doc import from_doc, read_model, to_doc, write_csv
+from ._doc import check_fields, from_doc, read_model, to_doc, write_csv
 from .dataset import (
     FEATURE_LAYOUTS, Dataset, SplitSets, _check_rows, _rss, _stream, add_noise,
     generate_fixed, generate_reference, split, subsample,
@@ -538,22 +538,12 @@ class CampaignSpec:
     patch_edge_m: float = channel.DEFAULT_PATCH_EDGE_M
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("models", "train_sizes", "epochs", "batch_sizes", "noise_factors"):
             v = getattr(self, name)
-            if not isinstance(v, (list, tuple)) or not v:
+            if not v:
                 raise ValueError(f"campaign {name} must be a non-empty list, got {v!r}")
             object.__setattr__(self, name, tuple(v))
-        # a bool, a float or NaN would pass the range checks below or fail later unnamed
-        for name in ("led_count", "repetitions", "seed", "pool_per_axis", "reference_n",
-                     "train_sizes", "epochs", "batch_sizes"):
-            v = getattr(self, name)
-            if any(type(e) is not int for e in (v if isinstance(v, tuple) else (v,))):
-                raise ValueError(f"campaign {name} takes ints only, got {v!r}")
-        for name in ("noise_factors", "patch_edge_m"):
-            v = getattr(self, name)
-            if not all(isinstance(e, (int, float)) and type(e) is not bool and math.isfinite(e)
-                       for e in (v if isinstance(v, tuple) else (v,))):
-                raise ValueError(f"campaign {name} takes finite numbers only, got {v!r}")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if unknown:
             raise ValueError(f"unknown model kinds {unknown}; expected {MODEL_KINDS}")

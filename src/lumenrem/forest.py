@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._doc import from_doc, read_model, to_doc, write_model
+from ._doc import check_fields, from_doc, read_model, to_doc, write_model
 from .dataset import _feature_rows, _stream
 
 __all__ = [
@@ -55,10 +55,10 @@ class TreeParams:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        # a bool or a float passes the range checks, so the type is checked too
+        check_fields(self)
         for name, low in (("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1)):
             v = getattr(self, name)
-            if (type(v) is not int or v < low) and not (name == "max_depth" and v is None):
+            if v is not None and v < low:
                 raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
 
     def to_dict(self) -> dict:
@@ -510,12 +510,9 @@ class Forest:
     _walker: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in ("single", "extra_trees", "adaboost_r2"):
             raise ValueError(f"unknown forest mode {self.mode!r}")
-        # a bool or a float passes a range check, so the type is checked too
-        for name in ("n_features", "seed", "trees_per_member"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 1 <= self.n_features <= _MAX_FEATURES:
             raise ValueError(f"n_features must lie in [1, {_MAX_FEATURES}], "
                              f"got {self.n_features}")

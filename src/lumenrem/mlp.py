@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._doc import ModelFormatError, ModelVersionError  # re-exported
-from ._doc import MODEL_FORMAT_VERSIONS, read_model, write_model
+from ._doc import MODEL_FORMAT_VERSIONS, check_fields, read_model, write_model
 from .dataset import NormStats, SplitSets, _feature_rows, _stream, apply_norm, fit_norm
 
 __all__ = [
@@ -67,21 +67,21 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        check_fields(self)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1/beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("learning_rate", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

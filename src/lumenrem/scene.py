@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._doc import from_doc, read_json, to_doc, write_json
+from ._doc import check_fields, from_doc, read_json, to_doc, write_json
 
 __all__ = [
     "Room",
@@ -43,22 +43,6 @@ _WALL_REFLECTANCE = 0.8
 _RESPONSIVITY = 1.0
 
 
-def _number_problem(x) -> str | None:
-    """What keeps x from being a finite real number, or None if it is one:
-    it is a str, a bool, None or another non-number, an int too large for a
-    float, NaN or an infinity."""
-    if x is None or isinstance(x, (str, bytes, bool)):
-        return f"be a real number, got {x!r}"
-    try:
-        if math.isfinite(x):
-            return None
-    except TypeError:
-        return f"be a real number, got {x!r}"
-    except OverflowError:
-        return "be finite, got an int too large for a float"
-    return f"be finite, got {x!r}"
-
-
 def lambertian_order(hpa_deg: float) -> float:
     """Lambertian order m = -ln 2 / ln cos(half-power semi-angle)."""
     if not 0 < hpa_deg < 90:
@@ -80,17 +64,6 @@ def _gain_fails(fov_deg: float, n: float) -> bool:
         return True
 
 
-def _refuse_non_numbers(record, *names: str) -> None:
-    """ValueError naming the first of the record's fields `names` that is not
-    a finite real number (a tuple field is checked item by item)."""
-    for name in names:
-        v = getattr(record, name)
-        for x in v if isinstance(v, tuple) else (v,):
-            problem = _number_problem(x)
-            if problem:
-                raise ValueError(f"{type(record).__name__} {name} must {problem}")
-
-
 @dataclass(frozen=True)
 class Room:
     """Rectangular room extents in meters."""
@@ -100,7 +73,7 @@ class Room:
     lz: float
 
     def __post_init__(self):
-        _refuse_non_numbers(self, "lx", "ly", "lz")
+        check_fields(self)
         if not (self.lx > 0 and self.ly > 0 and self.lz > 0):
             raise ValueError(f"room dimensions must be positive, got {self.lx}x{self.ly}x{self.lz}")
 
@@ -114,10 +87,9 @@ class Transmitter:
     hpa_deg: float = _HPA_DEG
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.position) != 3:
             raise ValueError("position must be a 3D point")
-        object.__setattr__(self, "position", tuple(self.position))
-        _refuse_non_numbers(self, "position", "power_mw", "hpa_deg")
         object.__setattr__(self, "position", tuple(float(c) for c in self.position))
         if self.power_mw <= 0:
             raise ValueError(f"power_mw must be positive, got {self.power_mw}")
@@ -145,8 +117,7 @@ class Receiver:
     responsivity: float = _RESPONSIVITY
 
     def __post_init__(self):
-        _refuse_non_numbers(self, "area_m2", "fov_deg", "filter_gain", "refractive_index",
-                            "responsivity")
+        check_fields(self)
         if self.area_m2 <= 0:
             raise ValueError(f"area_m2 must be positive, got {self.area_m2}")
         if not 0 < self.fov_deg <= 90:
@@ -175,8 +146,8 @@ class Scene:
     wall_reflectance: float = _WALL_REFLECTANCE
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "transmitters", tuple(self.transmitters))
-        _refuse_non_numbers(self, "wall_reflectance")
         if not self.transmitters:
             raise ValueError("scene needs at least one transmitter")
         if not 0 <= self.wall_reflectance <= 1:

@@ -553,19 +553,34 @@ def test_only_a_run_that_succeeds_leaves_a_record(workdir, trained, capsys, argv
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"repetitions": 1.5}, "campaign repetitions takes ints only, got 1.5"),
-    ({"train_sizes": [20.0]}, r"campaign train_sizes takes ints only, got \(20.0,\)"),
-    ({"noise_factors": [float("nan")]}, "campaign noise_factors takes finite numbers only"),
-    ({"noise_factors": ["a"]}, r"campaign noise_factors takes finite numbers only, got \('a',\)"),
-    ({"noise_factors": [True]}, "campaign noise_factors takes finite numbers only"),
-    ({"models": "dt"}, "campaign models must be a non-empty list, got 'dt'"),
-    ({"train_sizes": 60}, "campaign train_sizes must be a non-empty list, got 60"),
-    ({"epochs": []}, r"campaign epochs must be a non-empty list, got \[\]"),
+    ({"repetitions": 1.5}, "CampaignSpec repetitions must be an int, got 1.5"),
+    ({"train_sizes": [20.0]}, "CampaignSpec train_sizes must be an int, got 20.0"),
+    ({"noise_factors": [float("nan")]}, "CampaignSpec noise_factors must be finite, got nan"),
+    ({"noise_factors": ["a"]}, "CampaignSpec noise_factors must be a real number, got 'a'"),
+    ({"noise_factors": [True]}, "CampaignSpec noise_factors must be a real number, got True"),
+    ({"models": "dt"}, "CampaignSpec models must be a list, got 'dt'"),
+    ({"train_sizes": 60}, "CampaignSpec train_sizes must be a list, got 60"),
+    ({"epochs": []}, "campaign epochs must be a non-empty list, got []"),
+    ({"patch_edge_m": 10**400},
+     "CampaignSpec patch_edge_m must be finite, got an int too large for a float"),
+    ({"noise_factors": [10**400]},
+     "CampaignSpec noise_factors must be finite, got an int too large for a float"),
+], ids=[  # the first eight keep the ids they had when CampaignSpec worded its own refusals
+    "edit0-campaign repetitions takes ints only, got 1.5",
+    r"edit1-campaign train_sizes takes ints only, got \(20.0,\)",
+    "edit2-campaign noise_factors takes finite numbers only",
+    r"edit3-campaign noise_factors takes finite numbers only, got \('a',\)",
+    "edit4-campaign noise_factors takes finite numbers only",
+    "edit5-campaign models must be a non-empty list, got 'dt'",
+    "edit6-campaign train_sizes must be a non-empty list, got 60",
+    r"edit7-campaign epochs must be a non-empty list, got \[\]",
+    "huge-int-patch-edge", "huge-int-noise-factor",
 ])
 def test_campaign_spec_values_are_named(workdir, capsys, edit, message):
     Path("spec.json").write_text(json.dumps({"models": ["dt"], **edit}))
     assert cli.main(["campaign", "--spec", "spec.json", "--out", "camp"]) == 2
-    assert re.search(message, capsys.readouterr().err)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: spec.json: {message}"]
     assert not Path("camp").exists()
 
 

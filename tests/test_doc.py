@@ -3,9 +3,20 @@ and writer, the one CSV writer and the files written through them, and forest
 predictions that do not depend on the batch a row sits in."""
 
 import base64
+import contextlib
+import copy
+import dataclasses
+import functools
+import io
 import json
+import math
+import operator
+import os
 import re
+import tempfile
 import tracemalloc
+import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,9 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumenrem import cli, evalmap, forest, mlp
-from lumenrem._doc import from_doc, read_json, to_doc, write_csv, write_json
+from lumenrem._doc import _field_types, from_doc, read_json, to_doc, write_csv, write_json
 from lumenrem.dataset import Dataset, NormStats
-from lumenrem.scene import Receiver, Scene, variable_scene
+from lumenrem.scene import Receiver, Scene, preset_scene, variable_scene
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 positive = st.floats(1e-6, 1e3)
@@ -153,7 +164,9 @@ def test_read_json_names_the_file(tmp_path):
     p.write_text('{"threshold": NaN, "x": [1]}')
     doc = read_json(p)
     assert np.isnan(doc["threshold"]) and doc["x"] == [1]
-    for raw in (b"{not json", b"[1, 2]", b"null", b'"text"', b"\xff\xfe{}"):
+    # an integer of more digits than Python converts from a string included
+    for raw in (b"{not json", b"[1, 2]", b"null", b'"text"', b"\xff\xfe{}",
+                b'{"seed": 1' + b"0" * 5000 + b"}"):
         p.write_bytes(raw)
         with pytest.raises(ValueError, match="d.json"):
             read_json(p)
@@ -383,6 +396,97 @@ def test_a_version_1_file_is_refused(monkeypatch, tmp_path, capsys):
         forest.load_forest("old.json")
     assert cli.main(["predict", "--model", "old.json", "--at", "1,1,1", "--out", "p.csv"]) == 2
     assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Scalar fields: each one's type hint is its rule, in every file a command reads
+# ---------------------------------------------------------------------------
+
+def _scalar_fields(cls, doc, path=()):
+    """(path, record, field, hint, optional) of every int, float and str
+    field in a record's document, its nested records' included: the hint is
+    X of `X | None` (then `optional`), and a tuple field's path ends at its
+    first item, whose hint it is."""
+    for name, hint in _field_types(cls).items():
+        at, value, args = (*path, name), doc[name], typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            at, value = (*at, 0), value[0]
+        optional, hint = type(None) in args, (args or (hint,))[0]
+        if dataclasses.is_dataclass(hint) and value is not None:
+            yield from _scalar_fields(hint, value, at)
+        elif hint in (int, float, str):
+            yield at, cls, name, hint, optional
+
+
+# for each hint, values it refuses: never a valid one, as a valid seed of
+# 10**400 would run a whole campaign
+_REFUSED = {
+    int: st.floats() | st.booleans() | st.none() | st.text(max_size=3),
+    float: st.booleans() | st.none() | st.text(max_size=3)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),
+    str: st.integers() | st.none(),
+}
+
+
+@pytest.fixture(scope="module")
+def readable_files(tmp_path_factory):
+    """For each file a command reads: its record class, a valid document and
+    the command's arguments around the file and output paths."""
+    d = tmp_path_factory.mktemp("scalars")
+    X = np.random.default_rng(5).uniform(0.0, 3.0, (40, 3))
+    y = X[:, 0] - X[:, 1]
+    model = mlp.init(mlp.MlpConfig(input_dim=3, hidden=(4,)))
+    model.norm = NormStats(np.zeros(3), np.ones(3), -20.0, 3.0)
+    mlp.save_model(model, d / "mlp.json")
+    forest.save_forest(forest.fit_extra_trees(X, y, n_trees=2, seed=5), d / "xt.json")
+    forest.save_forest(forest.fit_adaboost_r2(X, y, n_estimators=2, base_n_trees=1, seed=5),
+                       d / "adaboost.json")
+    predict = ["predict", "--model", "{in}", "--at", "1,1,0.5", "--out", "{out}"]
+    return {
+        "scene": (Scene, preset_scene("mid").to_dict(),
+                  ["generate", "--scene", "{in}", "--reference", "2", "--out", "{out}"]),
+        "campaign": (evalmap.CampaignSpec, evalmap.CampaignSpec.from_dict({"models": ["dt"]})
+                     .to_dict(), ["campaign", "--spec", "{in}", "--out", "{out}"]),
+        **{kind: (cls, json.loads((d / f"{kind}.json").read_text()), predict)
+           for kind, cls in (("mlp", mlp.MlpModel), ("xt", forest.Forest),
+                             ("adaboost", forest.Forest))},
+    }
+
+
+def test_every_kind_of_file_has_scalar_fields(readable_files):
+    named = {f"{cls.__name__} {name}" for cls, doc, _ in readable_files.values()
+             for _, cls, name, *_ in _scalar_fields(cls, doc)}
+    assert {"Transmitter position", "Receiver responsivity", "CampaignSpec models",
+            "MlpConfig hidden", "NormStats target_std", "Forest mode",
+            "TreeParams max_depth"} <= named
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_scalar_its_type_hint_refuses_is_named(readable_files, data):
+    """Any int, float or str field of any file, set to a value its type hint
+    refuses: the command exits 2 with one line naming the file, the record
+    and the field, writes nothing and lets no warning escape."""
+    cls, doc, command = readable_files[data.draw(st.sampled_from(sorted(readable_files)))]
+    path, owner, name, hint, optional = data.draw(st.sampled_from(list(_scalar_fields(cls, doc))))
+    refused = _REFUSED[hint].filter(lambda v: v is not None) if optional else _REFUSED[hint]
+    doc = copy.deepcopy(doc)
+    node = functools.reduce(operator.getitem, path[:-1], doc)
+    node[path[-1]] = data.draw(refused, label=f"{owner.__name__} {name}")
+    with tempfile.TemporaryDirectory() as d:
+        src, out = Path(d, "in.json"), Path(d, "out")
+        src.write_text(json.dumps(doc))
+        argv = [a.format_map({"in": src, "out": out}) for a in command]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and str(src) in lines[0]
+        assert f"{owner.__name__} {name} must " in lines[0]
+        assert os.listdir(d) == ["in.json"]
+    assert not caught
 
 
 # ---------------------------------------------------------------------------

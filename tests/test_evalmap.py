@@ -455,7 +455,7 @@ def test_campaign_spec_validation():
     ("train_sizes", (20.0,)), ("epochs", (True,)), ("batch_sizes", (16, 32.0)),
 ])
 def test_campaign_spec_integer_fields_take_ints_only(field, value):
-    with pytest.raises(ValueError, match=f"campaign {field} takes ints only"):
+    with pytest.raises(ValueError, match=f"CampaignSpec {field} must be an int, got "):
         evalmap.CampaignSpec(**{field: value})
 
 
@@ -477,7 +477,7 @@ def test_campaign_spec_refuses_pool_and_reference_sizes_by_name(field, value, me
     ("patch_edge_m", math.nan), ("patch_edge_m", math.inf),
 ])
 def test_campaign_spec_float_fields_take_finite_numbers_only(field, value):
-    with pytest.raises(ValueError, match=f"campaign {field} takes finite numbers only"):
+    with pytest.raises(ValueError, match=f"CampaignSpec {field} must be finite, got "):
         evalmap.CampaignSpec(**{field: value})
 
 

@@ -536,7 +536,11 @@ def test_fitters_take_targets_just_under_the_bound(kind):
                                           ("max_depth", 0), ("min_samples_split", 1),
                                           ("min_samples_leaf", 0)])
 def test_tree_params_take_integers_only(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an int >= ., got {value!r}"):
+    # a value of another type is refused by its type hint, an int below the
+    # field's least value by the range check
+    message = (f"TreeParams {field} must be an int, got {value!r}" if type(value) is not int
+               else f"{field} must be an int >= ., got {value!r}")
+    with pytest.raises(ValueError, match=message):
         fr.TreeParams(**{field: value})
 
 
@@ -1219,9 +1223,9 @@ def _wrong_dtype(name, dtype):
     (_forest_doc(_stump_with(feature=[2**40, -1, -1], dtypes=("<i4", "<i8", "<f8", "<f8"))),
      re.escape("Trees.feature has dtype '<i8', not its field's '<i2'")),
     *((_forest_doc(_STUMP, params={**fr.TreeParams().to_dict(), key: value}),
-       re.escape(f"{key} must be an int >= {low}, got {value!r}"))
-      for key, value, low in (("max_depth", True, 1), ("max_depth", 2.0, 1),
-                              ("min_samples_split", 2.5, 2), ("min_samples_leaf", 1.5, 1))),
+       re.escape(f"TreeParams {key} must be an int, got {value!r}"))
+      for key, value in (("max_depth", True), ("max_depth", 2.0),
+                         ("min_samples_split", 2.5), ("min_samples_leaf", 1.5))),
     (_forest_doc(_stump_with(nodes=[-1])), re.escape("Trees.nodes holds a node count below 1")),
     (_forest_doc(_stump_with(nodes=[4])),
      re.escape("Trees.nodes counts 4 nodes, but Trees.feature holds 3")),
@@ -1275,7 +1279,7 @@ def test_forest_scalar_fields_are_python_ints(monkeypatch, tmp_path, capsys, fie
     built in Python or loaded; `lumenrem predict` on an AdaBoost.R2 file so
     edited exits 2 naming the file and the field, and writes nothing."""
     monkeypatch.chdir(tmp_path)
-    message = f"{field} must be an int, got {value!r}"
+    message = f"Forest {field} must be an int, got {value!r}"
     fields = {"n_features": 3, "seed": 0, "trees_per_member": 2, field: value}
     with pytest.raises(ValueError, match=re.escape(message)):
         fr.Forest(mode="adaboost_r2", trees=(fr.Tree([-1], [_NAN], [1.0]),) * 2,

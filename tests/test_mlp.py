@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lumenrem import dataset as dt
-from lumenrem import evalmap, mlp
+from lumenrem import cli, evalmap, mlp
 from lumenrem import forest as fr
 from lumenrem._doc import _decode_array, _encode_array
 
@@ -27,18 +29,19 @@ def _linear_splits(n=1000, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=0)
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=3, hidden=())
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=3, hidden=(32, 0))
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=3, learning_rate=0.0)
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=3, beta1=1.0)
-    with pytest.raises(ValueError):
-        mlp.MlpConfig(input_dim=3, batch_size=0)
+    for fields, message in [
+        ({"input_dim": 0}, "input_dim must be >= 1, got 0"),
+        ({"hidden": ()}, "hidden widths must be positive, got ()"),
+        ({"hidden": (32, 0)}, "hidden widths must be positive, got (32, 0)"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+        ({"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"beta2": -0.5}, "beta2 must lie in [0, 1), got -0.5"),
+        ({"epsilon": -1e-8}, "epsilon must be positive, got -1e-08"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mlp.MlpConfig(**{"input_dim": 3, **fields})
 
 
 def test_init_shapes():
@@ -443,10 +446,10 @@ _BAD_NORM = "normalization statistics must be finite, standard deviations > 0"
     (_set(("weights", 1, (0, 0)), -_INF), _NOT_FINITE),
     (_set(("biases", 0, (3,)), _INF), _NOT_FINITE),
     (_set(("norm", "feature_mean", (1,)), _NAN), _BAD_NORM),
-    (_set(("norm", "target_mean"), _INF), _BAD_NORM),
+    (_set(("norm", "target_mean"), _INF), "NormStats target_mean must be finite, got inf"),
     (_set(("norm", "feature_std", (0,)), 0.0), _BAD_NORM),
     (_set(("norm", "feature_std", (2,)), -1.0), _BAD_NORM),
-    (_set(("norm", "target_std"), _NAN), _BAD_NORM),
+    (_set(("norm", "target_std"), _NAN), "NormStats target_std must be finite, got nan"),
 ], ids=["nan-weight", "inf-weight", "inf-bias", "nan-feature-mean", "inf-target-mean",
         "zero-feature-std", "negative-feature-std", "nan-target-std"])
 def test_load_rejects_hostile_mlp_files(tmp_path, edit, message):
@@ -460,3 +463,31 @@ def test_load_rejects_hostile_mlp_files(tmp_path, edit, message):
         mlp.load_model(p)
     with pytest.raises(mlp.ModelFormatError, match=f"m.json is malformed: {message}"):
         evalmap.load_any_model(p)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set(("config", "hidden", 0), 4.7), "MlpConfig hidden"),
+    (_set(("config", "hidden"), "4"), "MlpConfig hidden"),
+    (_set(("config", "input_dim"), 3.0), "MlpConfig input_dim"),
+    (_set(("config", "batch_size"), True), "MlpConfig batch_size"),
+    (_set(("config", "seed"), None), "MlpConfig seed"),
+    (_set(("config", "seed"), 1.5), "MlpConfig seed"),
+    (_set(("config", "learning_rate"), _NAN), "MlpConfig learning_rate"),
+    (_set(("config", "epsilon"), _INF), "MlpConfig epsilon"),
+    (_set(("config", "epochs"), "x"), "MlpConfig epochs"),
+    (_set(("norm", "target_mean"), "-20.5"), "NormStats target_mean"),
+    (_set(("norm", "target_std"), True), "NormStats target_std"),
+], ids=["float-hidden-width", "str-hidden", "float-input-dim", "bool-batch-size", "null-seed",
+        "float-seed", "nan-learning-rate", "inf-epsilon", "str-epochs", "str-target-mean",
+        "bool-target-std"])
+def test_predict_refuses_an_mlp_file_with_a_bad_scalar(monkeypatch, tmp_path, capsys, edit, named):
+    """A field of the wrong type, or a float field that is not finite, is
+    refused when the file loads, naming the file, the record and the field."""
+    monkeypatch.chdir(tmp_path)
+    model = mlp.train(mlp.MlpConfig(input_dim=3, hidden=(4,), epochs=1), _linear_splits(n=50))
+    mlp.save_model(model, "m2.json")
+    Path("m2.json").write_text(json.dumps(edit(json.loads(Path("m2.json").read_text()))))
+    assert cli.main(["predict", "--model", "m2.json", "--at", "1,1,0.5", "--out", "o.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "m2.json is malformed: " in err[0] and f"{named} must " in err[0]
+    assert not list(Path().glob("o.csv*"))
