@@ -29,13 +29,25 @@ depth. Such a close pair, or close sub-patch, is not split; its own midpoint
 term is left out as for any close pair, so it adds the same 0.0 it would have
 added split, and the sums keep their bits.
 
-The same test cuts work before any term is computed. Every wall column has
-the same rows of patches, so a block of rows in height order runs the
-midpoint kernel only on the patch rows whose top edge is above its lowest
-receiver. A patch of a row cut is at or below every receiver of the block:
-its midpoint term fails the FOV test and its refinement would add exactly
-0.0. The cut terms are written as the 0.0 they are, in place, so each row
-still sums all its patches in the same pairwise order and keeps its bits.
+The walls are a regular grid: a wall column shares its x, y and wall
+normal, and a patch row its height. A block of rows meets its room's
+tiling as (rows, patch rows, columns) pairs built from per-(row, column)
+and per-(row, patch row) offsets. Only the LED leg of a midpoint term
+depends on the LED, so the block's geometry (d2^2, d2, cos(beta),
+cos(psi), the FOV and close-range masks, the close pairs) is computed once,
+and each LED then runs one light pass, ((leg / d2^2) cos(beta)) cos(psi),
+over it: every term is the same expression as computed alone, so it keeps
+its bits. The close pairs are the same for every LED; each LED's lanes send
+them to refinement.
+
+The test that prunes refinement also cuts work before any term is computed.
+The rows of a block come in height order, and its geometry covers only the
+patch rows whose top edge is above its lowest receiver. A patch of a row
+cut is at or below every receiver of the block: its midpoint term fails the
+FOV test and its refinement would add exactly 0.0. Each LED's terms are put
+back in the tiling's patch order beside the 0.0 the cut rows add, so each
+row still sums all its patches in the same pairwise order and keeps its
+bits.
 
 Each call derives a scene's constants once (`_constants`), from the formulas
 in `scene` that its records check; no kernel computes one itself. Everything
@@ -69,8 +81,9 @@ __all__ = [
 DEFAULT_PATCH_EDGE_M = 0.2
 
 # Positions go through the midpoint kernel in chunks of at most this many
-# (position, patch) pairs, so the kernel's (chunk x patches) work arrays stay
-# in cache whatever the dataset size and the patch count.
+# (position, patch) pairs, so the kernel's (chunk x patches) work arrays, the
+# geometry its LEDs share and one LED's terms, stay in cache whatever the
+# dataset size and the patch count.
 _CHUNK_PAIRS = 1 << 15
 
 # A room's wall tiling holds at most this many patches; every row costs one
@@ -243,45 +256,62 @@ def _led_leg(tx_pos: np.ndarray, m: float, centers, x_wall, sign, areas) -> np.n
     )
 
 
-def _rx_leg(dx, dy, dz, x_wall, sign, led_leg, cos_fov: float, near=None, work=None):
-    """Midpoint terms (without the constant k) from per-component receiver -
-    patch offsets: (rows, patches) against a tiling's per-patch walls, or one
-    flat (receiver, sub-patch) list. cos(beta) is the offset along the wall
-    normal over the patch -> receiver distance d2.
+class _Geometry(NamedTuple):
+    """The LED-independent half of the midpoint terms of some receiver -
+    patch pairs: d2^2, cos(beta), cos(psi), the terms left out (`drop`) and,
+    when asked for, the close pairs among them (`close`, else None)."""
 
-    The kernel works in place: it overwrites the offsets and keeps its two
-    other temporaries, the returned terms one of them, in `work` when given.
-    With `near`, a pair with d2 < near (per patch) is left out of the terms and
-    flagged in the returned mask, for refinement; without, the mask is None.
+    d2_sq: np.ndarray
+    cos_beta: np.ndarray
+    cos_psi: np.ndarray
+    drop: np.ndarray
+    close: np.ndarray | None
+
+
+def _rx_geometry(dx, dy, dz, normal, cos_fov: float, near=None, out=None) -> _Geometry:
+    """The geometry of the receiver - patch pairs from per-component
+    offsets, which broadcast together to the pairs' shape: a wall column's
+    dx, dy and signed normal offset `normal` (the offset along the wall normal
+    times the inward sign) are shared by its patches, and a patch row's dz
+    by its columns. cos(beta) is `normal` over the patch -> receiver
+    distance d2.
+
+    `out` holds four arrays of the pairs' shape for d2^2, d2, cos(beta) and
+    cos(psi); d2 is free again when this returns. With `near`, a pair with
+    d2 < near is left out of the terms and flagged in `close`, for refinement.
 
     A receiver on a (sub-)patch centre (d2 = 0) lies in its plane: the 0/0
     cosines fail the acceptance test, so the term is 0 as for any coplanar patch.
     """
-    d2_sq, d2 = (np.empty_like(dx), np.empty_like(dx)) if work is None else work
-    np.multiply(dx, dx, out=d2_sq)
-    np.multiply(dy, dy, out=d2)
-    d2_sq += d2
-    np.multiply(dz, dz, out=d2)
-    d2_sq += d2
-    np.sqrt(d2_sq, out=d2)
+    d2_sq, d2, cos_beta, cos_psi = out or (None,) * 4
+    plane = dx * dx
+    plane += dy * dy
+    d2_sq = np.add(plane, dz * dz, out=d2_sq)
+    d2 = np.sqrt(d2_sq, out=d2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_beta = dy
-        np.copyto(cos_beta, dx, where=x_wall)  # the offset along the wall normal
-        cos_beta *= sign
-        cos_beta /= d2
-        cos_psi = np.negative(dz, out=dz)  # the patch is -dz above the receiver plane
-        cos_psi /= d2
-        term = np.divide(led_leg, d2_sq, out=d2_sq)
-        term *= cos_beta
-        term *= cos_psi
+        cos_beta = np.divide(normal, d2, out=cos_beta)
+        # the patch is -dz above the receiver plane
+        cos_psi = np.divide(np.negative(dz), d2, out=cos_psi)
     # a FOV of at most 90 deg has cos_fov > 0, so this also asks cos(psi) > 0
     keep = cos_beta > 0
     keep &= cos_psi >= cos_fov
+    close = None
     if near is not None:
-        near = d2 < near
-        keep &= ~near
-    np.copyto(term, 0.0, where=~keep)
-    return term, near
+        close = d2 < near
+        keep &= ~close
+    return _Geometry(d2_sq, cos_beta, cos_psi, np.logical_not(keep, out=keep), close)
+
+
+def _rx_light(led_leg, g: _Geometry, out=None) -> np.ndarray:
+    """Midpoint terms (without the constant k) of one LED, whose leg to each
+    patch broadcasts against the pairs of `g`: ((leg / d2^2) cos(beta))
+    cos(psi), and 0.0 for every term the geometry leaves out."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.divide(led_leg, g.d2_sq, out=out)
+        term *= g.cos_beta
+        term *= g.cos_psi
+    np.copyto(term, 0.0, where=g.drop)
+    return term
 
 
 _REFINE_MAX_DEPTH = 12
@@ -344,9 +374,9 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     Sub-patches live in wall coordinates, as 1-D arrays gathered from their
     pair with `take`: a pair's wall plane and its receiver's offset from it
     along the normal are fixed, and only the tangent coordinate and the
-    height change from child to child. The receiver offsets go to `_rx_leg`
-    as (tangent, normal, z), the normal one where a y wall has it; their
-    squares add in either order to the same bits.
+    height change from child to child. The receiver offsets go to
+    `_rx_geometry` as (tangent, normal, z), the normal one where a y wall
+    has it; their squares add in either order to the same bits.
     """
     pair = np.arange(len(q.lane))
     x_wall = q.axis == 0
@@ -369,12 +399,12 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
         centers[:, 2] = z
         led_leg = _led_leg(q.tx.take(node, axis=0), m, centers, on_x, sign, eu * ev)
         near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
-        term, near = _rx_leg(rx_t.take(node) - t, rx_n.take(node), rx_z.take(node) - z,
-                             False, sign, led_leg, cos_fov, near)
-        np.add.at(sums, node, term)
+        dn = rx_n.take(node)
+        g = _rx_geometry(rx_t.take(node) - t, dn, rx_z.take(node) - z, dn * sign, cos_fov, near)
+        np.add.at(sums, node, _rx_light(led_leg, g))
         if near is None:
             break
-        (split,) = near.nonzero()
+        (split,) = g.close.nonzero()
         split = split[_rises_above(z.take(split), ev.take(split), rx_z.take(node.take(split)))]
         if not len(split):
             break
@@ -438,7 +468,13 @@ class PowerBreakdown:
 
 class _TiledRoom:
     """A scene's wall tiling and the LED leg of each patch, made once per
-    call, and the patches of it that rise above the current height cut."""
+    call, and the midpoint geometry of the current chunk of rows.
+
+    Every wall column shares its x, y, wall axis and sign, and every patch
+    row its height, so a chunk's (row, patch) pairs are laid out as (rows,
+    patch rows, columns) and built from per-(row, column) and per-(row,
+    patch row) offsets. The LED legs are kept in the (patch rows, columns)
+    layout, so the patch rows above a height cut are a slice of them."""
 
     def __init__(self, c: _Constants, patch_edge_m: float):
         self.pa = pa = _PatchArrays.from_room(c.scene.room, patch_edge_m)
@@ -450,59 +486,55 @@ class _TiledRoom:
         # edge <= d2/4, keeping the discretization error small everywhere.
         near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
         areas = pa.edges_u * pa.edges_v
-        led_legs = [_led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas)
-                    for tx, m in zip(c.scene.transmitters, c.m)]
-        # Every wall column has the same patch rows, so the patches above a
-        # height cut are the same rows of every column. Row iv's top edge,
-        # the sum `_rises_above` takes, is the same bits in every column and
-        # never falls as iv rises.
         self.patch_rows = nv = _wall_counts(c.scene.room, patch_edge_m)[1]
-        self.tops = pa.centers[:nv, 2] + 0.5 * pa.edges_v[:nv]
-        # what the midpoint kernel reads of each patch, each array apart: the
-        # centre as (3, patches), the wall axis mask, sign, close-range
-        # distance and LED legs
-        self._patches = (np.ascontiguousarray(pa.centers.T), x_wall, pa.sign, near, *led_legs)
-        self.cut = -1
+        self.led_legs = [np.ascontiguousarray(
+            _led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas)
+            .reshape(-1, nv).T) for tx, m in zip(c.scene.transmitters, c.m)]
+        # per column: centre x and y, wall axis mask, sign and close-range
+        # distance; per patch row: height and top edge, the sum `_rises_above`
+        # takes, which is the same bits in every column and never falls as
+        # the row rises
+        self.columns = (pa.centers[::nv, 0], pa.centers[::nv, 1], x_wall[::nv], pa.sign[::nv],
+                        near[::nv])
+        self.heights = pa.centers[:nv, 2]
+        self.tops = self.heights + 0.5 * pa.edges_v[:nv]
 
-    def cut_below(self, z: float) -> None:
-        """Keep only the patch rows whose top edge rises above height z, the
-        lowest receiver of the rows to come. A patch of a row cut is at or
-        below every such receiver's plane, so its term and, were it close, its
-        refinement are exactly 0.0 (`_rises_above`). The kept patches are one
-        contiguous copy, made again only when the cut moves."""
-        cut = int(np.searchsorted(self.tops, z, side="right"))
-        if cut == self.cut:
-            return
-        self.cut, self.kept = cut, self._patches
-        if cut:
-            # each array as a (..., columns, patch rows) view, its upper rows copied
-            nv = self.patch_rows
-            self.kept = [np.ascontiguousarray(a.reshape(*a.shape[:-1], -1, nv)[..., cut:])
-                         .reshape(*a.shape[:-1], -1) for a in self._patches]
+    def start_chunk(self, pos: np.ndarray, lanes: "_Lanes"):
+        """Compute the LED-independent midpoint geometry of a chunk of rows,
+        lowest first, and return the (rows, patches) of the close pairs left
+        out of its terms whose patch rises above the row's receiver plane,
+        the only ones to refine, in patch order within each row.
 
-    def midpoint_sums(self, pos: np.ndarray, t: int, lanes: "_Lanes"):
+        The geometry covers only the patch rows whose top edge is above the
+        chunk's lowest receiver. A patch of a row cut is at or below every
+        receiver's plane, so its term and, were it close, its refinement are
+        exactly 0.0 (`_rises_above`); the cut is a start index on the patch
+        row axis."""
+        cx, cy, x_wall, sign, near = self.columns
+        nv, n = self.patch_rows, len(pos)
+        self.cut = cut = int(np.searchsorted(self.tops, pos[0, 2], side="right"))
+        *out, self.full = lanes.work(*[(n, nv - cut, len(cx))] * 4, (n, len(cx), nv))
+        dx = pos[:, 0, None, None] - cx
+        dy = pos[:, 1, None, None] - cy
+        dz = pos[:, 2, None, None] - self.heights[cut:, None]
+        self.g = g = _rx_geometry(dx, dy, dz, np.where(x_wall, dx, dy) * sign, self.cos_fov,
+                                  near, out)
+        self.term = out[1]  # d2's array, free once the geometry is made
+        self.full[:, :, :cut] = 0.0
+        r, column, row = np.nonzero(g.close.transpose(0, 2, 1))
+        c = column * nv + cut + row  # the patch's index in the tiling
+        seen = _rises_above(self.pa.centers[c, 2], self.pa.edges_v[c], pos[r, 2])
+        return r[seen], c[seen]
+
+    def midpoint_sums(self, t: int) -> np.ndarray:
         """Per-row midpoint-rule sum over the patches (without the constant k)
-        for transmitter t, and the (rows, patches) of the close pairs left out
-        of it whose patch rises above the row's receiver plane, the only ones
-        to refine. The kernel runs on the kept patches only; the rows cut are
-        written as the 0.0 they add, so each row's sum is NumPy's pairwise sum
-        over all its room's patches, the same bits as with no cut."""
-        pa, cut, nv, n = self.pa, self.cut, self.patch_rows, len(pos)
-        centers, x_wall, sign, near, *led_legs = self.kept
-        columns, kept = len(pa) // nv, nv - cut
-        work, *full = lanes.work((5, n, columns * kept), *([(n, len(pa))] if cut else []))
-        for axis in range(3):
-            np.subtract(pos[:, axis, None], centers[axis], out=work[axis])
-        terms, near = _rx_leg(*work[:3], x_wall, sign, led_legs[t], self.cos_fov, near, work[3:])
-        r, c = np.nonzero(near)
-        if cut:
-            c += cut * (c // kept + 1)  # the kept patch's index in the tiling
-            by_row = full[0].reshape(n, columns, nv)
-            by_row[:, :, :cut] = 0.0
-            by_row[:, :, cut:] = terms.reshape(n, columns, kept)
-            terms = full[0]
-        seen = _rises_above(pa.centers[c, 2], pa.edges_v[c], pos[r, 2])
-        return terms.sum(axis=1), (r[seen], c[seen])
+        for transmitter t on the current chunk: one light pass over its
+        geometry, the terms put back in the tiling's patch order beside the
+        0.0 the rows cut add, so each row's sum is NumPy's pairwise sum over
+        all its room's patches, the same bits as with no cut."""
+        term = _rx_light(self.led_legs[t][self.cut:], self.g, out=self.term)
+        self.full[:, :, self.cut:] = term.transpose(0, 2, 1)
+        return self.full.reshape(len(term), -1).sum(axis=1)
 
 
 class _Lanes:
@@ -530,9 +562,11 @@ def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
               patch_edge_m: float) -> None:
     """Rows lo:hi of `pos`, all in the scene's room, lowest first (a stable
     sort by height), in (rows, patches) chunks of at most _CHUNK_PAIRS pairs
-    (one row at least) against the room's tiling, one LED after another.
-    A chunk meets only the patch rows above its lowest row
-    (`_TiledRoom.cut_below`); the cut rises chunk after chunk."""
+    (one row at least) against the room's tiling. Each chunk's midpoint
+    geometry is computed once, against only the patch rows above its lowest
+    row (`_TiledRoom.start_chunk`), so the cut rises chunk after chunk; then
+    each LED runs one light pass over it and sends the chunk's close pairs,
+    the same for every LED, to refinement for its own lanes."""
     room = _TiledRoom(c, patch_edge_m)
     pa = room.pa
     step = max(1, _CHUNK_PAIRS // len(pa))
@@ -540,15 +574,16 @@ def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
     for a in range(0, hi - lo, step):
         rows = order[a:a + step]
         p = pos[rows]
-        room.cut_below(p[0, 2])
+        r, j = room.start_chunk(p, lanes)
+        close = _Pairs(rows[r] * lanes.width, p[r], None, pa.centers[j], pa.axis[j],
+                       pa.sign[j], pa.edges_u[j], pa.edges_v[j])
         for t, (tx, m, k) in enumerate(zip(c.scene.transmitters, c.m, c.k)):
             lanes.los[rows, t] = tx.power_mw * _los_gain_block(c, m, np.asarray(tx.position), p)
-            lanes.sums[rows, t], (r, j) = room.midpoint_sums(p, t, lanes)
+            lanes.sums[rows, t] = room.midpoint_sums(t)
             lanes.k[rows, t], lanes.power[rows, t] = k, tx.power_mw
             if len(r):
-                lanes.queue.put((m, c.cos_fov), _Pairs(
-                    rows[r] * lanes.width + t, p[r], np.broadcast_to(tx.position, (len(r), 3)),
-                    pa.centers[j], pa.axis[j], pa.sign[j], pa.edges_u[j], pa.edges_v[j]))
+                lanes.queue.put((m, c.cos_fov), close._replace(
+                    lane=close.lane + t, tx=np.broadcast_to(tx.position, (len(r), 3))))
 
 
 def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
@@ -595,13 +630,15 @@ def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
     led_leg = _led_leg(np.repeat(tx_pos, size, axis=0), m, _take(pa.centers, leg_patch),
                        _take(x_wall, leg_patch), _take(pa.sign, leg_patch),
                        _take(pa.edges_u * pa.edges_v, leg_patch))
-    work, = lanes.work((5, lane_size.sum()))
+    dx, dy, dz, d2_sq, d2 = work = lanes.work((5, lane_size.sum()))[0]
     for axis in range(3):
         np.subtract(np.repeat(rows[:, axis], lane_size), _take(pa.centers[:, axis], pair_patch),
                     out=work[axis])
     near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
-    terms, close = _rx_leg(*work[:3], _take(x_wall, pair_patch), _take(pa.sign, pair_patch),
-                           _take(led_leg, pair_leg), cos_fov, _take(near, pair_patch), work[3:])
+    normal = np.where(_take(x_wall, pair_patch), dx, dy) * _take(pa.sign, pair_patch)
+    # cos(beta) and cos(psi) overwrite the offsets, read by then
+    g = _rx_geometry(dx, dy, dz, normal, cos_fov, _take(near, pair_patch), (d2_sq, d2, dx, dy))
+    terms, close = _rx_light(_take(led_leg, pair_leg), g, out=d2), g.close
     end = 0
     for a, count, width, t in zip(row0.tolist(), n.tolist(), size.tolist(), column.tolist()):
         block = terms[end:end + count * width].reshape(count, width)

@@ -549,8 +549,12 @@ class CampaignSpec:
             raise ValueError(f"unknown model kinds {unknown}; expected {MODEL_KINDS}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        # the pool and the reference set are generated only when the campaign
-        # runs, so their sizes are checked here, under the campaign's names
+        # the scene, the pool and the reference set are made only when the
+        # campaign runs, so what they would refuse is checked here: the
+        # preset, the LED count and the patch edge, then the sizes, under the
+        # campaign's names
+        room = preset_scene(self.preset, self.led_count).room
+        channel._wall_counts(room, self.patch_edge_m)
         for name, rows in (("pool_per_axis", self.pool_per_axis ** 3),
                            ("reference_n", self.reference_n)):
             v = getattr(self, name)

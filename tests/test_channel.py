@@ -658,18 +658,18 @@ def test_refinement_prunes_through_rises_above(monkeypatch):
                   pa.edges_v[close])
     m, cos_fov = ch.lambertian_order(sc.transmitters[0].hpa_deg), math.cos(math.radians(85.0))
     flagged, asked = [], []
-    rx_leg, rises_above = ch._rx_leg, ch._rises_above
+    rx_geometry, rises_above = ch._rx_geometry, ch._rises_above
 
     def count_close(*args):
-        term, near = rx_leg(*args)
-        flagged.append(0 if near is None else int(near.sum()))
-        return term, near
+        g = rx_geometry(*args)
+        flagged.append(0 if g.close is None else int(g.close.sum()))
+        return g
 
     def ask(center_z, edge_v, rx_z):
         asked.append(len(rx_z))
         return rises_above(center_z, edge_v, rx_z)
 
-    monkeypatch.setattr(ch, "_rx_leg", count_close)
+    monkeypatch.setattr(ch, "_rx_geometry", count_close)
     monkeypatch.setattr(ch, "_rises_above", ask)
     sums = ch._refined_terms(m, cos_fov, q)
     splits = [n for n in flagged if n]
@@ -744,28 +744,76 @@ def test_height_ordered_chunks_give_every_row_its_own_bits(case):
                 assert list(zip(p_los.tolist(), p_nlos.tolist())) == [want[i] for i in order]
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=_rows_at_patch_top_edges())
+def test_each_led_lane_keeps_the_bits_of_its_one_led_scene(case):
+    """Each LED's LOS and NLOS power at a row are the bits of the one-LED
+    scene that holds only that LED, one row at a time and in a many-row
+    call, with the default chunk or two rows a chunk, so a light pass that
+    reads another LED's leg or a geometry not shared exactly fails."""
+    sc, edge, rows, _ = case
+    want = [[ch.received_power(replace(sc, transmitters=(tx,)), p, patch_edge_m=edge).per_tx[0]
+             for tx in sc.transmitters] for p in rows]
+    assert [list(ch.received_power(sc, p, patch_edge_m=edge).per_tx) for p in rows] == want
+    two_rows = 2 * len(ch._PatchArrays.from_room(sc.room, edge))
+    for chunk in (ch._CHUNK_PAIRS, two_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ch, "_CHUNK_PAIRS", chunk)
+            los, nlos = ch._lane_powers([sc], [rows], edge)
+        assert [list(zip(a, b)) for a, b in zip(los.tolist(), nlos.tolist())] == want
+
+
 def test_height_ordered_chunks_compute_only_the_patch_rows_above_them(monkeypatch):
     """A 50 x 50 map at 1 m runs the midpoint kernel on the 1,000 of the 1,500
     patches whose top edge is above 1 m, and refines 25,952 close pairs into
     198,592 sub-patches."""
     counts = {"terms": 0, "sub-patches": 0, "pairs": 0}
-    rx_leg, refined_terms = ch._rx_leg, ch._refined_terms
+    rx_geometry, refined_terms = ch._rx_geometry, ch._refined_terms
 
-    def count_terms(dx, *args):
-        counts["terms" if dx.ndim == 2 else "sub-patches"] += dx.size
-        return rx_leg(dx, *args)
+    def count_terms(*args):
+        g = rx_geometry(*args)
+        counts["terms" if g.d2_sq.ndim == 3 else "sub-patches"] += g.d2_sq.size
+        return g
 
     def count_pairs(m, cos_fov, q):
         counts["pairs"] += len(q.lane)
         return refined_terms(m, cos_fov, q)
 
-    monkeypatch.setattr(ch, "_rx_leg", count_terms)
+    monkeypatch.setattr(ch, "_rx_geometry", count_terms)
     monkeypatch.setattr(ch, "_refined_terms", count_pairs)
     xy = (np.arange(50) + 0.5) * 0.1
     gx, gy = np.meshgrid(xy, xy)
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(2500, 1.0)])
     ch.received_power_many(preset_scene("mid"), pos)
     assert counts == {"terms": 2500 * 1000, "sub-patches": 198_592, "pairs": 25_952}
+
+
+def test_a_chunk_computes_its_geometry_once_for_all_its_leds(monkeypatch):
+    """A 4-LED 50 x 50 map at 1 m computes the midpoint geometry of its
+    2,500 x 1,000 (row, patch) pairs once, and runs the light pass on four
+    times as many terms, one pass per LED."""
+    counts = {"geometry": 0, "light": 0}
+    rx_geometry, rx_light = ch._rx_geometry, ch._rx_light
+
+    def count_geometry(*args):
+        g = rx_geometry(*args)
+        if g.d2_sq.ndim == 3:  # the wall grid, not refinement's flat sub-patches
+            counts["geometry"] += g.d2_sq.size
+        return g
+
+    def count_light(led_leg, g, out=None):
+        term = rx_light(led_leg, g, out)
+        if term.ndim == 3:
+            counts["light"] += term.size
+        return term
+
+    monkeypatch.setattr(ch, "_rx_geometry", count_geometry)
+    monkeypatch.setattr(ch, "_rx_light", count_light)
+    xy = (np.arange(50) + 0.5) * 0.1
+    gx, gy = np.meshgrid(xy, xy)
+    pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(2500, 1.0)])
+    ch.received_power_many(preset_scene("mid", 4), pos)
+    assert counts == {"geometry": 2500 * 1000, "light": 4 * 2500 * 1000}
 
 
 @pytest.mark.parametrize("on_patch, beside", [

@@ -565,6 +565,10 @@ def test_only_a_run_that_succeeds_leaves_a_record(workdir, trained, capsys, argv
      "CampaignSpec patch_edge_m must be finite, got an int too large for a float"),
     ({"noise_factors": [10**400]},
      "CampaignSpec noise_factors must be finite, got an int too large for a float"),
+    ({"preset": "huge"}, "unknown preset 'huge'; expected one of ['big', 'mid', 'small']"),
+    ({"led_count": 2}, "led_count must be 1 or 4, got 2"),
+    ({"preset": "small", "patch_edge_m": 2.9},
+     "patch edge must be in (0, min room extent], got 2.9"),
 ], ids=[  # the first eight keep the ids they had when CampaignSpec worded its own refusals
     "edit0-campaign repetitions takes ints only, got 1.5",
     r"edit1-campaign train_sizes takes ints only, got \(20.0,\)",
@@ -575,6 +579,7 @@ def test_only_a_run_that_succeeds_leaves_a_record(workdir, trained, capsys, argv
     "edit6-campaign train_sizes must be a non-empty list, got 60",
     r"edit7-campaign epochs must be a non-empty list, got \[\]",
     "huge-int-patch-edge", "huge-int-noise-factor",
+    "unknown-preset", "led-count-2", "patch-edge-over-the-room",
 ])
 def test_campaign_spec_values_are_named(workdir, capsys, edit, message):
     Path("spec.json").write_text(json.dumps({"models": ["dt"], **edit}))
