@@ -32,13 +32,24 @@ added split, and the sums keep their bits.
 The walls are a regular grid: a wall column shares its x, y and wall
 normal, and a patch row its height. A block of rows meets its room's
 tiling as (rows, patch rows, columns) pairs built from per-(row, column)
-and per-(row, patch row) offsets. Only the LED leg of a midpoint term
+offsets (the squared in-plane distance dx^2 + dy^2 and the normal offset)
+and per-(row, patch row) height offsets. Only the LED leg of a midpoint term
 depends on the LED, so the block's geometry (d2^2, d2, cos(beta),
 cos(psi), the FOV and close-range masks, the close pairs) is computed once,
 and each LED then runs one light pass, ((leg / d2^2) cos(beta)) cos(psi),
 over it: every term is the same expression as computed alone, so it keeps
 its bits. The close pairs are the same for every LED; each LED's lanes send
-them to refinement.
+them to refinement. They are looked for only where a pair can be close:
+d2 is at least the in-plane distance sqrt(dx^2 + dy^2), so only the (row,
+column) pairs whose in-plane distance is under the column's close-range
+distance are tested, on their own patch rows.
+
+Refinement works in wall coordinates. A close pair's wall plane is fixed,
+and so are its receiver's and its LED's offsets along the wall normal: they
+are computed once per pair, and each sub-patch adds only its tangent
+coordinate and its height. The LED leg and the receiver geometry read the
+same offsets, in the same order, as they would from materialized sub-patch
+centres, so the sums keep their bits.
 
 The test that prunes refinement also cuts work before any term is computed.
 The rows of a block come in height order, and its geometry covers only the
@@ -64,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import Room, Scene, _concentrator, lambertian_order
+from .scene import Room, Scene, _concentrator, _power_constant, lambertian_order
 
 __all__ = [
     "DEFAULT_PATCH_EDGE_M",
@@ -128,8 +139,7 @@ def _constants(scene: Scene) -> _Constants:
     rx = scene.receiver
     g, cos_fov = _concentrator(rx.fov_deg, rx.refractive_index)
     m = tuple(lambertian_order(tx.hpa_deg) for tx in scene.transmitters)
-    k = tuple((order + 1.0) * rx.area_m2 / (2.0 * math.pi) * scene.wall_reflectance
-              * rx.filter_gain * g for order in m)
+    k = tuple(_power_constant(order, rx, g, scene.wall_reflectance) for order in m)
     return _Constants(scene, g, cos_fov, m, k)
 
 
@@ -239,16 +249,40 @@ def _los_gain_block(c: _Constants, m: float, tx_pos: np.ndarray, pos: np.ndarray
     return np.where(visible & in_fov, gain, 0.0)
 
 
-def _led_leg(tx_pos: np.ndarray, m: float, centers, x_wall, sign, areas) -> np.ndarray:
-    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3)
-    centre, from one LED position (3,) or one per centre (k, 3)."""
+def _center_offsets(centers, tx_pos, x_wall, sign) -> tuple[np.ndarray, np.ndarray]:
+    """The LED -> (sub-)patch offsets of (k, 3) centres, from one LED position
+    (3,) or one per centre (k, 3), and the cos(alpha) numerator `_led_leg`
+    takes with them: minus the offset along the wall normal times the inward
+    sign."""
     v1 = centers - tx_pos
+    return v1, -np.where(x_wall, v1[:, 0], v1[:, 1]) * sign
+
+
+def _leg_offsets(x_wall, normal, tangent, dz) -> np.ndarray:
+    """The (k, 3) LED -> (sub-)patch offsets, in x, y, z order, of sub-patches
+    given in wall coordinates: the offset along the wall normal (x on an x
+    wall, y on a y wall), along the wall's tangent and up z."""
+    v1 = np.empty((len(dz), 3))
+    v1[:, 0] = np.where(x_wall, normal, tangent)
+    v1[:, 1] = np.where(x_wall, tangent, normal)
+    v1[:, 2] = dz
+    return v1
+
+
+def _led_leg(v1, facing, m: float, areas) -> np.ndarray:
+    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3)
+    LED -> centre offset `v1` (x, y, z), where `facing` is the cos(alpha)
+    numerator, minus the offset along the wall normal times the inward sign.
+    The offsets come from materialized centres (`_center_offsets`) or from
+    a close pair's fixed wall offsets (`_leg_offsets`), with the same bits:
+    d1^2 is read from v1 in x, y, z order, and the LED is -v1[2] above the
+    centre."""
     d1_sq = np.einsum("ij,ij->i", v1, v1)
     if np.any(d1_sq == 0.0):
         raise ValueError("a wall patch coincides with a transmitter")
     d1 = np.sqrt(d1_sq)
-    cos_phi = (tx_pos[..., 2] - centers[:, 2]) / d1
-    cos_alpha = -np.where(x_wall, v1[:, 0], v1[:, 1]) * sign / d1
+    cos_phi = np.negative(v1[:, 2]) / d1
+    cos_alpha = facing / d1
     return np.where(
         (cos_phi > 0) & (cos_alpha > 0),
         np.where(cos_phi > 0, cos_phi, 0.0) ** m * cos_alpha * areas / d1_sq,
@@ -268,24 +302,26 @@ class _Geometry(NamedTuple):
     close: np.ndarray | None
 
 
-def _rx_geometry(dx, dy, dz, normal, cos_fov: float, near=None, out=None) -> _Geometry:
-    """The geometry of the receiver - patch pairs from per-component
-    offsets, which broadcast together to the pairs' shape: a wall column's
-    dx, dy and signed normal offset `normal` (the offset along the wall normal
-    times the inward sign) are shared by its patches, and a patch row's dz
-    by its columns. cos(beta) is `normal` over the patch -> receiver
-    distance d2.
+def _rx_geometry(plane, dz, normal, cos_fov: float, near=None, out=None) -> _Geometry:
+    """The geometry of the receiver - patch pairs from the squared in-plane
+    offset `plane` (dx^2 + dy^2), the height offset dz and the signed normal
+    offset `normal` (the offset along the wall normal times the inward sign),
+    which broadcast together to the pairs' shape: on the wall grid a wall
+    column's plane and normal offsets are shared by its patches and a patch
+    row's dz by its columns; in refinement a pair's squared normal offset is
+    fixed and only the tangent and height change. d2^2 is plane + dz^2, the
+    same bits as (dx^2 + dy^2) + dz^2, and cos(beta) is `normal` over the
+    patch -> receiver distance d2.
 
     `out` holds four arrays of the pairs' shape for d2^2, d2, cos(beta) and
-    cos(psi); d2 is free again when this returns. With `near`, a pair with
-    d2 < near is left out of the terms and flagged in `close`, for refinement.
+    cos(psi); d2 stays in its array until the caller reuses it. With `near`,
+    a pair with d2 < near is left out of the terms and flagged in `close`,
+    for refinement.
 
     A receiver on a (sub-)patch centre (d2 = 0) lies in its plane: the 0/0
     cosines fail the acceptance test, so the term is 0 as for any coplanar patch.
     """
     d2_sq, d2, cos_beta, cos_psi = out or (None,) * 4
-    plane = dx * dx
-    plane += dy * dy
     d2_sq = np.add(plane, dz * dz, out=d2_sq)
     d2 = np.sqrt(d2_sq, out=d2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,17 +408,24 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     share the batch.
 
     Sub-patches live in wall coordinates, as 1-D arrays gathered from their
-    pair with `take`: a pair's wall plane and its receiver's offset from it
-    along the normal are fixed, and only the tangent coordinate and the
-    height change from child to child. The receiver offsets go to
-    `_rx_geometry` as (tangent, normal, z), the normal one where a y wall
-    has it; their squares add in either order to the same bits.
+    pair with `take`: a pair's wall plane is fixed, and so are its
+    receiver's offset from it along the normal (its square and the cos(beta)
+    numerator) and its LED's (the cos(alpha) numerator), so these are
+    computed once per pair. Only the tangent coordinate and the height change
+    from child to child; the LED leg reads offsets built from them
+    (`_leg_offsets`), and `_rx_geometry` the squared in-plane offset
+    tangent^2 + normal^2: a sum of two terms rounds the same in either
+    order, so this is the bits of dx^2 + dy^2 on every wall.
     """
     pair = np.arange(len(q.lane))
     x_wall = q.axis == 0
-    plane = q.centers[pair, q.axis]
-    rx_n = q.rx[pair, q.axis] - plane  # receiver offset along the normal
+    wall = q.centers[pair, q.axis]  # the wall plane's coordinate along its normal
+    rx_n = q.rx[pair, q.axis] - wall  # receiver offset along the normal
+    rx_nn, rx_normal = rx_n * rx_n, rx_n * q.sign
+    tx_n = wall - q.tx[pair, q.axis]  # LED -> wall plane offset along the normal
+    tx_facing = -tx_n * q.sign
     rx_t, rx_z = q.rx[pair, 1 - q.axis], q.rx[:, 2]
+    tx_t, tx_z = q.tx[pair, 1 - q.axis], q.tx[:, 2]
     node = split = pair  # pair each sub-patch of this depth belongs to
     t, z, eu, ev = q.centers[pair, 1 - q.axis], q.centers[:, 2], q.edges_u, q.edges_v
     sums = np.zeros(len(pair))
@@ -392,15 +435,14 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
         t = (t.take(split)[:, None] + (0.25 * eu)[:, None] * _CHILD_U).ravel()
         z = (z.take(split)[:, None] + (0.25 * ev)[:, None] * _CHILD_V).ravel()
         eu, ev = (0.5 * eu).repeat(4), (0.5 * ev).repeat(4)
-        on_x, sign, wall = x_wall.take(node), q.sign.take(node), plane.take(node)
-        centers = np.empty((len(node), 3))
-        centers[:, 0] = np.where(on_x, wall, t)
-        centers[:, 1] = np.where(on_x, t, wall)
-        centers[:, 2] = z
-        led_leg = _led_leg(q.tx.take(node, axis=0), m, centers, on_x, sign, eu * ev)
+        v1 = _leg_offsets(x_wall.take(node), tx_n.take(node), t - tx_t.take(node),
+                          z - tx_z.take(node))
+        led_leg = _led_leg(v1, tx_facing.take(node), m, eu * ev)
         near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
-        dn = rx_n.take(node)
-        g = _rx_geometry(rx_t.take(node) - t, dn, rx_z.take(node) - z, dn * sign, cos_fov, near)
+        plane = rx_t.take(node) - t
+        plane *= plane
+        plane += rx_nn.take(node)
+        g = _rx_geometry(plane, rx_z.take(node) - z, rx_normal.take(node), cos_fov, near)
         np.add.at(sums, node, _rx_light(led_leg, g))
         if near is None:
             break
@@ -488,8 +530,8 @@ class _TiledRoom:
         areas = pa.edges_u * pa.edges_v
         self.patch_rows = nv = _wall_counts(c.scene.room, patch_edge_m)[1]
         self.led_legs = [np.ascontiguousarray(
-            _led_leg(np.asarray(tx.position), m, pa.centers, x_wall, pa.sign, areas)
-            .reshape(-1, nv).T) for tx, m in zip(c.scene.transmitters, c.m)]
+            _led_leg(*_center_offsets(pa.centers, np.asarray(tx.position), x_wall, pa.sign),
+                     m, areas).reshape(-1, nv).T) for tx, m in zip(c.scene.transmitters, c.m)]
         # per column: centre x and y, wall axis mask, sign and close-range
         # distance; per patch row: height and top edge, the sum `_rises_above`
         # takes, which is the same bits in every column and never falls as
@@ -509,7 +551,16 @@ class _TiledRoom:
         chunk's lowest receiver. A patch of a row cut is at or below every
         receiver's plane, so its term and, were it close, its refinement are
         exactly 0.0 (`_rises_above`); the cut is a start index on the patch
-        row axis."""
+        row axis.
+
+        Close pairs are looked for only where a pair can be close: the
+        (row, column) candidates whose in-plane distance sqrt(dx^2 + dy^2) is
+        under the column's close-range distance. Adding dz^2 and a correctly
+        rounded square root never lower a value, so d2 >= that distance and
+        no close pair is missed. d2 < near is tested on the candidates'
+        patch rows alone, and the close pairs, read off that (candidates,
+        patch rows) array, come row after row, column after column, patch
+        row after patch row: the tiling's order within each row."""
         cx, cy, x_wall, sign, near = self.columns
         nv, n = self.patch_rows, len(pos)
         self.cut = cut = int(np.searchsorted(self.tops, pos[0, 2], side="right"))
@@ -517,12 +568,17 @@ class _TiledRoom:
         dx = pos[:, 0, None, None] - cx
         dy = pos[:, 1, None, None] - cy
         dz = pos[:, 2, None, None] - self.heights[cut:, None]
-        self.g = g = _rx_geometry(dx, dy, dz, np.where(x_wall, dx, dy) * sign, self.cos_fov,
-                                  near, out)
-        self.term = out[1]  # d2's array, free once the geometry is made
+        plane = dx * dx
+        plane += dy * dy
+        self.g = g = _rx_geometry(plane, dz, np.where(x_wall, dx, dy) * sign, self.cos_fov,
+                                  None, out)
+        self.term = d2 = out[1]  # d2's array, reused for the terms
         self.full[:, :, :cut] = 0.0
-        r, column, row = np.nonzero(g.close.transpose(0, 2, 1))
-        c = column * nv + cut + row  # the patch's index in the tiling
+        r, column = np.nonzero(np.sqrt(plane[:, 0]) < near)
+        close = d2[r, :, column] < near[column, None]
+        g.drop[r, :, column] |= close
+        pair, row = np.nonzero(close)
+        r, c = r[pair], column[pair] * nv + cut + row  # the patch's index in the tiling
         seen = _rises_above(self.pa.centers[c, 2], self.pa.edges_v[c], pos[r, 2])
         return r[seen], c[seen]
 
@@ -627,17 +683,20 @@ def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
     pair_leg = None if np.all(n == 1) else _ranges(np.repeat(np.cumsum(size) - size, n), lane_size)
     pair_patch = _take(leg_patch, pair_leg)
     x_wall = pa.axis == 0
-    led_leg = _led_leg(np.repeat(tx_pos, size, axis=0), m, _take(pa.centers, leg_patch),
-                       _take(x_wall, leg_patch), _take(pa.sign, leg_patch),
-                       _take(pa.edges_u * pa.edges_v, leg_patch))
+    led_leg = _led_leg(*_center_offsets(_take(pa.centers, leg_patch),
+                                        np.repeat(tx_pos, size, axis=0),
+                                        _take(x_wall, leg_patch), _take(pa.sign, leg_patch)),
+                       m, _take(pa.edges_u * pa.edges_v, leg_patch))
     dx, dy, dz, d2_sq, d2 = work = lanes.work((5, lane_size.sum()))[0]
     for axis in range(3):
         np.subtract(np.repeat(rows[:, axis], lane_size), _take(pa.centers[:, axis], pair_patch),
                     out=work[axis])
     near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
     normal = np.where(_take(x_wall, pair_patch), dx, dy) * _take(pa.sign, pair_patch)
+    plane = np.multiply(dx, dx, out=dx)
+    plane += np.multiply(dy, dy, out=dy)
     # cos(beta) and cos(psi) overwrite the offsets, read by then
-    g = _rx_geometry(dx, dy, dz, normal, cos_fov, _take(near, pair_patch), (d2_sq, d2, dx, dy))
+    g = _rx_geometry(plane, dz, normal, cos_fov, _take(near, pair_patch), (d2_sq, d2, dy, dx))
     terms, close = _rx_light(_take(led_leg, pair_leg), g, out=d2), g.close
     end = 0
     for a, count, width, t in zip(row0.tolist(), n.tolist(), size.tolist(), column.tolist()):

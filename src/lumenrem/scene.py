@@ -3,9 +3,11 @@
 Coordinates use a corner-origin frame: (0, 0, 0) at a floor corner, x in [0, lx],
 y in [0, ly], z in [0, lz]. LEDs sit on the ceiling plane facing straight down;
 the photodetector faces straight up. Orientations are fixed and not configurable.
-The transceiver formulas, an LED's Lambertian order and the receiver's
-concentrator gain, live here: the records refuse a value they cannot compute
-and the channel derives its constants from them, so the two cannot disagree.
+The transceiver formulas, an LED's Lambertian order, the receiver's
+concentrator gain and the power constant (m + 1) A T g / (2 pi) of an LED,
+live here: the records refuse a value they cannot compute, a scene file also
+one whose received-power constant is not finite and positive, and the channel
+derives its constants from them, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def _concentrator(fov_deg: float, n: float) -> tuple[float, float]:
     """In-FOV concentrator gain n^2 / sin^2(fov) and the FOV acceptance cosine."""
     fov_rad = math.radians(fov_deg)
     return n ** 2 / math.sin(fov_rad) ** 2, math.cos(fov_rad)
+
+
+def _power_constant(m: float, rx: Receiver, g: float, reflectance: float = 1.0) -> float:
+    """(m + 1) A / (2 pi) rho T g: what an LED of Lambertian order m delivers
+    per mW to receiver `rx` of in-FOV gain g, before the geometry. With the
+    wall reflectance rho it is the channel's NLOS constant; with 1.0, times
+    the LED power, the received-power constant a scene file must keep finite
+    and positive."""
+    return (m + 1.0) * rx.area_m2 / (2.0 * math.pi) * reflectance * rx.filter_gain * g
 
 
 def _gain_fails(fov_deg: float, n: float) -> bool:
@@ -175,9 +186,29 @@ class Scene:
         the document gets wrong."""
         doc = read_json(path)
         try:
-            return cls.from_dict(doc)
+            scene = cls.from_dict(doc)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {e}") from e
+        scene._check_power_constants(path)
+        return scene
+
+    def _check_power_constants(self, path) -> None:
+        """Refuse, naming `path` and the fields, an LED whose received-power
+        constant power_mw (m + 1) area_m2 filter_gain g / (2 pi) is not finite
+        and positive: every power it scales would overflow, or underflow to 0.
+        Only files are checked, so scenes built in Python pay nothing."""
+        rx = self.receiver
+        g = _concentrator(rx.fov_deg, rx.refractive_index)[0]
+        for i, tx in enumerate(self.transmitters):
+            value = tx.power_mw * _power_constant(lambertian_order(tx.hpa_deg), rx, g)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{path}: transmitters[{i}] power_mw={tx.power_mw!r} and hpa_deg="
+                    f"{tx.hpa_deg!r} with receiver area_m2={rx.area_m2!r}, filter_gain="
+                    f"{rx.filter_gain!r}, fov_deg={rx.fov_deg!r} and refractive_index="
+                    f"{rx.refractive_index!r} give a received-power constant power_mw * "
+                    f"(m + 1) * area_m2 * filter_gain * g / (2 pi) of {value!r}, which "
+                    "must be finite and positive")
 
 
 def _led_positions(room: Room, led_count: int) -> list[tuple[float, float, float]]:

@@ -816,6 +816,125 @@ def test_a_chunk_computes_its_geometry_once_for_all_its_leds(monkeypatch):
     assert counts == {"geometry": 2500 * 1000, "light": 4 * 2500 * 1000}
 
 
+# ---------------------------------------------------------------------------
+# Close pairs from the plane distance; LED legs from wall offsets
+# ---------------------------------------------------------------------------
+
+def _close_distance_rows(pa, j):
+    """Rows in front of patch j: on its centre, and at its column's close-range
+    distance and one ulp inside it, at its height on the line through its centre
+    along the wall normal. On an x = 0 or y = 0 wall these in-plane distances
+    are exact, so d2 is exactly the close-range distance, or one ulp under it."""
+    center = pa.centers[j].tolist()
+    near = 4.0 * max(float(pa.edges_u[j]), float(pa.edges_v[j]))
+    axis, sign = int(pa.axis[j]), float(pa.sign[j])
+    rows = [center]
+    for d in (near, math.nextafter(near, 0.0)):
+        row = list(center)
+        row[axis] += sign * d
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _rows_at_the_close_distance(draw):
+    """A 1- or 4-LED room of 3 to 7 m, a patch edge, and 3 to 12 rows, lowest
+    first: on a wall plane, on a patch centre, at exactly a column's
+    close-range distance or one ulp inside it, or anywhere near a wall."""
+    sc = variable_scene(draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0)),
+                        draw(st.sampled_from([1, 4])))
+    edge = draw(st.one_of(st.sampled_from([0.1, 0.2, 0.29, 0.5]), st.floats(0.1, 0.5)))
+    room = sc.room
+    pa = ch._PatchArrays.from_room(room, edge)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows += _close_distance_rows(pa, draw(st.integers(0, len(pa) - 1)))
+    rows += [_wall_point(room, draw(st.integers(0, 3)),
+                         draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.9, 4.0])) * edge,
+                         draw(st.floats(0.0, 7.0)), draw(st.floats(0.0, 2.9)))
+             for _ in range(draw(st.integers(0, 3)))]
+    rows = np.array([row for row in rows if row[0] <= room.lx and row[1] <= room.ly
+                     and row[2] < room.lz])
+    assume(len(rows))
+    return sc, edge, rows[np.argsort(rows[:, 2], kind="stable")]
+
+
+def _mid_close_distance_case():
+    """Rows at the close-range distance of the lowest patch of the mid room's
+    x = 0 and y = 0 walls and of a patch of its x = 5 wall, and one ulp inside."""
+    sc = variable_scene(5.0, 5.0, 4)
+    pa = ch._PatchArrays.from_room(sc.room, 0.2)
+    rows = np.array([r for j in (0, 750, 383)
+                     for r in _close_distance_rows(pa, j)])
+    return sc, 0.2, rows[np.argsort(rows[:, 2], kind="stable")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_rows_at_the_close_distance())
+@example(case=_mid_close_distance_case())
+def test_the_grid_finds_the_close_pairs_of_the_whole_block_rule(case):
+    """The close pairs `start_chunk` finds from each (row, column) plane
+    distance, and the terms it leaves out, are those of the whole-block
+    rule: d2 < near over every (row, patch row, column) pair of the chunk's
+    geometry, then the close mask's nonzeros in (rows, columns, patch rows)
+    order, which is the tiling's order within each row. Rows exactly at a
+    column's close-range distance and one ulp inside it make a candidate
+    radius one ulp short miss a close pair."""
+    sc, edge, rows = case
+    room = ch._TiledRoom(ch._constants(sc), edge)
+    lanes = ch._Lanes(len(rows), len(sc.transmitters))
+    with pytest.MonkeyPatch.context() as mp:  # every close pair, seen or not
+        mp.setattr(ch, "_rises_above", lambda center_z, edge_v, rx_z: np.ones(len(rx_z), bool))
+        r, c = room.start_chunk(rows, lanes)
+    g, near = room.g, room.columns[4]
+    close = np.sqrt(g.d2_sq) < near
+    keep = (g.cos_beta > 0) & (g.cos_psi >= room.cos_fov) & ~close
+    assert np.array_equal(g.drop, ~keep)
+    want_r, column, row = np.nonzero(close.transpose(0, 2, 1))
+    assert r.tolist() == want_r.tolist()
+    assert c.tolist() == (column * room.patch_rows + room.cut + row).tolist()
+
+
+_FOUR_WALLS = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                        st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.tuples(st.floats(3.0, 7.0), st.floats(3.0, 7.0)),
+       leds=st.sampled_from([1, 4]), edge=st.floats(0.1, 0.5),
+       subpatches=st.lists(st.tuples(_FOUR_WALLS, st.integers(0, 3)), min_size=1, max_size=20))
+def test_the_led_leg_has_the_same_bits_from_centres_or_wall_offsets(side, leds, edge,
+                                                                    subpatches):
+    """`_led_leg` gives the same bits whether its offsets are materialized
+    centres minus the LED position, as the wall grid builds them, or built
+    from a pair's fixed wall offsets and a sub-patch's tangent and height,
+    as refinement builds them, for sub-patches on all four walls, any depth,
+    and one LED position per sub-patch."""
+    sc = variable_scene(*side, leds)
+    room = sc.room
+    extent = (room.ly, room.ly, room.lx, room.lx)
+    wall, along, up, depth = np.array([w for w, _ in subpatches], dtype=float).T
+    wall = wall.astype(int)
+    axis, sign = (wall >= 2).astype(int), ch._WALL_SIGNS[wall]
+    plane = np.where(wall % 2 == 0, 0.0, np.where(axis == 0, room.lx, room.ly))
+    t, z = along * np.take(extent, wall), up * np.nextafter(room.lz, 0.0)
+    centers = np.empty((len(wall), 3))
+    centers[np.arange(len(wall)), axis], centers[np.arange(len(wall)), 1 - axis] = plane, t
+    centers[:, 2] = z
+    tx = np.array([sc.transmitters[i % leds].position for _, i in subpatches])
+    areas = (edge / 2.0 ** depth) ** 2
+    m = ch.lambertian_order(sc.transmitters[0].hpa_deg)
+    x_wall = axis == 0
+    v1, facing = ch._center_offsets(centers, tx, x_wall, sign)
+    pair = np.arange(len(wall))
+    tx_n = plane - tx[pair, axis]
+    v1_wall = ch._leg_offsets(x_wall, tx_n, t - tx[pair, 1 - axis], z - tx[:, 2])
+    assert v1_wall.tobytes() == v1.tobytes()
+    assert (-tx_n * sign).tobytes() == facing.tobytes()
+    assert (ch._led_leg(v1_wall, -tx_n * sign, m, areas).tobytes()
+            == ch._led_leg(v1, facing, m, areas).tobytes())
+
+
 @pytest.mark.parametrize("on_patch, beside", [
     ((0.0, 0.1, 0.1), (0.0, 0.1000001, 0.1)),  # x = 0 wall
     ((0.1, 0.0, 0.1), (0.1000001, 0.0, 0.1)),  # y = 0 wall

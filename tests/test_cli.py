@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from lumenrem import cli, evalmap, forest, mlp
 from lumenrem._doc import MODEL_FORMAT_VERSIONS, _encode_array
-from lumenrem.dataset import Dataset
-from lumenrem.scene import Scene, preset_scene
+from lumenrem.dataset import Dataset, generate_reference
+from lumenrem.scene import Receiver, Scene, preset_scene
 
 
 def run(monkeypatch, tmp_path, *argv):
@@ -445,16 +446,34 @@ def test_a_map_cell_that_gets_no_light_is_named(workdir, capsys):
 @pytest.mark.parametrize("argv", [["generate", "--reference", "3"],
                                   ["map", "--simulate", "--spacing", "1"]])
 def test_a_received_power_that_is_not_finite_is_named(workdir, capsys, argv):
-    """A receiver area of 1e308 loads, but the power it collects overflows:
-    the first such position is named, not only the non-finite result."""
-    doc = preset_scene("mid").to_dict()
-    doc["receiver"]["area_m2"] = 1e308
-    Path("huge.json").write_text(json.dumps(doc))
-    assert cli.main(argv + ["--scene", "huge.json", "--out", "d.csv"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and re.search(r"the received power is not finite at \([-\d.e]+, "
-                                       r"[-\d.e]+, [-\d.e]+\): a scene value", err[0])
-    assert not Path("d.csv").exists()
+    """A receiver area of 1e308 makes the received-power constant overflow,
+    and an LED power of 1e-320 makes it underflow to 0: the scene file is
+    refused when it loads, naming the file and the fields, before any
+    position is simulated."""
+    for where, field, value, constant in (("receiver", "area_m2", 1e308, "inf"),
+                                          ("transmitters", "power_mw", 1e-320, "0.0")):
+        doc = preset_scene("mid").to_dict()
+        (doc["transmitters"][0] if where == "transmitters" else doc[where])[field] = value
+        Path("huge.json").write_text(json.dumps(doc))
+        assert cli.main(argv + ["--scene", "huge.json", "--out", "d.csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "huge.json: transmitters[0] power_mw=" in err[0]
+        assert f"{field}={value!r}" in err[0]
+        assert ("received-power constant power_mw * (m + 1) * area_m2 * filter_gain * g"
+                f" / (2 pi) of {constant}, which must be finite and positive") in err[0]
+        assert not Path("d.csv").exists()
+
+
+def test_a_received_power_that_overflows_at_a_position_is_named():
+    """A scene built in Python is not checked as a file is: a receiver area
+    of 1e308 overflows the power at the first position, which is named, not
+    only the non-finite result, by the generators and the simulated map."""
+    scene = replace(preset_scene("mid"), receiver=Receiver(area_m2=1e308))
+    for make in (lambda: generate_reference(scene, 3),
+                 lambda: evalmap.simulate_map(scene, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^the received power is not finite at "
+                                             r"\([-\d.e]+, [-\d.e]+, [-\d.e]+\): a scene value"):
+            make()
 
 
 @pytest.mark.parametrize("argv, message", [
