@@ -70,38 +70,62 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
-def _problem(hint, v) -> str | None:
-    """What keeps `v` from being a value of the type hint, or None: an int
-    field takes an int, a float field an int or a float that is finite (not
-    a bool, nor an int too large for a float), a str field a str, and a
-    tuple field a list or a tuple of such items. A record or an array is
-    left to check itself."""
-    if hint is int:
-        return None if type(v) is int else f"be an int, got {v!r}"
-    if hint is str:
-        return None if type(v) is str else f"be a str, got {v!r}"
-    if hint is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return f"be a real number, got {v!r}"
-        try:
-            return None if math.isfinite(v) else f"be finite, got {v!r}"
-        except OverflowError:
-            return "be finite, got an int too large for a float"
+def _int_problem(v) -> str | None:
+    return None if type(v) is int else f"be an int, got {v!r}"
+
+
+def _str_problem(v) -> str | None:
+    return None if type(v) is str else f"be a str, got {v!r}"
+
+
+def _float_problem(v) -> str | None:
+    # a float, as most values are, is a real number
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
+        return f"be a real number, got {v!r}"
+    try:
+        return None if math.isfinite(v) else f"be finite, got {v!r}"
+    except OverflowError:
+        return "be finite, got an int too large for a float"
+
+
+def _check(hint):
+    """The function that says what keeps a value from being a value of the
+    type hint, or None when nothing does: an int field takes an int, a float
+    field an int or a float that is finite (not a bool, nor an int too large
+    for a float), a str field a str, and a tuple field a list or a tuple of
+    such items. None stands for a hint that takes any value: a record or an
+    array is left to check itself."""
+    scalar = {int: _int_problem, str: _str_problem, float: _float_problem}.get(hint)
+    if scalar is not None:
+        return scalar
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
-        return None if v is None else _problem(args[0], v)
+        inner = _check(args[0])
+        return None if inner is None else (lambda v: None if v is None else inner(v))
     if typing.get_origin(hint) is tuple:
-        if not isinstance(v, (list, tuple)):
-            return f"be a list, got {v!r}"
-        return next(filter(None, (_problem(args[0], x) for x in v)), None)
+        inner = _check(args[0])
+
+        def items(v):
+            if not isinstance(v, (list, tuple)):
+                return f"be a list, got {v!r}"
+            return None if inner is None else next(filter(None, map(inner, v)), None)
+        return items
     return None
+
+
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """(name, check) for each field of a record whose type hint refuses some
+    value (`_check`), resolved once per record class."""
+    checks = ((name, _check(hint)) for name, hint in _field_types(cls).items())
+    return tuple((name, check) for name, check in checks if check is not None)
 
 
 def check_fields(record) -> None:
     """ValueError "<Record> <field> must <problem>" for the first field whose
-    value its type hint refuses (see `_problem`)."""
-    for name, hint in _field_types(type(record)).items():
-        problem = _problem(hint, getattr(record, name))
+    value its type hint refuses (see `_check`)."""
+    for name, check in _field_checks(type(record)):
+        problem = check(getattr(record, name))
         if problem:
             raise ValueError(f"{type(record).__name__} {name} must {problem}")
 

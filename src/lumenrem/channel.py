@@ -12,15 +12,14 @@ this one description.
 Every call is one pass: `received_power_rooms` takes the rows of any number of
 rooms, `received_power_many` is its one-room call and `received_power` its
 one-row call. The rows meet the wall tilings in cache-sized chunks.
-Consecutive small rooms share a chunk, with one tiling of all their walls
-back to back and one LED-leg, LOS and midpoint pass over all their rows; any
-other room's rows meet its own tiling in (rows, patches) blocks, taken in
-height order (a stable sort), lowest first. The (row, patch) pairs too close
-for the midpoint rule, from every chunk and room, wait in one refinement
-queue that is refined in fixed-size batches whenever one fills. A position's
-powers are the same bits whichever call, chunk or batch it falls in: a row's
-midpoint sum is NumPy's pairwise sum over exactly its own room's patches
-wherever it is taken.
+Consecutive small rooms of one height share a chunk; any other room's rows
+meet its own tiling in (rows, patches) blocks, taken in height order (a
+stable sort), lowest first. The (row, patch) pairs too close for the
+midpoint rule, from every chunk and room, wait in one refinement queue that
+is refined in fixed-size batches whenever one fills. A position's powers are
+the same bits whichever call, chunk or batch it falls in: a row's midpoint
+sum is NumPy's pairwise sum over exactly its own room's patches wherever it
+is taken.
 
 Only what the receiver can see is refined. The receiver faces up, so a
 (sub-)patch whose top edge is at or below its plane has cos(psi) <= 0 at every
@@ -43,6 +42,13 @@ them to refinement. They are looked for only where a pair can be close:
 d2 is at least the in-plane distance sqrt(dx^2 + dy^2), so only the (row,
 column) pairs whose in-plane distance is under the column's close-range
 distance are tested, on their own patch rows.
+
+A shared chunk is on the same grid. Its rooms lay their wall columns back
+to back and share one set of patch rows, and each row meets its own room's
+columns: its pairs are (row-column, patch row) pairs, built the same way,
+row after row in the tiling's (column, patch row) order, so its terms sum
+as they lie. Two of its rows share a patch only when they share a room,
+so its LED legs are computed per row-column, one LED at a time.
 
 Refinement works in wall coordinates. A close pair's wall plane is fixed,
 and so are its receiver's and its LED's offsets along the wall normal: they
@@ -167,62 +173,120 @@ def _wall_counts(room: Room, patch_edge_m: float) -> tuple[list[int], int]:
     return nu, nv
 
 
-@dataclass(slots=True)
-class _PatchArrays:
-    """Struct-of-arrays view of the wall tiling, shared by the vector kernels.
-
-    A patch is its centre, the axis its wall is normal to (0 for the x walls,
-    1 for the y walls), the sign of the inward normal along that axis, and its
-    edges along the wall (u) and up z (v).
-    """
-
-    centers: np.ndarray
-    axis: np.ndarray
-    sign: np.ndarray
-    edges_u: np.ndarray
-    edges_v: np.ndarray
-
-    @classmethod
-    def from_room(cls, room, patch_edge_m: float) -> "_PatchArrays":
-        """The tiling of a room's walls, or of a sequence of rooms' walls back
-        to back, room after room, each as it would be tiled alone. Every
-        room's counts are checked before anything is allocated (`_wall_counts`)."""
-        rooms = [room] if isinstance(room, Room) else list(room)
-        counts = [_wall_counts(r, patch_edge_m) for r in rooms]
-        parts = [_wall_patches(r, nu[0], nu[2], nv) for r, (nu, nv) in zip(rooms, counts)]
-        return cls(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
-
-    def __len__(self) -> int:
-        return len(self.centers)
-
-
+# the inward sign of the walls x=0, x=lx, y=0, y=ly along their normal axis
 _WALL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _wall_patches(room: Room, nx: int, ny: int, nv: int):
-    """One room's `_PatchArrays` fields. Its four walls come in a fixed order,
-    x=0, x=lx, y=0, y=ly: the x walls have nx columns along y, the y walls ny
-    columns along x, and every column nv patches up z, wall by wall, u-major
-    (patch (iu, iv) of a wall is iu * nv + iv). Each direction is tiled with
-    exact sizes extent/count, so the tiling covers every wall exactly and is
-    reflection-symmetric; a column's centre along its wall and a patch row's
-    height are each computed once and broadcast."""
-    du_x, du_y, dv = room.ly / nx, room.lx / ny, room.lz / nv
-    centers = np.empty((2 * (nx + ny), nv, 3))
-    x_walls = centers[:2 * nx].reshape(2, nx, nv, 3)
-    x_walls[..., 0] = np.array([0.0, room.lx])[:, None, None]
-    x_walls[..., 1] = ((np.arange(nx) + 0.5) * du_x)[:, None]
-    y_walls = centers[2 * nx:].reshape(2, ny, nv, 3)
-    y_walls[..., 0] = ((np.arange(ny) + 0.5) * du_y)[:, None]
-    y_walls[..., 1] = np.array([0.0, room.ly])[:, None, None]
-    centers[..., 2] = (np.arange(nv) + 0.5) * dv
-    on_x = 2 * nx * nv  # patches on the x walls
-    axis = np.zeros(len(centers) * nv, dtype=int)
-    axis[on_x:] = 1
-    edges_u = np.full(len(axis), du_y)
-    edges_u[:on_x] = du_x
-    sign = np.repeat(_WALL_SIGNS, [nx * nv, nx * nv, ny * nv, ny * nv])
-    return centers.reshape(-1, 3), axis, sign, edges_u, np.full(len(axis), dv)
+@dataclass(slots=True)
+class _PatchArrays:
+    """The wall tiling of a room, or of rooms of one height back to back,
+    held as the grid it is, shared by the vector kernels.
+
+    Each wall column has its centre's x and y, the axis its wall is normal to
+    (0 for the x walls, 1 for the y walls), the sign of the inward normal
+    along that axis and its edge along the wall (u); each patch row, the same
+    in every column, has its height, and every patch the one edge up z (v).
+    Patch (column i, patch row j) is patch i * nv + j of the tiling. The
+    per-patch fields (`centers`, `axis`, `sign`, `edges_u`, `edges_v`) are
+    derived from the grid when read (`patches`).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    column_axis: np.ndarray
+    column_sign: np.ndarray
+    edge_u: np.ndarray
+    heights: np.ndarray
+    edge_v: float
+
+    @classmethod
+    def from_room(cls, room, patch_edge_m: float) -> "_PatchArrays":
+        """The tiling of a room's walls, or of a sequence of rooms' walls of
+        one height back to back, room after room, each as it would be tiled
+        alone. Every room's counts are checked before anything is allocated
+        (`_wall_counts`).
+
+        A room's four walls come in a fixed order, x=0, x=lx, y=0, y=ly: the
+        x walls have nx columns along y, the y walls ny columns along x. Each
+        direction is tiled with exact sizes extent/count, so the tiling covers
+        every wall exactly and is reflection-symmetric."""
+        rooms = [room] if isinstance(room, Room) else list(room)
+        counts = [_wall_counts(r, patch_edge_m) for r in rooms]
+        lz, nv = rooms[0].lz, counts[0][1]
+        if any(r.lz != lz for r in rooms):
+            raise ValueError("rooms tiled together must share their height")
+        # one entry per wall, wall after wall, room after room: its columns,
+        # their edge along the wall and the wall plane's coordinate
+        n, du, plane = [], [], []
+        for r, (nu, _) in zip(rooms, counts):
+            n += nu
+            du += [r.ly / nu[0], r.ly / nu[1], r.lx / nu[2], r.lx / nu[3]]
+            plane += [0.0, r.lx, 0.0, r.ly]
+        n = np.array(n)
+        edge_u, plane = np.repeat(du, n), np.repeat(plane, n)
+        along = (np.arange(len(edge_u)) - np.repeat(np.cumsum(n) - n, n) + 0.5) * edge_u
+        axis = np.repeat([0, 0, 1, 1] * len(rooms), n)
+        x_wall = axis == 0
+        return cls(np.where(x_wall, plane, along), np.where(x_wall, along, plane), axis,
+                   np.repeat(_WALL_SIGNS.tolist() * len(rooms), n), edge_u,
+                   (np.arange(nv) + 0.5) * (lz / nv), lz / nv)
+
+    def __len__(self) -> int:
+        return len(self.x) * len(self.heights)
+
+    def take(self, columns: np.ndarray) -> "_PatchArrays":
+        """The grid of the given columns, in that order, and all patch rows."""
+        return _PatchArrays(self.x[columns], self.y[columns], self.column_axis[columns],
+                            self.column_sign[columns], self.edge_u[columns], self.heights,
+                            self.edge_v)
+
+    def near(self) -> np.ndarray:
+        """Each column's close-range distance, four times its longer edge.
+
+        The midpoint rule degrades when the receiver sits close to a patch
+        (the 1/d2^2 factor varies too much across it). Such pairs are
+        re-evaluated by subdivision until every sub-patch satisfies
+        edge <= d2/4, keeping the discretization error small everywhere."""
+        return 4.0 * np.maximum(self.edge_u, self.edge_v)
+
+    def led_legs(self, tx: np.ndarray, m: float) -> np.ndarray:
+        """The (columns, patch rows) LED legs from an LED of order m at `tx`,
+        (3,), or one per column, (columns, 3): each patch's LED -> centre
+        offsets, built from its column and its patch row, are laid out as a
+        C-contiguous (patches, 3) array, the same bits as materialized centres
+        minus the LED position."""
+        v1 = np.empty((len(self.x), len(self.heights), 3))
+        v1[..., 0] = (self.x - tx[..., 0])[:, None]
+        v1[..., 1] = (self.y - tx[..., 1])[:, None]
+        v1[..., 2] = self.heights - tx[..., 2, None]
+        # the cos(alpha) numerator: minus the offset along the wall normal
+        # times the inward sign
+        facing = -np.where(self.column_axis == 0, v1[:, 0, 0], v1[:, 0, 1]) * self.column_sign
+        return _led_leg(v1, facing[:, None], m, (self.edge_u * self.edge_v)[:, None])
+
+    def patches(self, j: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """The per-patch fields of patches `j` (tiling indices), or of every
+        patch in tiling order: centres (k, 3), axis, sign and the edges along
+        u and v, as refinement's `_Pairs` take them."""
+        nv = len(self.heights)
+        if j is not None:
+            column, row = np.divmod(j, nv)
+            centers = np.column_stack((self.x[column], self.y[column], self.heights[row]))
+            return (centers, self.column_axis[column], self.column_sign[column],
+                    self.edge_u[column], np.full(len(j), self.edge_v))
+        centers = np.empty((len(self.x), nv, 3))
+        centers[..., 0], centers[..., 1] = self.x[:, None], self.y[:, None]
+        centers[..., 2] = self.heights
+        per_column = (np.repeat(a, nv) for a in (self.column_axis, self.column_sign, self.edge_u))
+        return (centers.reshape(-1, 3), *per_column, np.full(len(self), self.edge_v))
+
+    centers = property(lambda self: self.patches()[0])
+    axis = property(lambda self: self.patches()[1])
+    sign = property(lambda self: self.patches()[2])
+    edges_u = property(lambda self: self.patches()[3])
+    edges_v = property(lambda self: self.patches()[4])
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +313,6 @@ def _los_gain_block(c: _Constants, m: float, tx_pos: np.ndarray, pos: np.ndarray
     return np.where(visible & in_fov, gain, 0.0)
 
 
-def _center_offsets(centers, tx_pos, x_wall, sign) -> tuple[np.ndarray, np.ndarray]:
-    """The LED -> (sub-)patch offsets of (k, 3) centres, from one LED position
-    (3,) or one per centre (k, 3), and the cos(alpha) numerator `_led_leg`
-    takes with them: minus the offset along the wall normal times the inward
-    sign."""
-    v1 = centers - tx_pos
-    return v1, -np.where(x_wall, v1[:, 0], v1[:, 1]) * sign
-
-
 def _leg_offsets(x_wall, normal, tangent, dz) -> np.ndarray:
     """The (k, 3) LED -> (sub-)patch offsets, in x, y, z order, of sub-patches
     given in wall coordinates: the offset along the wall normal (x on an x
@@ -270,18 +325,21 @@ def _leg_offsets(x_wall, normal, tangent, dz) -> np.ndarray:
 
 
 def _led_leg(v1, facing, m: float, areas) -> np.ndarray:
-    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each (k, 3)
-    LED -> centre offset `v1` (x, y, z), where `facing` is the cos(alpha)
-    numerator, minus the offset along the wall normal times the inward sign.
-    The offsets come from materialized centres (`_center_offsets`) or from
-    a close pair's fixed wall offsets (`_leg_offsets`), with the same bits:
-    d1^2 is read from v1 in x, y, z order, and the LED is -v1[2] above the
+    """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each LED ->
+    centre offset `v1` (x, y, z), a C-contiguous (..., 3) array, where
+    `facing` is the cos(alpha) numerator, minus the offset along the wall
+    normal times the inward sign; `facing` and `areas` broadcast against the
+    offsets' leading shape. The offsets come from the wall grid
+    (`_PatchArrays.led_legs`) or from a close pair's fixed wall offsets
+    (`_leg_offsets`), with the same bits: d1^2 is read from the offsets, as
+    one (k, 3) array, in x, y, z order, and the LED is -v1[..., 2] above the
     centre."""
-    d1_sq = np.einsum("ij,ij->i", v1, v1)
+    flat = v1.reshape(-1, 3)
+    d1_sq = np.einsum("ij,ij->i", flat, flat).reshape(v1.shape[:-1])
     if np.any(d1_sq == 0.0):
         raise ValueError("a wall patch coincides with a transmitter")
     d1 = np.sqrt(d1_sq)
-    cos_phi = np.negative(v1[:, 2]) / d1
+    cos_phi = np.negative(v1[..., 2]) / d1
     cos_alpha = facing / d1
     return np.where(
         (cos_phi > 0) & (cos_alpha > 0),
@@ -521,25 +579,16 @@ class _TiledRoom:
     def __init__(self, c: _Constants, patch_edge_m: float):
         self.pa = pa = _PatchArrays.from_room(c.scene.room, patch_edge_m)
         self.cos_fov = c.cos_fov
-        x_wall = pa.axis == 0
-        # The midpoint rule degrades when the receiver sits close to a patch
-        # (the 1/d2^2 factor varies too much across it). Such pairs are
-        # re-evaluated by subdivision until every sub-patch satisfies
-        # edge <= d2/4, keeping the discretization error small everywhere.
-        near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
-        areas = pa.edges_u * pa.edges_v
-        self.patch_rows = nv = _wall_counts(c.scene.room, patch_edge_m)[1]
-        self.led_legs = [np.ascontiguousarray(
-            _led_leg(*_center_offsets(pa.centers, np.asarray(tx.position), x_wall, pa.sign),
-                     m, areas).reshape(-1, nv).T) for tx, m in zip(c.scene.transmitters, c.m)]
+        self.patch_rows = len(pa.heights)
+        self.led_legs = [np.ascontiguousarray(pa.led_legs(np.asarray(tx.position), m).T)
+                         for tx, m in zip(c.scene.transmitters, c.m)]
         # per column: centre x and y, wall axis mask, sign and close-range
         # distance; per patch row: height and top edge, the sum `_rises_above`
-        # takes, which is the same bits in every column and never falls as
-        # the row rises
-        self.columns = (pa.centers[::nv, 0], pa.centers[::nv, 1], x_wall[::nv], pa.sign[::nv],
-                        near[::nv])
-        self.heights = pa.centers[:nv, 2]
-        self.tops = self.heights + 0.5 * pa.edges_v[:nv]
+        # takes, which never falls as the row rises
+        self.columns = (pa.x, pa.y, pa.column_axis == 0, pa.column_sign, pa.near())
+        self.heights = pa.heights
+        self.tops = pa.heights + 0.5 * pa.edge_v
+        self.patches = pa.patches()  # each patch's fields, as `_Pairs` takes them
 
     def start_chunk(self, pos: np.ndarray, lanes: "_Lanes"):
         """Compute the LED-independent midpoint geometry of a chunk of rows,
@@ -579,7 +628,7 @@ class _TiledRoom:
         g.drop[r, :, column] |= close
         pair, row = np.nonzero(close)
         r, c = r[pair], column[pair] * nv + cut + row  # the patch's index in the tiling
-        seen = _rises_above(self.pa.centers[c, 2], self.pa.edges_v[c], pos[r, 2])
+        seen = _rises_above(self.heights[cut + row], self.pa.edge_v, pos[r, 2])
         return r[seen], c[seen]
 
     def midpoint_sums(self, t: int) -> np.ndarray:
@@ -624,15 +673,13 @@ def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
     each LED runs one light pass over it and sends the chunk's close pairs,
     the same for every LED, to refinement for its own lanes."""
     room = _TiledRoom(c, patch_edge_m)
-    pa = room.pa
-    step = max(1, _CHUNK_PAIRS // len(pa))
+    step = max(1, _CHUNK_PAIRS // len(room.pa))
     order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
     for a in range(0, hi - lo, step):
         rows = order[a:a + step]
         p = pos[rows]
         r, j = room.start_chunk(p, lanes)
-        close = _Pairs(rows[r] * lanes.width, p[r], None, pa.centers[j], pa.axis[j],
-                       pa.sign[j], pa.edges_u[j], pa.edges_v[j])
+        close = _Pairs(rows[r] * lanes.width, p[r], None, *(field[j] for field in room.patches))
         for t, (tx, m, k) in enumerate(zip(c.scene.transmitters, c.m, c.k)):
             lanes.los[rows, t] = tx.power_mw * _los_gain_block(c, m, np.asarray(tx.position), p)
             lanes.sums[rows, t] = room.midpoint_sums(t)
@@ -644,86 +691,70 @@ def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
 
 def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
                   patch_edge_m: float) -> None:
-    """The rows of several whole rooms in one chunk: one tiling of all their
-    walls back to back, one LED leg, LOS and midpoint pass over all of them.
+    """The rows of several whole rooms in one chunk on the wall grid: one
+    tiling of all their walls back to back, one geometry pass over all
+    their rows, then one LOS and one light pass per LED.
 
-    Room i has scene and constants consts[i], rows spans[i] = (first, count)
-    of `pos` and patches[i] wall patches; the rooms share their receiver and one
-    Lambertian order (`_room_groups`), so `** m` and the FOV test take the
-    scalars each room's own chunk gives them. A segment is one (room, LED):
-    its lanes (the room's rows) against its room's patches. The pass runs over the (lane, patch)
-    pairs segment after segment, each row-major, so the close pairs reach the
-    refinement queue in the order one-room chunks give them, and a lane's
-    midpoint sum is NumPy's pairwise sum over its own room's patches, as in a
-    (rows, patches) block: every lane keeps its bits.
+    Room i has constants consts[i], rows spans[i] = (first, count) of `pos`
+    (the rooms are consecutive) and patches[i] wall patches. The rooms share
+    their height, so one set of patch rows, their receiver, their LED count
+    and one Lambertian order (`_room_groups`), so `** m` and the FOV test
+    take the scalars each room's own chunk gives them.
+
+    Each row meets its own room's columns: its (column, patch row) pairs are
+    built from per-(row, column) plane and normal offsets and the row's
+    height offsets, row after row, in the tiling's order within each row. So
+    a lane's midpoint sum is NumPy's pairwise sum over exactly its own room's
+    patches, and its close pairs, looked for as `_TiledRoom.start_chunk`
+    does, reach the refinement queue in the order its room's own chunk gives
+    them: every lane keeps its bits.
     """
     pa = _PatchArrays.from_room([c.scene.room for c in consts], patch_edge_m)
-    m, cos_fov = consts[0].m[0], consts[0].cos_fov
-    segments, first = [], 0
-    for c, (lo, count), size in zip(consts, spans, patches):
-        segments += [(lo, count, first, size, t, tx.power_mw, k, *tx.position)
-                     for t, (tx, k) in enumerate(zip(c.scene.transmitters, c.k))]
-        first += size
-    seg = np.array(segments)
-    row0, n, patch0, size, column = seg[:, :5].T.astype(np.intp)
-    power, k, tx_pos = seg[:, 5], seg[:, 6], seg[:, 7:]
+    nv = len(pa.heights)
+    c0, lo = consts[0], spans[0][0]
+    m, cos_fov = c0.m[0], c0.cos_fov
+    count = np.array([n for _, n in spans])
+    p = pos[lo:lo + count.sum()]
+    columns = np.array(patches) // nv
+    width = np.repeat(columns, count)  # each row's columns
+    # every row's copy of its own room's columns, row after row
+    first = np.repeat(np.cumsum(columns) - columns, count) - (np.cumsum(width) - width)
+    grid = pa.take(np.arange(width.sum()) + np.repeat(first, width))
+    p_rc = np.repeat(p, width, axis=0)
+    dx, dy = p_rc[:, 0] - grid.x, p_rc[:, 1] - grid.y
+    plane = dx * dx
+    plane += dy * dy
+    normal = np.where(grid.column_axis == 0, dx, dy) * grid.column_sign
+    out = lanes.work(*[(len(p_rc), nv)] * 4)
+    dz = np.subtract(p_rc[:, 2, None], pa.heights, out=out[3])  # cos(psi) overwrites it
+    g = _rx_geometry(plane[:, None], dz, normal[:, None], cos_fov, None, out)
+    # the close pairs, looked for as `_TiledRoom.start_chunk` does: row after
+    # row, column after column, patch row after patch row
+    d2, near = out[1], grid.near()
+    (rc,) = np.nonzero(np.sqrt(plane) < near)
+    close = d2[rc] < near[rc, None]
+    g.drop[rc] |= close
+    pair, row = np.nonzero(close)
+    rc = rc[pair]
+    seen = _rises_above(pa.heights[row], pa.edge_v, p_rc[rc, 2])
+    rc, row = rc[seen], row[seen]
+    r = np.repeat(np.arange(len(p)), width)[rc]  # each close pair's row
+    close = grid.patches(rc * nv + row)
 
-    # lanes, segment after segment: their rows, LEDs and flat (row, LED) index
-    lane_row, lane_tx = _ranges(row0, n), np.repeat(tx_pos, n, axis=0)
-    lane = lane_row * lanes.width + np.repeat(column, n)
-    rows = pos[lane_row]
-    lanes.los.reshape(-1)[lane] = np.repeat(power, n) * _los_gain_block(consts[0], m, lane_tx, rows)
-    lanes.k.reshape(-1)[lane] = np.repeat(k, n)
-    lanes.power.reshape(-1)[lane] = np.repeat(power, n)
-    # The patch of every (segment, patch) leg and the leg of every (lane,
-    # patch) pair, lane after lane; None where they are the same (one LED, or
-    # one row, a room), so nothing is gathered.
-    leg_patch = None if len(seg) == len(consts) else _ranges(patch0, size)
-    lane_size = np.repeat(size, n)
-    pair_leg = None if np.all(n == 1) else _ranges(np.repeat(np.cumsum(size) - size, n), lane_size)
-    pair_patch = _take(leg_patch, pair_leg)
-    x_wall = pa.axis == 0
-    led_leg = _led_leg(*_center_offsets(_take(pa.centers, leg_patch),
-                                        np.repeat(tx_pos, size, axis=0),
-                                        _take(x_wall, leg_patch), _take(pa.sign, leg_patch)),
-                       m, _take(pa.edges_u * pa.edges_v, leg_patch))
-    dx, dy, dz, d2_sq, d2 = work = lanes.work((5, lane_size.sum()))[0]
-    for axis in range(3):
-        np.subtract(np.repeat(rows[:, axis], lane_size), _take(pa.centers[:, axis], pair_patch),
-                    out=work[axis])
-    near = 4.0 * np.maximum(pa.edges_u, pa.edges_v)
-    normal = np.where(_take(x_wall, pair_patch), dx, dy) * _take(pa.sign, pair_patch)
-    plane = np.multiply(dx, dx, out=dx)
-    plane += np.multiply(dy, dy, out=dy)
-    # cos(beta) and cos(psi) overwrite the offsets, read by then
-    g = _rx_geometry(plane, dz, normal, cos_fov, _take(near, pair_patch), (d2_sq, d2, dy, dx))
-    terms, close = _rx_light(_take(led_leg, pair_leg), g, out=d2), g.close
-    end = 0
-    for a, count, width, t in zip(row0.tolist(), n.tolist(), size.tolist(), column.tolist()):
-        block = terms[end:end + count * width].reshape(count, width)
-        lanes.sums[a:a + count, t] = block.sum(axis=1)
-        end += count * width
-    (i,) = np.nonzero(close)
-    c, j = _take(pair_patch, i), np.searchsorted(np.cumsum(lane_size), i, side="right")
-    seen = _rises_above(pa.centers[c, 2], pa.edges_v[c], rows[j, 2])
-    if seen.any():
-        c, j = c[seen], j[seen]
-        lanes.queue.put((m, cos_fov), _Pairs(
-            lane[j], rows[j], lane_tx[j],
-            pa.centers[c], pa.axis[c], pa.sign[c], pa.edges_u[c], pa.edges_v[c]))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] + arange(lengths[i]), back to back."""
-    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-
-
-def _take(a, index):
-    """The rows a[index], or `a` when `index` is None; an index array `a`
-    that is None stands for the identity, so this also composes indexes."""
-    if index is None:
-        return a
-    return index if a is None else np.take(a, index, axis=0)
+    rows = slice(lo, lo + len(p))
+    leds = np.array([[(*tx.position, tx.power_mw, k) for tx, k in zip(c.scene.transmitters, c.k)]
+                     for c in consts]).repeat(count, axis=0)  # (rows, LEDs, 5)
+    for t in range(leds.shape[1]):
+        tx, power, k = leds[:, t, :3], leds[:, t, 3], leds[:, t, 4]
+        lanes.los[rows, t] = power * _los_gain_block(c0, m, tx, p)
+        lanes.k[rows, t], lanes.power[rows, t] = k, power
+        term = _rx_light(grid.led_legs(np.repeat(tx, width, axis=0), m), g, out=d2).reshape(-1)
+        end = 0
+        for (a, n), size in zip(spans, patches):
+            lanes.sums[a:a + n, t] = term[end:end + n * size].reshape(n, size).sum(axis=1)
+            end += n * size
+        if len(r):
+            lanes.queue.put((m, cos_fov), _Pairs((lo + r) * lanes.width + t, p[r], tx[r], *close))
 
 
 def _check_inside(scenes, counts, pos: np.ndarray) -> None:
@@ -737,29 +768,31 @@ def _check_inside(scenes, counts, pos: np.ndarray) -> None:
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
 
 
-# Both chunk layouts stay because each is the faster one on a workload the
-# benchmark runs, and this grouping picks between them from each room's row
-# and patch counts. Many one-row rooms (generate_reference_variable) run
-# 1.7 times slower with every room on `_one_room`, and a 50x50 map's rows
-# (simulate_map) 1.5 times slower through `_shared_chunk`'s per-pair gathers
-# (2-CPU VM, alternating runs, the same bits on both sides).
+# Both chunk layouts stay. 300 one-row rooms (generate_reference_variable)
+# take 2.6 times as long with every room a grid chunk of its own as in
+# shared chunks (2-CPU VM, best of 15 calls, the same bits either way); a
+# room alone in its run, or too big to share one, keeps its grid chunks,
+# whose rows come in height order so that each cuts the patch rows below it.
 def _room_groups(scenes, counts, patches) -> list[list[int]]:
     """The scenes, by index, in runs of consecutive whole rooms that share one
-    chunk: their (row, LED, patch) triples fit in a quarter of _CHUNK_PAIRS
-    together, and they share their receiver and one half-power angle, so one
-    Lambertian order, for every LED. Any other room is a run of its own.
+    chunk: their (row, patch) pairs fit in half of _CHUNK_PAIRS together, and
+    they share their height, so one set of patch rows, their receiver, their
+    LED count and one half-power angle, so one Lambertian order, for every
+    LED. Any other room is a run of its own.
 
-    A shared chunk also holds its rooms' tilings and LED legs, and gathers
-    per-pair copies of them: with one row and one LED a room, that is about
-    four times the memory of the pair temporaries alone, so a quarter keeps
-    its peak near that of one full one-room chunk.
+    Per (row, patch) pair, a shared chunk holds the four geometry arrays a
+    grid chunk holds and, one LED at a time, that LED's offsets, leg and
+    their temporaries: about twice as much, so half of _CHUNK_PAIRS keeps
+    its traced peak under twice that of one full grid chunk (1.6 times for
+    300 one-row rooms).
     """
-    budget = _CHUNK_PAIRS // 4
+    budget = _CHUNK_PAIRS // 2
     groups, pairs, key = [], 0, None
     for i, (scene, count, size) in enumerate(zip(scenes, counts, patches)):
-        size *= count * len(scene.transmitters)
+        size *= count
         angles = {tx.hpa_deg for tx in scene.transmitters}
-        room_key = (angles.pop(), scene.receiver) if len(angles) == 1 else None
+        room_key = ((angles.pop(), scene.receiver, scene.room.lz, len(scene.transmitters))
+                    if len(angles) == 1 else None)
         if not groups or room_key is None or room_key != key or pairs + size > budget:
             groups.append([])
             pairs = 0
@@ -775,10 +808,10 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     lanes 0).
 
     Everything runs on the calling thread, in chunks of at most _CHUNK_PAIRS
-    (row, LED, patch) triples that share one work buffer. Consecutive small
-    rooms share a chunk (`_shared_chunk`): one tiling, LED leg, LOS and
-    midpoint pass for all their rows. A room alone in its chunk, or too big to
-    share one, is split by rows into (rows, patches) chunks (`_one_room`).
+    (row, patch) pairs that share one work buffer. Consecutive small rooms
+    share a chunk (`_shared_chunk`): one tiling and one geometry pass for all
+    their rows, then one LOS and light pass per LED. A room alone in its run,
+    or too big to share one, is split by rows into grid chunks (`_one_room`).
     Every chunk's close pairs that rise above their receiver's plane join one
     refinement queue.
     """

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lumenrem import channel as ch
+from lumenrem import dataset
 from lumenrem.scene import Receiver, Room, Scene, Transmitter, preset_scene, variable_scene
 
 
@@ -905,11 +906,12 @@ _FOUR_WALLS = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1
        subpatches=st.lists(st.tuples(_FOUR_WALLS, st.integers(0, 3)), min_size=1, max_size=20))
 def test_the_led_leg_has_the_same_bits_from_centres_or_wall_offsets(side, leds, edge,
                                                                     subpatches):
-    """`_led_leg` gives the same bits whether its offsets are materialized
-    centres minus the LED position, as the wall grid builds them, or built
-    from a pair's fixed wall offsets and a sub-patch's tangent and height,
-    as refinement builds them, for sub-patches on all four walls, any depth,
-    and one LED position per sub-patch."""
+    """`_led_leg` gives the same bits whether its offsets come from the wall
+    grid, a column's x and y and a patch row's height minus the LED position
+    (`_PatchArrays.led_legs`), or from a pair's fixed wall offsets and a
+    sub-patch's tangent and height, as refinement builds them, for
+    sub-patches on all four walls, any depth, and one LED position per
+    sub-patch."""
     sc = variable_scene(*side, leds)
     room = sc.room
     extent = (room.ly, room.ly, room.lx, room.lx)
@@ -922,17 +924,22 @@ def test_the_led_leg_has_the_same_bits_from_centres_or_wall_offsets(side, leds, 
     centers[np.arange(len(wall)), axis], centers[np.arange(len(wall)), 1 - axis] = plane, t
     centers[:, 2] = z
     tx = np.array([sc.transmitters[i % leds].position for _, i in subpatches])
-    areas = (edge / 2.0 ** depth) ** 2
+    sub_edge = edge / 2.0 ** depth
+    areas = sub_edge ** 2
     m = ch.lambertian_order(sc.transmitters[0].hpa_deg)
     x_wall = axis == 0
-    v1, facing = ch._center_offsets(centers, tx, x_wall, sign)
+    v1 = centers - tx
     pair = np.arange(len(wall))
     tx_n = plane - tx[pair, axis]
     v1_wall = ch._leg_offsets(x_wall, tx_n, t - tx[pair, 1 - axis], z - tx[:, 2])
     assert v1_wall.tobytes() == v1.tobytes()
-    assert (-tx_n * sign).tobytes() == facing.tobytes()
+    assert (-tx_n * sign).tobytes() == (-np.where(x_wall, v1[:, 0], v1[:, 1]) * sign).tobytes()
+    # each sub-patch as the one patch of a one-column grid
+    grid = [ch._PatchArrays(*map(np.array, ([cx], [cy], [a], [s], [e], [cz])), e)
+            .led_legs(p, m)[0, 0]
+            for (cx, cy, cz), a, s, e, p in zip(centers.tolist(), axis, sign, sub_edge, tx)]
     assert (ch._led_leg(v1_wall, -tx_n * sign, m, areas).tobytes()
-            == ch._led_leg(v1, facing, m, areas).tobytes())
+            == np.array(grid).tobytes())
 
 
 @pytest.mark.parametrize("on_patch, beside", [
@@ -1037,6 +1044,105 @@ def test_rooms_share_a_chunk_only_with_the_same_receiver_and_lambertian_order():
     ones = [1] * len(scenes)  # one row and one patch a room
     assert ch._room_groups(scenes, ones, ones) == [
         [0, 1], [2, 3], [4], [5], [6], [7], [8, 9]]
+    # nor with a room of another height (other patch rows) or LED count: the
+    # 2.8 m small and 3.5 m big presets beside 3 m rooms, the 3 m mid preset
+    # among them
+    small, mid, big = (preset_scene(name) for name in ("small", "mid", "big"))
+    scenes = [plain, small, small, plain, big, big, mid, plain, four, four, plain, small]
+    ones = [1] * len(scenes)
+    assert ch._room_groups(scenes, ones, ones) == [
+        [0], [1, 2], [3], [4, 5], [6, 7], [8, 9], [10], [11]]
+
+
+@st.composite
+def _preset_or_variable_room(draw):
+    """A small, mid or big preset room, or a 3 m room of 3 to 7 m sides, with
+    1 or 4 LEDs, and 1 to 3 rows in it, some on or near a wall."""
+    leds = draw(st.sampled_from([1, 4]))
+    name = draw(st.sampled_from(["small", "mid", "big", None, None]))
+    sc = (preset_scene(name, leds) if name else
+          variable_scene(draw(st.floats(3.0, 7.0)), draw(st.floats(3.0, 7.0)), leds))
+    room = sc.room
+    rows = [_wall_point(room, draw(st.integers(0, 3)),
+                        draw(st.sampled_from([0.0, 0.05, 0.3, 1.5])),
+                        draw(st.floats(0.0, 7.0)), draw(st.floats(0.0, 1.7)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return sc, np.array(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rooms=st.lists(_preset_or_variable_room(), min_size=2, max_size=8))
+def test_rooms_of_other_heights_and_led_counts_keep_each_rows_bits(rooms):
+    """Preset and 3 m rooms with 1 and 4 LEDs side by side in one call, the
+    rooms of one height and LED count sharing chunks: every row gets the
+    bits of its own one-row call, LED by LED."""
+    scenes, blocks = [sc for sc, _ in rooms], [rows for _, rows in rooms]
+    want = [ch.received_power(sc, p, patch_edge_m=_EDGE).per_tx
+            for sc, rows in rooms for p in rows]
+    los, nlos = ch._lane_powers(scenes, blocks, _EDGE)
+    leds = [len(sc.transmitters) for sc, rows in rooms for _ in rows]
+    assert [tuple(zip(a[:t], b[:t])) for a, b, t in zip(los.tolist(), nlos.tolist(), leds)] == want
+
+
+def _handed_to_refinement(scenes, blocks):
+    """Per lane, the close pairs a call hands to the refinement queue, in
+    order: each pair's receiver, LED and patch fields."""
+    handed, put = {}, ch._RefineQueue.put
+
+    def record(self, key, q):
+        for lane, *pair in zip(q.lane.tolist(), q.rx.tolist(), np.asarray(q.tx).tolist(),
+                               q.centers.tolist(), q.axis.tolist(), q.sign.tolist(),
+                               q.edges_u.tolist(), q.edges_v.tolist()):
+            handed.setdefault(lane, []).append((key, *pair))
+        put(self, key, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch._RefineQueue, "put", record)
+        ch.received_power_rooms(scenes, blocks, patch_edge_m=_EDGE)
+    return handed
+
+
+def _near_walls(leds, sides):
+    """One-row 3 m rooms, each row 5 cm in front of a wall."""
+    return [(sc, np.array([_wall_point(sc.room, i % 4, 0.05, 1.3 * i, 0.4 + 0.1 * i)]))
+            for i, sc in enumerate(variable_scene(a, b, leds) for a, b in sides)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rooms=st.lists(_preset_or_variable_room(), min_size=2, max_size=8))
+@example(rooms=_near_walls(1, [(3.0, 4.0), (5.5, 3.2), (6.9, 6.1), (4.4, 4.4)])
+         + _near_walls(4, [(3.3, 6.0), (5.0, 5.0), (7.0, 3.0)]))
+def test_a_shared_chunk_hands_each_lane_its_own_rooms_close_pairs_in_order(rooms):
+    """Every lane's close pairs reach `_RefineQueue.put` as the same pairs,
+    in the same order, as in its own room's call: the order in which the
+    queue adds a lane's refined terms, so its sum keeps its bits."""
+    scenes, blocks = [sc for sc, _ in rooms], [rows for _, rows in rooms]
+    width = max(len(sc.transmitters) for sc in scenes)
+    want, start = {}, 0
+    for sc, rows in rooms:
+        for lane, pairs in _handed_to_refinement([sc], [rows]).items():
+            row, t = divmod(lane, len(sc.transmitters))
+            want[(start + row) * width + t] = pairs
+        start += len(rows)
+    assert _handed_to_refinement(scenes, blocks) == want
+
+
+def test_four_led_rooms_share_chunks_and_keep_their_bits(monkeypatch):
+    """The one-row 4-LED rooms of `generate_reference_variable` share chunks,
+    fewer tilings than rooms, and each row keeps the bits of its own
+    one-row call."""
+    tiled, from_room = [], ch._PatchArrays.from_room
+
+    def record(room, patch_edge_m):
+        tiled.append(1 if isinstance(room, Room) else len(room))
+        return from_room(room, patch_edge_m)
+
+    monkeypatch.setattr(ch._PatchArrays, "from_room", record)
+    ds = dataset.generate_reference_variable(4, 60, seed=3)
+    assert sum(tiled) == 60 and len(tiled) < 60 / 3
+    monkeypatch.undo()
+    for (x, y, z, lx, ly), rss in zip(ds.features.tolist(), ds.rss_dbm.tolist()):
+        assert rss == ch.rss_dbm(ch.received_power(variable_scene(lx, ly, 4), (x, y, z)).total_mw)
 
 
 def test_small_rooms_are_tiled_a_chunk_at_a_time(monkeypatch):
