@@ -13,8 +13,8 @@ Every call is one pass: `received_power_rooms` takes the rows of any number of
 rooms, `received_power_many` is its one-room call and `received_power` its
 one-row call. The rows meet the wall tilings in cache-sized chunks.
 Consecutive small rooms of one height share a chunk; any other room's rows
-meet its own tiling in (rows, patches) blocks, taken in height order (a
-stable sort), lowest first. The (row, patch) pairs too close for the
+meet its own tiling in chunks of rows, taken in height order (a stable
+sort), lowest first. The (row, patch) pairs too close for the
 midpoint rule, from every chunk and room, wait in one refinement queue that
 is refined in fixed-size batches whenever one fills. A position's powers are
 the same bits whichever call, chunk or batch it falls in: a row's midpoint
@@ -29,26 +29,22 @@ term is left out as for any close pair, so it adds the same 0.0 it would have
 added split, and the sums keep their bits.
 
 The walls are a regular grid: a wall column shares its x, y and wall
-normal, and a patch row its height. A block of rows meets its room's
-tiling as (rows, patch rows, columns) pairs built from per-(row, column)
-offsets (the squared in-plane distance dx^2 + dy^2 and the normal offset)
-and per-(row, patch row) height offsets. Only the LED leg of a midpoint term
-depends on the LED, so the block's geometry (d2^2, d2, cos(beta),
-cos(psi), the FOV and close-range masks, the close pairs) is computed once,
-and each LED then runs one light pass, ((leg / d2^2) cos(beta)) cos(psi),
-over it: every term is the same expression as computed alone, so it keeps
-its bits. The close pairs are the same for every LED; each LED's lanes send
-them to refinement. They are looked for only where a pair can be close:
-d2 is at least the in-plane distance sqrt(dx^2 + dy^2), so only the (row,
-column) pairs whose in-plane distance is under the column's close-range
-distance are tested, on their own patch rows.
-
-A shared chunk is on the same grid. Its rooms lay their wall columns back
-to back and share one set of patch rows, and each row meets its own room's
-columns: its pairs are (row-column, patch row) pairs, built the same way,
-row after row in the tiling's (column, patch row) order, so its terms sum
-as they lie. Two of its rows share a patch only when they share a room,
-so its LED legs are computed per row-column, one LED at a time.
+normal, and a patch row its height. Every chunk runs one kernel (`_chunk`)
+on (row groups, patch rows, columns) pairs, built from per-(group, column)
+offsets (dx^2 + dy^2 and the normal offset) and height offsets. A room's
+rows meet its own tiling, one row per group; a run of small rooms is one
+group whose columns are each row's own copy of its room's columns, row
+after row, back to back, one receiver per column. Only the LED leg of a
+midpoint term depends on the LED, so the chunk's geometry (d2^2, d2,
+cos(beta), cos(psi), the FOV and close-range masks, the close pairs) is
+computed once, and each LED then runs one light pass, ((leg / d2^2)
+cos(beta)) cos(psi), over it: every term is the same expression as
+computed alone, so it keeps its bits. The close pairs are the same for
+every LED; each LED's lanes send them to refinement. They are looked for
+only where a pair can be close: d2 is at least the in-plane distance
+sqrt(dx^2 + dy^2), so only the (group, column) pairs whose in-plane
+distance is under the column's close-range distance are tested, on their
+own patch rows.
 
 Refinement works in wall coordinates. A close pair's wall plane is fixed,
 and so are its receiver's and its LED's offsets along the wall normal: they
@@ -58,13 +54,13 @@ same offsets, in the same order, as they would from materialized sub-patch
 centres, so the sums keep their bits.
 
 The test that prunes refinement also cuts work before any term is computed.
-The rows of a block come in height order, and its geometry covers only the
-patch rows whose top edge is above its lowest receiver. A patch of a row
-cut is at or below every receiver of the block: its midpoint term fails the
-FOV test and its refinement would add exactly 0.0. Each LED's terms are put
-back in the tiling's patch order beside the 0.0 the cut rows add, so each
-row still sums all its patches in the same pairwise order and keeps its
-bits.
+A room's rows come in height order, and every chunk's geometry, a room's or
+a shared run's, covers only the patch rows whose top edge is above its
+lowest receiver. A patch of a row cut is at or below every receiver of the
+chunk: its midpoint term fails the FOV test and its refinement would add
+exactly 0.0. Each LED's terms are put back in the tiling's patch order
+beside the 0.0 the cut rows add, so each row still sums all its patches in
+the same pairwise order and keeps its bits.
 
 Each call derives a scene's constants once (`_constants`), from the formulas
 in `scene` that its records check; no kernel computes one itself. Everything
@@ -204,14 +200,16 @@ class _PatchArrays:
         """The tiling of a room's walls, or of a sequence of rooms' walls of
         one height back to back, room after room, each as it would be tiled
         alone. Every room's counts are checked before anything is allocated
-        (`_wall_counts`).
+        (`_wall_counts`); a room of the sequence may come as a (room, counts)
+        pair whose counts `_wall_counts` already gave.
 
         A room's four walls come in a fixed order, x=0, x=lx, y=0, y=ly: the
         x walls have nx columns along y, the y walls ny columns along x. Each
         direction is tiled with exact sizes extent/count, so the tiling covers
         every wall exactly and is reflection-symmetric."""
         rooms = [room] if isinstance(room, Room) else list(room)
-        counts = [_wall_counts(r, patch_edge_m) for r in rooms]
+        rooms, counts = zip(*(r if isinstance(r, tuple) else (r, _wall_counts(r, patch_edge_m))
+                              for r in rooms))
         lz, nv = rooms[0].lz, counts[0][1]
         if any(r.lz != lz for r in rooms):
             raise ValueError("rooms tiled together must share their height")
@@ -250,19 +248,19 @@ class _PatchArrays:
         return 4.0 * np.maximum(self.edge_u, self.edge_v)
 
     def led_legs(self, tx: np.ndarray, m: float) -> np.ndarray:
-        """The (columns, patch rows) LED legs from an LED of order m at `tx`,
+        """The (patch rows, columns) LED legs from an LED of order m at `tx`,
         (3,), or one per column, (columns, 3): each patch's LED -> centre
         offsets, built from its column and its patch row, are laid out as a
-        C-contiguous (patches, 3) array, the same bits as materialized centres
-        minus the LED position."""
-        v1 = np.empty((len(self.x), len(self.heights), 3))
-        v1[..., 0] = (self.x - tx[..., 0])[:, None]
-        v1[..., 1] = (self.y - tx[..., 1])[:, None]
-        v1[..., 2] = self.heights - tx[..., 2, None]
+        C-contiguous (patch rows, columns, 3) array, the same bits as
+        materialized centres minus the LED position."""
+        dx, dy = self.x - tx[..., 0], self.y - tx[..., 1]
+        v1 = np.empty((len(self.heights), len(self.x), 3))
+        v1[..., 0], v1[..., 1] = dx, dy
+        v1[..., 2] = self.heights[:, None] - tx[..., 2]
         # the cos(alpha) numerator: minus the offset along the wall normal
         # times the inward sign
-        facing = -np.where(self.column_axis == 0, v1[:, 0, 0], v1[:, 0, 1]) * self.column_sign
-        return _led_leg(v1, facing[:, None], m, (self.edge_u * self.edge_v)[:, None])
+        facing = -np.where(self.column_axis == 0, dx, dy) * self.column_sign
+        return _led_leg(v1, facing, m, self.edge_u * self.edge_v)
 
     def patches(self, j: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """The per-patch fields of patches `j` (tiling indices), or of every
@@ -566,80 +564,28 @@ class PowerBreakdown:
         return self.p_los_mw + self.p_nlos_mw
 
 
-class _TiledRoom:
-    """A scene's wall tiling and the LED leg of each patch, made once per
-    call, and the midpoint geometry of the current chunk of rows.
+class _Walls(NamedTuple):
+    """A grid as its chunks read it, made once per room or shared run: per
+    column the x-wall mask and close-range distance, per patch row its top
+    edge (`_rises_above`'s sum), and for a room, every patch's `_Pairs`
+    fields and each LED's (patch rows, columns) legs, else None."""
 
-    Every wall column shares its x, y, wall axis and sign, and every patch
-    row its height, so a chunk's (row, patch) pairs are laid out as (rows,
-    patch rows, columns) and built from per-(row, column) and per-(row,
-    patch row) offsets. The LED legs are kept in the (patch rows, columns)
-    layout, so the patch rows above a height cut are a slice of them."""
+    grid: _PatchArrays
+    x_wall: np.ndarray
+    near: np.ndarray
+    tops: np.ndarray
+    fields: tuple[np.ndarray, ...] | None = None
+    legs: list[np.ndarray] | None = None
 
-    def __init__(self, c: _Constants, patch_edge_m: float):
-        self.pa = pa = _PatchArrays.from_room(c.scene.room, patch_edge_m)
-        self.cos_fov = c.cos_fov
-        self.patch_rows = len(pa.heights)
-        self.led_legs = [np.ascontiguousarray(pa.led_legs(np.asarray(tx.position), m).T)
-                         for tx, m in zip(c.scene.transmitters, c.m)]
-        # per column: centre x and y, wall axis mask, sign and close-range
-        # distance; per patch row: height and top edge, the sum `_rises_above`
-        # takes, which never falls as the row rises
-        self.columns = (pa.x, pa.y, pa.column_axis == 0, pa.column_sign, pa.near())
-        self.heights = pa.heights
-        self.tops = pa.heights + 0.5 * pa.edge_v
-        self.patches = pa.patches()  # each patch's fields, as `_Pairs` takes them
 
-    def start_chunk(self, pos: np.ndarray, lanes: "_Lanes"):
-        """Compute the LED-independent midpoint geometry of a chunk of rows,
-        lowest first, and return the (rows, patches) of the close pairs left
-        out of its terms whose patch rises above the row's receiver plane,
-        the only ones to refine, in patch order within each row.
-
-        The geometry covers only the patch rows whose top edge is above the
-        chunk's lowest receiver. A patch of a row cut is at or below every
-        receiver's plane, so its term and, were it close, its refinement are
-        exactly 0.0 (`_rises_above`); the cut is a start index on the patch
-        row axis.
-
-        Close pairs are looked for only where a pair can be close: the
-        (row, column) candidates whose in-plane distance sqrt(dx^2 + dy^2) is
-        under the column's close-range distance. Adding dz^2 and a correctly
-        rounded square root never lower a value, so d2 >= that distance and
-        no close pair is missed. d2 < near is tested on the candidates'
-        patch rows alone, and the close pairs, read off that (candidates,
-        patch rows) array, come row after row, column after column, patch
-        row after patch row: the tiling's order within each row."""
-        cx, cy, x_wall, sign, near = self.columns
-        nv, n = self.patch_rows, len(pos)
-        self.cut = cut = int(np.searchsorted(self.tops, pos[0, 2], side="right"))
-        *out, self.full = lanes.work(*[(n, nv - cut, len(cx))] * 4, (n, len(cx), nv))
-        dx = pos[:, 0, None, None] - cx
-        dy = pos[:, 1, None, None] - cy
-        dz = pos[:, 2, None, None] - self.heights[cut:, None]
-        plane = dx * dx
-        plane += dy * dy
-        self.g = g = _rx_geometry(plane, dz, np.where(x_wall, dx, dy) * sign, self.cos_fov,
-                                  None, out)
-        self.term = d2 = out[1]  # d2's array, reused for the terms
-        self.full[:, :, :cut] = 0.0
-        r, column = np.nonzero(np.sqrt(plane[:, 0]) < near)
-        close = d2[r, :, column] < near[column, None]
-        g.drop[r, :, column] |= close
-        pair, row = np.nonzero(close)
-        r, c = r[pair], column[pair] * nv + cut + row  # the patch's index in the tiling
-        seen = _rises_above(self.heights[cut + row], self.pa.edge_v, pos[r, 2])
-        return r[seen], c[seen]
-
-    def midpoint_sums(self, t: int) -> np.ndarray:
-        """Per-row midpoint-rule sum over the patches (without the constant k)
-        for transmitter t on the current chunk: one light pass over its
-        geometry, the terms put back in the tiling's patch order beside the
-        0.0 the rows cut add, so each row's sum is NumPy's pairwise sum over
-        all its room's patches, the same bits as with no cut."""
-        term = _rx_light(self.led_legs[t][self.cut:], self.g, out=self.term)
-        self.full[:, :, self.cut:] = term.transpose(0, 2, 1)
-        return self.full.reshape(len(term), -1).sum(axis=1)
+def _walls(grid: _PatchArrays, c: _Constants | None = None) -> _Walls:
+    """The `_Walls` of a grid; with a room's constants `c`, its patches'
+    fields and its LEDs' legs too."""
+    walls = _Walls(grid, grid.column_axis == 0, grid.near(), grid.heights + 0.5 * grid.edge_v)
+    if c is None:
+        return walls
+    return walls._replace(fields=grid.patches(), legs=[
+        grid.led_legs(np.asarray(tx.position), m) for tx, m in zip(c.scene.transmitters, c.m)])
 
 
 class _Lanes:
@@ -663,98 +609,68 @@ class _Lanes:
                 for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
 
 
-def _one_room(c: _Constants, pos: np.ndarray, lo: int, hi: int, lanes: _Lanes,
-              patch_edge_m: float) -> None:
-    """Rows lo:hi of `pos`, all in the scene's room, lowest first (a stable
-    sort by height), in (rows, patches) chunks of at most _CHUNK_PAIRS pairs
-    (one row at least) against the room's tiling. Each chunk's midpoint
-    geometry is computed once, against only the patch rows above its lowest
-    row (`_TiledRoom.start_chunk`), so the cut rises chunk after chunk; then
-    each LED runs one light pass over it and sends the chunk's close pairs,
-    the same for every LED, to refinement for its own lanes."""
-    room = _TiledRoom(c, patch_edge_m)
-    step = max(1, _CHUNK_PAIRS // len(room.pa))
-    order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
-    for a in range(0, hi - lo, step):
-        rows = order[a:a + step]
-        p = pos[rows]
-        r, j = room.start_chunk(p, lanes)
-        close = _Pairs(rows[r] * lanes.width, p[r], None, *(field[j] for field in room.patches))
-        for t, (tx, m, k) in enumerate(zip(c.scene.transmitters, c.m, c.k)):
-            lanes.los[rows, t] = tx.power_mw * _los_gain_block(c, m, np.asarray(tx.position), p)
-            lanes.sums[rows, t] = room.midpoint_sums(t)
-            lanes.k[rows, t], lanes.power[rows, t] = k, tx.power_mw
-            if len(r):
-                lanes.queue.put((m, c.cos_fov), close._replace(
-                    lane=close.lane + t, tx=np.broadcast_to(tx.position, (len(r), 3))))
+def _chunk(spans, walls: _Walls, pos: np.ndarray, rows: np.ndarray, who: np.ndarray,
+           lanes: _Lanes) -> None:
+    """The LOS powers, midpoint sums and close pairs of the rows `rows` of
+    `pos`, those of rooms spans[i] = (constants, rows, patches) in turn, on
+    the grid of `walls`: one geometry pass, then one LOS and light pass per
+    LED. The rooms share their receiver and one Lambertian order per LED
+    (`_room_groups`), so `** m` and the FOV test take scalars.
 
+    The pairs are (row groups, patch rows, columns), and `who`, broadcast to
+    (row groups, columns), is each receiver's index in `rows`: (rows, 1) for
+    a room's rows on its own grid, (1, columns) for a shared run's grid of
+    each row's own copy of its room's columns. The geometry covers only the
+    patch rows whose top edge is above the lowest receiver; the rows cut add
+    exactly 0.0 (`_rises_above`). Each LED's terms are put back in the
+    tiling's (column, patch row) order beside those 0.0, and each row sums
+    its own room's segment: NumPy's pairwise sum over exactly its room's
+    patches, so it keeps its bits.
 
-def _shared_chunk(consts, spans, patches, pos: np.ndarray, lanes: _Lanes,
-                  patch_edge_m: float) -> None:
-    """The rows of several whole rooms in one chunk on the wall grid: one
-    tiling of all their walls back to back, one geometry pass over all
-    their rows, then one LOS and one light pass per LED.
-
-    Room i has constants consts[i], rows spans[i] = (first, count) of `pos`
-    (the rooms are consecutive) and patches[i] wall patches. The rooms share
-    their height, so one set of patch rows, their receiver, their LED count
-    and one Lambertian order (`_room_groups`), so `** m` and the FOV test
-    take the scalars each room's own chunk gives them.
-
-    Each row meets its own room's columns: its (column, patch row) pairs are
-    built from per-(row, column) plane and normal offsets and the row's
-    height offsets, row after row, in the tiling's order within each row. So
-    a lane's midpoint sum is NumPy's pairwise sum over exactly its own room's
-    patches, and its close pairs, looked for as `_TiledRoom.start_chunk`
-    does, reach the refinement queue in the order its room's own chunk gives
-    them: every lane keeps its bits.
+    Close pairs are tested only on the (group, column) candidates whose
+    in-plane distance sqrt(dx^2 + dy^2) is under the column's close-range
+    distance: adding dz^2 and a correctly rounded square root never lower a
+    value, so d2 >= that distance and none is missed. Those that rise above
+    their receiver's plane go to refinement in (group, column, patch row)
+    order, the tiling's order within each row, as its own room's call gives
+    them.
     """
-    pa = _PatchArrays.from_room([c.scene.room for c in consts], patch_edge_m)
-    nv = len(pa.heights)
-    c0, lo = consts[0], spans[0][0]
-    m, cos_fov = c0.m[0], c0.cos_fov
-    count = np.array([n for _, n in spans])
-    p = pos[lo:lo + count.sum()]
-    columns = np.array(patches) // nv
-    width = np.repeat(columns, count)  # each row's columns
-    # every row's copy of its own room's columns, row after row
-    first = np.repeat(np.cumsum(columns) - columns, count) - (np.cumsum(width) - width)
-    grid = pa.take(np.arange(width.sum()) + np.repeat(first, width))
-    p_rc = np.repeat(p, width, axis=0)
-    dx, dy = p_rc[:, 0] - grid.x, p_rc[:, 1] - grid.y
+    c, grid, nv = spans[0][0], walls.grid, len(walls.grid.heights)
+    p = pos[rows]
+    rx = p[who][:, None]  # (row groups, 1, columns or 1, 3)
+    cut = int(np.searchsorted(walls.tops, p[:, 2].min(), side="right"))
+    shape = (len(rx), nv - cut, len(grid.x))
+    *out, full = lanes.work(*[shape] * 4, (shape[0], shape[2], nv))
+    dx, dy = rx[..., 0] - grid.x, rx[..., 1] - grid.y
     plane = dx * dx
     plane += dy * dy
-    normal = np.where(grid.column_axis == 0, dx, dy) * grid.column_sign
-    out = lanes.work(*[(len(p_rc), nv)] * 4)
-    dz = np.subtract(p_rc[:, 2, None], pa.heights, out=out[3])  # cos(psi) overwrites it
-    g = _rx_geometry(plane[:, None], dz, normal[:, None], cos_fov, None, out)
-    # the close pairs, looked for as `_TiledRoom.start_chunk` does: row after
-    # row, column after column, patch row after patch row
-    d2, near = out[1], grid.near()
-    (rc,) = np.nonzero(np.sqrt(plane) < near)
-    close = d2[rc] < near[rc, None]
-    g.drop[rc] |= close
+    g = _rx_geometry(plane, rx[..., 2] - grid.heights[cut:, None],
+                     np.where(walls.x_wall, dx, dy) * grid.column_sign, c.cos_fov, None, out)
+    d2 = out[1]  # d2's array, reused for the terms
+    full[:, :, :cut] = 0.0
+    r, column = np.nonzero(np.sqrt(plane[:, 0]) < walls.near)
+    close = d2[r, :, column] < walls.near[column, None]
+    g.drop[r, :, column] |= close
     pair, row = np.nonzero(close)
-    rc = rc[pair]
-    seen = _rises_above(pa.heights[row], pa.edge_v, p_rc[rc, 2])
-    rc, row = rc[seen], row[seen]
-    r = np.repeat(np.arange(len(p)), width)[rc]  # each close pair's row
-    close = grid.patches(rc * nv + row)
-
-    rows = slice(lo, lo + len(p))
-    leds = np.array([[(*tx.position, tx.power_mw, k) for tx, k in zip(c.scene.transmitters, c.k)]
-                     for c in consts]).repeat(count, axis=0)  # (rows, LEDs, 5)
-    for t in range(leds.shape[1]):
+    column, row = column[pair], cut + row
+    r = np.broadcast_to(who, shape[::2])[r[pair], column]  # each close pair's row
+    seen = _rises_above(grid.heights[row], grid.edge_v, p[r, 2])
+    r, j = r[seen], column[seen] * nv + row[seen]  # j: the patch's index in the grid
+    patch = grid.patches(j) if walls.fields is None else [f[j] for f in walls.fields]
+    leds = np.array([[(*tx.position, tx.power_mw, k) for tx, k in zip(ci.scene.transmitters, ci.k)]
+                     for ci, _, _ in spans]).repeat([n for _, n, _ in spans], axis=0)
+    for t, m in enumerate(c.m):
         tx, power, k = leds[:, t, :3], leds[:, t, 3], leds[:, t, 4]
-        lanes.los[rows, t] = power * _los_gain_block(c0, m, tx, p)
+        lanes.los[rows, t] = power * _los_gain_block(c, m, tx, p)
         lanes.k[rows, t], lanes.power[rows, t] = k, power
-        term = _rx_light(grid.led_legs(np.repeat(tx, width, axis=0), m), g, out=d2).reshape(-1)
-        end = 0
-        for (a, n), size in zip(spans, patches):
-            lanes.sums[a:a + n, t] = term[end:end + n * size].reshape(n, size).sum(axis=1)
-            end += n * size
+        leg = walls.legs[t] if walls.legs else grid.led_legs(tx[who.ravel()], m)
+        full[:, :, cut:] = _rx_light(leg[cut:], g, out=d2).transpose(0, 2, 1)
+        terms, start = full.reshape(-1), 0
+        for _, n, size in spans:
+            lanes.sums[rows[start:start + n], t] = terms[:n * size].reshape(n, size).sum(axis=1)
+            terms, start = terms[n * size:], start + n
         if len(r):
-            lanes.queue.put((m, cos_fov), _Pairs((lo + r) * lanes.width + t, p[r], tx[r], *close))
+            lanes.queue.put((m, c.cos_fov), _Pairs(rows[r] * lanes.width + t, p[r], tx[r], *patch))
 
 
 def _check_inside(scenes, counts, pos: np.ndarray) -> None:
@@ -768,11 +684,12 @@ def _check_inside(scenes, counts, pos: np.ndarray) -> None:
         raise ValueError(f"receiver position {tuple(bad)} outside the room (or on the ceiling)")
 
 
-# Both chunk layouts stay. 300 one-row rooms (generate_reference_variable)
-# take 2.6 times as long with every room a grid chunk of its own as in
-# shared chunks (2-CPU VM, best of 15 calls, the same bits either way); a
-# room alone in its run, or too big to share one, keeps its grid chunks,
-# whose rows come in height order so that each cuts the patch rows below it.
+# Both receiver shapes stay. 300 one-row rooms (generate_reference_variable)
+# take 2.6 times as long with every room a chunk of its own as in shared
+# runs, one receiver per column (2-CPU VM, best of 15 calls, the same bits
+# either way); a room alone in its run, or too big to share one, keeps its
+# chunks of one row per row group, whose rows come in height order so that
+# each cuts the patch rows below it.
 def _room_groups(scenes, counts, patches) -> list[list[int]]:
     """The scenes, by index, in runs of consecutive whole rooms that share one
     chunk: their (row, patch) pairs fit in half of _CHUNK_PAIRS together, and
@@ -780,11 +697,11 @@ def _room_groups(scenes, counts, patches) -> list[list[int]]:
     LED count and one half-power angle, so one Lambertian order, for every
     LED. Any other room is a run of its own.
 
-    Per (row, patch) pair, a shared chunk holds the four geometry arrays a
-    grid chunk holds and, one LED at a time, that LED's offsets, leg and
-    their temporaries: about twice as much, so half of _CHUNK_PAIRS keeps
-    its traced peak under twice that of one full grid chunk (1.6 times for
-    300 one-row rooms).
+    Per (row, patch) pair, a shared run's chunk holds the geometry arrays
+    and terms a room's chunk holds and, one LED at a time, that LED's
+    offsets, leg and their temporaries: about twice as much, so half of
+    _CHUNK_PAIRS keeps its traced peak under twice that of one room's full
+    chunk (1.6 times for 300 one-row rooms).
     """
     budget = _CHUNK_PAIRS // 2
     groups, pairs, key = [], 0, None
@@ -808,11 +725,14 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     lanes 0).
 
     Everything runs on the calling thread, in chunks of at most _CHUNK_PAIRS
-    (row, patch) pairs that share one work buffer. Consecutive small rooms
-    share a chunk (`_shared_chunk`): one tiling and one geometry pass for all
-    their rows, then one LOS and light pass per LED. A room alone in its run,
-    or too big to share one, is split by rows into grid chunks (`_one_room`).
-    Every chunk's close pairs that rise above their receiver's plane join one
+    (row, patch) pairs that share one work buffer, each one `_chunk` call;
+    this only picks the shape of each run's receivers. A run of small rooms
+    is one chunk with one receiver per column: one tiling of their walls,
+    each row's own copy of its room's columns laid back to back. A room alone
+    in its run, or too big to share one, is split by rows, lowest first (a
+    stable sort by height), into chunks of one row per row group against its
+    own tiling, made once, so the height cut rises chunk after chunk. Every
+    chunk's close pairs that rise above their receiver's plane join one
     refinement queue.
     """
     blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
@@ -822,17 +742,30 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     pos = np.concatenate(blocks) if blocks else np.empty((0, 3))
     _check_inside(scenes, counts, pos)
     # every tiling is checked against the patch bound before anything is built
-    patches = [sum(nu) * nv for nu, nv in (_wall_counts(s.room, patch_edge_m) for s in scenes)]
+    tilings = [(s.room, _wall_counts(s.room, patch_edge_m)) for s in scenes]
+    patches = [sum(nu) * nv for _, (nu, nv) in tilings]
     starts = np.cumsum([0] + counts).tolist()
     consts = [_constants(s) for s in scenes]
     lanes = _Lanes(len(pos), max((len(s.transmitters) for s in scenes), default=1))
     for group in _room_groups(scenes, counts, patches):
-        if len(group) == 1:
-            i = group[0]
-            _one_room(consts[i], pos, starts[i], starts[i + 1], lanes, patch_edge_m)
-        else:
-            _shared_chunk([consts[i] for i in group], [(starts[i], counts[i]) for i in group],
-                          [patches[i] for i in group], pos, lanes, patch_edge_m)
+        spans = [(consts[i], counts[i], patches[i]) for i in group]
+        lo, hi = starts[group[0]], starts[group[-1] + 1]
+        pa = _PatchArrays.from_room([tilings[i] for i in group], patch_edge_m)
+        if len(group) == 1:  # one row per row group, lowest first
+            c, size = spans[0][0], len(pa)
+            walls, step = _walls(pa, c), max(1, _CHUNK_PAIRS // size)
+            order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
+            for a in range(0, hi - lo, step):
+                rows = order[a:a + step]
+                _chunk([(c, len(rows), size)], walls, pos, rows, np.arange(len(rows))[:, None],
+                       lanes)
+        elif hi > lo:  # one receiver per column: each row's copy of its room's columns
+            n = [count for _, count, _ in spans]
+            columns = np.array([size for _, _, size in spans]) // len(pa.heights)
+            width = np.repeat(columns, n)  # each row's columns
+            first = np.repeat(np.cumsum(columns) - columns, n) - (np.cumsum(width) - width)
+            _chunk(spans, _walls(pa.take(np.arange(width.sum()) + np.repeat(first, width))), pos,
+                   np.arange(lo, hi), np.repeat(np.arange(hi - lo), width)[None], lanes)
     lanes.queue.drain()
     return lanes.los, lanes.power * (lanes.k * lanes.sums)
 

@@ -870,30 +870,73 @@ def _mid_close_distance_case():
     return sc, 0.2, rows[np.argsort(rows[:, 2], kind="stable")]
 
 
+def _chunks_seen(scenes, blocks, edge):
+    """Each `_chunk` of a call whose runs each take one chunk, with every close
+    pair seen (`_rises_above` forced true): its walls, rows and receivers
+    (`who`), the geometry `_rx_geometry` gave it (as the chunk left it), and
+    the rows and patch centres of the close pairs it handed to
+    `_RefineQueue.put` for its first LED, in order."""
+    seen, geometries, puts = [], [], []
+    chunk, geometry, put = ch._chunk, ch._rx_geometry, ch._RefineQueue.put
+
+    def record_geometry(*args):
+        geometries.append(geometry(*args))
+        return geometries[-1]
+
+    def record_put(self, key, q):
+        puts.append((q.lane.tolist(), q.centers.tolist()))
+        put(self, key, q)
+
+    def record_chunk(spans, walls, pos, rows, who, lanes):
+        first_geometry, first_put = len(geometries), len(puts)
+        chunk(spans, walls, pos, rows, who, lanes)
+        g = geometries[first_geometry]
+        handed = puts[first_put] if len(puts) > first_put else ([], [])
+        seen.append((walls, rows, who, g._replace(**{f: getattr(g, f).copy() for f in
+                                                     ("d2_sq", "cos_beta", "cos_psi", "drop")}),
+                     ([lane // lanes.width for lane in handed[0]], handed[1])))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ch, "_rises_above", lambda center_z, edge_v, rx_z: np.ones(len(rx_z), bool))
+        mp.setattr(ch, "_CHUNK_PAIRS", 1 << 40)
+        mp.setattr(ch, "_rx_geometry", record_geometry)
+        mp.setattr(ch, "_chunk", record_chunk)
+        mp.setattr(ch._RefineQueue, "put", record_put)
+        ch._lane_powers(scenes, blocks, edge)
+    return seen
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_rows_at_the_close_distance())
 @example(case=_mid_close_distance_case())
 def test_the_grid_finds_the_close_pairs_of_the_whole_block_rule(case):
-    """The close pairs `start_chunk` finds from each (row, column) plane
+    """The close pairs `_chunk` finds from each (group, column) plane
     distance, and the terms it leaves out, are those of the whole-block
-    rule: d2 < near over every (row, patch row, column) pair of the chunk's
-    geometry, then the close mask's nonzeros in (rows, columns, patch rows)
-    order, which is the tiling's order within each row. Rows exactly at a
-    column's close-range distance and one ulp inside it make a candidate
-    radius one ulp short miss a close pair."""
+    rule: d2 < near over every (group, patch row, column) pair of the
+    chunk's geometry, then the close mask's nonzeros in (groups, columns,
+    patch rows) order, which is the tiling's order within each row. Rows
+    exactly at a column's close-range distance and one ulp inside it make a
+    candidate radius one ulp short miss a close pair. Both receiver shapes
+    are checked: a room's rows, one row per group, and a shared run of the
+    same rows split over two copies of the room and beside another room's
+    close rows, one receiver per column."""
     sc, edge, rows = case
-    room = ch._TiledRoom(ch._constants(sc), edge)
-    lanes = ch._Lanes(len(rows), len(sc.transmitters))
-    with pytest.MonkeyPatch.context() as mp:  # every close pair, seen or not
-        mp.setattr(ch, "_rises_above", lambda center_z, edge_v, rx_z: np.ones(len(rx_z), bool))
-        r, c = room.start_chunk(rows, lanes)
-    g, near = room.g, room.columns[4]
-    close = np.sqrt(g.d2_sq) < near
-    keep = (g.cos_beta > 0) & (g.cos_psi >= room.cos_fov) & ~close
-    assert np.array_equal(g.drop, ~keep)
-    want_r, column, row = np.nonzero(close.transpose(0, 2, 1))
-    assert r.tolist() == want_r.tolist()
-    assert c.tolist() == (column * room.patch_rows + room.cut + row).tolist()
+    cos_fov = ch._constants(sc).cos_fov
+    other = variable_scene(3.0, 4.0, len(sc.transmitters))
+    other_rows = np.array(_close_distance_rows(ch._PatchArrays.from_room(other.room, edge), 0))
+    alone = _chunks_seen([sc], [rows], edge)
+    shared = _chunks_seen([sc, other, sc], [rows[::2], other_rows, rows[1::2][::-1]], edge)
+    assert [who.shape for _, _, who, _, _ in alone] == [(len(rows), 1)]
+    assert [who.shape[0] for _, _, who, _, _ in shared] == [1]
+    for walls, chunk_rows, who, g, handed in alone + shared:
+        close = np.sqrt(g.d2_sq) < walls.near
+        keep = (g.cos_beta > 0) & (g.cos_psi >= cos_fov) & ~close
+        assert np.array_equal(g.drop, ~keep)
+        group, column, row = np.nonzero(close.transpose(0, 2, 1))
+        nv = len(walls.grid.heights)
+        j = column * nv + nv - close.shape[1] + row  # the cut rows come first
+        receiver = np.broadcast_to(who, close.shape[::2])[group, column]
+        assert handed == (chunk_rows[receiver].tolist(), walls.grid.patches(j)[0].tolist())
 
 
 _FOUR_WALLS = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -1024,7 +1067,9 @@ def test_each_row_of_small_rooms_sharing_a_chunk_keeps_its_own_bits(rooms):
     scenes, blocks = [sc for sc, _ in rooms], [rows for _, rows in rooms]
     want = [ch.received_power(sc, p, patch_edge_m=_EDGE)
             for sc, rows in rooms for p in rows]
-    few = 4 * sum(_triples(sc, len(rows)) for sc, rows in rooms[:3])  # a quarter is shared
+    # the shared budget, half a chunk in (row, patch) pairs, holds the first
+    # three rooms' pairs at least twice over
+    few = 4 * sum(_triples(sc, len(rows)) for sc, rows in rooms[:3])
     for chunk in (1, few, ch._CHUNK_PAIRS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ch, "_CHUNK_PAIRS", chunk)
@@ -1070,8 +1115,23 @@ def _preset_or_variable_room(draw):
     return sc, np.array(rows)
 
 
+def _above_the_cut(leds, sides):
+    """3 m rooms with one or two rows each, all 1.5 to 1.7 m up, so above
+    the lowest three patch rows at the test's 0.5 m patches, some 5 cm in
+    front of a wall: a shared run whose height cut leaves out half its
+    patch rows."""
+    rooms = []
+    for i, sc in enumerate(variable_scene(a, b, leds) for a, b in sides):
+        rooms.append((sc, np.array([_wall_point(sc.room, (i + k) % 4, (0.05, 0.8)[k],
+                                                1.3 * i + k, 1.5 + 0.04 * (i + k))
+                                    for k in range(1 + i % 2)])))
+    return rooms
+
+
 @settings(max_examples=30, deadline=None)
 @given(rooms=st.lists(_preset_or_variable_room(), min_size=2, max_size=8))
+@example(rooms=_above_the_cut(1, [(3.0, 4.0), (5.5, 3.2), (6.9, 6.1), (4.4, 4.4)])
+         + _above_the_cut(4, [(3.3, 6.0), (5.0, 5.0), (7.0, 3.0)]))
 def test_rooms_of_other_heights_and_led_counts_keep_each_rows_bits(rooms):
     """Preset and 3 m rooms with 1 and 4 LEDs side by side in one call, the
     rooms of one height and LED count sharing chunks: every row gets the
@@ -1165,6 +1225,26 @@ def test_small_rooms_are_tiled_a_chunk_at_a_time(monkeypatch):
     for i in range(0, 300, 37):
         one = ch.received_power_many(scenes[i], blocks[i])
         assert (p_los[i], p_nlos[i]) == (one[0][0], one[1][0])
+
+
+def test_a_call_counts_each_rooms_wall_patches_once(monkeypatch):
+    """A call computes each room's wall counts once (`_wall_counts`), to size
+    its runs and to tile it, for rooms that share a chunk and for a room
+    whose rows take several; `from_room` called alone still counts."""
+    counted, wall_counts = [], ch._wall_counts
+
+    def record(room, patch_edge_m):
+        counted.append(room)
+        return wall_counts(room, patch_edge_m)
+
+    monkeypatch.setattr(ch, "_wall_counts", record)
+    scenes = [variable_scene(3.0 + 0.5 * i, 4.0) for i in range(5)] + [preset_scene("big")]
+    blocks = [np.array([[1.0, 1.0, 0.5]])] * 5 + [np.full((40, 3), 1.2)]
+    ch.received_power_rooms(scenes, blocks)
+    assert counted == [s.room for s in scenes]
+    counted.clear()
+    ch._PatchArrays.from_room([s.room for s in scenes[:2]], 0.2)
+    assert counted == [scenes[0].room, scenes[1].room]
 
 
 def test_small_rooms_memory_stays_that_of_one_full_chunk():
