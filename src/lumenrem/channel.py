@@ -11,15 +11,16 @@ this one description.
 
 Every call is one pass: `received_power_rooms` takes the rows of any number of
 rooms, `received_power_many` is its one-room call and `received_power` its
-one-row call. The rows meet the wall tilings in cache-sized chunks.
-Consecutive small rooms of one height share a chunk; any other room's rows
-meet its own tiling in chunks of rows, taken in height order (a stable
-sort), lowest first. The (row, patch) pairs too close for the
-midpoint rule, from every chunk and room, wait in one refinement queue that
-is refined in fixed-size batches whenever one fills. A position's powers are
-the same bits whichever call, chunk or batch it falls in: a row's midpoint
-sum is NumPy's pairwise sum over exactly its own room's patches wherever it
-is taken.
+one-row call. Consecutive small rooms of one height make a run, and each
+other room a run of its own; each LED's LOS is computed once per run. The
+rows meet the wall tilings in cache-sized chunks: a run of small rooms is
+one chunk, and a room's rows meet its own tiling in chunks of rows, taken
+in height order (a stable sort), lowest first. The (row, patch) pairs too
+close for the midpoint rule, from every chunk and room, wait in one
+refinement queue that is refined in fixed-size batches whenever one fills.
+A position's powers are the same bits whichever call, chunk or batch it
+falls in: a row's midpoint sum is NumPy's pairwise sum over exactly its
+own room's patches wherever it is taken.
 
 Only what the receiver can see is refined. The receiver faces up, so a
 (sub-)patch whose top edge is at or below its plane has cos(psi) <= 0 at every
@@ -49,9 +50,9 @@ own patch rows.
 Refinement works in wall coordinates. A close pair's wall plane is fixed,
 and so are its receiver's and its LED's offsets along the wall normal: they
 are computed once per pair, and each sub-patch adds only its tangent
-coordinate and its height. The LED leg and the receiver geometry read the
-same offsets, in the same order, as they would from materialized sub-patch
-centres, so the sums keep their bits.
+coordinate and its height. The LED leg reads the offset components that
+materialized sub-patch centres would give and adds their squares as the
+grid's legs do (`_norm_sq`), so the sums keep their bits.
 
 The test that prunes refinement also cuts work before any term is computed.
 A room's rows come in height order, and every chunk's geometry, a room's or
@@ -250,17 +251,15 @@ class _PatchArrays:
     def led_legs(self, tx: np.ndarray, m: float) -> np.ndarray:
         """The (patch rows, columns) LED legs from an LED of order m at `tx`,
         (3,), or one per column, (columns, 3): each patch's LED -> centre
-        offsets, built from its column and its patch row, are laid out as a
-        C-contiguous (patch rows, columns, 3) array, the same bits as
-        materialized centres minus the LED position."""
+        offset is its column's dx and dy and its patch row's dz, the same
+        bits as materialized centres minus the LED position, and they
+        broadcast in `_led_leg` with no offset array built."""
         dx, dy = self.x - tx[..., 0], self.y - tx[..., 1]
-        v1 = np.empty((len(self.heights), len(self.x), 3))
-        v1[..., 0], v1[..., 1] = dx, dy
-        v1[..., 2] = self.heights[:, None] - tx[..., 2]
         # the cos(alpha) numerator: minus the offset along the wall normal
         # times the inward sign
         facing = -np.where(self.column_axis == 0, dx, dy) * self.column_sign
-        return _led_leg(v1, facing, m, self.edge_u * self.edge_v)
+        return _led_leg(dx, dy, self.heights[:, None] - tx[..., 2], facing, m,
+                        self.edge_u * self.edge_v)
 
     def patches(self, j: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """The per-patch fields of patches `j` (tiling indices), or of every
@@ -291,53 +290,52 @@ class _PatchArrays:
 # Vectorized gain kernels
 # ---------------------------------------------------------------------------
 
+def _norm_sq(x, y, z):
+    """The squared lengths of the offsets of components x, y and z, which
+    broadcast together, added as (x^2 + z^2) + y^2: the order in which
+    NumPy's einsum("ij,ij->i") adds a 3-vector's squares (another order
+    differs in the last bit in about a quarter of rows), so the LED legs and
+    the LOS keep the bits of the committed fixtures with no (k, 3) array."""
+    return (x * x + z * z) + y * y
+
+
 def _los_gain_block(c: _Constants, m: float, tx_pos: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """LOS DC gain for a (n, 3) block of receiver positions in a scene of
-    constants `c`, from an LED of order m at `tx_pos` (3,) or one per row (n, 3)."""
-    delta = pos - tx_pos
-    d_sq = np.einsum("ij,ij->i", delta, delta)
+    constants `c`, from an LED of order m at `tx_pos`: (3,), (1, 3) or per row (n, 3)."""
+    dx, dy, dz = (pos[:, i] - tx_pos[..., i] for i in range(3))
+    d_sq = _norm_sq(dx, dy, dz)
     if np.any(d_sq == 0.0):
         raise ValueError("receiver position coincides with a transmitter")
     d = np.sqrt(d_sq)
-    cos_phi = (tx_pos[..., 2] - pos[:, 2]) / d
+    cos_phi = np.negative(dz) / d
     visible = cos_phi > 0
-    in_fov = cos_phi >= c.cos_fov
     cos_clip = np.where(visible, cos_phi, 0.0)
-    rx, g = c.scene.receiver, c.g
-    gain = (
-        (m + 1.0) * rx.area_m2 / (2.0 * math.pi * d_sq)
-        * cos_clip ** m * rx.filter_gain * g * cos_clip
-    )
-    return np.where(visible & in_fov, gain, 0.0)
+    rx = c.scene.receiver
+    gain = ((m + 1.0) * rx.area_m2 / (2.0 * math.pi * d_sq)
+            * cos_clip ** m * rx.filter_gain * c.g * cos_clip)
+    return np.where(visible & (cos_phi >= c.cos_fov), gain, 0.0)
 
 
-def _leg_offsets(x_wall, normal, tangent, dz) -> np.ndarray:
-    """The (k, 3) LED -> (sub-)patch offsets, in x, y, z order, of sub-patches
-    given in wall coordinates: the offset along the wall normal (x on an x
-    wall, y on a y wall), along the wall's tangent and up z."""
-    v1 = np.empty((len(dz), 3))
-    v1[:, 0] = np.where(x_wall, normal, tangent)
-    v1[:, 1] = np.where(x_wall, tangent, normal)
-    v1[:, 2] = dz
-    return v1
+def _leg_offsets(x_wall, normal, tangent, dz) -> tuple[np.ndarray, ...]:
+    """The x, y and z components of the LED -> (sub-)patch offsets of
+    sub-patches given in wall coordinates: the offset along the wall normal
+    (x on an x wall, y on a y wall), along the wall's tangent and up z."""
+    return np.where(x_wall, normal, tangent), np.where(x_wall, tangent, normal), dz
 
 
-def _led_leg(v1, facing, m: float, areas) -> np.ndarray:
+def _led_leg(x, y, z, facing, m: float, areas) -> np.ndarray:
     """LED -> (sub-)patch leg cos^m(phi) cos(alpha) A / d1^2 of each LED ->
-    centre offset `v1` (x, y, z), a C-contiguous (..., 3) array, where
-    `facing` is the cos(alpha) numerator, minus the offset along the wall
-    normal times the inward sign; `facing` and `areas` broadcast against the
-    offsets' leading shape. The offsets come from the wall grid
-    (`_PatchArrays.led_legs`) or from a close pair's fixed wall offsets
-    (`_leg_offsets`), with the same bits: d1^2 is read from the offsets, as
-    one (k, 3) array, in x, y, z order, and the LED is -v1[..., 2] above the
-    centre."""
-    flat = v1.reshape(-1, 3)
-    d1_sq = np.einsum("ij,ij->i", flat, flat).reshape(v1.shape[:-1])
+    centre offset of components x, y and z, where `facing` is the cos(alpha)
+    numerator, minus the offset along the wall normal times the inward sign;
+    all five broadcast together. The components come from the wall grid, a
+    column's dx and dy and a patch row's dz (`_PatchArrays.led_legs`), or
+    from a close pair's fixed wall offsets (`_leg_offsets`), with the same
+    bits: d1^2 is `_norm_sq` of them, and the LED is -z above the centre."""
+    d1_sq = _norm_sq(x, y, z)
     if np.any(d1_sq == 0.0):
         raise ValueError("a wall patch coincides with a transmitter")
     d1 = np.sqrt(d1_sq)
-    cos_phi = np.negative(v1[..., 2]) / d1
+    cos_phi = np.negative(z) / d1
     cos_alpha = facing / d1
     return np.where(
         (cos_phi > 0) & (cos_alpha > 0),
@@ -468,7 +466,7 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
     receiver's offset from it along the normal (its square and the cos(beta)
     numerator) and its LED's (the cos(alpha) numerator), so these are
     computed once per pair. Only the tangent coordinate and the height change
-    from child to child; the LED leg reads offsets built from them
+    from child to child; the LED leg reads offset components built from them
     (`_leg_offsets`), and `_rx_geometry` the squared in-plane offset
     tangent^2 + normal^2: a sum of two terms rounds the same in either
     order, so this is the bits of dx^2 + dy^2 on every wall.
@@ -491,9 +489,8 @@ def _refined_terms(m: float, cos_fov: float, q: _Pairs) -> np.ndarray:
         t = (t.take(split)[:, None] + (0.25 * eu)[:, None] * _CHILD_U).ravel()
         z = (z.take(split)[:, None] + (0.25 * ev)[:, None] * _CHILD_V).ravel()
         eu, ev = (0.5 * eu).repeat(4), (0.5 * ev).repeat(4)
-        v1 = _leg_offsets(x_wall.take(node), tx_n.take(node), t - tx_t.take(node),
-                          z - tx_z.take(node))
-        led_leg = _led_leg(v1, tx_facing.take(node), m, eu * ev)
+        led_leg = _led_leg(*_leg_offsets(x_wall.take(node), tx_n.take(node), t - tx_t.take(node),
+                                         z - tx_z.take(node)), tx_facing.take(node), m, eu * ev)
         near = 4.0 * np.maximum(eu, ev) if depth < _REFINE_MAX_DEPTH else None
         plane = rx_t.take(node) - t
         plane *= plane
@@ -589,16 +586,24 @@ def _walls(grid: _PatchArrays, c: _Constants | None = None) -> _Walls:
 
 
 class _Lanes:
-    """What one call fills for every (row, transmitter) lane, each an (n, T)
-    array: LOS power, midpoint sum, NLOS constant k and LED power. The
-    refinement queue adds into the sums; the midpoint temporaries share one
-    work buffer, reused chunk after chunk and grown when a chunk needs more."""
+    """What one call fills for every (row, transmitter) lane, LOS power and
+    midpoint sum, each (n, T), and what it reads: each row's scene and the LED
+    table, every scene's LED positions, powers and k, (scenes, T, 5), padded
+    with 0. The refinement queue adds into the sums; the midpoint temporaries
+    share one work buffer, reused and grown chunk after chunk."""
 
-    def __init__(self, n: int, width: int):
-        self.width = width
-        self.los, self.sums, self.k, self.power = (np.zeros((n, width)) for _ in range(4))
+    def __init__(self, consts: list[_Constants], counts: list[int]):
+        self.width = width = max((len(c.m) for c in consts), default=1)
+        self.los, self.sums = np.zeros((sum(counts), width)), np.zeros((sum(counts), width))
+        self.leds = np.array([[(*tx.position, tx.power_mw, k) for tx, k in zip(c.scene.transmitters, c.k)]
+                              + [(0.0,) * 5] * (width - len(c.k)) for c in consts]).reshape(-1, width, 5)
+        self.scene = np.repeat(np.arange(len(consts)), counts)
         self.queue = _RefineQueue(self.sums.reshape(-1))
         self._buffer = np.empty(0)
+
+    def tx(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """The (rows, 3) position of LED t of each row's scene."""
+        return self.leds[self.scene[rows], t, :3]
 
     def work(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
         """Temporaries of the given shapes, back to back in the work buffer."""
@@ -611,10 +616,10 @@ class _Lanes:
 
 def _chunk(spans, walls: _Walls, pos: np.ndarray, rows: np.ndarray, who: np.ndarray,
            lanes: _Lanes) -> None:
-    """The LOS powers, midpoint sums and close pairs of the rows `rows` of
-    `pos`, those of rooms spans[i] = (constants, rows, patches) in turn, on
-    the grid of `walls`: one geometry pass, then one LOS and light pass per
-    LED. The rooms share their receiver and one Lambertian order per LED
+    """The midpoint sums and close pairs of the rows `rows` of `pos`, those of
+    rooms spans[i] = (constants, rows, patches) in turn, on the grid of
+    `walls`, with `lanes`' LED table: one geometry pass, then one light pass
+    per LED. The rooms share their receiver and one Lambertian order per LED
     (`_room_groups`), so `** m` and the FOV test take scalars.
 
     The pairs are (row groups, patch rows, columns), and `who`, broadcast to
@@ -637,14 +642,14 @@ def _chunk(spans, walls: _Walls, pos: np.ndarray, rows: np.ndarray, who: np.ndar
     """
     c, grid, nv = spans[0][0], walls.grid, len(walls.grid.heights)
     p = pos[rows]
-    rx = p[who][:, None]  # (row groups, 1, columns or 1, 3)
+    rx = p.T[:, who][:, :, None]  # x, y and z, each (row groups, 1, columns or 1)
     cut = int(np.searchsorted(walls.tops, p[:, 2].min(), side="right"))
-    shape = (len(rx), nv - cut, len(grid.x))
+    shape = (rx.shape[1], nv - cut, len(grid.x))
     *out, full = lanes.work(*[shape] * 4, (shape[0], shape[2], nv))
-    dx, dy = rx[..., 0] - grid.x, rx[..., 1] - grid.y
+    dx, dy = rx[0] - grid.x, rx[1] - grid.y
     plane = dx * dx
     plane += dy * dy
-    g = _rx_geometry(plane, rx[..., 2] - grid.heights[cut:, None],
+    g = _rx_geometry(plane, rx[2] - grid.heights[cut:, None],
                      np.where(walls.x_wall, dx, dy) * grid.column_sign, c.cos_fov, None, out)
     d2 = out[1]  # d2's array, reused for the terms
     full[:, :, :cut] = 0.0
@@ -655,22 +660,17 @@ def _chunk(spans, walls: _Walls, pos: np.ndarray, rows: np.ndarray, who: np.ndar
     column, row = column[pair], cut + row
     r = np.broadcast_to(who, shape[::2])[r[pair], column]  # each close pair's row
     seen = _rises_above(grid.heights[row], grid.edge_v, p[r, 2])
-    r, j = r[seen], column[seen] * nv + row[seen]  # j: the patch's index in the grid
+    r, j = rows[r[seen]], column[seen] * nv + row[seen]  # r: its row in pos, j: its patch
     patch = grid.patches(j) if walls.fields is None else [f[j] for f in walls.fields]
-    leds = np.array([[(*tx.position, tx.power_mw, k) for tx, k in zip(ci.scene.transmitters, ci.k)]
-                     for ci, _, _ in spans]).repeat([n for _, n, _ in spans], axis=0)
     for t, m in enumerate(c.m):
-        tx, power, k = leds[:, t, :3], leds[:, t, 3], leds[:, t, 4]
-        lanes.los[rows, t] = power * _los_gain_block(c, m, tx, p)
-        lanes.k[rows, t], lanes.power[rows, t] = k, power
-        leg = walls.legs[t] if walls.legs else grid.led_legs(tx[who.ravel()], m)
+        leg = walls.legs[t] if walls.legs else grid.led_legs(lanes.tx(rows[who.ravel()], t), m)
         full[:, :, cut:] = _rx_light(leg[cut:], g, out=d2).transpose(0, 2, 1)
         terms, start = full.reshape(-1), 0
         for _, n, size in spans:
             lanes.sums[rows[start:start + n], t] = terms[:n * size].reshape(n, size).sum(axis=1)
             terms, start = terms[n * size:], start + n
         if len(r):
-            lanes.queue.put((m, c.cos_fov), _Pairs(rows[r] * lanes.width + t, p[r], tx[r], *patch))
+            lanes.queue.put((m, c.cos_fov), _Pairs(r * lanes.width + t, pos[r], lanes.tx(r, t), *patch))
 
 
 def _check_inside(scenes, counts, pos: np.ndarray) -> None:
@@ -698,10 +698,9 @@ def _room_groups(scenes, counts, patches) -> list[list[int]]:
     LED. Any other room is a run of its own.
 
     Per (row, patch) pair, a shared run's chunk holds the geometry arrays
-    and terms a room's chunk holds and, one LED at a time, that LED's
-    offsets, leg and their temporaries: about twice as much, so half of
-    _CHUNK_PAIRS keeps its traced peak under twice that of one room's full
-    chunk (1.6 times for 300 one-row rooms).
+    and terms a room's chunk holds and, one LED at a time, that LED's leg
+    and its temporaries: about twice as much, so half of _CHUNK_PAIRS keeps
+    its traced peak under twice that of one room's full chunk.
     """
     budget = _CHUNK_PAIRS // 2
     groups, pairs, key = [], 0, None
@@ -724,16 +723,17 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     T the most transmitters of any scene (a scene with fewer leaves its other
     lanes 0).
 
-    Everything runs on the calling thread, in chunks of at most _CHUNK_PAIRS
-    (row, patch) pairs that share one work buffer, each one `_chunk` call;
-    this only picks the shape of each run's receivers. A run of small rooms
-    is one chunk with one receiver per column: one tiling of their walls,
-    each row's own copy of its room's columns laid back to back. A room alone
-    in its run, or too big to share one, is split by rows, lowest first (a
-    stable sort by height), into chunks of one row per row group against its
-    own tiling, made once, so the height cut rises chunk after chunk. Every
-    chunk's close pairs that rise above their receiver's plane join one
-    refinement queue.
+    The LED table is built once, and each LED's LOS is one `_los_gain_block`
+    call over all of a run's rows. The midpoint sums run on the calling
+    thread, in chunks of at most _CHUNK_PAIRS (row, patch) pairs that share
+    one work buffer, each one `_chunk` call; this only picks the shape of
+    each run's receivers. A run of small rooms is one chunk with one receiver
+    per column: one tiling of their walls, each row's own copy of its room's
+    columns laid back to back. A room alone in its run, or too big to share
+    one, is split by rows, lowest first (a stable sort by height), into
+    chunks of one row per row group against its own tiling, made once, so the
+    height cut rises chunk after chunk. Every chunk's close pairs that rise
+    above their receiver's plane join one refinement queue.
     """
     blocks = [np.asarray(p, dtype=float).reshape(-1, 3) for p in positions]
     if len(blocks) != len(scenes):
@@ -746,18 +746,21 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
     patches = [sum(nu) * nv for _, (nu, nv) in tilings]
     starts = np.cumsum([0] + counts).tolist()
     consts = [_constants(s) for s in scenes]
-    lanes = _Lanes(len(pos), max((len(s.transmitters) for s in scenes), default=1))
+    lanes = _Lanes(consts, counts)
     for group in _room_groups(scenes, counts, patches):
         spans = [(consts[i], counts[i], patches[i]) for i in group]
-        lo, hi = starts[group[0]], starts[group[-1] + 1]
+        c, lo, hi = consts[group[0]], starts[group[0]], starts[group[-1] + 1]
+        # the run's LEDs, of its one room or of each row's own room
+        leds = lanes.leds[group] if len(group) == 1 else lanes.leds[lanes.scene[lo:hi]]
+        for t, m in enumerate(c.m):
+            lanes.los[lo:hi, t] = leds[:, t, 3] * _los_gain_block(c, m, leds[:, t, :3], pos[lo:hi])
         pa = _PatchArrays.from_room([tilings[i] for i in group], patch_edge_m)
         if len(group) == 1:  # one row per row group, lowest first
-            c, size = spans[0][0], len(pa)
-            walls, step = _walls(pa, c), max(1, _CHUNK_PAIRS // size)
+            walls, step = _walls(pa, c), max(1, _CHUNK_PAIRS // len(pa))
             order = lo + np.argsort(pos[lo:hi, 2], kind="stable")
             for a in range(0, hi - lo, step):
                 rows = order[a:a + step]
-                _chunk([(c, len(rows), size)], walls, pos, rows, np.arange(len(rows))[:, None],
+                _chunk([(c, len(rows), len(pa))], walls, pos, rows, np.arange(len(rows))[:, None],
                        lanes)
         elif hi > lo:  # one receiver per column: each row's copy of its room's columns
             n = [count for _, count, _ in spans]
@@ -767,7 +770,7 @@ def _lane_powers(scenes, positions, patch_edge_m: float) -> tuple[np.ndarray, np
             _chunk(spans, _walls(pa.take(np.arange(width.sum()) + np.repeat(first, width))), pos,
                    np.arange(lo, hi), np.repeat(np.arange(hi - lo), width)[None], lanes)
     lanes.queue.drain()
-    return lanes.los, lanes.power * (lanes.k * lanes.sums)
+    return lanes.los, lanes.leds[lanes.scene, :, 3] * (lanes.leds[lanes.scene, :, 4] * lanes.sums)
 
 
 def _add_transmitters(lanes: np.ndarray) -> np.ndarray:

@@ -133,8 +133,9 @@ class Receiver:
             raise ValueError(f"area_m2 must be positive, got {self.area_m2}")
         if not 0 < self.fov_deg <= 90:
             raise ValueError(f"fov_deg must be in (0, 90], got {self.fov_deg}")
-        if self.filter_gain <= 0:
-            raise ValueError(f"filter_gain must be positive, got {self.filter_gain}")
+        # an optical filter passes at most all the light
+        if not 0 < self.filter_gain <= 1:
+            raise ValueError(f"filter_gain must be in (0, 1], got {self.filter_gain}")
         if self.refractive_index < 1:
             raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
         # at a 90 deg FOV the sine is 1.0 and the gain n^2 alone

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lumenrem import channel as ch
-from lumenrem import dataset
+from lumenrem import dataset, evalmap
 from lumenrem.scene import Receiver, Room, Scene, Transmitter, preset_scene, variable_scene
 
 
@@ -817,6 +817,44 @@ def test_a_chunk_computes_its_geometry_once_for_all_its_leds(monkeypatch):
     assert counts == {"geometry": 2500 * 1000, "light": 4 * 2500 * 1000}
 
 
+def test_a_call_computes_each_leds_los_once_per_run(monkeypatch):
+    """Each LED's LOS is computed once per run over all its rows, not once per
+    chunk: the 1-LED 50 x 50 `mid` map at 1 m (120 chunks of 21 rows) makes
+    one `_los_gain_block` call, and 60 rooms of 4 LEDs make four per
+    `_room_groups` run. Every row's LOS per LED keeps the bits of its one-row
+    `received_power` call."""
+    calls, runs = [], []
+    los_gain_block, room_groups = ch._los_gain_block, ch._room_groups
+
+    def count_los(c, m, tx_pos, pos):
+        calls.append(len(pos))
+        return los_gain_block(c, m, tx_pos, pos)
+
+    def record_runs(*args):
+        runs.append(room_groups(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(ch, "_los_gain_block", count_los)
+    monkeypatch.setattr(ch, "_room_groups", record_runs)
+    mid = preset_scene("mid")
+    evalmap.simulate_map(mid, 1.0, 0.1)
+    assert calls == [2500]
+    calls.clear()
+    ds = dataset.generate_reference_variable(4, 60)
+    assert len(runs) == 2 and len(runs[1]) > 1
+    assert calls == [len(group) for group in runs[1] for _ in range(4)]
+    gx, gy = np.meshgrid((np.arange(50) + 0.5) * 0.1, (np.arange(50) + 0.5) * 0.1)
+    grid = np.column_stack([gx.ravel(), gy.ravel(), np.full(2500, 1.0)])
+    rows = ds.features
+    for scenes, blocks in (([mid], [grid]),
+                           ([variable_scene(a, b, 4) for a, b in rows[:, 3:5].tolist()],
+                            [row[None] for row in rows[:, :3]])):
+        los, _ = ch._lane_powers(scenes, blocks, ch.DEFAULT_PATCH_EDGE_M)
+        at = [(scene, row) for scene, block in zip(scenes, blocks) for row in block]
+        for (scene, row), lane in zip(at, los):
+            assert lane.tolist() == [p for p, _ in ch.received_power(scene, row).per_tx]
+
+
 # ---------------------------------------------------------------------------
 # Close pairs from the plane distance; LED legs from wall offsets
 # ---------------------------------------------------------------------------
@@ -949,12 +987,13 @@ _FOUR_WALLS = st.tuples(st.integers(0, 3), st.floats(0.0, 1.0), st.floats(0.0, 1
        subpatches=st.lists(st.tuples(_FOUR_WALLS, st.integers(0, 3)), min_size=1, max_size=20))
 def test_the_led_leg_has_the_same_bits_from_centres_or_wall_offsets(side, leds, edge,
                                                                     subpatches):
-    """`_led_leg` gives the same bits whether its offsets come from the wall
-    grid, a column's x and y and a patch row's height minus the LED position
-    (`_PatchArrays.led_legs`), or from a pair's fixed wall offsets and a
-    sub-patch's tangent and height, as refinement builds them, for
-    sub-patches on all four walls, any depth, and one LED position per
-    sub-patch."""
+    """`_led_leg` gives the same bits whether its offset components come
+    from the wall grid, a column's x and y and a patch row's height minus
+    the LED position (`_PatchArrays.led_legs`), or from a pair's fixed wall
+    offsets and a sub-patch's tangent and height, as refinement builds them
+    (`_leg_offsets`, each component the bits of its column of centres minus
+    LED positions), for sub-patches on all four walls, any depth, and one
+    LED position per sub-patch."""
     sc = variable_scene(*side, leds)
     room = sc.room
     extent = (room.ly, room.ly, room.lx, room.lx)
@@ -975,13 +1014,13 @@ def test_the_led_leg_has_the_same_bits_from_centres_or_wall_offsets(side, leds, 
     pair = np.arange(len(wall))
     tx_n = plane - tx[pair, axis]
     v1_wall = ch._leg_offsets(x_wall, tx_n, t - tx[pair, 1 - axis], z - tx[:, 2])
-    assert v1_wall.tobytes() == v1.tobytes()
+    assert [a.tobytes() for a in v1_wall] == [column.tobytes() for column in v1.T]
     assert (-tx_n * sign).tobytes() == (-np.where(x_wall, v1[:, 0], v1[:, 1]) * sign).tobytes()
     # each sub-patch as the one patch of a one-column grid
     grid = [ch._PatchArrays(*map(np.array, ([cx], [cy], [a], [s], [e], [cz])), e)
             .led_legs(p, m)[0, 0]
             for (cx, cy, cz), a, s, e, p in zip(centers.tolist(), axis, sign, sub_edge, tx)]
-    assert (ch._led_leg(v1_wall, -tx_n * sign, m, areas).tobytes()
+    assert (ch._led_leg(*v1_wall, -tx_n * sign, m, areas).tobytes()
             == np.array(grid).tobytes())
 
 

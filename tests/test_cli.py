@@ -464,6 +464,21 @@ def test_a_received_power_that_is_not_finite_is_named(workdir, capsys, argv):
         assert not Path("d.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["generate", "--reference", "3"],
+                                  ["map", "--simulate", "--spacing", "1"]])
+def test_a_filter_gain_above_one_in_a_scene_file_is_named(workdir, capsys, argv):
+    """A filter gain of 1e308 keeps the received-power constant finite, and
+    would give RSS near 3,000 dBm: the scene file is refused when it loads,
+    naming the file and the field, and nothing is written."""
+    doc = preset_scene("mid").to_dict()
+    doc["receiver"]["filter_gain"] = 1e308
+    Path("bright.json").write_text(json.dumps(doc))
+    assert cli.main(argv + ["--scene", "bright.json", "--out", "d.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "bright.json: filter_gain must be in (0, 1], got 1e+308" in err[0]
+    assert not Path("d.csv").exists()
+
+
 def test_a_received_power_that_overflows_at_a_position_is_named():
     """A scene built in Python is not checked as a file is: a receiver area
     of 1e308 overflows the power at the first position, which is named, not

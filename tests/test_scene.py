@@ -138,6 +138,16 @@ def test_records_refuse_values_whose_channel_constants_are_not_finite(make, name
         make()
 
 
+@pytest.mark.parametrize("gain", [1.0000000000000002, 1e308, 0.0, -1.0])
+def test_a_filter_gain_outside_zero_to_one_is_refused_by_name(gain):
+    """An optical filter passes at most all the light, and some of it: a
+    filter gain one ulp above 1, or one large enough to give RSS near
+    3,000 dBm, is refused as a zero or negative one is, naming the field."""
+    with pytest.raises(ValueError, match=r"^filter_gain must be in \(0, 1\], got "):
+        Receiver(filter_gain=gain)
+    assert Receiver(filter_gain=1.0).filter_gain == Receiver().filter_gain == 1.0
+
+
 def test_the_edges_of_the_channel_constants_stay_accepted():
     """A half-power angle whose cosine is the float just below 1, a narrow FOV
     whose gain is still finite and a large refractive index all load."""
